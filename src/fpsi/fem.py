@@ -331,20 +331,57 @@ def eliminate_dofs(matrix, rhs, dofs, values):
     vector receives the lifted contributions so constrained dofs solve to
     their prescribed values exactly.  Returns (matrix, rhs) as new objects.
     """
-    n = matrix.shape[0]
+    new_mat, _ = eliminate_matrix(matrix, dofs)
+    return new_mat, lift_dofs(matrix, rhs, dofs, values)
+
+
+def eliminate_matrix(matrix, dofs):
+    """Matrix half of ``eliminate_dofs``.
+
+    Returns the eliminated matrix and the diagonal mask ``dk`` (zero at
+    ``dofs``, one elsewhere).  A matrix ``A`` later added to the system is
+    eliminated as ``dk @ A @ dk``; the unit diagonal is already in place.
+    """
+    keep = np.ones(matrix.shape[0])
+    keep[np.asarray(dofs, dtype=np.int64)] = 0.0
+    dk = sparse.diags(keep)
+    return (dk @ matrix @ dk + sparse.diags(1.0 - keep)).tocsr(), dk
+
+
+def lift_dofs(matrix, rhs, dofs, values):
+    """Load half of ``eliminate_dofs``: lift the prescribed values.
+
+    ``matrix`` is the operator before elimination; its product with the
+    prescribed values moves to the load, and the constrained entries take
+    the values themselves.
+    """
     dofs = np.asarray(dofs, dtype=np.int64)
     values = np.asarray(values, dtype=float)
-    lifted = np.zeros(n)
+    lifted = np.zeros(matrix.shape[0])
     lifted[dofs] = values
     new_rhs = np.asarray(rhs, dtype=float) - matrix @ lifted
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    dk = sparse.diags(keep)
-    pin = np.zeros(n)
-    pin[dofs] = 1.0
-    new_mat = (dk @ matrix @ dk + sparse.diags(pin)).tocsr()
     new_rhs[dofs] = values
-    return new_mat, new_rhs
+    return new_rhs
+
+
+def dirichlet_data(system, spaces, boundary_values, time):
+    """Constrained global dofs of a block system and their values at ``time``.
+
+    ``boundary_values`` maps block names to ``f(t, x, y)`` evaluators; blocks
+    without an entry keep only homogeneous constraints (value zero).
+    """
+    all_dofs, all_vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for name, space, offset in zip(system.block_names, spaces, system.offsets):
+        if space.dirichlet_dofs.size == 0:
+            continue
+        fn = boundary_values.get(name) if boundary_values else None
+        if fn is None:
+            vals = np.zeros(space.dirichlet_dofs.size)
+        else:
+            vals = space.dirichlet_values(fn, time)
+        all_dofs.append(space.dirichlet_dofs + offset)
+        all_vals.append(vals)
+    return np.concatenate(all_dofs), np.concatenate(all_vals)
 
 
 def apply_dirichlet(system, spaces, boundary_values, time):
@@ -356,20 +393,8 @@ def apply_dirichlet(system, spaces, boundary_values, time):
     """
     if system.rhs is None:
         raise FEMError("apply_dirichlet needs an assembled right-hand side")
-    all_dofs, all_vals = [], []
-    for name, space, offset in zip(system.block_names, spaces, system.offsets):
-        if space.dirichlet_dofs.size == 0:
-            continue
-        fn = boundary_values.get(name) if boundary_values else None
-        if fn is None:
-            vals = np.zeros(space.dirichlet_dofs.size)
-        else:
-            vals = space.dirichlet_values(fn, time)
-        all_dofs.append(space.dirichlet_dofs + offset)
-        all_vals.append(vals)
-    if not all_dofs:
+    dofs, vals = dirichlet_data(system, spaces, boundary_values, time)
+    if dofs.size == 0:
         return system
-    dofs = np.concatenate(all_dofs)
-    vals = np.concatenate(all_vals)
     mat, rhs = eliminate_dofs(system.matrix, system.rhs, dofs, vals)
     return system.with_matrix(mat, rhs)

@@ -51,34 +51,54 @@ class TimeGrid:
 class StepReport:
     index: int
     residual: float
-    factorized: bool = True
+    factorized: bool = False
     pinned_pressure: bool = False
     wall_time: float = 0.0
 
 
-def solve_linear(matrix, rhs, tol=1e-9):
-    """Direct sparse solve with a residual check and one refinement pass.
+class Factor:
+    """Sparse LU factor of ``matrix``, held across calls of ``solve_linear``.
 
-    Returns (solution, relative_residual).  Structural or numerical
-    singularities raise SingularSystemError; non-finite solutions raise
-    NonFiniteSolutionError; a residual above ``tol`` raises SolverError.
+    ``matrix`` is the object that was factored; ``refresh`` replaces the
+    factor with one of another matrix.
+    """
+
+    def __init__(self, matrix):
+        self.refresh(matrix)
+
+    def refresh(self, matrix):
+        """Factor ``matrix`` in place of the held factor."""
+        csc = sparse.csc_matrix(matrix)
+        try:
+            lu = spla.splu(csc)
+        except RuntimeError as exc:
+            kind = "structural" if "exactly singular" in str(exc).lower() else "numerical"
+            raise SingularSystemError(
+                f"sparse factorization failed ({kind} singularity): {exc}") from exc
+        self.matrix, self.csc, self.lu = matrix, csc, lu
+
+
+def solve_linear(matrix, rhs, tol=1e-9, factor=None):
+    """Sparse LU solve with a residual check, reusing a held factor.
+
+    Returns (solution, relative_residual), the residual taken against
+    ``matrix``.  ``factor`` is a ``Factor`` kept by the caller; without one
+    ``matrix`` is factored here.  With the factor of ``matrix`` itself the
+    solve is direct, plus one refinement pass when the residual exceeds
+    ``tol``.  A factor of another matrix preconditions
+    defect correction, repeated while the residual at least halves; if the
+    residual still exceeds ``tol``, ``matrix`` is factored and its factor
+    replaces the held one.  Structural or numerical singularities raise
+    SingularSystemError; non-finite solutions raise NonFiniteSolutionError;
+    a residual above ``tol`` raises SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
-    csc = sparse.csc_matrix(matrix)
-    try:
-        lu = spla.splu(csc)
-    except RuntimeError as exc:
-        kind = "structural" if "exactly singular" in str(exc).lower() else "numerical"
-        raise SingularSystemError(
-            f"sparse factorization failed ({kind} singularity): {exc}") from exc
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteSolutionError("solution contains non-finite entries")
+    factor = factor if factor is not None else Factor(matrix)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    res = float(np.linalg.norm(rhs - csc @ x)) / scale
-    if res > tol:
-        x = x + lu.solve(rhs - csc @ x)
-        res = float(np.linalg.norm(rhs - csc @ x)) / scale
+    x, res = _solve_with(factor, matrix, rhs, scale, tol)
+    if res > tol and factor.matrix is not matrix:
+        factor.refresh(matrix)
+        x, res = _solve_with(factor, matrix, rhs, scale, tol)
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
     if res > tol:
@@ -87,12 +107,46 @@ def solve_linear(matrix, rhs, tol=1e-9):
     return x, res
 
 
-class TimeStepper:
-    """Backward Euler driver: assembles once, refreshes convection per step.
+def _solve_with(factor, matrix, rhs, scale, tol):
+    x = factor.lu.solve(rhs)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteSolutionError("solution contains non-finite entries")
+    if factor.matrix is matrix:
+        csc = factor.csc
+        res = float(np.linalg.norm(rhs - csc @ x)) / scale
+        if res > tol:
+            x = x + factor.lu.solve(rhs - csc @ x)
+            res = float(np.linalg.norm(rhs - csc @ x)) / scale
+        return x, res
+    # Stopping when the residual no longer halves ends the correction at the
+    # precision floor; a fixed tolerance would stop short of it.
+    r = rhs - matrix @ x
+    res = float(np.linalg.norm(r)) / scale
+    while True:
+        x_new = x + factor.lu.solve(r)
+        r_new = rhs - matrix @ x_new
+        res_new = float(np.linalg.norm(r_new)) / scale
+        if not res_new < res:
+            return x, res
+        halved = res_new <= 0.5 * res
+        x, r, res = x_new, r_new, res_new
+        if not halved:
+            return x, res
 
-    The operator (M / tau + N + C(u_prev)) is rebuilt from cached matrices
-    each step; Dirichlet data is evaluated at the new time level before the
-    direct solve.
+
+class TimeStepper:
+    """Backward Euler stepper: factors once, refreshes convection per step.
+
+    The first step builds M / tau + N, eliminates its Dirichlet dofs and
+    factors it.  Each step adds the lagged convection C(u_prev), eliminated
+    with the same dofs, lifts the Dirichlet data of the new time level with
+    that step's operator, and solves with the held factor: directly while
+    the operator is the factored one, by defect correction otherwise.  A
+    step whose correction ends above ``solver_tol`` factors its own operator,
+    which later steps then reuse.  If a factorization is singular and
+    ``pin_pressure_fallback`` is set, one free-flow pressure dof is pinned to
+    zero and the pinned operator is factored; the pin holds for every later
+    step.
     """
 
     def __init__(self, spaces, params, nitsche, grid, sources=None,
@@ -112,78 +166,76 @@ class TimeStepper:
         self.M = forms.assemble_M(spaces, params, nitsche, ctx=self.ctx)
         self.N = forms.assemble_N(spaces, params, nitsche, ctx=self.ctx)
         self._m_over_tau = self.M.matrix * (1.0 / grid.tau)
+        self._operator = None    # M / tau + N, built by the first step
+        self._eliminated = None  # its eliminated form; None until then
+        self._keep = None        # diagonal mask, zero at the eliminated dofs
+        self._pin = None         # the pinned pressure dof, if any
+        self._factor = None
 
     def step(self, state_prev, step_index):
         """Advance from t_{n-1} to t_n = n tau; returns (state, report)."""
         t_n = self.grid.time_at(step_index)
         start = _time.perf_counter()
-        operator = self._m_over_tau + self.N.matrix
+        conv = None
         if self.convection:
             conv = forms.assemble_convection(
                 self.spaces.u_f, state_prev.block("u_f"), self.ctx)
             if conv is not None:
-                operator = operator + forms.BlockSystem.from_contributions(
+                conv = forms.BlockSystem.from_contributions(
                     self.spaces, [conv]).matrix
         load = forms.assemble_F(self.spaces, self.sources, t_n,
                                 corrections=self.corrections, ctx=self.ctx)
         rhs = load + self._m_over_tau @ state_prev.vector()
-        system = forms.BlockSystem(self.spaces, operator, rhs)
-        system = fem.apply_dirichlet(system, self.spaces,
-                                     self.boundary_values, t_n)
-        pinned = False
+        dofs, vals = fem.dirichlet_data(self.M, self.spaces,
+                                        self.boundary_values, t_n)
+        held = self._factor and self._factor.lu
+        where = f"step {step_index} (t={t_n:.6g})"
         try:
-            x, res = solve_linear(system.matrix, system.rhs, self.solver_tol)
+            x, res = self._solve(conv, rhs, dofs, vals)
         except SingularSystemError as exc:
-            if not self.pin_pressure_fallback:
+            if not self.pin_pressure_fallback or self._pin is not None:
                 raise SingularSystemError(
-                    f"step {step_index} (t={t_n:.6g}): {exc}; consider "
-                    "raising the penalty gamma or pinning a pressure dof"
-                ) from exc
-            mat, vec = fem.eliminate_dofs(
-                system.matrix, system.rhs,
-                [system.offsets[forms.BLOCK_NAMES.index('p_S')]], [0.0])
+                    f"{where}: {exc}; consider raising the penalty gamma or "
+                    "pinning a pressure dof") from exc
+            self._pin = self.M.offsets[forms.BLOCK_NAMES.index("p_S")]
+            self._eliminated = None
             try:
-                x, res = solve_linear(mat, vec, self.solver_tol)
-                pinned = True
+                x, res = self._solve(conv, rhs, dofs, vals)
             except SolverError as exc2:
                 raise SingularSystemError(
-                    f"step {step_index} (t={t_n:.6g}) remains singular after "
-                    f"pinning a pressure dof: {exc2}; consider raising the "
-                    "penalty gamma") from exc2
+                    f"{where} remains singular after pinning a pressure dof: "
+                    f"{exc2}; consider raising the penalty gamma") from exc2
+        except NonFiniteSolutionError as exc:
+            raise NonFiniteSolutionError(
+                f"{where}: {exc}; check the loads, the boundary data and the "
+                "previous state for NaN or infinite values") from exc
+        except SolverError as exc:
+            raise SolverError(
+                f"{where}: {exc}; consider a smaller time step or a larger "
+                "solver.tolerance") from exc
         state = forms.StateVector.from_vector(self.spaces, x, time=t_n)
         report = StepReport(index=step_index, residual=res,
-                            pinned_pressure=pinned,
+                            factorized=self._factor.lu is not held,
+                            pinned_pressure=self._pin is not None,
                             wall_time=_time.perf_counter() - start)
         return state, report
 
-
-def step(state_prev, t_n, grid, assembled_m, spaces, params, nitsche,
-         sources=None, corrections=None, boundary_values=None,
-         previous_velocity=None, convection=True, solver_tol=1e-9):
-    """Single backward Euler step from a preassembled M (one-shot form).
-
-    ``t_n`` must equal ``state_prev.time + grid.tau``; N is assembled here
-    with the lagged convection field (``previous_velocity`` defaults to the
-    previous state's free-flow velocity).
-    """
-    if abs(state_prev.time + grid.tau - t_n) > 1e-12 * max(1.0, abs(t_n)):
-        raise ValueError(
-            f"state at t={state_prev.time} cannot advance to t_n={t_n} "
-            f"with tau={grid.tau}")
-    ctx = forms.AssemblyContext(spaces, params, nitsche)
-    adv = previous_velocity if previous_velocity is not None else \
-        state_prev.block("u_f")
-    n_sys = forms.assemble_N(spaces, params, nitsche,
-                             previous_velocity=adv if convection else None,
-                             ctx=ctx)
-    operator = assembled_m.matrix * (1.0 / grid.tau) + n_sys.matrix
-    load = forms.assemble_F(spaces, sources, t_n, corrections=corrections,
-                            ctx=ctx)
-    rhs = load + (assembled_m.matrix @ state_prev.vector()) / grid.tau
-    system = forms.BlockSystem(spaces, operator, rhs)
-    system = fem.apply_dirichlet(system, spaces, boundary_values or {}, t_n)
-    x, _ = solve_linear(system.matrix, system.rhs, solver_tol)
-    return forms.StateVector.from_vector(spaces, x, time=t_n)
+    def _solve(self, conv, rhs, dofs, vals):
+        """Eliminate, lift and solve one step's system with the held factor."""
+        if self._pin is not None:
+            dofs, vals = np.append(dofs, self._pin), np.append(vals, 0.0)
+        if self._eliminated is None:
+            operator = self._m_over_tau + self.N.matrix
+            eliminated, keep = fem.eliminate_matrix(operator, dofs)
+            self._factor = Factor(eliminated)
+            self._operator, self._eliminated, self._keep = (
+                operator, eliminated, keep)
+        operator, matrix = self._operator, self._eliminated
+        if conv is not None:
+            operator = operator + conv
+            matrix = matrix + self._keep @ conv @ self._keep
+        return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
+                            self.solver_tol, self._factor)
 
 
 def _field_at_quad(block, phi_table):
