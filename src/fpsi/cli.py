@@ -444,10 +444,10 @@ def cmd_energy_check(config, out_dir):
             -1.0, 1.0, block.space.ndofs)
         block.values[block.space.dirichlet_dofs] = 0.0
 
-    energies = [solver.discrete_energy(state, params)]
+    energies = [solver.discrete_energy(state, params, stepper.ctx)]
     for n in range(1, grid.nsteps + 1):
         state, _ = stepper.step(state, n)
-        energies.append(solver.discrete_energy(state, params))
+        energies.append(solver.discrete_energy(state, params, stepper.ctx))
 
     csv_path = os.path.join(out_dir, "energy.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -336,6 +336,8 @@ class AssemblyContext:
         self._cell_pos = {sub: {int(c): i for i, c in enumerate(mesh.cells_in(sub))}
                           for sub in ("S", "P")}
         self._facets = [self._facet_data(pair) for pair in self.pairs]
+        self.facet_stack = self._stack_facets()
+        self._patterns = {}
 
     def grads(self, space):
         key = (space.subdomain, space.degree)
@@ -343,6 +345,20 @@ class AssemblyContext:
             _, dphi = self.tab[space.degree]
             self._grads[key] = self.geo[space.subdomain].physical_grads(dphi)
         return self._grads[key]
+
+    def vec_pattern(self, space):
+        """(rows, cols) of a vector block's local entries, built once.
+
+        The order is that of ``_contrib`` over ``vec_dofs`` x ``vec_dofs``,
+        so a kernel's flattened local values line up with it.
+        """
+        key = (space.subdomain, space.degree)
+        if key not in self._patterns:
+            dofs = self.vec_dofs(space)
+            nloc = dofs.shape[1]
+            self._patterns[key] = (np.repeat(dofs, nloc, axis=1).ravel(),
+                                   np.tile(dofs, (1, nloc)).ravel())
+        return self._patterns[key]
 
     def phi_table(self, space):
         return self.tab[space.degree][0]
@@ -379,8 +395,31 @@ class AssemblyContext:
             data[(side, "cell")] = cell
         return data
 
+    def _stack_facets(self):
+        """The facet tables stacked along a leading facet axis (None if none)."""
+        facets = self._facets
+        if not facets:
+            return None
+        stack = {key: np.stack([f[key] for f in facets]) for key in ("x", "w")}
+        for attr in ("normal_s", "normal_p", "tangent", "h_e"):
+            stack[attr] = np.array([getattr(f["pair"], attr) for f in facets])
+        for side in ("S", "P"):
+            for key in ((side, deg, kind) for deg in (1, 2)
+                        for kind in ("phi", "grad")):
+                stack[key] = np.stack([f[key] for f in facets])
+            stack[(side, "pos")] = np.array(
+                [self._cell_pos[side][f[(side, "cell")]] for f in facets])
+        return stack
+
     def facet_tables(self):
         return self._facets
+
+    def stacked_facet_dofs(self, space, vector=True):
+        """``facet_cell_dofs`` of every facet at once: (facets, ndofs)."""
+        dofs = space.cell_dofs[self.facet_stack[(space.subdomain, "pos")]]
+        if vector and space.components == 2:
+            return (2 * dofs[..., None] + np.arange(2)).reshape(dofs.shape[0], -1)
+        return dofs
 
     def facet_cell_dofs(self, space, facet, vector=True):
         side = space.subdomain
@@ -514,29 +553,34 @@ class _Kernels:
                         self.ctx.vec_dofs(vector_sp), local)
 
     def convection(self, space, advecting_values, name):
-        """((w . grad) u, v) with the advecting field w given by coefficients."""
+        """((w . grad) u, v) with the advecting field w given by coefficients.
+
+        The rows and columns are ``ctx.vec_pattern(space)``, the same arrays
+        on every call.
+        """
         phi = self.ctx.phi_table(space)
         g = self.ctx.grads(space)
         w = self._wdet(space)
         coeffs = advecting_values.reshape(space.num_nodes, 2)
-        wq = np.einsum("ql,cld->cqd", phi, coeffs[space.cell_dofs])
-        wdotg = np.einsum("cqd,cqjd->cqj", wq, g)
-        base = np.einsum("cq,qi,cqj->cij", w, phi, wdotg)
-        local = _expand_components(base)
-        return _contrib(name, name, self.ctx.vec_dofs(space),
-                        self.ctx.vec_dofs(space), local)
+        # matrix products in place of einsum: this runs on every time step
+        wq = phi @ coeffs[space.cell_dofs]                      # (c, q, d)
+        wdotg = wq[..., 0, None] * g[..., 0] + wq[..., 1, None] * g[..., 1]
+        base = phi.T @ (w[..., None] * wdotg)                   # (c, i, j)
+        rows, cols = self.ctx.vec_pattern(space)
+        return (name, name, rows, cols, _expand_components(base).ravel())
 
     def vector_load(self, space, values_cqk):
         phi = self.ctx.phi_table(space)
         w = self._wdet(space)
-        local = np.einsum("cq,qi,cqk->cik", w, phi, values_cqk)
-        c, ni, _ = local.shape
-        return self.ctx.vec_dofs(space).ravel(), local.reshape(c, 2 * ni).ravel()
+        # one matrix product over all cells: (q, i) x (c, q, k) -> (i, c, k)
+        local = np.tensordot(phi, w[..., None] * values_cqk, axes=([0], [1]))
+        return (self.ctx.vec_dofs(space).ravel(),
+                np.transpose(local, (1, 0, 2)).ravel())
 
     def scalar_load(self, space, values_cq):
         phi = self.ctx.phi_table(space)
         w = self._wdet(space)
-        local = np.einsum("cq,qi,cq->ci", w, phi, values_cq)
+        local = (w * values_cq) @ phi
         return self.ctx.scal_dofs(space).ravel(), local.ravel()
 
 
@@ -764,19 +808,22 @@ def assemble_F(spaces, sources, time, corrections=None, params=None,
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
     rhs = np.zeros(int(sum(sizes)))
 
+    def scatter(block, space, dofs, contrib):
+        start = offsets[BLOCK_NAMES.index(block)]
+        rhs[start:start + space.ndofs] += np.bincount(
+            dofs, weights=contrib, minlength=space.ndofs)
+
     def add_vec(block, space, values_fn, geo):
         x, y = geo.x[..., 0], geo.x[..., 1]
         vals = values_fn(time, x.ravel(), y.ravel())
         vals = np.asarray(vals, dtype=float).reshape(x.shape + (2,))
-        dofs, contrib = k.vector_load(space, vals)
-        np.add.at(rhs, dofs + offsets[BLOCK_NAMES.index(block)], contrib)
+        scatter(block, space, *k.vector_load(space, vals))
 
     def add_scal(block, space, values_fn, geo):
         x, y = geo.x[..., 0], geo.x[..., 1]
         vals = np.asarray(values_fn(time, x.ravel(), y.ravel()),
                           dtype=float).reshape(x.shape)
-        dofs, contrib = k.scalar_load(space, vals)
-        np.add.at(rhs, dofs + offsets[BLOCK_NAMES.index(block)], contrib)
+        scatter(block, space, *k.scalar_load(space, vals))
 
     if sources is not None:
         geo_s, geo_p = ctx.geo["S"], ctx.geo["P"]
@@ -802,58 +849,61 @@ def _add_interface_corrections(ctx, spaces, corr, time, rhs, offsets):
     The penalty-weighted mass defect m1 loads every jump slot with
     (gamma mu_f / h_E) m1; the stress-consistency adjoint pairs m1 with
     -varsigma 2 mu_f (eps(v_f) n . n) and with -q_S; m2..m5 restore the
-    normal-stress, contact-force, and slip defects.
+    normal-stress, contact-force, and slip defects.  All facets are handled
+    at once from ``ctx.facet_stack``.
     """
+    fs = ctx.facet_stack
+    if fs is None:
+        return
     params, nitsche = ctx.params, ctx.nitsche
     sig = float(nitsche.varsigma)
     two_mu = 2.0 * params.mu_f
-    idx = {name: BLOCK_NAMES.index(name) for name in BLOCK_NAMES}
+    w = fs["w"]                                   # (facets, nq)
+    x, y = fs["x"][..., 0], fs["x"][..., 1]
+    shape = x.shape
+    n_s, n_p, tau = fs["normal_s"], fs["normal_p"], fs["tangent"]
+    c_pen = (nitsche.gamma * params.mu_f / fs["h_e"])[:, None]
 
-    def scatter(block, dofs, vals):
-        np.add.at(rhs, dofs + offsets[idx[block]], vals)
+    def at_points(fn):
+        return np.asarray(fn(time, x.ravel(), y.ravel()), dtype=float)
 
-    for facet in ctx.facet_tables():
-        pair = facet["pair"]
-        w = facet["w"]
-        x, y = facet["x"][:, 0], facet["x"][:, 1]
-        n_s, n_p, tau = pair.normal_s, pair.normal_p, pair.tangent
-        c_pen = nitsche.gamma * params.mu_f / pair.h_e
+    m1 = at_points(corr.m1).reshape(shape)
+    m2 = at_points(corr.m2).reshape(shape)
+    m3 = at_points(corr.m3).reshape(shape + (2,))
+    m4 = at_points(corr.m4).reshape(shape)
+    m5 = at_points(corr.m5).reshape(shape)
 
-        m1 = np.asarray(corr.m1(time, x, y), dtype=float)
-        m2 = np.asarray(corr.m2(time, x, y), dtype=float)
-        m3 = np.asarray(corr.m3(time, x, y), dtype=float).reshape(-1, 2)
-        m4 = np.asarray(corr.m4(time, x, y), dtype=float)
-        m5 = np.asarray(corr.m5(time, x, y), dtype=float)
+    def along(space, direction, values):
+        """sum_q w values (direction . basis vector) per facet and dof."""
+        phi = fs[(space.subdomain, space.degree, "phi")]
+        local = np.einsum("fq,fqi->fi", w * values, phi)
+        return (local[..., None] * direction[:, None, :]).reshape(len(w), -1)
 
-        nc_f = ctx.trace_normal(spaces.u_f, facet, n_s)
-        nc_r = ctx.trace_normal(spaces.u_r, facet, n_p)
-        nc_w = ctx.trace_normal(spaces.y_s, facet, n_p)
-        tt_f = ctx.trace_tangent(spaces.u_f, facet, tau)
-        tt_r = ctx.trace_tangent(spaces.u_r, facet, tau)
-        tt_w = ctx.trace_tangent(spaces.y_s, facet, tau)
-        snn_f = ctx.trace_stress_nn(spaces.u_f, facet, n_s)
-        pv = ctx.trace_values(spaces.p_S, facet)
-        phi_w = ctx.trace_values(spaces.y_s, facet)
+    def stress_nn(space, normal, values):
+        """sum_q w values (eps(basis) n . n) per facet and dof."""
+        grad = fs[(space.subdomain, space.degree, "grad")]
+        gn = np.einsum("fqld,fd->fql", grad, normal)
+        local = np.einsum("fq,fql->fl", w * values, gn)
+        return (local[..., None] * normal[:, None, :]).reshape(len(w), -1)
 
-        d_f = ctx.facet_cell_dofs(spaces.u_f, facet)
-        d_r = ctx.facet_cell_dofs(spaces.u_r, facet)
-        d_w = ctx.facet_cell_dofs(spaces.y_s, facet)
-        d_ps = ctx.facet_cell_dofs(spaces.p_S, facet, vector=False)
+    def scatter(block, space, vals, vector=True):
+        dofs = ctx.stacked_facet_dofs(space, vector)
+        start = offsets[BLOCK_NAMES.index(block)]
+        rhs[start:start + space.ndofs] += np.bincount(
+            dofs.ravel(), weights=vals.ravel(), minlength=space.ndofs)
 
-        scatter("u_f", d_f, np.einsum("q,q,qa->a", w, c_pen * m1, nc_f)
-                - sig * two_mu * np.einsum("q,q,qa->a", w, m1, snn_f)
-                - np.einsum("q,q,qa->a", w, m4, tt_f))
-        scatter("p_S", d_ps, -np.einsum("q,q,qa->a", w, m1, pv))
-        scatter("u_r", d_r, np.einsum("q,q,qa->a", w, c_pen * m1, nc_r)
-                + np.einsum("q,q,qa->a", w, m2, nc_r)
-                - np.einsum("q,q,qa->a", w, m5, tt_r))
-        m3_vals = np.einsum("q,qk,qi->ik", w, m3, phi_w)  # (nloc, 2)
-        vec_m3 = np.empty(2 * phi_w.shape[1])
-        vec_m3[0::2] = m3_vals[:, 0]
-        vec_m3[1::2] = m3_vals[:, 1]
-        scatter("y_s", d_w, np.einsum("q,q,qa->a", w, c_pen * m1, nc_w)
-                + vec_m3
-                + np.einsum("q,q,qa->a", w, m4, tt_w))
+    pen = c_pen * m1
+    scatter("u_f", spaces.u_f, along(spaces.u_f, n_s, pen)
+            - sig * two_mu * stress_nn(spaces.u_f, n_s, m1)
+            - along(spaces.u_f, tau, m4))
+    scatter("p_S", spaces.p_S,
+            -np.einsum("fq,fqi->fi", w * m1, fs[("S", 1, "phi")]), vector=False)
+    scatter("u_r", spaces.u_r, along(spaces.u_r, n_p, pen + m2)
+            - along(spaces.u_r, tau, m5))
+    phi_w = fs[(spaces.y_s.subdomain, spaces.y_s.degree, "phi")]
+    m3_vals = np.einsum("fq,fqk,fqi->fik", w, m3, phi_w).reshape(len(w), -1)
+    scatter("y_s", spaces.y_s, along(spaces.y_s, n_p, pen) + m3_vals
+            + along(spaces.y_s, tau, m4))
 
 
 def penalty_matrix(spaces, params, nitsche, pairs=None, ctx=None):

@@ -56,19 +56,30 @@ class StepReport:
     wall_time: float = 0.0
 
 
+# Defect correction stops once the residual is within this factor of the
+# held factor's floor: the residual its own direct solve reached.
+FLOOR_FACTOR = 4.0
+
+
 class Factor:
     """Sparse LU factor of ``matrix``, held across calls of ``solve_linear``.
 
     ``matrix`` is the object that was factored; ``refresh`` replaces the
-    factor with one of another matrix.
+    factor with one of another matrix.  ``floor`` is the relative residual
+    of the first direct solve with the factor (None until then): the
+    precision this factor can reach.
     """
 
     def __init__(self, matrix):
         self.refresh(matrix)
 
     def refresh(self, matrix):
-        """Factor ``matrix`` in place of the held factor."""
-        csc = sparse.csc_matrix(matrix)
+        """Factor ``matrix`` in place of the held factor.
+
+        Stored zeros are dropped before factoring, so they cannot add fill.
+        """
+        csc = sparse.csc_matrix(matrix, copy=True)
+        csc.eliminate_zeros()
         try:
             lu = spla.splu(csc)
         except RuntimeError as exc:
@@ -76,6 +87,7 @@ class Factor:
             raise SingularSystemError(
                 f"sparse factorization failed ({kind} singularity): {exc}") from exc
         self.matrix, self.csc, self.lu = matrix, csc, lu
+        self.floor = None
 
 
 def solve_linear(matrix, rhs, tol=1e-9, factor=None):
@@ -85,12 +97,13 @@ def solve_linear(matrix, rhs, tol=1e-9, factor=None):
     ``matrix``.  ``factor`` is a ``Factor`` kept by the caller; without one
     ``matrix`` is factored here.  With the factor of ``matrix`` itself the
     solve is direct, plus one refinement pass when the residual exceeds
-    ``tol``.  A factor of another matrix preconditions
-    defect correction, repeated while the residual at least halves; if the
-    residual still exceeds ``tol``, ``matrix`` is factored and its factor
-    replaces the held one.  Structural or numerical singularities raise
-    SingularSystemError; non-finite solutions raise NonFiniteSolutionError;
-    a residual above ``tol`` raises SolverError.
+    ``tol``; the first direct solve records the factor's floor.  A factor
+    of another matrix preconditions defect correction, which stops when the
+    residual is within ``FLOOR_FACTOR`` of that floor or no longer halves.
+    If the residual still exceeds ``tol``, ``matrix`` is factored and its
+    factor replaces the held one.  Structural or numerical singularities
+    raise SingularSystemError; non-finite solutions raise
+    NonFiniteSolutionError; a residual above ``tol`` raises SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
     factor = factor if factor is not None else Factor(matrix)
@@ -117,36 +130,91 @@ def _solve_with(factor, matrix, rhs, scale, tol):
         if res > tol:
             x = x + factor.lu.solve(rhs - csc @ x)
             res = float(np.linalg.norm(rhs - csc @ x)) / scale
+        if factor.floor is None:
+            factor.floor = res
         return x, res
-    # Stopping when the residual no longer halves ends the correction at the
-    # precision floor; a fixed tolerance would stop short of it.
+    # A pass below the factor's floor can only trade rounding for rounding;
+    # a pass that does not halve the residual means the factor has stopped
+    # converging.  Until a direct solve has set the floor only the second
+    # exit applies.
+    stop = FLOOR_FACTOR * factor.floor if factor.floor is not None else 0.0
     r = rhs - matrix @ x
     res = float(np.linalg.norm(r)) / scale
-    while True:
+    while res > stop:
         x_new = x + factor.lu.solve(r)
         r_new = rhs - matrix @ x_new
         res_new = float(np.linalg.norm(r_new)) / scale
         if not res_new < res:
-            return x, res
+            break
         halved = res_new <= 0.5 * res
         x, r, res = x_new, r_new, res_new
         if not halved:
-            return x, res
+            break
+    return x, res
+
+
+class _ConvectionUpdate:
+    """M/tau + N and its eliminated form on one pattern that also holds C.
+
+    Built with each factor from M/tau + N, the Dirichlet mask ``keep`` and
+    the convection kernel's (rows, cols).  ``matrices(values)`` sums one
+    step's convection values into both by a single ``np.bincount``; a data
+    mask zeroes them in the eliminated rows and columns.  No sparse
+    structure is built per step.
+    """
+
+    def __init__(self, operator, keep, rows, cols):
+        pattern, self._pos = fem.fixed_pattern(operator, rows, cols)
+        self._indices, self._indptr = pattern.indices, pattern.indptr
+        self._shape = pattern.shape
+        row = np.repeat(np.arange(pattern.shape[0]), np.diff(self._indptr))
+        mask = keep[row] * keep[self._indices]
+        unit = np.where(row == self._indices, 1.0 - keep[row], 0.0)
+        # the data of both matrices, eliminated as fem.eliminate_matrix does;
+        # C's rows come first, so only the head before _span ever changes
+        self._op_now = pattern.data
+        self._el_now = mask * pattern.data + unit
+        span = self._span = int(self._pos.max()) + 1 if self._pos.size else 0
+        self._op_head = self._op_now[:span].copy()
+        self._el_head = self._el_now[:span].copy()
+        self._mask = mask[:span]
+
+    def matrices(self, values):
+        """(operator + C, eliminated + masked C) for C's local values.
+
+        Both share their index arrays, and data buffers that the next call
+        overwrites: use them for this step's solve only, and never change
+        their structure in place (``eliminate_zeros``, ``sort_indices``).
+        """
+        span = self._span
+        conv = np.bincount(self._pos, weights=values, minlength=span)
+        np.add(self._op_head, conv, out=self._op_now[:span])
+        np.add(self._el_head, self._mask * conv, out=self._el_now[:span])
+        return self._csr(self._op_now), self._csr(self._el_now)
+
+    def _csr(self, data):
+        return sparse.csr_matrix((data, self._indices, self._indptr),
+                                 shape=self._shape)
 
 
 class TimeStepper:
     """Backward Euler stepper: factors once, refreshes convection per step.
 
     The first step builds M / tau + N, eliminates its Dirichlet dofs and
-    factors it.  Each step adds the lagged convection C(u_prev), eliminated
-    with the same dofs, lifts the Dirichlet data of the new time level with
-    that step's operator, and solves with the held factor: directly while
-    the operator is the factored one, by defect correction otherwise.  A
-    step whose correction ends above ``solver_tol`` factors its own operator,
-    which later steps then reuse.  If a factorization is singular and
-    ``pin_pressure_fallback`` is set, one free-flow pressure dof is pinned to
-    zero and the pinned operator is factored; the pin holds for every later
-    step.
+    factors it.  With convection on, the same step lays M / tau + N and its
+    eliminated form on one sparse pattern that also holds the convection
+    block, so each later step adds the lagged C(u_prev) to both by one
+    scatter of its local values, masked in the eliminated rows and columns,
+    without building sparse structure.  Each step lifts the Dirichlet data
+    of the new time level with that step's operator and solves with the held
+    factor: directly while the operator is the factored one, by defect
+    correction otherwise, which stops at the factor's precision floor (two
+    triangular solves per convective step) or when the residual no longer
+    halves.  A step whose correction ends above ``solver_tol`` factors its
+    own operator, which later steps then reuse.  If a factorization is
+    singular and ``pin_pressure_fallback`` is set, one free-flow pressure
+    dof is pinned to zero and the pinned operator is factored, with the
+    pattern rebuilt; the pin holds for every later step.
     """
 
     def __init__(self, spaces, params, nitsche, grid, sources=None,
@@ -168,7 +236,7 @@ class TimeStepper:
         self._m_over_tau = self.M.matrix * (1.0 / grid.tau)
         self._operator = None    # M / tau + N, built by the first step
         self._eliminated = None  # its eliminated form; None until then
-        self._keep = None        # diagonal mask, zero at the eliminated dofs
+        self._update = None      # their fixed pattern with C, if convective
         self._pin = None         # the pinned pressure dof, if any
         self._factor = None
 
@@ -180,9 +248,6 @@ class TimeStepper:
         if self.convection:
             conv = forms.assemble_convection(
                 self.spaces.u_f, state_prev.block("u_f"), self.ctx)
-            if conv is not None:
-                conv = forms.BlockSystem.from_contributions(
-                    self.spaces, [conv]).matrix
         load = forms.assemble_F(self.spaces, self.sources, t_n,
                                 corrections=self.corrections, ctx=self.ctx)
         rhs = load + self._m_over_tau @ state_prev.vector()
@@ -228,12 +293,15 @@ class TimeStepper:
             operator = self._m_over_tau + self.N.matrix
             eliminated, keep = fem.eliminate_matrix(operator, dofs)
             self._factor = Factor(eliminated)
-            self._operator, self._eliminated, self._keep = (
-                operator, eliminated, keep)
+            self._operator, self._eliminated = operator, eliminated
+            if self.convection:
+                rows, cols = self.ctx.vec_pattern(self.spaces.u_f)
+                start = self.M.offsets[forms.BLOCK_NAMES.index("u_f")]
+                self._update = _ConvectionUpdate(operator, keep, rows + start,
+                                                 cols + start)
         operator, matrix = self._operator, self._eliminated
         if conv is not None:
-            operator = operator + conv
-            matrix = matrix + self._keep @ conv @ self._keep
+            operator, matrix = self._update.matrices(conv[4])
         return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
                             self.solver_tol, self._factor)
 
@@ -244,18 +312,22 @@ def _field_at_quad(block, phi_table):
     return np.einsum("ql,clk->cqk", phi_table, coeffs[space.cell_dofs])
 
 
-def discrete_energy(state, params, quad_degree=forms.VOLUME_QUAD_DEGREE):
+def discrete_energy(state, params, ctx=None):
     """Quadratic energy of a state.
 
     1/2 [ rho_f |u_f|^2 + rho_s (1 - phi) |u_s|^2 + (1 - phi)^2 / K |p_P|^2
           + rho_f phi |u_r + u_s|^2 + 2 mu_p |eps(y_s)|^2
           + lam_p |div y_s|^2 ]
+
+    ``ctx`` is an ``AssemblyContext`` on the state's spaces, such as a
+    stepper's; its geometry, tabulations and gradients are reused.  Without
+    one a context is built for this call.
     """
-    mesh = state.block("u_f").space.mesh
-    rule = fem.quadrature_rule("triangle", quad_degree)
-    tab = {1: fem.tabulate(1, rule.points), 2: fem.tabulate(2, rule.points)}
-    geo_s = fem.CellGeometry(mesh, mesh.cells_in("S"), rule)
-    geo_p = fem.CellGeometry(mesh, mesh.cells_in("P"), rule)
+    if ctx is None:
+        ctx = forms.AssemblyContext(
+            forms.Spaces(*(block.space for block in state.blocks)), params)
+    tab = ctx.tab
+    geo_s, geo_p = ctx.geo["S"], ctx.geo["P"]
 
     u_f = _field_at_quad(state.block("u_f"), tab[2][0])
     total = params.rho_f * np.einsum("cq,cqk->", geo_s.wdet, u_f**2)
@@ -272,7 +344,7 @@ def discrete_energy(state, params, quad_degree=forms.VOLUME_QUAD_DEGREE):
                                       (u_r + u_s)**2)
 
     y_space = state.block("y_s").space
-    grads = geo_p.physical_grads(tab[2][1])
+    grads = ctx.grads(y_space)
     coeffs = state.block("y_s").values.reshape(y_space.num_nodes, 2)
     g = np.einsum("cqld,clk->cqkd", grads, coeffs[y_space.cell_dofs])
     eps = 0.5 * (g + np.swapaxes(g, -1, -2))
@@ -351,13 +423,13 @@ def run(config, on_step=None):
     summary = RunSummary(mode=config.mode,
                          dof_count=sum(sp.ndofs for sp in spaces),
                          h_max=mesh.h_max(), nsteps=grid.nsteps)
-    summary.energy.append(discrete_energy(state, params))
+    summary.energy.append(discrete_energy(state, params, stepper.ctx))
     prev = state
     for n in range(1, grid.nsteps + 1):
         prev = state
         state, report = stepper.step(state, n)
         summary.reports.append(report)
-        summary.energy.append(discrete_energy(state, params))
+        summary.energy.append(discrete_energy(state, params, stepper.ctx))
         if on_step is not None:
             on_step(state, n)
     summary.final_state = state

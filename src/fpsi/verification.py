@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,183 +33,211 @@ def _as_arrays(x, y):
     return x, y
 
 
-class ExactSolution:
-    """Closed-form fields with analytic derivatives.
+class PointForms:
+    """The exact solution's closed forms on one set of points.
 
-    Vector evaluators return (n, 2); gradients return (n, 2) for scalars and
-    (n, 2, 2) with entry [i, k, d] = d u_k / d x_d for vectors.
+    The spatial factors the closed forms share (trig of 4 pi x, 4 pi y and
+    8 pi y, powers of x) are computed on first use and then reused by every
+    form evaluated on the same set, so a source that combines many forms
+    evaluates each factor once.  Vector forms return (n, 2); gradients
+    return (n, 2) for scalars and (n, 2, 2) with entry [i, k, d] =
+    d u_k / d x_d for vectors.
     """
+
+    def __init__(self, x, y):
+        self.x, self.y = _as_arrays(x, y)
+
+    @cached_property
+    def c(self):
+        return np.cos(FOUR_PI * self.y)
+
+    @cached_property
+    def s(self):
+        return np.sin(FOUR_PI * self.y)
+
+    @cached_property
+    def c8(self):
+        return 1.0 - 2.0 * self.s**2  # cos(8 pi y) by the double angle
+
+    @cached_property
+    def s8(self):
+        return 2.0 * self.s * self.c  # sin(8 pi y) by the double angle
+
+    @cached_property
+    def cx(self):
+        return np.cos(FOUR_PI * self.x)
+
+    @cached_property
+    def sx(self):
+        return np.sin(FOUR_PI * self.x)
+
+    @cached_property
+    def x2(self):
+        return self.x**2
+
+    @cached_property
+    def x3(self):
+        return self.x**3
 
     # -- free-flow / solid velocity (same closed form on both sides) -------
 
-    @staticmethod
-    def _vel(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([t * x**3 * c, -2.0 * t * x**3 * s], axis=-1)
-
-    @staticmethod
-    def _vel_grad(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        g = np.empty(np.shape(x) + (2, 2))
-        g[..., 0, 0] = 3.0 * t * x**2 * c
-        g[..., 0, 1] = -FOUR_PI * t * x**3 * s
-        g[..., 1, 0] = -6.0 * t * x**2 * s
-        g[..., 1, 1] = -2.0 * FOUR_PI * t * x**3 * c
-        return g
-
-    @staticmethod
-    def _vel_dt(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([x**3 * c, -2.0 * x**3 * s], axis=-1)
-
-    @staticmethod
-    def _vel_laplacian(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([t * c * (6.0 * x - FOUR_PI**2 * x**3),
-                         t * s * (-12.0 * x + 2.0 * FOUR_PI**2 * x**3)], axis=-1)
-
-    @staticmethod
-    def _vel_grad_div(t, x, y):
-        # div = t x^2 cos(4 pi y) (3 - 8 pi x)
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([t * c * (6.0 * x - 6.0 * FOUR_PI * x**2),
-                         -FOUR_PI * t * s * x**2 * (3.0 - 2.0 * FOUR_PI * x)],
+    def vel(self, t):
+        return np.stack([t * self.x3 * self.c, -2.0 * t * self.x3 * self.s],
                         axis=-1)
 
-    @staticmethod
-    def _vel_div(t, x, y):
-        c = np.cos(FOUR_PI * y)
-        return t * x**2 * c * (3.0 - 2.0 * FOUR_PI * x)
+    def vel_grad(self, t):
+        c, s, x2, x3 = self.c, self.s, self.x2, self.x3
+        g = np.empty(np.shape(self.x) + (2, 2))
+        g[..., 0, 0] = 3.0 * t * x2 * c
+        g[..., 0, 1] = -FOUR_PI * t * x3 * s
+        g[..., 1, 0] = -6.0 * t * x2 * s
+        g[..., 1, 1] = -2.0 * FOUR_PI * t * x3 * c
+        return g
 
-    u_f = _vel
-    grad_u_f = _vel_grad
-    dt_u_f = _vel_dt
-    lap_u_f = _vel_laplacian
-    grad_div_u_f = _vel_grad_div
-    div_u_f = _vel_div
+    def vel_dt(self, t):
+        return np.stack([self.x3 * self.c, -2.0 * self.x3 * self.s], axis=-1)
 
-    u_s = _vel
-    grad_u_s = _vel_grad
-    dt_u_s = _vel_dt
-    lap_u_s = _vel_laplacian
-    grad_div_u_s = _vel_grad_div
-    div_u_s = _vel_div
+    def vel_laplacian(self, t):
+        x, x3, c, s = self.x, self.x3, self.c, self.s
+        return np.stack([t * c * (6.0 * x - FOUR_PI**2 * x3),
+                         t * s * (-12.0 * x + 2.0 * FOUR_PI**2 * x3)], axis=-1)
+
+    def vel_grad_div(self, t):
+        # div = t x^2 cos(4 pi y) (3 - 8 pi x)
+        x, x2, c, s = self.x, self.x2, self.c, self.s
+        return np.stack([t * c * (6.0 * x - 6.0 * FOUR_PI * x2),
+                         -FOUR_PI * t * s * x2 * (3.0 - 2.0 * FOUR_PI * x)],
+                        axis=-1)
+
+    def vel_div(self, t):
+        return t * self.x2 * self.c * (3.0 - 2.0 * FOUR_PI * self.x)
 
     # -- pressures (identical closed form in both subdomains) --------------
 
-    @staticmethod
-    def pressure(t, x, y):
-        return t**2 * (1.0 - np.sin(FOUR_PI * x) * np.sin(FOUR_PI * y))
+    def pressure(self, t):
+        return t**2 * (1.0 - self.sx * self.s)
 
-    @staticmethod
-    def grad_pressure(t, x, y):
-        g = np.empty(np.shape(x) + (2,))
-        g[..., 0] = -FOUR_PI * t**2 * np.cos(FOUR_PI * x) * np.sin(FOUR_PI * y)
-        g[..., 1] = -FOUR_PI * t**2 * np.sin(FOUR_PI * x) * np.cos(FOUR_PI * y)
+    def grad_pressure(self, t):
+        g = np.empty(np.shape(self.x) + (2,))
+        g[..., 0] = -FOUR_PI * t**2 * self.cx * self.s
+        g[..., 1] = -FOUR_PI * t**2 * self.sx * self.c
         return g
 
-    @staticmethod
-    def dt_pressure(t, x, y):
-        return 2.0 * t * (1.0 - np.sin(FOUR_PI * x) * np.sin(FOUR_PI * y))
-
-    p_S = pressure
-    grad_p_S = grad_pressure
-    dt_p_S = dt_pressure
-    p_P = pressure
-    grad_p_P = grad_pressure
-    dt_p_P = dt_pressure
+    def dt_pressure(self, t):
+        return 2.0 * t * (1.0 - self.sx * self.s)
 
     # -- relative pore velocity --------------------------------------------
 
-    @staticmethod
-    def u_r(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([t**2 * s**2 - t * x**3 * c,
-                         t**2 * s**2 + 2.0 * t * x**3 * s], axis=-1)
+    def u_r(self, t):
+        x3, c, s = self.x3, self.c, self.s
+        return np.stack([t**2 * s**2 - t * x3 * c,
+                         t**2 * s**2 + 2.0 * t * x3 * s], axis=-1)
 
-    @staticmethod
-    def grad_u_r(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
+    def grad_u_r(self, t):
+        x2, x3, c, s = self.x2, self.x3, self.c, self.s
         # d/dy sin^2(4 pi y) = 4 pi sin(8 pi y)
-        s8 = np.sin(2.0 * FOUR_PI * y)
-        g = np.empty(np.shape(x) + (2, 2))
-        g[..., 0, 0] = -3.0 * t * x**2 * c
-        g[..., 0, 1] = FOUR_PI * t**2 * s8 + FOUR_PI * t * x**3 * s
-        g[..., 1, 0] = 6.0 * t * x**2 * s
-        g[..., 1, 1] = FOUR_PI * t**2 * s8 + 2.0 * FOUR_PI * t * x**3 * c
+        s8 = self.s8
+        g = np.empty(np.shape(self.x) + (2, 2))
+        g[..., 0, 0] = -3.0 * t * x2 * c
+        g[..., 0, 1] = FOUR_PI * t**2 * s8 + FOUR_PI * t * x3 * s
+        g[..., 1, 0] = 6.0 * t * x2 * s
+        g[..., 1, 1] = FOUR_PI * t**2 * s8 + 2.0 * FOUR_PI * t * x3 * c
         return g
 
-    @staticmethod
-    def dt_u_r(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([2.0 * t * s**2 - x**3 * c,
-                         2.0 * t * s**2 + 2.0 * x**3 * s], axis=-1)
+    def dt_u_r(self, t):
+        x3, c, s = self.x3, self.c, self.s
+        return np.stack([2.0 * t * s**2 - x3 * c,
+                         2.0 * t * s**2 + 2.0 * x3 * s], axis=-1)
 
-    @staticmethod
-    def lap_u_r(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        c8 = np.cos(2.0 * FOUR_PI * y)
-        ct = 2.0 * FOUR_PI**2 * t**2 * c8  # d2/dy2 of t^2 sin^2(4 pi y)
-        return np.stack([ct - t * c * (6.0 * x - FOUR_PI**2 * x**3),
-                         ct + t * s * (12.0 * x - 2.0 * FOUR_PI**2 * x**3)],
+    def lap_u_r(self, t):
+        x, x3, c, s = self.x, self.x3, self.c, self.s
+        ct = 2.0 * FOUR_PI**2 * t**2 * self.c8  # d2/dy2 of t^2 sin^2(4 pi y)
+        return np.stack([ct - t * c * (6.0 * x - FOUR_PI**2 * x3),
+                         ct + t * s * (12.0 * x - 2.0 * FOUR_PI**2 * x3)],
                         axis=-1)
 
-    @staticmethod
-    def grad_div_u_r(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        c8 = np.cos(2.0 * FOUR_PI * y)
+    def grad_div_u_r(self, t):
+        x, x2, c, s = self.x, self.x2, self.c, self.s
         # div u_r = -t x^2 c (3 - 8 pi x) + 4 pi t^2 sin(8 pi y)
-        gx = -t * c * (6.0 * x - 6.0 * FOUR_PI * x**2)
-        gy = (FOUR_PI * t * s * x**2 * (3.0 - 2.0 * FOUR_PI * x)
-              + 2.0 * FOUR_PI**2 * t**2 * c8)
+        gx = -t * c * (6.0 * x - 6.0 * FOUR_PI * x2)
+        gy = (FOUR_PI * t * s * x2 * (3.0 - 2.0 * FOUR_PI * x)
+              + 2.0 * FOUR_PI**2 * t**2 * self.c8)
         return np.stack([gx, gy], axis=-1)
 
-    @staticmethod
-    def div_u_r(t, x, y):
-        c = np.cos(FOUR_PI * y)
-        s8 = np.sin(2.0 * FOUR_PI * y)
-        return -t * x**2 * c * (3.0 - 2.0 * FOUR_PI * x) + FOUR_PI * t**2 * s8
+    def div_u_r(self, t):
+        return (-t * self.x2 * self.c * (3.0 - 2.0 * FOUR_PI * self.x)
+                + FOUR_PI * t**2 * self.s8)
 
     # -- solid displacement --------------------------------------------------
 
-    @staticmethod
-    def y_s(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([0.5 * t**2 * x**3 * c, -t**2 * x**3 * s], axis=-1)
+    def y_s(self, t):
+        x3, c, s = self.x3, self.c, self.s
+        return np.stack([0.5 * t**2 * x3 * c, -t**2 * x3 * s], axis=-1)
 
-    @staticmethod
-    def grad_y_s(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        g = np.empty(np.shape(x) + (2, 2))
-        g[..., 0, 0] = 1.5 * t**2 * x**2 * c
-        g[..., 0, 1] = -0.5 * FOUR_PI * t**2 * x**3 * s
-        g[..., 1, 0] = -3.0 * t**2 * x**2 * s
-        g[..., 1, 1] = -FOUR_PI * t**2 * x**3 * c
+    def grad_y_s(self, t):
+        x2, x3, c, s = self.x2, self.x3, self.c, self.s
+        g = np.empty(np.shape(self.x) + (2, 2))
+        g[..., 0, 0] = 1.5 * t**2 * x2 * c
+        g[..., 0, 1] = -0.5 * FOUR_PI * t**2 * x3 * s
+        g[..., 1, 0] = -3.0 * t**2 * x2 * s
+        g[..., 1, 1] = -FOUR_PI * t**2 * x3 * c
         return g
 
-    @staticmethod
-    def dt_y_s(t, x, y):
-        # equals u_s pointwise
-        return ExactSolution._vel(t, x, y)
+    def lap_y_s(self, t):
+        x, x3, c, s = self.x, self.x3, self.c, self.s
+        return np.stack([t**2 * c * (3.0 * x - 0.5 * FOUR_PI**2 * x3),
+                         t**2 * s * (-6.0 * x + FOUR_PI**2 * x3)], axis=-1)
 
-    @staticmethod
-    def lap_y_s(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
-        return np.stack([t**2 * c * (3.0 * x - 0.5 * FOUR_PI**2 * x**3),
-                         t**2 * s * (-6.0 * x + FOUR_PI**2 * x**3)], axis=-1)
-
-    @staticmethod
-    def grad_div_y_s(t, x, y):
-        c, s = np.cos(FOUR_PI * y), np.sin(FOUR_PI * y)
+    def grad_div_y_s(self, t):
+        x, x2, c, s = self.x, self.x2, self.c, self.s
         # div y_s = t^2 x^2 c (1.5 - 4 pi x)
-        gx = t**2 * c * (3.0 * x - 3.0 * FOUR_PI * x**2)
-        gy = -FOUR_PI * t**2 * s * x**2 * (1.5 - FOUR_PI * x)
+        gx = t**2 * c * (3.0 * x - 3.0 * FOUR_PI * x2)
+        gy = -FOUR_PI * t**2 * s * x2 * (1.5 - FOUR_PI * x)
         return np.stack([gx, gy], axis=-1)
 
-    @staticmethod
-    def div_y_s(t, x, y):
-        c = np.cos(FOUR_PI * y)
-        return t**2 * x**2 * c * (1.5 - FOUR_PI * x)
+    def div_y_s(self, t):
+        return t**2 * self.x2 * self.c * (1.5 - FOUR_PI * self.x)
+
+
+def _pointwise(form):
+    """``f(t, x, y)`` evaluating the PointForms method named ``form``."""
+    def evaluate(t, x, y):
+        return getattr(PointForms(x, y), form)(t)
+    evaluate.__name__ = evaluate.__qualname__ = form
+    return staticmethod(evaluate)
+
+
+class ExactSolution:
+    """Closed-form fields with analytic derivatives, as ``f(t, x, y)``.
+
+    Each evaluator is one closed form of ``PointForms``.  Vector evaluators
+    return (n, 2); gradients return (n, 2) for scalars and (n, 2, 2) with
+    entry [i, k, d] = d u_k / d x_d for vectors.
+    """
+
+    u_f = u_s = dt_y_s = _pointwise("vel")
+    grad_u_f = grad_u_s = _pointwise("vel_grad")
+    dt_u_f = dt_u_s = _pointwise("vel_dt")
+    lap_u_f = lap_u_s = _pointwise("vel_laplacian")
+    grad_div_u_f = grad_div_u_s = _pointwise("vel_grad_div")
+    div_u_f = div_u_s = _pointwise("vel_div")
+
+    p_S = p_P = pressure = _pointwise("pressure")
+    grad_p_S = grad_p_P = grad_pressure = _pointwise("grad_pressure")
+    dt_p_S = dt_p_P = dt_pressure = _pointwise("dt_pressure")
+
+    u_r = _pointwise("u_r")
+    grad_u_r = _pointwise("grad_u_r")
+    dt_u_r = _pointwise("dt_u_r")
+    lap_u_r = _pointwise("lap_u_r")
+    grad_div_u_r = _pointwise("grad_div_u_r")
+    div_u_r = _pointwise("div_u_r")
+
+    y_s = _pointwise("y_s")
+    grad_y_s = _pointwise("grad_y_s")
+    lap_y_s = _pointwise("lap_y_s")
+    grad_div_y_s = _pointwise("grad_div_y_s")
+    div_y_s = _pointwise("div_y_s")
 
     # -- interface stress traces (general position, used by defect oracles) --
 
@@ -321,46 +350,45 @@ def derive_sources(params, check=True, rng_seed=20240, npoints=220):
     kappa_inv = np.linalg.inv(kappa)
     rho_p = params.rho_s * (1.0 - phi) + params.rho_f * phi
 
+    # Each source evaluates its closed forms on one PointForms, so the
+    # spatial factors are computed once per call.
     def f_S(t, x, y):
-        x, y = _as_arrays(x, y)
-        visc = params.mu_f * (sol.lap_u_f(t, x, y) + sol.grad_div_u_f(t, x, y))
-        conv = np.einsum("...kd,...d->...k", sol.grad_u_f(t, x, y),
-                         sol.u_f(t, x, y))
-        return (params.rho_f * sol.dt_u_f(t, x, y) - visc
-                + sol.grad_p_S(t, x, y) + conv)
+        p = PointForms(x, y)
+        visc = params.mu_f * (p.vel_laplacian(t) + p.vel_grad_div(t))
+        conv = np.einsum("...kd,...d->...k", p.vel_grad(t), p.vel(t))
+        return (params.rho_f * p.vel_dt(t) - visc + p.grad_pressure(t) + conv)
 
-    def _div_sigma_f_P(t, x, y):
+    def _div_sigma_f_P(p, t):
         visc = params.mu_f * phi * (
-            sol.lap_u_r(t, x, y) + sol.grad_div_u_r(t, x, y)
-            + sol.lap_u_s(t, x, y) + sol.grad_div_u_s(t, x, y))
-        return visc - phi * sol.grad_p_P(t, x, y)
+            p.lap_u_r(t) + p.grad_div_u_r(t)
+            + p.vel_laplacian(t) + p.vel_grad_div(t))
+        return visc - phi * p.grad_pressure(t)
 
     def load_u_r(t, x, y):
-        x, y = _as_arrays(x, y)
-        inertial = params.rho_f * phi * (sol.dt_u_r(t, x, y)
-                                         + sol.dt_u_s(t, x, y))
-        drag = phi**2 * np.einsum("kd,...d->...k", kappa_inv, sol.u_r(t, x, y))
-        sink = theta * (sol.u_s(t, x, y) + sol.u_r(t, x, y))
-        return inertial - _div_sigma_f_P(t, x, y) + drag - sink
+        p = PointForms(x, y)
+        u_r = p.u_r(t)
+        inertial = params.rho_f * phi * (p.dt_u_r(t) + p.vel_dt(t))
+        drag = phi**2 * np.einsum("kd,...d->...k", kappa_inv, u_r)
+        sink = theta * (p.vel(t) + u_r)
+        return inertial - _div_sigma_f_P(p, t) + drag - sink
 
     def load_y_s(t, x, y):
-        x, y = _as_arrays(x, y)
-        inertial = (params.rho_f * phi * sol.dt_u_r(t, x, y)
-                    + rho_p * sol.dt_u_s(t, x, y))
-        div_s = (params.mu_p * (sol.lap_y_s(t, x, y) + sol.grad_div_y_s(t, x, y))
-                 + params.lam_p * sol.grad_div_y_s(t, x, y)
-                 - (1.0 - phi) * sol.grad_p_P(t, x, y))
-        sink = theta * (sol.u_r(t, x, y) + sol.u_s(t, x, y))
-        return inertial - _div_sigma_f_P(t, x, y) - div_s - sink
+        p = PointForms(x, y)
+        grad_div = p.grad_div_y_s(t)
+        inertial = (params.rho_f * phi * p.dt_u_r(t) + rho_p * p.vel_dt(t))
+        div_s = (params.mu_p * (p.lap_y_s(t) + grad_div)
+                 + params.lam_p * grad_div
+                 - (1.0 - phi) * p.grad_pressure(t))
+        sink = theta * (p.u_r(t) + p.vel(t))
+        return inertial - _div_sigma_f_P(p, t) - div_s - sink
 
     def r_S(t, x, y):
-        x, y = _as_arrays(x, y)
-        return sol.div_u_f(t, x, y)
+        return PointForms(x, y).vel_div(t)
 
     def load_p_P(t, x, y):
-        x, y = _as_arrays(x, y)
-        return ((1.0 - phi)**2 / params.K * sol.dt_p_P(t, x, y)
-                + sol.div_u_s(t, x, y) + phi * sol.div_u_r(t, x, y))
+        p = PointForms(x, y)
+        return ((1.0 - phi)**2 / params.K * p.dt_pressure(t)
+                + p.vel_div(t) + phi * p.div_u_r(t))
 
     sources = SourceSet(f_S=f_S, load_u_r=load_u_r, load_y_s=load_y_s,
                         r_S=r_S, load_p_P=load_p_P)

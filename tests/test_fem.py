@@ -229,3 +229,31 @@ def test_eliminate_preserves_symmetry(rng):
     new_mat, _ = eliminate_dofs(mat, rhs, [0, 3, 7], [1.0, -2.0, 0.5])
     dense = new_mat.toarray()
     assert np.abs(dense - dense.T).max() < 1e-14
+
+
+def test_fixed_pattern_holds_matrix_diagonal_and_pairs(rng):
+    # pairs inside and outside the matrix's pattern, with repeats; the
+    # summed pair values must land where a sparse sum would put them
+    dense = np.array([[1.0, 0.0, 2.0, 0.0],
+                      [0.0, 0.0, 0.0, 3.0],
+                      [4.0, 5.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 6.0]])
+    mat = sparse.csr_matrix(dense)
+    rows = np.array([0, 1, 2, 2, 3, 1])
+    cols = np.array([2, 2, 1, 1, 0, 2])
+    vals = rng.normal(size=rows.size)
+    pattern, positions = fem.fixed_pattern(mat, rows, cols)
+    assert np.array_equal(pattern.toarray(), dense)
+    stored = np.zeros((4, 4), dtype=bool)
+    stored[dense != 0] = True
+    stored[np.arange(4), np.arange(4)] = True
+    stored[rows, cols] = True
+    positions_held = sparse.csr_matrix(
+        (np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=(4, 4))
+    assert pattern.nnz == stored.sum()
+    assert np.array_equal(positions_held.toarray() != 0, stored)
+    summed = sparse.csr_matrix(
+        (np.bincount(positions, weights=vals, minlength=pattern.nnz),
+         pattern.indices, pattern.indptr), shape=(4, 4))
+    want = sparse.csr_matrix((vals, (rows, cols)), shape=(4, 4)).toarray()
+    assert np.abs(summed.toarray() - want).max() <= 1e-15

@@ -473,6 +473,89 @@ def test_assemble_f_manufactured_t0_limits(assembled_22):
     assert np.abs(sources.load_u_r(0.0, x, x)).max() < 1e-15
 
 
+def _interface_corrections_per_facet(ctx, spaces, corr, time):
+    """Facet-by-facet reference for the interface corrections of assemble_F."""
+    params, nitsche = ctx.params, ctx.nitsche
+    sig, two_mu = float(nitsche.varsigma), 2.0 * params.mu_f
+    offsets = BlockSystem.from_contributions(spaces, []).offsets
+    rhs = np.zeros(sum(sp.ndofs for sp in spaces))
+
+    def scatter(block, dofs, vals):
+        np.add.at(rhs, dofs + offsets[forms.BLOCK_NAMES.index(block)], vals)
+
+    for facet in ctx.facet_tables():
+        pair, w = facet["pair"], facet["w"]
+        x, y = facet["x"][:, 0], facet["x"][:, 1]
+        n_s, n_p, tau = pair.normal_s, pair.normal_p, pair.tangent
+        c_pen = nitsche.gamma * params.mu_f / pair.h_e
+        m1, m2, m4, m5 = (np.asarray(fn(time, x, y), dtype=float)
+                          for fn in (corr.m1, corr.m2, corr.m4, corr.m5))
+        m3 = np.asarray(corr.m3(time, x, y), dtype=float).reshape(-1, 2)
+
+        def integral(vals, table):
+            return np.einsum("q,q,qa->a", w, vals, table)
+
+        nc_f = ctx.trace_normal(spaces.u_f, facet, n_s)
+        nc_r = ctx.trace_normal(spaces.u_r, facet, n_p)
+        nc_w = ctx.trace_normal(spaces.y_s, facet, n_p)
+        tt_f = ctx.trace_normal(spaces.u_f, facet, tau)
+        tt_r = ctx.trace_normal(spaces.u_r, facet, tau)
+        tt_w = ctx.trace_normal(spaces.y_s, facet, tau)
+        snn_f = ctx.trace_stress_nn(spaces.u_f, facet, n_s)
+        phi_w = ctx.trace_values(spaces.y_s, facet)
+        scatter("u_f", ctx.facet_cell_dofs(spaces.u_f, facet),
+                integral(c_pen * m1, nc_f) - sig * two_mu * integral(m1, snn_f)
+                - integral(m4, tt_f))
+        scatter("p_S", ctx.facet_cell_dofs(spaces.p_S, facet, vector=False),
+                -integral(m1, ctx.trace_values(spaces.p_S, facet)))
+        scatter("u_r", ctx.facet_cell_dofs(spaces.u_r, facet),
+                integral(c_pen * m1, nc_r) + integral(m2, nc_r)
+                - integral(m5, tt_r))
+        m3_vec = np.einsum("q,qk,qi->ik", w, m3, phi_w).ravel()
+        scatter("y_s", ctx.facet_cell_dofs(spaces.y_s, facet),
+                integral(c_pen * m1, nc_w) + m3_vec + integral(m4, tt_w))
+    return rhs
+
+
+@pytest.mark.parametrize("varsigma", [-1, 1])
+def test_interface_corrections_match_per_facet_reference(varsigma):
+    # every defect nonzero, so each term of the all-facets assembly is
+    # compared with the facet-by-facet loop it replaced
+    from fpsi import verification
+    mesh = generate_structured(4, 4)
+    spaces = build_spaces(mesh)
+    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    ctx = AssemblyContext(spaces, params, NitscheParams(gamma=40.0, varsigma=varsigma))
+    corr = verification.InterfaceCorrections(
+        m1=lambda t, x, y: t * (1.0 + x**2),
+        m2=lambda t, x, y: t * np.sin(3.0 * x),
+        m3=lambda t, x, y: np.stack([t * x, t - x**3], axis=-1),
+        m4=lambda t, x, y: 2.0 * t * x * y,
+        m5=lambda t, x, y: t * np.cos(x))
+    got = assemble_F(spaces, None, 0.7, corrections=corr, ctx=ctx)
+    want = _interface_corrections_per_facet(ctx, spaces, corr, 0.7)
+    assert np.abs(got).max() > 0.0
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_loads_match_einsum_reference(tiny, rng):
+    mesh, spaces, params, nitsche, ctx = tiny
+    kern = forms._Kernels(ctx)
+    for space in (spaces.u_f, spaces.u_r):
+        w = ctx.geo[space.subdomain].wdet
+        vals = rng.normal(size=w.shape + (2,))
+        dofs, got = kern.vector_load(space, vals)
+        want = np.einsum("cq,qi,cqk->cik", w, ctx.phi_table(space), vals)
+        assert np.array_equal(dofs, ctx.vec_dofs(space).ravel())
+        assert np.abs(got - want.ravel()).max() <= 1e-14 * np.abs(want).max()
+    w = ctx.geo["P"].wdet
+    vals = rng.normal(size=w.shape)
+    dofs, got = kern.scalar_load(spaces.p_P, vals)
+    want = np.einsum("cq,qi,cq->ci", w, ctx.phi_table(spaces.p_P), vals)
+    assert np.array_equal(dofs, spaces.p_P.cell_dofs.ravel())
+    assert np.abs(got - want.ravel()).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_exact_solution_residual_decreases():
     from fpsi import verification
     params = PhysicalParams(**forms.REFERENCE_PARAMS)

@@ -225,6 +225,148 @@ def test_strong_convection_refactors(monkeypatch):
     assert err <= 1e-10
 
 
+class _CountingFactor:
+    """A SuperLU factor whose triangular solves are counted."""
+
+    def __init__(self, lu, counts):
+        self._lu, self._counts = lu, counts
+
+    def solve(self, rhs):
+        self._counts["solves"] += 1
+        return self._lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def _counting_solves(monkeypatch):
+    counts = {"solves": 0, "factored": []}
+    original = spla.splu
+
+    def counting(matrix):
+        counts["factored"].append(matrix)
+        return _CountingFactor(original(matrix), counts)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return counts
+
+
+def _manufactured_stepper(nx, final, convection):
+    mesh = generate_structured(nx, nx)
+    spaces = build_spaces(mesh)
+    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    sol = verification.ExactSolution()
+    return TimeStepper(
+        spaces, params, NitscheParams(gamma=40.0, varsigma=1),
+        TimeGrid(tau=1e-3 / nx, final=final),
+        sources=verification.derive_sources(params, check=False),
+        corrections=verification.derive_corrections(params, check=False),
+        boundary_values=verification.manufactured_boundary_values(sol),
+        convection=convection)
+
+
+def test_convective_step_is_two_triangular_solves(monkeypatch):
+    # the first step solves directly and sets the factor's floor; every
+    # convective step then stops its defect correction at that floor after
+    # one pass, and a convection-off step is one solve
+    for convection, per_step in ((True, 2), (False, 1)):
+        counts = _counting_solves(monkeypatch)
+        stepper = _manufactured_stepper(4, 2e-3, convection)
+        state = StateVector.zero(stepper.spaces)
+        solves = []
+        for n in range(1, stepper.grid.nsteps + 1):
+            before = counts["solves"]
+            state, report = stepper.step(state, n)
+            solves.append(counts["solves"] - before)
+            assert report.factorized == (n == 1)
+        assert solves == [1] + [per_step] * (stepper.grid.nsteps - 1)
+        assert stepper._factor.floor is not None
+        assert report.residual <= solver.FLOOR_FACTOR * stepper._factor.floor
+
+
+def test_factored_matrix_holds_no_stored_zeros(monkeypatch):
+    # the matrix handed to splu is exactly the eliminated M / tau + N, even
+    # though the per-step matrices carry the convection pattern's zeros
+    counts = _counting_solves(monkeypatch)
+    stepper = _manufactured_stepper(4, 1e-3, True)
+    state = StateVector.zero(stepper.spaces)
+    for n in range(1, stepper.grid.nsteps + 1):
+        state, _ = stepper.step(state, n)
+    dofs, _ = fem.dirichlet_data(stepper.M, stepper.spaces,
+                                 stepper.boundary_values, 0.0)
+    want, _ = fem.eliminate_matrix(
+        stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix, dofs)
+    assert len(counts["factored"]) == 1
+    assert counts["factored"][0].nnz == want.nnz
+    # a refactor of a step's own operator drops its stored zeros too
+    state.block("u_f").values[:] = 1e4
+    stepper.step(state, stepper.grid.nsteps + 1)
+    refactored = counts["factored"][-1]
+    assert len(counts["factored"]) == 2
+    assert refactored.nnz == np.count_nonzero(refactored.data)
+
+
+def _assert_same_entries(got, want):
+    # copies: the stepper's matrices share their index arrays
+    got, want = sparse.csr_matrix(got, copy=True), sparse.csr_matrix(want, copy=True)
+    got.eliminate_zeros()
+    want.eliminate_zeros()
+    assert np.array_equal((got != 0).toarray(), (want != 0).toarray())
+    diff = np.abs((got - want).toarray())
+    assert np.all(diff <= 1e-15 * np.abs(want.toarray()))
+
+
+def _convection_reference(stepper, operator, conv, dofs):
+    full = operator + forms.BlockSystem.from_contributions(
+        stepper.spaces, [conv]).matrix
+    return full, fem.eliminate_matrix(full, dofs)[0]
+
+
+def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
+    stepper = _manufactured_stepper(2, 1e-3, True)
+    stepper.step(StateVector.zero(stepper.spaces), 1)
+    u_f = rng.normal(size=stepper.spaces.u_f.ndofs)
+    conv = forms.assemble_convection(stepper.spaces.u_f, u_f, stepper.ctx)
+    dofs, _ = fem.dirichlet_data(stepper.M, stepper.spaces, {}, 0.0)
+    operator = stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix
+    for got, want in zip(stepper._update.matrices(conv[4]),
+                         _convection_reference(stepper, operator, conv, dofs)):
+        _assert_same_entries(got, want)
+
+    # an operator storing nothing in the u_f block, so every nonzero of C
+    # lies where the operator holds no entry
+    in_uf = np.zeros(operator.shape[0], dtype=bool)
+    in_uf[:stepper.spaces.u_f.ndofs] = True
+    coo = operator.tocoo()
+    drop = in_uf[coo.row] & in_uf[coo.col]
+    thinned = sparse.csr_matrix((coo.data[~drop], (coo.row[~drop], coo.col[~drop])),
+                                shape=operator.shape)
+    _, keep = fem.eliminate_matrix(thinned, dofs)
+    rows, cols = stepper.ctx.vec_pattern(stepper.spaces.u_f)
+    update = solver._ConvectionUpdate(thinned, keep, rows, cols)
+    for got, want in zip(update.matrices(conv[4]),
+                         _convection_reference(stepper, thinned, conv, dofs)):
+        _assert_same_entries(got, want)
+
+    # after a pressure pin the pattern is rebuilt with the pinned dof
+    pinned = _manufactured_stepper(2, 1e-3, True)
+    original = spla.splu
+    failures = iter([True])
+
+    def singular_once(matrix):
+        if next(failures, False):
+            raise RuntimeError("Factor is exactly singular")
+        return original(matrix)
+
+    monkeypatch.setattr(spla, "splu", singular_once)
+    _, report = pinned.step(StateVector.zero(pinned.spaces), 1)
+    assert report.pinned_pressure
+    pin_dofs = np.append(dofs, pinned.M.offsets[forms.BLOCK_NAMES.index("p_S")])
+    for got, want in zip(pinned._update.matrices(conv[4]),
+                         _convection_reference(pinned, operator, conv, pin_dofs)):
+        _assert_same_entries(got, want)
+
+
 def test_singularity_kind_from_superlu_message(monkeypatch):
     # the kind is read from SuperLU's message: "exactly singular" is
     # reported as structural, whether a row is empty or the matrix is rank
@@ -331,6 +473,16 @@ def test_energy_unit_pore_pressure(small_setup, table1_params):
     state.block("p_P").values[:] = 1.0
     # 1/2 (1 - phi)^2 / K over |Omega_P| = 1/2 * 0.81 * 0.5
     assert abs(discrete_energy(state, table1_params) - 0.2025) < 1e-14
+
+
+def test_energy_with_stepper_context_is_bit_identical(small_setup, rng):
+    mesh, spaces, params, nitsche = small_setup
+    stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=1e-3))
+    state = StateVector.zero(spaces)
+    for block in state.blocks:
+        block.values[:] = rng.normal(size=block.space.ndofs)
+    assert (discrete_energy(state, params, stepper.ctx)
+            == discrete_energy(state, params))
 
 
 def test_energy_sign_flip_invariance(small_setup, table1_params, rng):

@@ -33,6 +33,13 @@ def test_solid_velocity_is_displacement_rate(sol, rng):
     assert np.abs(sol.u_s(t, x, y) - sol.dt_y_s(t, x, y)).max() == 0.0
 
 
+def test_point_forms_double_angle_factors(rng):
+    y = rng.uniform(0.0, 1.0, 500)
+    p = verification.PointForms(rng.uniform(0.0, 1.0, 500), y)
+    assert np.abs(p.c8 - np.cos(8.0 * math.pi * y)).max() <= 4e-15
+    assert np.abs(p.s8 - np.sin(8.0 * math.pi * y)).max() <= 4e-15
+
+
 def test_r_s_closed_form(sol, rng):
     t = rng.uniform(0.1, 1.0, 50)
     x = rng.uniform(0.0, 1.0, 50)
