@@ -345,8 +345,11 @@ def eliminate_matrix(matrix, dofs):
     """
     keep = np.ones(matrix.shape[0])
     keep[np.asarray(dofs, dtype=np.int64)] = 0.0
-    dk = sparse.diags(keep)
-    return (dk @ matrix @ dk + sparse.diags(1.0 - keep)).tocsr(), keep
+    csr = sparse.csr_matrix(matrix, copy=True)
+    csr.sum_duplicates()
+    csr.data *= np.repeat(keep, np.diff(csr.indptr)) * np.take(keep, csr.indices)
+    csr.eliminate_zeros()
+    return csr + sparse.diags(1.0 - keep, format="csr"), keep
 
 
 def fixed_pattern(matrix, rows, cols):

@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from . import fem, forms
+from .ordering import nested_dissection
 
 
 class SolverError(RuntimeError):
@@ -60,34 +61,52 @@ class StepReport:
 # held factor's floor: the residual its own direct solve reached.
 FLOOR_FACTOR = 4.0
 
+# SuperLU keeps a diagonal pivot while its magnitude is at least this
+# fraction of the largest in its column.  Small enough that the symmetric
+# nested-dissection order survives pivoting (1e-3 already costs ~2x fill at
+# nx=32), and still a row swap where a diagonal entry is zero, as in the
+# pressure blocks.
+PIVOT_THRESHOLD = 1e-4
+
 
 class Factor:
     """Sparse LU factor of ``matrix``, held across calls of ``solve_linear``.
 
-    ``matrix`` is the object that was factored; ``refresh`` replaces the
-    factor with one of another matrix.  ``floor`` is the relative residual
-    of the first direct solve with the factor (None until then): the
-    precision this factor can reach.
+    The rows and columns are ordered by ``ordering.nested_dissection`` of
+    the matrix's sparsity pattern, so every factorization of one pattern
+    orders the same way, and SuperLU pivots on the diagonal unless it is
+    below ``PIVOT_THRESHOLD`` of its column.  ``matrix`` is the object that
+    was factored; ``refresh`` replaces the factor with one of another
+    matrix.  ``floor`` is the relative residual of the first direct solve
+    with the factor (None until then): the precision this factor can reach.
     """
 
     def __init__(self, matrix):
         self.refresh(matrix)
 
     def refresh(self, matrix):
-        """Factor ``matrix`` in place of the held factor.
+        """Order and factor ``matrix`` in place of the held factor.
 
-        Stored zeros are dropped before factoring, so they cannot add fill.
+        Stored zeros are dropped before ordering, so they cannot add fill.
         """
         csc = sparse.csc_matrix(matrix, copy=True)
         csc.eliminate_zeros()
+        perm = nested_dissection(csc)
         try:
-            lu = spla.splu(csc)
+            lu = spla.splu(csc[perm][:, perm], permc_spec="NATURAL",
+                           diag_pivot_thresh=PIVOT_THRESHOLD,
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             kind = "structural" if "exactly singular" in str(exc).lower() else "numerical"
             raise SingularSystemError(
                 f"sparse factorization failed ({kind} singularity): {exc}") from exc
         self.matrix, self.csc, self.lu = matrix, csc, lu
+        self._perm, self._inverse = perm, np.argsort(perm)
         self.floor = None
+
+    def solve(self, rhs):
+        """Solve with the factored matrix: two triangular solves, permuted."""
+        return self.lu.solve(rhs[self._perm])[self._inverse]
 
 
 def solve_linear(matrix, rhs, tol=1e-9, factor=None):
@@ -95,7 +114,8 @@ def solve_linear(matrix, rhs, tol=1e-9, factor=None):
 
     Returns (solution, relative_residual), the residual taken against
     ``matrix``.  ``factor`` is a ``Factor`` kept by the caller; without one
-    ``matrix`` is factored here.  With the factor of ``matrix`` itself the
+    ``matrix`` is factored here, in the same nested-dissection order and
+    with the same diagonal-preferring pivots as every ``Factor``.  With the factor of ``matrix`` itself the
     solve is direct, plus one refinement pass when the residual exceeds
     ``tol``; the first direct solve records the factor's floor.  A factor
     of another matrix preconditions defect correction, which stops when the
@@ -121,14 +141,14 @@ def solve_linear(matrix, rhs, tol=1e-9, factor=None):
 
 
 def _solve_with(factor, matrix, rhs, scale, tol):
-    x = factor.lu.solve(rhs)
+    x = factor.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
     if factor.matrix is matrix:
         csc = factor.csc
         res = float(np.linalg.norm(rhs - csc @ x)) / scale
         if res > tol:
-            x = x + factor.lu.solve(rhs - csc @ x)
+            x = x + factor.solve(rhs - csc @ x)
             res = float(np.linalg.norm(rhs - csc @ x)) / scale
         if factor.floor is None:
             factor.floor = res
@@ -141,7 +161,7 @@ def _solve_with(factor, matrix, rhs, scale, tol):
     r = rhs - matrix @ x
     res = float(np.linalg.norm(r)) / scale
     while res > stop:
-        x_new = x + factor.lu.solve(r)
+        x_new = x + factor.solve(r)
         r_new = rhs - matrix @ x_new
         res_new = float(np.linalg.norm(r_new)) / scale
         if not res_new < res:
@@ -205,9 +225,12 @@ class TimeStepper:
     eliminated form on one sparse pattern that also holds the convection
     block, so each later step adds the lagged C(u_prev) to both by one
     scatter of its local values, masked in the eliminated rows and columns,
-    without building sparse structure.  Each step lifts the Dirichlet data
-    of the new time level with that step's operator and solves with the held
-    factor: directly while the operator is the factored one, by defect
+    without building sparse structure.  The factor is a ``Factor``: SuperLU
+    on the rows and columns in nested-dissection order of the eliminated
+    operator's pattern, pivoting on the diagonal down to ``PIVOT_THRESHOLD``
+    of its column; the ordering runs in the first step, not here.  Each step
+    lifts the Dirichlet data of the new time level with that step's operator
+    and solves with the held factor: directly while the operator is the factored one, by defect
     correction otherwise, which stops at the factor's precision floor (two
     triangular solves per convective step) or when the residual no longer
     halves.  A step whose correction ends above ``solver_tol`` factors its

@@ -231,6 +231,41 @@ def test_eliminate_preserves_symmetry(rng):
     assert np.abs(dense - dense.T).max() < 1e-14
 
 
+def _canonical(matrix):
+    matrix = sparse.csr_matrix(matrix, copy=True)
+    matrix.sort_indices()
+    return matrix
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eliminate_matrix_equals_masking_products(seed):
+    # the data mask gives what dk @ A @ dk + diag(1 - keep) gives, entry for
+    # entry and in pattern: stored zeros, duplicates, eliminated rows and
+    # columns and a missing diagonal included
+    rng = np.random.default_rng(seed)
+    n = 40
+    coo = sparse.random(n, n, density=0.15, random_state=rng, format="coo")
+    rows = np.r_[coo.row, 3, 3, 7]
+    cols = np.r_[coo.col, 5, 5, 7]
+    vals = np.r_[coo.data, 1.5, -0.5, 0.0]   # a duplicate and a stored zero
+    vals[::9] = 0.0
+    rows, cols, vals = rows[rows != 11], cols[rows != 11], vals[rows != 11]
+    # row 11 stores nothing; the CSR arrays are built by hand so that the
+    # duplicate stays unsummed
+    order = np.argsort(rows, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    matrix = sparse.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
+    assert not matrix.has_canonical_format
+    dofs = np.r_[rng.choice(n, size=6, replace=False), 11]
+    got, keep = fem.eliminate_matrix(matrix, dofs)
+    dk = sparse.diags(keep)
+    want = _canonical(dk @ matrix @ dk + sparse.diags(1.0 - keep))
+    got = _canonical(got)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
 def test_fixed_pattern_holds_matrix_diagonal_and_pairs(rng):
     # pairs inside and outside the matrix's pattern, with repeats; the
     # summed pair values must land where a sparse sum would put them

@@ -243,9 +243,9 @@ def _counting_solves(monkeypatch):
     counts = {"solves": 0, "factored": []}
     original = spla.splu
 
-    def counting(matrix):
+    def counting(matrix, **kwargs):
         counts["factored"].append(matrix)
-        return _CountingFactor(original(matrix), counts)
+        return _CountingFactor(original(matrix, **kwargs), counts)
 
     monkeypatch.setattr(spla, "splu", counting)
     return counts
@@ -306,6 +306,40 @@ def test_factored_matrix_holds_no_stored_zeros(monkeypatch):
     assert refactored.nnz == np.count_nonzero(refactored.data)
 
 
+def test_dissected_factor_cuts_fill_at_the_floor():
+    # the first step at nx=16 factors the eliminated operator in nested-
+    # dissection order: at most 0.75 of the L + U fill of SuperLU's default
+    # (COLAMD, partial pivoting) on the same matrix, and its direct solve
+    # still reaches a 1e-10 precision floor
+    stepper = _manufactured_stepper(16, 1e-3 / 16, True)
+    stepper.step(StateVector.zero(stepper.spaces), 1)
+    factor = stepper._factor
+    default = spla.splu(factor.csc)
+    fill = factor.lu.L.nnz + factor.lu.U.nnz
+    assert fill <= 0.75 * (default.L.nnz + default.U.nnz)
+    assert factor.floor <= 1e-10
+
+
+def test_saddle_point_with_zero_block_solves(rng):
+    # [[A, B^T], [B, 0]] has a zero diagonal block, like p_S: the pivots
+    # there come off the diagonal, and the solve stays at rounding level
+    k, m = 20, 60
+    d = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+    eye = sparse.identity(k)
+    a = sparse.kron(eye, d) + sparse.kron(d, eye) + 0.1 * sparse.identity(k * k)
+    b = sparse.random(m, k * k, density=0.01, random_state=rng)
+    b = b + sparse.csr_matrix((np.ones(m), (np.arange(m), 5 * np.arange(m))),
+                              shape=(m, k * k))
+    matrix = sparse.bmat([[a, b.T], [b, None]], format="csr")
+    rhs = rng.normal(size=k * k + m)
+    factor = solver.Factor(matrix)
+    x, res = solve_linear(matrix, rhs, factor=factor)
+    assert res <= 1e-12
+    assert factor.floor == res
+    want = np.linalg.solve(matrix.toarray(), rhs)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def _assert_same_entries(got, want):
     # copies: the stepper's matrices share their index arrays
     got, want = sparse.csr_matrix(got, copy=True), sparse.csr_matrix(want, copy=True)
@@ -353,10 +387,10 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     original = spla.splu
     failures = iter([True])
 
-    def singular_once(matrix):
+    def singular_once(matrix, **kwargs):
         if next(failures, False):
             raise RuntimeError("Factor is exactly singular")
-        return original(matrix)
+        return original(matrix, **kwargs)
 
     monkeypatch.setattr(spla, "splu", singular_once)
     _, report = pinned.step(StateVector.zero(pinned.spaces), 1)
@@ -377,7 +411,7 @@ def test_singularity_kind_from_superlu_message(monkeypatch):
                            match=r"\(structural singularity\).*exactly singular"):
             solve_linear(sparse.csr_matrix(np.array(dense)), rhs)
 
-    def failing(matrix):
+    def failing(matrix, **kwargs):
         raise RuntimeError("not enough memory")
 
     monkeypatch.setattr(spla, "splu", failing)
@@ -443,11 +477,11 @@ def test_pin_decided_once_per_factor(small_setup, monkeypatch):
     calls = _counting_splu(monkeypatch)
     counting = spla.splu
 
-    def singular_once(matrix):
+    def singular_once(matrix, **kwargs):
         if calls["n"] == 0:
             calls["n"] += 1
             raise RuntimeError("Factor is exactly singular")
-        return counting(matrix)
+        return counting(matrix, **kwargs)
 
     monkeypatch.setattr(spla, "splu", singular_once)
     state = StateVector.zero(spaces)
