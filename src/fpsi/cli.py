@@ -254,18 +254,23 @@ def parse_config(path):
     if any(n <= 0 for n in levels) or not levels:
         raise ConfigError("levels: cell counts must be positive")
 
+    ny = _to_int(entries, "mesh.ny")
+    channel = {key: _to_float(entries, f"channel.{key}")
+               for key in ("length", "y0", "height", "lower", "upper")}
+    if mesh_kind == "channel":
+        _check_channel_rows(ny, channel)
+
     dump_every = _to_int(entries, "output.dump_every")
     if dump_every < 0:
         raise ConfigError("output.dump_every: must be nonnegative")
 
     return RunConfig(
         mode=mode, mesh_kind=mesh_kind,
-        nx=_to_int(entries, "mesh.nx"), ny=_to_int(entries, "mesh.ny"),
+        nx=_to_int(entries, "mesh.nx"), ny=ny,
         mesh_path=mesh_path, tag_map=tag_map, physics=physics,
         gamma=gamma, varsigma=varsigma, tau=tau, final=final,
         levels=levels, tau_factor=_to_float(entries, "convergence.tau_factor"),
-        channel={key: _to_float(entries, f"channel.{key}")
-                 for key in ("length", "y0", "height", "lower", "upper")},
+        channel=channel,
         output_dir=entries["output.dir"], dump_every=dump_every,
         solver_tolerance=_to_float(entries, "solver.tolerance"),
         convection=_to_choice(entries, "solver.convection", ("on", "off")) == "on",
@@ -276,6 +281,24 @@ def parse_config(path):
         energy_amplitude=_to_float(entries, "energy.amplitude"),
         source_path=str(path),
     )
+
+
+def _check_channel_rows(ny, ch):
+    """Reject a ``mesh.ny`` whose grid lines miss a channel interface."""
+    y0, height = ch["y0"], ch["height"]
+    missed = [key for key in ("lower", "upper")
+              if meshmod.channel_row(ch[key], ny, y0, height) is None]
+    if not missed:
+        return
+    fit = meshmod.smallest_channel_rows(y0, height, ch["lower"], ch["upper"])
+    remedy = (f"the smallest mesh.ny that fits is {fit}" if fit is not None else
+              f"no row count up to {meshmod.MAX_CHANNEL_ROWS} fits: move "
+              "channel.lower and channel.upper onto a common grid")
+    raise ConfigError(
+        f"mesh.ny: the {ny}-row channel grid from y0 = {y0:g} over height "
+        f"{height:g} has no interior grid line at "
+        + " or ".join(f"channel.{key} = {ch[key]:g}" for key in missed)
+        + f"; {remedy}")
 
 
 def _parse_kappa(text):

@@ -586,8 +586,13 @@ class _Kernels:
 
 # --- component assemblers ---------------------------------------------------
 
-def assemble_volume_forms(spaces, params, ctx=None):
-    """All subdomain (volume) couplings, split by M/N destination."""
+def assemble_volume_forms(spaces, params, dest, ctx=None):
+    """The subdomain (volume) couplings of one destination, ``"M"`` or ``"N"``.
+
+    Only the kernels of that destination run.
+    """
+    if dest not in ("M", "N"):
+        raise FormsError(f"destination must be 'M' or 'N', got {dest!r}")
     ctx = ctx or AssemblyContext(spaces, params)
     k = _Kernels(ctx)
     p = ctx.params
@@ -596,26 +601,27 @@ def assemble_volume_forms(spaces, params, ctx=None):
     ones_s = np.ones_like(ctx.geo["S"].wdet)
     ones_p = np.ones_like(ctx.geo["P"].wdet)
 
-    m_parts = [
-        # momentum storage terms
-        k.mass(spaces.u_f, spaces.u_f, p.rho_f * ones_s, "u_f", "u_f"),
-        k.mass(spaces.u_r, spaces.u_r, p.rho_f * phi, "u_r", "u_r"),
-        k.mass(spaces.u_r, spaces.u_s, p.rho_f * phi, "u_r", "u_s"),
-        k.mass(spaces.y_s, spaces.u_r, p.rho_f * phi, "y_s", "u_r"),
-        k.mass(spaces.y_s, spaces.u_s, ctx.rho_p_P, "y_s", "u_s"),
-        # velocity/displacement compatibility row
-        k.mass(spaces.u_s, spaces.y_s, -ctx.rho_p_P, "u_s", "y_s"),
-        # Brinkman stiffness acting on the displacement rate
-        k.eps_eps(spaces.u_r, spaces.y_s, 2.0 * p.mu_f * phi, "u_r", "y_s"),
-        k.eps_eps(spaces.y_s, spaces.y_s, 2.0 * p.mu_f * phi, "y_s", "y_s"),
-        # sink terms on the displacement rate
-        k.mass(spaces.u_r, spaces.y_s, -theta, "u_r", "y_s"),
-        k.mass(spaces.y_s, spaces.y_s, -theta, "y_s", "y_s"),
-        # pore-pressure storage and solid dilation rate
-        k.mass(spaces.p_P, spaces.p_P, (1.0 - phi) ** 2 / p.K, "p_P", "p_P"),
-        k.pressure_div(spaces.p_P, spaces.y_s, ones_p, None, "p_P", "y_s"),
-    ]
-    n_parts = [
+    if dest == "M":
+        return [
+            # momentum storage terms
+            k.mass(spaces.u_f, spaces.u_f, p.rho_f * ones_s, "u_f", "u_f"),
+            k.mass(spaces.u_r, spaces.u_r, p.rho_f * phi, "u_r", "u_r"),
+            k.mass(spaces.u_r, spaces.u_s, p.rho_f * phi, "u_r", "u_s"),
+            k.mass(spaces.y_s, spaces.u_r, p.rho_f * phi, "y_s", "u_r"),
+            k.mass(spaces.y_s, spaces.u_s, ctx.rho_p_P, "y_s", "u_s"),
+            # velocity/displacement compatibility row
+            k.mass(spaces.u_s, spaces.y_s, -ctx.rho_p_P, "u_s", "y_s"),
+            # Brinkman stiffness acting on the displacement rate
+            k.eps_eps(spaces.u_r, spaces.y_s, 2.0 * p.mu_f * phi, "u_r", "y_s"),
+            k.eps_eps(spaces.y_s, spaces.y_s, 2.0 * p.mu_f * phi, "y_s", "y_s"),
+            # sink terms on the displacement rate
+            k.mass(spaces.u_r, spaces.y_s, -theta, "u_r", "y_s"),
+            k.mass(spaces.y_s, spaces.y_s, -theta, "y_s", "y_s"),
+            # pore-pressure storage and solid dilation rate
+            k.mass(spaces.p_P, spaces.p_P, (1.0 - phi) ** 2 / p.K, "p_P", "p_P"),
+            k.pressure_div(spaces.p_P, spaces.y_s, ones_p, None, "p_P", "y_s"),
+        ]
+    return [
         k.mass(spaces.u_s, spaces.u_s, ctx.rho_p_P, "u_s", "u_s"),
         k.eps_eps(spaces.u_f, spaces.u_f, 2.0 * p.mu_f * ones_s, "u_f", "u_f"),
         k.eps_eps(spaces.y_s, spaces.u_r, 2.0 * p.mu_f * phi, "y_s", "u_r"),
@@ -639,7 +645,6 @@ def assemble_volume_forms(spaces, params, ctx=None):
         k.pressure_div(spaces.p_S, spaces.u_f, ones_s, None, "p_S", "u_f"),
         k.pressure_div(spaces.p_P, spaces.u_r, phi, ctx.grad_phi_P, "p_P", "u_r"),
     ]
-    return {"M": m_parts, "N": n_parts}
 
 
 def assemble_bjs(spaces, params, pairs=None, ctx=None):
@@ -759,37 +764,26 @@ def assemble_convection(space_f, previous_velocity, ctx):
     return _Kernels(ctx).convection(space_f, values, "u_f")
 
 
-def _merge(dest, *part_dicts):
-    out = []
-    for parts in part_dicts:
-        out.extend(parts[dest])
-    return out
+def _assemble(dest, spaces, params, nitsche, ctx):
+    """BlockSystem of one destination: volume, BJS and Nitsche parts in order."""
+    parts = assemble_volume_forms(spaces, params, dest, ctx=ctx)
+    for interface in (assemble_bjs(spaces, params, ctx=ctx),
+                      assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
+                      assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx)):
+        parts += interface[dest]
+    return BlockSystem.from_contributions(spaces, parts)
 
 
 def assemble_M(spaces, params, nitsche, pairs=None, ctx=None):
     """Matrix of all couplings that multiply time derivatives of the trials."""
     ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
-    parts = _merge("M",
-                   assemble_volume_forms(spaces, params, ctx=ctx),
-                   assemble_bjs(spaces, params, ctx=ctx),
-                   assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
-                   assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx))
-    return BlockSystem.from_contributions(spaces, parts)
+    return _assemble("M", spaces, params, nitsche, ctx)
 
 
-def assemble_N(spaces, params, nitsche, pairs=None, previous_velocity=None,
-               ctx=None):
-    """Matrix of all stationary couplings, including lagged convection."""
+def assemble_N(spaces, params, nitsche, pairs=None, ctx=None):
+    """Matrix of all stationary couplings; convection is assembled apart."""
     ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
-    parts = _merge("N",
-                   assemble_volume_forms(spaces, params, ctx=ctx),
-                   assemble_bjs(spaces, params, ctx=ctx),
-                   assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
-                   assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx))
-    conv = assemble_convection(spaces.u_f, previous_velocity, ctx)
-    if conv is not None:
-        parts.append(conv)
-    return BlockSystem.from_contributions(spaces, parts)
+    return _assemble("N", spaces, params, nitsche, ctx)
 
 
 def assemble_F(spaces, sources, time, corrections=None, params=None,
@@ -909,6 +903,5 @@ def _add_interface_corrections(ctx, spaces, corr, time, rhs, offsets):
 def penalty_matrix(spaces, params, nitsche, pairs=None, ctx=None):
     """Full symmetric interface-penalty matrix over the monolithic layout."""
     ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
-    parts = _merge("M", assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx))
-    parts += _merge("N", assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx))
-    return BlockSystem.from_contributions(spaces, parts).matrix
+    parts = assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx)
+    return BlockSystem.from_contributions(spaces, parts["M"] + parts["N"]).matrix

@@ -288,15 +288,13 @@ def generate_channel(nx, ny, *, x0=0.0, y0=-0.2, width=2.0, height=1.4,
     nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 2:
         raise MeshError("channel needs nx >= 1 and ny >= 2")
-    dy = height / ny
     rows = {}
     for name, s in (("lower", s_lower), ("upper", s_upper)):
-        j = (s - y0) / dy
-        if abs(j - round(j)) > 1e-9 or not (0 < round(j) < ny):
+        rows[name] = channel_row(s, ny, y0, height)
+        if rows[name] is None:
             raise MeshError(
                 f"{name} interface ordinate {s} is not an interior grid "
                 f"line of the {ny}-row grid")
-        rows[name] = int(round(j))
     if rows["lower"] >= rows["upper"]:
         raise MeshError("lower interface must lie below the upper interface")
 
@@ -308,6 +306,32 @@ def generate_channel(nx, ny, *, x0=0.0, y0=-0.2, width=2.0, height=1.4,
     return _structured_layers(nx, ny, x0, y0, width, height, None,
                               subdomain_of_row=subdomain_of_row,
                               s_outlet_do_nothing=True)
+
+
+# Largest row count ``smallest_channel_rows`` tries.
+MAX_CHANNEL_ROWS = 1000
+
+
+def channel_row(s, ny, y0, height):
+    """Row index of ordinate ``s`` on an ``ny``-row channel grid.
+
+    None unless ``s`` is an interior grid line.
+    """
+    if ny < 1:
+        return None
+    j = (s - y0) / (height / ny)
+    row = int(round(j))
+    return row if abs(j - row) <= 1e-9 and 0 < row < ny else None
+
+
+def smallest_channel_rows(y0, height, s_lower, s_upper):
+    """Fewest grid rows (at least 2) that put both interfaces on grid lines.
+
+    None when no row count up to ``MAX_CHANNEL_ROWS`` does.
+    """
+    return next((ny for ny in range(2, MAX_CHANNEL_ROWS + 1)
+                 if channel_row(s_lower, ny, y0, height) is not None
+                 and channel_row(s_upper, ny, y0, height) is not None), None)
 
 
 def _structured_layers(nx, ny, x0, y0, width, height, y_splits,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -60,6 +60,10 @@ class StepReport:
 # Defect correction stops once the residual is within this factor of the
 # held factor's floor: the residual its own direct solve reached.
 FLOOR_FACTOR = 4.0
+
+# Largest relative deviation (max norm) of the load polynomial from
+# ``forms.assemble_F`` at the check time 3T/4 before the stepper refuses it.
+LOAD_CHECK_RTOL = 1e-12
 
 # SuperLU keeps a diagonal pivot while its magnitude is at least this
 # fraction of the largest in its column.  Small enough that the symmetric
@@ -238,6 +242,13 @@ class TimeStepper:
     singular and ``pin_pressure_fallback`` is set, one free-flow pressure
     dof is pinned to zero and the pinned operator is factored, with the
     pattern rebuilt; the pin holds for every later step.
+
+    The load is assembled once, here: the manufactured sources and interface
+    corrections are quadratic in t, so ``forms.assemble_F`` at t = 0, T/2
+    and T (T = ``grid.final``) gives the coefficients of
+    F(t) = F0 + t F1 + t^2 F2 by exact three-node interpolation, and each
+    step evaluates ``load(t)`` by vector updates.  A check against
+    ``assemble_F`` at 3T/4 rejects loads of higher degree in t.
     """
 
     def __init__(self, spaces, params, nitsche, grid, sources=None,
@@ -257,6 +268,7 @@ class TimeStepper:
         self.M = forms.assemble_M(spaces, params, nitsche, ctx=self.ctx)
         self.N = forms.assemble_N(spaces, params, nitsche, ctx=self.ctx)
         self._m_over_tau = self.M.matrix * (1.0 / grid.tau)
+        self._load = self._load_polynomial()
         self._operator = None    # M / tau + N, built by the first step
         self._eliminated = None  # its eliminated form; None until then
         self._update = None      # their fixed pattern with C, if convective
@@ -271,9 +283,7 @@ class TimeStepper:
         if self.convection:
             conv = forms.assemble_convection(
                 self.spaces.u_f, state_prev.block("u_f"), self.ctx)
-        load = forms.assemble_F(self.spaces, self.sources, t_n,
-                                corrections=self.corrections, ctx=self.ctx)
-        rhs = load + self._m_over_tau @ state_prev.vector()
+        rhs = self.load(t_n) + self._m_over_tau @ state_prev.vector()
         dofs, vals = fem.dirichlet_data(self.M, self.spaces,
                                         self.boundary_values, t_n)
         held = self._factor and self._factor.lu
@@ -307,6 +317,53 @@ class TimeStepper:
                             pinned_pressure=self._pin is not None,
                             wall_time=_time.perf_counter() - start)
         return state, report
+
+    def load(self, t):
+        """Load vector at time t: F0 + t F1 + t^2 F2, zeros without loads."""
+        if self._load is None:
+            return np.zeros(self.M.size)
+        f0, f1, f2 = self._load
+        return f0 + t * f1 + (t * t) * f2
+
+    def _load_polynomial(self):
+        """(F0, F1, F2) interpolating ``forms.assemble_F`` at 0, T/2 and T.
+
+        None when there are neither sources nor corrections.  Raises
+        SolverError when the polynomial misses ``assemble_F`` at 3T/4 by
+        more than ``LOAD_CHECK_RTOL``: the load is not quadratic in t.
+        """
+        if self.sources is None and self.corrections is None:
+            return None
+
+        def exact(t):
+            return forms.assemble_F(self.spaces, self.sources, t,
+                                    corrections=self.corrections, ctx=self.ctx)
+
+        # a grid without steps still gets distinct nodes
+        final = self.grid.final if self.grid.final > 0 else self.grid.tau
+        half = 0.5 * final
+        f_0, f_half, f_final = exact(0.0), exact(half), exact(final)
+        f2 = (f_final - 2.0 * f_half + f_0) / (2.0 * half * half)
+        f1 = (4.0 * f_half - 3.0 * f_0 - f_final) / (2.0 * half)
+        coeffs = (f_0, f1, f2)
+        t = 0.75 * final
+        want = exact(t)
+        got = f_0 + t * f1 + (t * t) * f2
+        dev = float(np.abs(got - want).max()) / max(
+            float(np.abs(want).max()), np.finfo(float).tiny)
+        if dev > LOAD_CHECK_RTOL:
+            names = ([f.name for f in fields(self.sources)
+                      if getattr(self.sources, f.name) is not None]
+                     if self.sources is not None else [])
+            if self.corrections is not None:
+                names.append("the interface corrections m1..m5")
+            raise SolverError(
+                f"the load of {', '.join(names)} is not quadratic in t: "
+                f"interpolated at t = 0, {half:.6g} and {final:.6g}, it "
+                f"deviates from assemble_F at t={t:.6g} by {dev:.3e} "
+                f"relative (max norm, allowed {LOAD_CHECK_RTOL:.0e}); give "
+                "sources and corrections of degree at most 2 in t")
+        return coeffs
 
     def _solve(self, conv, rhs, dofs, vals):
         """Eliminate, lift and solve one step's system with the held factor."""

@@ -308,24 +308,6 @@ class SourceSet:
     r_S: object = None
     load_p_P: object = None
 
-    @classmethod
-    def from_body_forces(cls, params, f_S=None, f_P=None, theta=None):
-        """General-mode sources: one body force per subdomain plus a sink."""
-        load_u_r = load_y_s = load_p_P = None
-        if f_P is not None:
-            def load_u_r(t, x, y):
-                phi = params.phi.at(x, y)
-                return params.rho_f * phi[..., None] * np.asarray(f_P(t, x, y))
-
-            def load_y_s(t, x, y):
-                rho_p = params.rho_p_at(x, y)
-                return rho_p[..., None] * np.asarray(f_P(t, x, y))
-        if theta is not None:
-            def load_p_P(t, x, y):
-                return np.asarray(theta(t, x, y)) / params.rho_f
-        return cls(f_S=f_S, load_u_r=load_u_r, load_y_s=load_y_s,
-                   r_S=None, load_p_P=load_p_P)
-
 
 def _require_constant(params):
     if params.phi.constant is None or params.theta.constant is None \

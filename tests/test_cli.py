@@ -343,3 +343,28 @@ time.final = 0.003
     summary = solver.run(cfg)
     assert summary.nsteps == 3
     assert np.all(np.isfinite(summary.final_state.vector()))
+
+
+def test_default_channel_rows_rejected_with_remedy(tmp_path, capsys):
+    # the default 8 rows miss the default channel's interfaces (y = 0.3 and
+    # 0.7 on [-0.2, 1.2]); 14 rows are the fewest that hit both
+    path = write_config(tmp_path, "mode = general\nmesh.kind = channel\n")
+    with pytest.raises(ConfigError, match=r"mesh\.ny: the 8-row channel grid.*"
+                                          r"channel\.lower = 0\.3 or "
+                                          r"channel\.upper = 0\.7.*"
+                                          r"smallest mesh\.ny that fits is 14"):
+        parse_config(path)
+    out = str(tmp_path / "default-channel")
+    assert main(["run", "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    assert "smallest mesh.ny that fits is 14" in capsys.readouterr().err
+    fitted = write_config(tmp_path, "mode = general\nmesh.kind = channel\n"
+                                    "mesh.ny = 14\n", name="fitted.cfg")
+    assert parse_config(fitted).ny == 14
+
+
+def test_channel_rows_none_fit(tmp_path):
+    path = write_config(tmp_path, "mesh.kind = channel\nchannel.lower = 0.3\n"
+                                  "channel.upper = 0.70001\n")
+    with pytest.raises(ConfigError, match=r"channel\.upper = 0\.70001; no row "
+                                          r"count up to 1000 fits"):
+        parse_config(path)

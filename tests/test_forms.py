@@ -76,8 +76,8 @@ def _dense_from_parts(spaces, parts, test, trial):
 
 def test_p2_stiffness_matches_symbolic(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, ctx=ctx)
-    got = _dense_from_parts(spaces, parts["N"], "u_f", "u_f")
+    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    got = _dense_from_parts(spaces, parts, "u_f", "u_f")
     expected = np.zeros_like(got)
     sp_uf = spaces.u_f
     for c, tri in enumerate(_triangles_of(mesh, sp_uf)):
@@ -91,8 +91,8 @@ def test_p2_stiffness_matches_symbolic(tiny):
 
 def test_p1_vector_mass_matches_symbolic(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, ctx=ctx)
-    got = _dense_from_parts(spaces, parts["N"], "u_s", "u_s")  # rho_p mass
+    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    got = _dense_from_parts(spaces, parts, "u_s", "u_s")  # rho_p mass
     expected = np.zeros_like(got)
     sp_us = spaces.u_s
     for c, tri in enumerate(_triangles_of(mesh, sp_us)):
@@ -158,8 +158,8 @@ def test_convection_quadratic_form_matches_quadrature(tiny, rng):
 
 def test_a_s_p_vanishes_on_constants(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, ctx=ctx)
-    block = _dense_from_parts(spaces, parts["N"], "y_s", "y_s")
+    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    block = _dense_from_parts(spaces, parts, "y_s", "y_s")
     const = np.tile([1.0, -2.0], spaces.y_s.num_nodes)
     assert np.abs(block @ const).max() < 1e-12
 
@@ -167,8 +167,8 @@ def test_a_s_p_vanishes_on_constants(tiny):
 def test_divergence_theorem_for_pressure_coupling(tiny):
     # b^S(v, 1) = -int div v = -int_Sigma v . n_S for v vanishing on gamma_s
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, ctx=ctx)
-    bt = _dense_from_parts(spaces, parts["N"], "u_f", "p_S")  # -(div v, q)
+    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    bt = _dense_from_parts(spaces, parts, "u_f", "p_S")  # -(div v, q)
     ones_p = np.ones(spaces.p_S.ndofs)
     volume_side = bt @ ones_p  # b^S(v_i, 1) per velocity dof
 
@@ -360,7 +360,10 @@ def assembled_22():
     m_sys = assemble_M(spaces, params, nitsche, ctx=ctx)
     prev = fem.FieldCoefficients(spaces.u_f,
                                  np.full(spaces.u_f.ndofs, 0.37))
-    n_sys = assemble_N(spaces, params, nitsche, previous_velocity=prev, ctx=ctx)
+    n_sys = assemble_N(spaces, params, nitsche, ctx=ctx)
+    conv = BlockSystem.from_contributions(
+        spaces, [assemble_convection(spaces.u_f, prev, ctx)])
+    n_sys = n_sys.with_matrix(n_sys.matrix + conv.matrix)
     return spaces, params, nitsche, m_sys, n_sys
 
 
@@ -415,8 +418,8 @@ def test_volume_operator_positive_semidefinite(rng):
     spaces = build_spaces(mesh)
     params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
-    parts = assemble_volume_forms(spaces, params, ctx=ctx)
-    sys = BlockSystem.from_contributions(spaces, parts["N"])
+    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    sys = BlockSystem.from_contributions(spaces, parts)
     for _ in range(50):
         x = rng.normal(size=sys.size)
         assert x @ (sys.matrix @ x) >= -1e-10 * (x @ x)
@@ -433,8 +436,8 @@ def test_assemble_f_theta_partition_of_unity():
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
-    sources = verification.SourceSet.from_body_forces(
-        params, theta=lambda t, x, y: np.full_like(x, 2.0))
+    sources = verification.SourceSet(
+        load_p_P=lambda t, x, y: np.full_like(x, 2.0) / params.rho_f)
     rhs = assemble_F(spaces, sources, 0.0, params=params,
                      nitsche=NitscheParams())
     sys = BlockSystem.from_contributions(spaces, [])
@@ -578,9 +581,10 @@ def test_exact_solution_residual_decreases():
                  in zip(sol.fields(), spaces)], time=t)
 
         x_now, x_prev = interp(T), interp(T - tau)
-        n_sys = assemble_N(spaces, params, nitsche,
-                           previous_velocity=x_prev.block("u_f"), ctx=ctx)
-        op = m_sys.matrix * (1.0 / tau) + n_sys.matrix
+        n_sys = assemble_N(spaces, params, nitsche, ctx=ctx)
+        conv = BlockSystem.from_contributions(
+            spaces, [assemble_convection(spaces.u_f, x_prev.block("u_f"), ctx)])
+        op = m_sys.matrix * (1.0 / tau) + (n_sys.matrix + conv.matrix)
         rhs = assemble_F(spaces, sources, T, corrections=corr, ctx=ctx) \
             + (m_sys.matrix @ x_prev.vector()) / tau
         res = op @ x_now.vector() - rhs
@@ -610,6 +614,34 @@ def test_m_volume_pattern_reduction(tiny):
     # the gamma -> 0, alpha = 0, theta = 0 reduction of M: mass blocks,
     # Brinkman stiffness on the displacement rate, and dilation coupling
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, ctx=ctx)
-    sys = BlockSystem.from_contributions(spaces, parts["M"])
+    parts = assemble_volume_forms(spaces, params, "M", ctx=ctx)
+    sys = BlockSystem.from_contributions(spaces, parts)
     assert sys.block_pattern() == EXPECTED_M_VOLUME_PATTERN
+
+
+@pytest.mark.parametrize("nx", [2, 8])
+def test_m_and_n_match_merge_of_both_destinations(nx):
+    # assemble_M and assemble_N each run only their own volume kernels; the
+    # result is bit-identical to building every part and keeping one half
+    mesh = generate_structured(nx, nx)
+    spaces = build_spaces(mesh)
+    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    nitsche = NitscheParams(gamma=40.0, varsigma=1)
+    ctx = AssemblyContext(spaces, params, nitsche)
+    every = [{dest: assemble_volume_forms(spaces, params, dest, ctx=ctx)
+              for dest in ("M", "N")},
+             assemble_bjs(spaces, params, ctx=ctx),
+             assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
+             assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx)]
+    for dest, assemble in (("M", assemble_M), ("N", assemble_N)):
+        merged = [part for parts in every for part in parts[dest]]
+        want = BlockSystem.from_contributions(spaces, merged).matrix
+        got = assemble(spaces, params, nitsche, ctx=ctx).matrix
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def test_volume_forms_reject_unknown_destination(tiny):
+    mesh, spaces, params, nitsche, ctx = tiny
+    with pytest.raises(FormsError, match="destination must be 'M' or 'N'"):
+        assemble_volume_forms(spaces, params, "C", ctx=ctx)

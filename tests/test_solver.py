@@ -141,8 +141,7 @@ def _direct_step(stepper, state_prev, n):
     if conv is not None:
         operator = operator + forms.BlockSystem.from_contributions(
             spaces, [conv]).matrix
-    rhs = (forms.assemble_F(spaces, stepper.sources, t_n,
-                            corrections=stepper.corrections, ctx=stepper.ctx)
+    rhs = (stepper.load(t_n)
            + stepper.M.matrix / stepper.grid.tau @ state_prev.vector())
     system = fem.apply_dirichlet(forms.BlockSystem(spaces, operator, rhs),
                                  spaces, stepper.boundary_values, t_n)
@@ -174,6 +173,45 @@ def test_reused_factor_matches_direct_solve(small_setup):
                 assert err <= 1e-10
             else:
                 assert np.array_equal(state.vector(), want)
+
+
+@pytest.mark.parametrize("nx", [4, 16])
+def test_load_polynomial_matches_quadrature(nx):
+    # the manufactured load is quadratic in t: interpolating it at 0, T/2
+    # and T reproduces assemble_F at every step time of the ladder's grid
+    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    nitsche = NitscheParams(gamma=40.0, varsigma=1)
+    spaces = build_spaces(generate_structured(nx, nx))
+    sources = verification.derive_sources(params, check=False)
+    corr = verification.derive_corrections(params, check=False)
+    grid = TimeGrid(tau=1e-3 / nx, final=1e-3)
+    stepper = TimeStepper(spaces, params, nitsche, grid, sources=sources,
+                          corrections=corr)
+    for n in range(1, grid.nsteps + 1):
+        t_n = grid.time_at(n)
+        want = forms.assemble_F(spaces, sources, t_n, corrections=corr,
+                                ctx=stepper.ctx)
+        dev = np.abs(stepper.load(t_n) - want).max() / np.abs(want).max()
+        assert dev <= 1e-14, (n, dev)
+
+
+def test_load_without_sources_is_zero(small_setup):
+    mesh, spaces, params, nitsche = small_setup
+    stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=2e-3))
+    load = stepper.load(1e-3)
+    assert load.shape == (stepper.M.size,) and not load.any()
+
+
+def test_cubic_source_rejected(small_setup):
+    mesh, spaces, params, nitsche = small_setup
+    cubic = verification.SourceSet(
+        f_S=lambda t, x, y: np.full(np.shape(x) + (2,), t**3))
+    with pytest.raises(SolverError, match=r"load of f_S is not quadratic in t"
+                                          r".*deviates from assemble_F at "
+                                          r"t=0\.0015 by 1\.1\d*e-01 relative"
+                                          r".*degree at most 2 in t"):
+        TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=2e-3),
+                    sources=cubic)
 
 
 def _counting_splu(monkeypatch):
@@ -425,9 +463,8 @@ def test_nan_load_names_step_and_remedy(small_setup, monkeypatch):
     grid = TimeGrid(tau=1e-3, final=2e-3)
     stepper = TimeStepper(spaces, params, nitsche, grid)
     state, _ = stepper.step(StateVector.zero(spaces), 1)
-    monkeypatch.setattr(forms, "assemble_F",
-                        lambda spaces, *args, **kwargs: np.full(
-                            sum(sp.ndofs for sp in spaces), np.nan))
+    monkeypatch.setattr(stepper, "load",
+                        lambda t: np.full(sum(sp.ndofs for sp in spaces), np.nan))
     with pytest.raises(NonFiniteSolutionError,
                        match=r"step 2 \(t=0\.002\).*check the loads"):
         stepper.step(state, 2)
