@@ -278,7 +278,9 @@ class CellGeometry:
 
     def physical_grads(self, dphi_ref):
         """Map reference gradients to physical: (c, nq, nloc, 2)."""
-        return np.einsum("qld,ced->cqle", dphi_ref, self.inv_jac_t)
+        # sum over d of dphi_ref[q, l, d] inv_jac_t[c, e, d], two products
+        return (dphi_ref[None, :, :, 0, None] * self.inv_jac_t[:, None, None, :, 0]
+                + dphi_ref[None, :, :, 1, None] * self.inv_jac_t[:, None, None, :, 1])
 
 
 def error_norms(field_h, exact, time, exact_grad, quad_degree=None):
@@ -383,18 +385,34 @@ def fixed_pattern(matrix, rows, cols):
     return pattern, np.searchsorted(union, extra)[where[n:]]
 
 
-def lift_dofs(matrix, rhs, dofs, values):
+def prescribed_entries(matrix, dofs):
+    """(positions, rows, columns) of a CSR matrix's entries in the columns ``dofs``."""
+    prescribed = np.zeros(matrix.shape[0], dtype=bool)
+    prescribed[dofs] = True
+    pos = np.flatnonzero(prescribed[matrix.indices])
+    rows = np.searchsorted(matrix.indptr, pos, side="right") - 1
+    return pos, rows, matrix.indices[pos]
+
+
+def lift_dofs(matrix, rhs, dofs, values, entries=None):
     """Load half of ``eliminate_dofs``: lift the prescribed values.
 
     ``matrix`` is the operator before elimination; its product with the
     prescribed values moves to the load, and the constrained entries take
-    the values themselves.
+    the values themselves; nothing is multiplied if all are zero.  ``entries``
+    (``prescribed_entries`` of ``matrix``'s pattern) limits the product to them.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     values = np.asarray(values, dtype=float)
-    lifted = np.zeros(matrix.shape[0])
-    lifted[dofs] = values
-    new_rhs = np.asarray(rhs, dtype=float) - matrix @ lifted
+    new_rhs = np.array(rhs, dtype=float)
+    if np.any(values):
+        lifted = np.zeros(matrix.shape[0])
+        lifted[dofs] = values
+        if entries is None:
+            new_rhs -= matrix @ lifted
+        else:
+            pos, rows, cols = entries
+            new_rhs -= np.bincount(rows, matrix.data[pos] * lifted[cols], lifted.size)
     new_rhs[dofs] = values
     return new_rhs
 

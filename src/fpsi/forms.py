@@ -185,13 +185,12 @@ class PhysicalParams:
                 f"permeability tensor must be positive definite "
                 f"(min eigenvalue {eigs.min():.3g})")
 
-    def validate_on(self, mesh, quad_degree=VOLUME_QUAD_DEGREE):
-        """Sample spatial coefficients at quadrature points and re-check."""
-        rule = fem.quadrature_rule("triangle", quad_degree)
-        geo = fem.CellGeometry(mesh, mesh.cells_in("P"), rule)
-        x, y = geo.x[..., 0].ravel(), geo.x[..., 1].ravel()
-        self._check_samples(self.phi.at(x, y), self.theta.at(x, y))
-        self._check_kappa(self.kappa.at(x, y).reshape(-1, 2, 2))
+    def check_fields(self, phi, theta, kappa):
+        """Check callable coefficients at samples; constants were checked at init."""
+        if self.phi.constant is None or self.theta.constant is None:
+            self._check_samples(phi, theta)
+        if self.kappa.constant is None:
+            self._check_kappa(kappa.reshape(-1, 2, 2))
 
 
 # non-dimensional set used by the manufactured verification problem
@@ -228,14 +227,16 @@ class BlockSystem:
 
     @classmethod
     def from_contributions(cls, spaces, contributions, rhs=None):
+        """Sum (test, trial, rows, cols, values) parts into CSR, int32 if it fits."""
         sizes = [sp.ndofs for sp in spaces]
         offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
         total = int(sum(sizes))
+        index = np.int32 if total < np.iinfo(np.int32).max else np.int64
         idx = {name: i for i, name in enumerate(BLOCK_NAMES)}
         rows, cols, vals = [], [], []
         for test, trial, r, c, v in contributions:
-            rows.append(np.asarray(r, dtype=np.int64) + offsets[idx[test]])
-            cols.append(np.asarray(c, dtype=np.int64) + offsets[idx[trial]])
+            rows.append(np.asarray(r, dtype=index) + int(offsets[idx[test]]))
+            cols.append(np.asarray(c, dtype=index) + int(offsets[idx[trial]]))
             vals.append(np.asarray(v, dtype=float))
         if rows:
             coo = sparse.coo_matrix(
@@ -315,9 +316,6 @@ class AssemblyContext:
         self.nitsche = nitsche
         mesh = spaces.u_f.mesh
         self.mesh = mesh
-        params.validate_on(mesh)
-        self.pairs = pairs if pairs is not None else interface_pairs(
-            mesh, params.kappa.raw())
         self.rule = fem.quadrature_rule("triangle", quad_degree)
         self.tab = {1: fem.tabulate(1, self.rule.points),
                     2: fem.tabulate(2, self.rule.points)}
@@ -331,11 +329,11 @@ class AssemblyContext:
         self.theta_P = params.theta.at(xp, yp)
         self.rho_p_P = params.rho_p_at(xp, yp)
         kap = params.kappa.at(xp, yp)
+        params.check_fields(self.phi_P, self.theta_P, kap)
         self.kappa_inv_P = np.linalg.inv(kap)
+        self.pairs = pairs if pairs is not None else interface_pairs(
+            mesh, params.kappa.raw())
         self.seg_rule = fem.quadrature_rule("segment", INTERFACE_QUAD_DEGREE)
-        self._cell_pos = {sub: {int(c): i for i, c in enumerate(mesh.cells_in(sub))}
-                          for sub in ("S", "P")}
-        self._facets = [self._facet_data(pair) for pair in self.pairs]
         self.facet_stack = self._stack_facets()
         self._patterns = {}
 
@@ -363,99 +361,77 @@ class AssemblyContext:
     def phi_table(self, space):
         return self.tab[space.degree][0]
 
-    def scal_dofs(self, space):
-        return space.cell_dofs
-
     def vec_dofs(self, space):
         return (2 * space.cell_dofs[:, :, None]
                 + np.arange(2)[None, None, :]).reshape(space.cell_dofs.shape[0], -1)
 
     # -- interface facet tabulations --------------------------------------
 
-    def _facet_data(self, pair):
+    def _stack_facets(self):
+        """Tables of all interface facets along a leading facet axis, or None.
+
+        Points ``"x"``, weights ``"w"``, the pairs' normals, ``tangent``,
+        ``h_e`` and ``z_perm``, and per side and degree the adjacent cell's
+        basis values and gradients, ``(side, deg, "phi" | "grad")``, and its
+        index among the side's cells, ``(side, "pos")``.
+        """
+        pairs = self.pairs
+        if not pairs:
+            return None
         mesh = self.mesh
-        pa = mesh.vertices[pair.vertex_ids[0]]
-        pb = mesh.vertices[pair.vertex_ids[1]]
+        verts = np.array([pair.vertex_ids for pair in pairs])
+        pa, pb = mesh.vertices[verts[:, 0]], mesh.vertices[verts[:, 1]]
         s = self.seg_rule.points[:, 0]
-        xq = pa[None, :] + s[:, None] * (pb - pa)[None, :]
-        we = self.seg_rule.weights * pair.h_e
-        data = {"pair": pair, "x": xq, "w": we}
-        for side, cell in (("S", pair.cell_s), ("P", pair.cell_p)):
-            tri = mesh.cells[cell]
-            p0 = mesh.vertices[tri[0]]
-            jac = np.stack([mesh.vertices[tri[1]] - p0,
-                            mesh.vertices[tri[2]] - p0], axis=1)
-            ref = np.linalg.solve(jac, (xq - p0).T).T
+        x = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+        stack = {"x": x}
+        for attr in ("normal_s", "normal_p", "tangent", "h_e", "z_perm"):
+            stack[attr] = np.array([getattr(pair, attr) for pair in pairs])
+        stack["w"] = self.seg_rule.weights[None, :] * stack["h_e"][:, None]
+        for side, attr in (("S", "cell_s"), ("P", "cell_p")):
+            cells = np.array([getattr(pair, attr) for pair in pairs])
+            tri = mesh.vertices[mesh.cells[cells]]                 # (facets, 3, 2)
+            # solve and inv per facet, as a facet alone would be tabulated
+            p0 = tri[:, 0]
+            jac = np.stack([tri[:, 1] - p0, tri[:, 2] - p0], axis=2)
+            ref = np.swapaxes(np.linalg.solve(
+                jac, np.swapaxes(x - p0[:, None, :], 1, 2)), 1, 2)
             inv_jac = np.linalg.inv(jac)
             for deg in (1, 2):
-                phi, dphi = fem.tabulate(deg, ref)
-                grad = np.einsum("qld,de->qle", dphi, inv_jac)
-                data[(side, deg, "phi")] = phi
-                data[(side, deg, "grad")] = grad
-            data[(side, "cell")] = cell
-        return data
-
-    def _stack_facets(self):
-        """The facet tables stacked along a leading facet axis (None if none)."""
-        facets = self._facets
-        if not facets:
-            return None
-        stack = {key: np.stack([f[key] for f in facets]) for key in ("x", "w")}
-        for attr in ("normal_s", "normal_p", "tangent", "h_e"):
-            stack[attr] = np.array([getattr(f["pair"], attr) for f in facets])
-        for side in ("S", "P"):
-            for key in ((side, deg, kind) for deg in (1, 2)
-                        for kind in ("phi", "grad")):
-                stack[key] = np.stack([f[key] for f in facets])
-            stack[(side, "pos")] = np.array(
-                [self._cell_pos[side][f[(side, "cell")]] for f in facets])
+                phi, dphi = fem.tabulate(deg, ref.reshape(-1, 2))
+                nloc = phi.shape[1]
+                stack[(side, deg, "phi")] = phi.reshape(len(pairs), -1, nloc)
+                stack[(side, deg, "grad")] = np.einsum(
+                    "fqld,fde->fqle", dphi.reshape(len(pairs), -1, nloc, 2), inv_jac)
+            stack[(side, "pos")] = np.searchsorted(mesh.cells_in(side), cells)
         return stack
 
-    def facet_tables(self):
-        return self._facets
-
-    def stacked_facet_dofs(self, space, vector=True):
-        """``facet_cell_dofs`` of every facet at once: (facets, ndofs)."""
+    def facet_dofs(self, space, vector=True):
+        """Dofs of each facet's adjacent cell in ``space``: (facets, ndofs)."""
         dofs = space.cell_dofs[self.facet_stack[(space.subdomain, "pos")]]
         if vector and space.components == 2:
             return (2 * dofs[..., None] + np.arange(2)).reshape(dofs.shape[0], -1)
         return dofs
 
-    def facet_cell_dofs(self, space, facet, vector=True):
-        side = space.subdomain
-        cell = facet[(side, "cell")]
-        pos = self._cell_pos[side][cell]
-        dofs = space.cell_dofs[pos]
-        if vector and space.components == 2:
-            return (2 * dofs[:, None] + np.arange(2)[None, :]).ravel()
-        return dofs
+    def facet_trace(self, space, direction):
+        """direction (facets, 2) . vector basis at the points: (facets, nq, 2 nloc)."""
+        phi = self.facet_stack[(space.subdomain, space.degree, "phi")]
+        f, q, n = phi.shape
+        return (phi[..., None] * direction[:, None, None, :]).reshape(f, q, 2 * n)
 
-    # trace feature vectors on one facet, per dof ---------------------------
+    def facet_stress_nn(self, space, normal):
+        """(eps(vector basis) n) . n at every facet's points: (facets, nq, 2 nloc)."""
+        grad = self.facet_stack[(space.subdomain, space.degree, "grad")]
+        gn = (grad @ normal[:, None, :, None])[..., 0]
+        f, q, n = gn.shape
+        return (gn[..., None] * normal[:, None, None, :]).reshape(f, q, 2 * n)
 
-    def trace_normal(self, space, facet, normal):
-        """n . (basis vector dof) at facet quad points: (nq, 2*nloc)."""
-        phi = facet[(space.subdomain, space.degree, "phi")]
-        nq, nl = phi.shape
-        out = np.empty((nq, 2 * nl))
-        out[:, 0::2] = normal[0] * phi
-        out[:, 1::2] = normal[1] * phi
-        return out
-
-    def trace_tangent(self, space, facet, tangent):
-        return self.trace_normal(space, facet, tangent)
-
-    def trace_values(self, space, facet):
-        return facet[(space.subdomain, space.degree, "phi")]
-
-    def trace_stress_nn(self, space, facet, normal):
-        """(eps(basis) n) . n per vector dof: (nq, 2*nloc)."""
-        grad = facet[(space.subdomain, space.degree, "grad")]
-        gn = grad @ normal  # (nq, nloc)
-        nq, nl = gn.shape
-        out = np.empty((nq, 2 * nl))
-        out[:, 0::2] = normal[0] * gn
-        out[:, 1::2] = normal[1] * gn
-        return out
+    def facet_jumps(self):
+        """(name, normal trace, dofs) of u_f . n_S + u_r . n_P + y_s . n_P."""
+        fs, spaces = self.facet_stack, self.spaces
+        return [(name, self.facet_trace(space, fs[normal]), self.facet_dofs(space))
+                for name, space, normal in (("u_f", spaces.u_f, "normal_s"),
+                                            ("u_r", spaces.u_r, "normal_p"),
+                                            ("y_s", spaces.y_s, "normal_p"))]
 
 
 def _expand_components(base):
@@ -474,8 +450,38 @@ def _contrib(test_name, trial_name, row_map, col_map, local):
     return (test_name, trial_name, rows.ravel(), cols.ravel(), local.ravel())
 
 
+def _gram(w, a, b):
+    """Local blocks sum_q w_q a_q^T b_q (cells, dofs of a, dofs of b), one matmul.
+
+    ``a`` and ``b`` are feature tables (cells, points, features, dofs) of a
+    basis at the quadrature points, without the cell axis where the same on
+    every cell; ``w`` is (cells, points).
+    """
+    wb = w[..., None, None] * b
+    c, q, f, nb = wb.shape
+    a = a.reshape(a.shape[:-3] + (q * f, a.shape[-1]))
+    return np.matmul(np.swapaxes(a, -1, -2), wb.reshape(c, q * f, nb))
+
+
+def _sym_grads(grads):
+    """eps(vector basis), features xx, xy, yx, yy, from gradients (c, q, nloc, 2)."""
+    c, q, n, _ = grads.shape
+    out = np.zeros((c, q, 4, n, 2))          # [feature, i, k]: eps(phi_i e_k)
+    half = 0.5 * grads
+    out[:, :, 0, :, 0] = grads[..., 0]
+    out[:, :, 1:3, :, 0] = half[:, :, None, :, 1]
+    out[:, :, 1:3, :, 1] = half[:, :, None, :, 0]
+    out[:, :, 3, :, 1] = grads[..., 1]
+    return out.reshape(c, q, 4, 2 * n)
+
+
 class _Kernels:
-    """Volume integration kernels over one subdomain, einsum-batched."""
+    """Volume integration kernels over one subdomain.
+
+    Bilinear kernels build feature tables of their bases at the quadrature
+    points (values, gradients, symmetric gradients) per call, not kept, and
+    contract them with ``_gram``.
+    """
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -487,47 +493,42 @@ class _Kernels:
         """(coeff w, z): scalar coefficient, identical component structure."""
         phi_t = self.ctx.phi_table(test)
         phi_u = self.ctx.phi_table(trial)
-        w = self._wdet(test) * coeff
-        base = np.einsum("cq,qi,qj->cij", w, phi_t, phi_u)
+        base = _gram(self._wdet(test) * coeff, phi_t[:, None], phi_u[:, None])
         if test.components == 2:
-            local = _expand_components(base)
             return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                            self.ctx.vec_dofs(trial), local)
-        return _contrib(name_t, name_u, self.ctx.scal_dofs(test),
-                        self.ctx.scal_dofs(trial), base)
+                            self.ctx.vec_dofs(trial), _expand_components(base))
+        return _contrib(name_t, name_u, test.cell_dofs, trial.cell_dofs, base)
 
     def tensor_mass(self, test, trial, tensor, name_t, name_u):
         """(T w, z) with a 2x2 tensor coefficient sampled at quad points."""
         phi_t = self.ctx.phi_table(test)
         phi_u = self.ctx.phi_table(trial)
-        w = self._wdet(test)
-        local = np.einsum("cq,cqkl,qi,qj->cikjl", w, tensor, phi_t, phi_u)
-        c, ni, _, nj, _ = local.shape
+        c, q = tensor.shape[:2]
+        # one feature per (k, j, l): T_kl phi_j; the blocks (i, k) x (j, l)
+        # then flatten to the interleaved (2i + k, 2j + l)
+        t_u = np.swapaxes(tensor[..., None] * phi_u[:, None, None, :], -1, -2)
+        local = _gram(self._wdet(test), phi_t[:, None], t_u.reshape(c, q, 1, -1))
         return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                        self.ctx.vec_dofs(trial), local.reshape(c, 2 * ni, 2 * nj))
+                        self.ctx.vec_dofs(trial),
+                        local.reshape(c, 2 * phi_t.shape[1], 2 * phi_u.shape[1]))
 
     def eps_eps(self, test, trial, coeff, name_t, name_u):
         """(coeff eps(u), eps(v)) for vector spaces on one subdomain."""
-        g_t = self.ctx.grads(test)
-        g_u = self.ctx.grads(trial)
-        w = self._wdet(test) * coeff
-        t1 = np.einsum("cq,cqid,cqjd->cij", w, g_t, g_u)
-        t2 = np.einsum("cq,cqil,cqjk->cikjl", w, g_t, g_u)
-        c, ni, nj = t1.shape
-        local = 0.5 * t2
-        local[:, :, 0, :, 0] += 0.5 * t1
-        local[:, :, 1, :, 1] += 0.5 * t1
+        g_t, g_u = self.ctx.grads(test), self.ctx.grads(trial)
+        e_t = _sym_grads(g_t)
+        e_u = e_t if g_u is g_t else _sym_grads(g_u)
+        local = _gram(self._wdet(test) * coeff, e_t, e_u)
         return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                        self.ctx.vec_dofs(trial), local.reshape(c, 2 * ni, 2 * nj))
+                        self.ctx.vec_dofs(trial), local)
 
     def div_div(self, test, trial, coeff, name_t, name_u):
-        g_t = self.ctx.grads(test)
-        g_u = self.ctx.grads(trial)
-        w = self._wdet(test) * coeff
-        local = np.einsum("cq,cqik,cqjl->cikjl", w, g_t, g_u)
-        c, ni, _, nj, _ = local.shape
+        # div(phi_i e_k) = d_k phi_i: the gradients, flattened per dof
+        c, q = coeff.shape
+        d_t = self.ctx.grads(test).reshape(c, q, 1, -1)
+        d_u = self.ctx.grads(trial).reshape(c, q, 1, -1)
+        local = _gram(self._wdet(test) * coeff, d_t, d_u)
         return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                        self.ctx.vec_dofs(trial), local.reshape(c, 2 * ni, 2 * nj))
+                        self.ctx.vec_dofs(trial), local)
 
     def pressure_div(self, scalar_sp, vector_sp, coeff, grad_coeff,
                      name_t, name_u, transpose=False, sign=1.0):
@@ -537,19 +538,18 @@ class _Kernels:
         same local values, used for the -(div v, p) pressure gradients.
         """
         phi_q = self.ctx.phi_table(scalar_sp)
-        phi_v = self.ctx.phi_table(vector_sp)
-        g_v = self.ctx.grads(vector_sp)
-        w = self._wdet(vector_sp)
-        local = np.einsum("cq,cq,qi,cqjl->cijl", w, coeff, phi_q, g_v)
+        div = coeff[..., None, None] * self.ctx.grads(vector_sp)   # (c, q, j, l)
         if grad_coeff is not None:
-            local += np.einsum("cq,cql,qi,qj->cijl", w, grad_coeff, phi_q, phi_v)
-        c, ni, nj, _ = local.shape
-        local = sign * local.reshape(c, ni, 2 * nj)
+            phi_v = self.ctx.phi_table(vector_sp)
+            div = div + grad_coeff[:, :, None, :] * phi_v[None, :, :, None]
+        c, q = coeff.shape
+        local = sign * _gram(self._wdet(vector_sp), phi_q[:, None],
+                             div.reshape(c, q, 1, -1))
         if transpose:
             return _contrib(name_t, name_u, self.ctx.vec_dofs(vector_sp),
-                            self.ctx.scal_dofs(scalar_sp),
+                            scalar_sp.cell_dofs,
                             np.transpose(local, (0, 2, 1)).copy())
-        return _contrib(name_t, name_u, self.ctx.scal_dofs(scalar_sp),
+        return _contrib(name_t, name_u, scalar_sp.cell_dofs,
                         self.ctx.vec_dofs(vector_sp), local)
 
     def convection(self, space, advecting_values, name):
@@ -581,7 +581,7 @@ class _Kernels:
         phi = self.ctx.phi_table(space)
         w = self._wdet(space)
         local = (w * values_cq) @ phi
-        return self.ctx.scal_dofs(space).ravel(), local.ravel()
+        return space.cell_dofs.ravel(), local.ravel()
 
 
 # --- component assemblers ---------------------------------------------------
@@ -647,43 +647,37 @@ def assemble_volume_forms(spaces, params, dest, ctx=None):
     ]
 
 
+def _facet_outer(w, rows_t, cols_t):
+    """sum_q w rows_t cols_t per facet, by one einsum over all facets.
+
+    Each entry takes the operations of an einsum over its facet alone, so
+    the blocks keep the rounding residues that the LU ordering sees.
+    """
+    return np.einsum("fq,fqa,fqb->fab", w, rows_t, cols_t)
+
+
 def assemble_bjs(spaces, params, pairs=None, ctx=None):
-    """Tangential slip-friction couplings on the interface."""
+    """Tangential slip-friction couplings on the interface, all facets at once."""
     ctx = ctx or AssemblyContext(spaces, params, pairs=pairs)
-    m_parts, n_parts = [], []
     coeff = params.mu_f * params.alpha_bjs
-    if coeff == 0.0:
-        return {"M": m_parts, "N": n_parts}
-    for facet in ctx.facet_tables():
-        pair = facet["pair"]
-        c = coeff / np.sqrt(pair.z_perm)
-        w = facet["w"] * c
-        tt_f = ctx.trace_tangent(spaces.u_f, facet, pair.tangent)
-        tt_y = ctx.trace_tangent(spaces.y_s, facet, pair.tangent)
-        tt_r = ctx.trace_tangent(spaces.u_r, facet, pair.tangent)
-        d_f = ctx.facet_cell_dofs(spaces.u_f, facet)
-        d_y = ctx.facet_cell_dofs(spaces.y_s, facet)
-        d_r = ctx.facet_cell_dofs(spaces.u_r, facet)
+    fs = ctx.facet_stack
+    if coeff == 0.0 or fs is None:
+        return {"M": [], "N": []}
+    w = fs["w"] * (coeff / np.sqrt(fs["z_perm"]))[:, None]
+    tangential = {name: (ctx.facet_trace(space, fs["tangent"]), ctx.facet_dofs(space))
+                  for name, space in (("u_f", spaces.u_f), ("y_s", spaces.y_s),
+                                      ("u_r", spaces.u_r))}
 
-        def outer(rows_t, cols_t, sign):
-            return sign * np.einsum("q,qa,qb->ab", w, rows_t, cols_t)
+    def part(test, trial, sign):
+        (t_tr, t_dofs), (u_tr, u_dofs) = tangential[test], tangential[trial]
+        return _contrib(test, trial, t_dofs, u_dofs,
+                        sign * _facet_outer(w, t_tr, u_tr))
 
-        # friction between free fluid and solid rate: ((u_f - d_t y) . tau,
-        # (v_f - w_s) . tau); the u_f column goes to N, the y_s column to M
-        n_parts.append(("u_f", "u_f", *_flat(d_f, d_f, outer(tt_f, tt_f, 1.0))))
-        n_parts.append(("y_s", "u_f", *_flat(d_y, d_f, outer(tt_y, tt_f, -1.0))))
-        m_parts.append(("u_f", "y_s", *_flat(d_f, d_y, outer(tt_f, tt_y, -1.0))))
-        m_parts.append(("y_s", "y_s", *_flat(d_y, d_y, outer(tt_y, tt_y, 1.0))))
-        # pore-velocity friction
-        n_parts.append(("u_r", "u_r", *_flat(d_r, d_r, outer(tt_r, tt_r, 1.0))))
-    return {"M": m_parts, "N": n_parts}
-
-
-def _flat(rows_map, cols_map, local):
-    ni, nj = local.shape
-    rows = np.repeat(rows_map, nj)
-    cols = np.tile(cols_map, ni)
-    return rows, cols, local.ravel()
+    # ((u_f - d_t y) . tau, (v_f - w_s) . tau): the u_f column goes to N,
+    # the y_s column to M; then the pore-velocity friction
+    return {"M": [part("u_f", "y_s", -1.0), part("y_s", "y_s", 1.0)],
+            "N": [part("u_f", "u_f", 1.0), part("y_s", "u_f", -1.0),
+                  part("u_r", "u_r", 1.0)]}
 
 
 def assemble_nitsche_consistency(spaces, params, nitsche, pairs=None, ctx=None):
@@ -692,63 +686,49 @@ def assemble_nitsche_consistency(spaces, params, nitsche, pairs=None, ctx=None):
     Only the S-side trace of the normal stress (2 mu_f eps(u_f) - p_S I) n . n
     enters; the test jump spans (v_f . n_S + v_r . n_P + w_s . n_P).  The
     adjoint rows carry the varsigma weight on the velocity test and pair the
-    trial jump with -q_S.
+    trial jump with -q_S.  All facets are handled at once.
     """
     ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
+    fs = ctx.facet_stack
+    if fs is None:
+        return {"M": [], "N": []}
     sig = float(nitsche.varsigma)
     two_mu = 2.0 * params.mu_f
+    w = fs["w"]
+    snn_f = ctx.facet_stress_nn(spaces.u_f, fs["normal_s"])
+    pv = fs[("S", spaces.p_S.degree, "phi")]
+    d_f = ctx.facet_dofs(spaces.u_f)
+    d_ps = ctx.facet_dofs(spaces.p_S, vector=False)
     m_parts, n_parts = [], []
-    for facet in ctx.facet_tables():
-        pair = facet["pair"]
-        w = facet["w"]
-        n_s, n_p = pair.normal_s, pair.normal_p
-        snn_f = ctx.trace_stress_nn(spaces.u_f, facet, n_s)
-        pv = ctx.trace_values(spaces.p_S, facet)
-        jumps = [("u_f", ctx.trace_normal(spaces.u_f, facet, n_s),
-                  ctx.facet_cell_dofs(spaces.u_f, facet)),
-                 ("u_r", ctx.trace_normal(spaces.u_r, facet, n_p),
-                  ctx.facet_cell_dofs(spaces.u_r, facet)),
-                 ("y_s", ctx.trace_normal(spaces.y_s, facet, n_p),
-                  ctx.facet_cell_dofs(spaces.y_s, facet))]
-        d_f = ctx.facet_cell_dofs(spaces.u_f, facet)
-        d_ps = ctx.facet_cell_dofs(spaces.p_S, facet, vector=False)
-
-        for name, jn, dofs in jumps:
-            # trial-side stress against the test jump:
-            # -(2 mu_f eps(u_f) n . n)(jump v) and +(p_S)(jump v)
-            n_parts.append((name, "u_f", *_flat(
-                dofs, d_f, -two_mu * np.einsum("q,qa,qb->ab", w, jn, snn_f))))
-            n_parts.append((name, "p_S", *_flat(
-                dofs, d_ps, np.einsum("q,qa,qb->ab", w, jn, pv))))
-            # adjoint: test stress against the trial jump
-            dest = m_parts if name == "y_s" else n_parts
-            if sig != 0.0:
-                dest.append(("u_f", name, *_flat(
-                    d_f, dofs, -sig * two_mu * np.einsum("q,qa,qb->ab", w, snn_f, jn))))
-            dest.append(("p_S", name, *_flat(
-                d_ps, dofs, -np.einsum("q,qa,qb->ab", w, pv, jn))))
+    for name, jn, dofs in ctx.facet_jumps():
+        # trial-side stress against the test jump:
+        # -(2 mu_f eps(u_f) n . n)(jump v) and +(p_S)(jump v)
+        n_parts.append(_contrib(name, "u_f", dofs, d_f,
+                                -two_mu * _facet_outer(w, jn, snn_f)))
+        n_parts.append(_contrib(name, "p_S", dofs, d_ps, _facet_outer(w, jn, pv)))
+        # adjoint: test stress against the trial jump
+        dest = m_parts if name == "y_s" else n_parts
+        if sig != 0.0:
+            dest.append(_contrib("u_f", name, d_f, dofs,
+                                 -sig * two_mu * _facet_outer(w, snn_f, jn)))
+        dest.append(_contrib("p_S", name, d_ps, dofs, -_facet_outer(w, pv, jn)))
     return {"M": m_parts, "N": n_parts}
 
 
 def assemble_nitsche_penalty(spaces, params, nitsche, pairs=None, ctx=None):
     """Mass-conservation penalty (gamma mu_f / h_E) over the interface jump."""
     ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
+    fs = ctx.facet_stack
+    if fs is None:
+        return {"M": [], "N": []}
+    w = fs["w"] * (nitsche.gamma * params.mu_f / fs["h_e"])[:, None]
+    jumps = ctx.facet_jumps()
     m_parts, n_parts = [], []
-    for facet in ctx.facet_tables():
-        pair = facet["pair"]
-        coeff = nitsche.gamma * params.mu_f / pair.h_e
-        w = facet["w"] * coeff
-        jumps = [("u_f", ctx.trace_normal(spaces.u_f, facet, pair.normal_s),
-                  ctx.facet_cell_dofs(spaces.u_f, facet)),
-                 ("u_r", ctx.trace_normal(spaces.u_r, facet, pair.normal_p),
-                  ctx.facet_cell_dofs(spaces.u_r, facet)),
-                 ("y_s", ctx.trace_normal(spaces.y_s, facet, pair.normal_p),
-                  ctx.facet_cell_dofs(spaces.y_s, facet))]
-        for t_name, t_jn, t_dofs in jumps:
-            for u_name, u_jn, u_dofs in jumps:
-                local = np.einsum("q,qa,qb->ab", w, t_jn, u_jn)
-                part = (t_name, u_name, *_flat(t_dofs, u_dofs, local))
-                (m_parts if u_name == "y_s" else n_parts).append(part)
+    for t_name, t_jn, t_dofs in jumps:
+        for u_name, u_jn, u_dofs in jumps:
+            part = _contrib(t_name, u_name, t_dofs, u_dofs,
+                            _facet_outer(w, t_jn, u_jn))
+            (m_parts if u_name == "y_s" else n_parts).append(part)
     return {"M": m_parts, "N": n_parts}
 
 
@@ -869,26 +849,18 @@ def _add_interface_corrections(ctx, spaces, corr, time, rhs, offsets):
 
     def along(space, direction, values):
         """sum_q w values (direction . basis vector) per facet and dof."""
-        phi = fs[(space.subdomain, space.degree, "phi")]
-        local = np.einsum("fq,fqi->fi", w * values, phi)
-        return (local[..., None] * direction[:, None, :]).reshape(len(w), -1)
-
-    def stress_nn(space, normal, values):
-        """sum_q w values (eps(basis) n . n) per facet and dof."""
-        grad = fs[(space.subdomain, space.degree, "grad")]
-        gn = np.einsum("fqld,fd->fql", grad, normal)
-        local = np.einsum("fq,fql->fl", w * values, gn)
-        return (local[..., None] * normal[:, None, :]).reshape(len(w), -1)
+        return np.einsum("fq,fqa->fa", w * values, ctx.facet_trace(space, direction))
 
     def scatter(block, space, vals, vector=True):
-        dofs = ctx.stacked_facet_dofs(space, vector)
+        dofs = ctx.facet_dofs(space, vector)
         start = offsets[BLOCK_NAMES.index(block)]
         rhs[start:start + space.ndofs] += np.bincount(
             dofs.ravel(), weights=vals.ravel(), minlength=space.ndofs)
 
     pen = c_pen * m1
     scatter("u_f", spaces.u_f, along(spaces.u_f, n_s, pen)
-            - sig * two_mu * stress_nn(spaces.u_f, n_s, m1)
+            - sig * two_mu * np.einsum("fq,fqa->fa", w * m1,
+                                       ctx.facet_stress_nn(spaces.u_f, n_s))
             - along(spaces.u_f, tau, m4))
     scatter("p_S", spaces.p_S,
             -np.einsum("fq,fqi->fi", w * m1, fs[("S", 1, "phi")]), vector=False)

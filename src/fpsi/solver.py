@@ -184,11 +184,12 @@ class _ConvectionUpdate:
     the convection kernel's (rows, cols).  ``matrices(values)`` sums one
     step's convection values into both by a single ``np.bincount``; a data
     mask zeroes them in the eliminated rows and columns.  No sparse
-    structure is built per step.
+    structure is built per step.  ``pattern`` is the operator on the pattern.
     """
 
     def __init__(self, operator, keep, rows, cols):
         pattern, self._pos = fem.fixed_pattern(operator, rows, cols)
+        self.pattern = pattern
         self._indices, self._indptr = pattern.indices, pattern.indptr
         self._shape = pattern.shape
         row = np.repeat(np.arange(pattern.shape[0]), np.diff(self._indptr))
@@ -233,12 +234,14 @@ class TimeStepper:
     on the rows and columns in nested-dissection order of the eliminated
     operator's pattern, pivoting on the diagonal down to ``PIVOT_THRESHOLD``
     of its column; the ordering runs in the first step, not here.  Each step
-    lifts the Dirichlet data of the new time level with that step's operator
-    and solves with the held factor: directly while the operator is the factored one, by defect
-    correction otherwise, which stops at the factor's precision floor (two
-    triangular solves per convective step) or when the residual no longer
-    halves.  A step whose correction ends above ``solver_tol`` factors its
-    own operator, which later steps then reuse.  If a factorization is
+    lifts the Dirichlet data of the new time level with that step's operator,
+    multiplying only its constrained columns (located with the factor, and
+    skipped when every value is zero), and solves with the held factor:
+    directly while the operator is the factored one, by defect correction
+    otherwise, which stops at the factor's precision floor (two triangular
+    solves per convective step) or when the residual no longer halves.  A
+    step whose correction ends above ``solver_tol`` factors its own
+    operator, which later steps then reuse.  If a factorization is
     singular and ``pin_pressure_fallback`` is set, one free-flow pressure
     dof is pinned to zero and the pinned operator is factored, with the
     pattern rebuilt; the pin holds for every later step.
@@ -272,6 +275,8 @@ class TimeStepper:
         self._operator = None    # M / tau + N, built by the first step
         self._eliminated = None  # its eliminated form; None until then
         self._update = None      # their fixed pattern with C, if convective
+        self._entries = None       # the operator's entries in Dirichlet columns
+        self._conv_entries = None  # those of the fixed pattern
         self._pin = None         # the pinned pressure dof, if any
         self._factor = None
 
@@ -374,22 +379,30 @@ class TimeStepper:
             eliminated, keep = fem.eliminate_matrix(operator, dofs)
             self._factor = Factor(eliminated)
             self._operator, self._eliminated = operator, eliminated
+            self._entries = fem.prescribed_entries(operator, dofs)
             if self.convection:
                 rows, cols = self.ctx.vec_pattern(self.spaces.u_f)
                 start = self.M.offsets[forms.BLOCK_NAMES.index("u_f")]
                 self._update = _ConvectionUpdate(operator, keep, rows + start,
                                                  cols + start)
-        operator, matrix = self._operator, self._eliminated
+                self._conv_entries = fem.prescribed_entries(self._update.pattern, dofs)
+        operator, matrix, entries = self._operator, self._eliminated, self._entries
         if conv is not None:
             operator, matrix = self._update.matrices(conv[4])
-        return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
-                            self.solver_tol, self._factor)
+            entries = self._conv_entries
+        rhs = fem.lift_dofs(operator, rhs, dofs, vals, entries)
+        return solve_linear(matrix, rhs, self.solver_tol, self._factor)
 
 
 def _field_at_quad(block, phi_table):
     space = block.space
     coeffs = block.values.reshape(space.num_nodes, space.components)
-    return np.einsum("ql,clk->cqk", phi_table, coeffs[space.cell_dofs])
+    return phi_table @ coeffs[space.cell_dofs]
+
+
+def _integral(wdet, density):
+    """sum over cells and points of wdet times ``density`` (c, q, ...)."""
+    return float(wdet.ravel() @ density.reshape(wdet.size, -1).sum(axis=1))
 
 
 def discrete_energy(state, params, ctx=None):
@@ -401,37 +414,36 @@ def discrete_energy(state, params, ctx=None):
 
     ``ctx`` is an ``AssemblyContext`` on the state's spaces, such as a
     stepper's; its geometry, tabulations and gradients are reused.  Without
-    one a context is built for this call.
+    one a context is built for this call.  Fields and gradients at the
+    quadrature points are matrix products per cell.
     """
     if ctx is None:
         ctx = forms.AssemblyContext(
             forms.Spaces(*(block.space for block in state.blocks)), params)
-    tab = ctx.tab
-    geo_s, geo_p = ctx.geo["S"], ctx.geo["P"]
-
+    tab, geo_p = ctx.tab, ctx.geo["P"]
+    w_p = geo_p.wdet
     u_f = _field_at_quad(state.block("u_f"), tab[2][0])
-    total = params.rho_f * np.einsum("cq,cqk->", geo_s.wdet, u_f**2)
+    total = params.rho_f * _integral(ctx.geo["S"].wdet, u_f**2)
 
-    xp, yp = geo_p.x[..., 0], geo_p.x[..., 1]
-    phi = params.phi.at(xp, yp)
+    phi = params.phi.at(geo_p.x[..., 0], geo_p.x[..., 1])
     u_s = _field_at_quad(state.block("u_s"), tab[1][0])
     u_r = _field_at_quad(state.block("u_r"), tab[2][0])
     p_p = _field_at_quad(state.block("p_P"), tab[1][0])
-    total += params.rho_s * np.einsum("cq,cq,cqk->", geo_p.wdet, 1.0 - phi, u_s**2)
-    total += np.einsum("cq,cq,cqk->", geo_p.wdet, (1.0 - phi)**2 / params.K,
-                       p_p**2)
-    total += params.rho_f * np.einsum("cq,cq,cqk->", geo_p.wdet, phi,
-                                      (u_r + u_s)**2)
+    total += params.rho_s * _integral(w_p * (1.0 - phi), u_s**2)
+    total += _integral(w_p * (1.0 - phi)**2 / params.K, p_p**2)
+    total += params.rho_f * _integral(w_p * phi, (u_r + u_s)**2)
 
     y_space = state.block("y_s").space
-    grads = ctx.grads(y_space)
+    grads = ctx.grads(y_space)                      # (c, q, nloc, 2)
+    c, q, nloc, _ = grads.shape
     coeffs = state.block("y_s").values.reshape(y_space.num_nodes, 2)
-    g = np.einsum("cqld,clk->cqkd", grads, coeffs[y_space.cell_dofs])
+    # per cell (q d, nloc) @ (nloc, k): g[c, q, d, k] = d_d y_k
+    g = (np.swapaxes(grads, 2, 3).reshape(c, 2 * q, nloc)
+         @ coeffs[y_space.cell_dofs]).reshape(c, q, 2, 2)
     eps = 0.5 * (g + np.swapaxes(g, -1, -2))
-    div = g[..., 0, 0] + g[..., 1, 1]
-    total += 2.0 * params.mu_p * np.einsum("cq,cqkd->", geo_p.wdet, eps**2)
-    total += params.lam_p * np.einsum("cq,cq->", geo_p.wdet, div**2)
-    return 0.5 * float(total)
+    total += 2.0 * params.mu_p * _integral(w_p, eps**2)
+    total += params.lam_p * _integral(w_p, (g[..., 0, 0] + g[..., 1, 1])**2)
+    return 0.5 * total
 
 
 def interface_jump_seminorm(ctx, state, rate_y_values):
@@ -440,18 +452,14 @@ def interface_jump_seminorm(ctx, state, rate_y_values):
     ``rate_y_values`` holds the coefficients of the discrete displacement
     rate (typically the backward difference of y_s over the last step).
     """
-    spaces = ctx.spaces
-    total = 0.0
-    for facet in ctx.facet_tables():
-        pair = facet["pair"]
-        jn = (ctx.trace_normal(spaces.u_f, facet, pair.normal_s)
-              @ state.block("u_f").values[ctx.facet_cell_dofs(spaces.u_f, facet)]
-              + ctx.trace_normal(spaces.u_r, facet, pair.normal_p)
-              @ state.block("u_r").values[ctx.facet_cell_dofs(spaces.u_r, facet)]
-              + ctx.trace_normal(spaces.y_s, facet, pair.normal_p)
-              @ rate_y_values[ctx.facet_cell_dofs(spaces.y_s, facet)])
-        total += float(facet["w"] @ jn**2) / pair.h_e
-    return total
+    fs = ctx.facet_stack
+    if fs is None:
+        return 0.0
+    values = {"u_f": state.block("u_f").values, "u_r": state.block("u_r").values,
+              "y_s": rate_y_values}
+    jn = sum(np.einsum("fqa,fa->fq", trace, values[name][dofs])
+             for name, trace, dofs in ctx.facet_jumps())
+    return float(np.sum(fs["w"] * jn**2 / fs["h_e"][:, None]))
 
 
 @dataclass

@@ -1,0 +1,164 @@
+"""Facet-by-facet interface tables and assemblers, kept as test references.
+
+``forms`` treats all interface facets at once from ``ctx.facet_stack``.
+This module builds the same tables one facet at a time from the context's
+interface pairs, with its own reference-point solve and inverse Jacobian,
+and holds the per-facet loops of the BJS, Nitsche consistency and Nitsche
+penalty assemblers that the batched ones replaced.
+"""
+
+import numpy as np
+
+from fpsi import fem
+
+
+def facet_tables(ctx):
+    """One dict per interface facet: pair, points, weights, basis tables."""
+    mesh = ctx.mesh
+    s = ctx.seg_rule.points[:, 0]
+    facets = []
+    for pair in ctx.pairs:
+        pa = mesh.vertices[pair.vertex_ids[0]]
+        pb = mesh.vertices[pair.vertex_ids[1]]
+        xq = pa[None, :] + s[:, None] * (pb - pa)[None, :]
+        data = {"pair": pair, "x": xq, "w": ctx.seg_rule.weights * pair.h_e}
+        for side, cell in (("S", pair.cell_s), ("P", pair.cell_p)):
+            tri = mesh.cells[cell]
+            p0 = mesh.vertices[tri[0]]
+            jac = np.stack([mesh.vertices[tri[1]] - p0,
+                            mesh.vertices[tri[2]] - p0], axis=1)
+            ref = np.linalg.solve(jac, (xq - p0).T).T
+            inv_jac = np.linalg.inv(jac)
+            for deg in (1, 2):
+                phi, dphi = fem.tabulate(deg, ref)
+                data[(side, deg, "phi")] = phi
+                data[(side, deg, "grad")] = np.einsum("qld,de->qle", dphi, inv_jac)
+            data[(side, "cell")] = cell
+        facets.append(data)
+    return facets
+
+
+def facet_cell_dofs(space, facet, vector=True):
+    cell = facet[(space.subdomain, "cell")]
+    pos = int(np.searchsorted(space.cells, cell))
+    dofs = space.cell_dofs[pos]
+    if vector and space.components == 2:
+        return (2 * dofs[:, None] + np.arange(2)[None, :]).ravel()
+    return dofs
+
+
+def trace_normal(space, facet, normal):
+    """n . (basis vector dof) at facet quad points: (nq, 2*nloc)."""
+    phi = facet[(space.subdomain, space.degree, "phi")]
+    nq, nl = phi.shape
+    out = np.empty((nq, 2 * nl))
+    out[:, 0::2] = normal[0] * phi
+    out[:, 1::2] = normal[1] * phi
+    return out
+
+
+def trace_tangent(space, facet, tangent):
+    return trace_normal(space, facet, tangent)
+
+
+def trace_values(space, facet):
+    return facet[(space.subdomain, space.degree, "phi")]
+
+
+def trace_stress_nn(space, facet, normal):
+    """(eps(basis) n) . n per vector dof: (nq, 2*nloc)."""
+    grad = facet[(space.subdomain, space.degree, "grad")]
+    gn = grad @ normal
+    nq, nl = gn.shape
+    out = np.empty((nq, 2 * nl))
+    out[:, 0::2] = normal[0] * gn
+    out[:, 1::2] = normal[1] * gn
+    return out
+
+
+def _flat(rows_map, cols_map, local):
+    ni, nj = local.shape
+    return np.repeat(rows_map, nj), np.tile(cols_map, ni), local.ravel()
+
+
+def _outer(w, rows_t, cols_t):
+    return np.einsum("q,qa,qb->ab", w, rows_t, cols_t)
+
+
+def assemble_bjs(ctx, spaces, params):
+    m_parts, n_parts = [], []
+    coeff = params.mu_f * params.alpha_bjs
+    if coeff == 0.0:
+        return {"M": m_parts, "N": n_parts}
+    for facet in facet_tables(ctx):
+        pair = facet["pair"]
+        w = facet["w"] * (coeff / np.sqrt(pair.z_perm))
+        tt_f = trace_tangent(spaces.u_f, facet, pair.tangent)
+        tt_y = trace_tangent(spaces.y_s, facet, pair.tangent)
+        tt_r = trace_tangent(spaces.u_r, facet, pair.tangent)
+        d_f = facet_cell_dofs(spaces.u_f, facet)
+        d_y = facet_cell_dofs(spaces.y_s, facet)
+        d_r = facet_cell_dofs(spaces.u_r, facet)
+        n_parts.append(("u_f", "u_f", *_flat(d_f, d_f, _outer(w, tt_f, tt_f))))
+        n_parts.append(("y_s", "u_f", *_flat(d_y, d_f, -_outer(w, tt_y, tt_f))))
+        m_parts.append(("u_f", "y_s", *_flat(d_f, d_y, -_outer(w, tt_f, tt_y))))
+        m_parts.append(("y_s", "y_s", *_flat(d_y, d_y, _outer(w, tt_y, tt_y))))
+        n_parts.append(("u_r", "u_r", *_flat(d_r, d_r, _outer(w, tt_r, tt_r))))
+    return {"M": m_parts, "N": n_parts}
+
+
+def _jumps(spaces, facet):
+    pair = facet["pair"]
+    return [(name, trace_normal(space, facet, normal), facet_cell_dofs(space, facet))
+            for name, space, normal in (("u_f", spaces.u_f, pair.normal_s),
+                                        ("u_r", spaces.u_r, pair.normal_p),
+                                        ("y_s", spaces.y_s, pair.normal_p))]
+
+
+def assemble_nitsche_consistency(ctx, spaces, params, nitsche):
+    sig = float(nitsche.varsigma)
+    two_mu = 2.0 * params.mu_f
+    m_parts, n_parts = [], []
+    for facet in facet_tables(ctx):
+        w = facet["w"]
+        snn_f = trace_stress_nn(spaces.u_f, facet, facet["pair"].normal_s)
+        pv = trace_values(spaces.p_S, facet)
+        d_f = facet_cell_dofs(spaces.u_f, facet)
+        d_ps = facet_cell_dofs(spaces.p_S, facet, vector=False)
+        for name, jn, dofs in _jumps(spaces, facet):
+            n_parts.append((name, "u_f", *_flat(
+                dofs, d_f, -two_mu * _outer(w, jn, snn_f))))
+            n_parts.append((name, "p_S", *_flat(dofs, d_ps, _outer(w, jn, pv))))
+            dest = m_parts if name == "y_s" else n_parts
+            if sig != 0.0:
+                dest.append(("u_f", name, *_flat(
+                    d_f, dofs, -sig * two_mu * _outer(w, snn_f, jn))))
+            dest.append(("p_S", name, *_flat(d_ps, dofs, -_outer(w, pv, jn))))
+    return {"M": m_parts, "N": n_parts}
+
+
+def assemble_nitsche_penalty(ctx, spaces, params, nitsche):
+    m_parts, n_parts = [], []
+    for facet in facet_tables(ctx):
+        w = facet["w"] * (nitsche.gamma * params.mu_f / facet["pair"].h_e)
+        jumps = _jumps(spaces, facet)
+        for t_name, t_jn, t_dofs in jumps:
+            for u_name, u_jn, u_dofs in jumps:
+                part = (t_name, u_name, *_flat(t_dofs, u_dofs, _outer(w, t_jn, u_jn)))
+                (m_parts if u_name == "y_s" else n_parts).append(part)
+    return {"M": m_parts, "N": n_parts}
+
+
+def interface_jump_seminorm(ctx, state, rate_y_values):
+    spaces = ctx.spaces
+    total = 0.0
+    for facet in facet_tables(ctx):
+        pair = facet["pair"]
+        jn = (trace_normal(spaces.u_f, facet, pair.normal_s)
+              @ state.block("u_f").values[facet_cell_dofs(spaces.u_f, facet)]
+              + trace_normal(spaces.u_r, facet, pair.normal_p)
+              @ state.block("u_r").values[facet_cell_dofs(spaces.u_r, facet)]
+              + trace_normal(spaces.y_s, facet, pair.normal_p)
+              @ rate_y_values[facet_cell_dofs(spaces.y_s, facet)])
+        total += float(facet["w"] @ jn**2) / pair.h_e
+    return total

@@ -11,6 +11,8 @@ from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
 from fpsi.mesh import generate_structured, interface_pairs
 
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
+from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
+                        trace_stress_nn, trace_tangent, trace_values)
 
 
 # --- parameter validation -------------------------------------------------------
@@ -173,10 +175,10 @@ def test_divergence_theorem_for_pressure_coupling(tiny):
     volume_side = bt @ ones_p  # b^S(v_i, 1) per velocity dof
 
     edge_side = np.zeros(spaces.u_f.ndofs)
-    for facet in ctx.facet_tables():
+    for facet in facet_tables(ctx):
         pair = facet["pair"]
-        nc = ctx.trace_normal(spaces.u_f, facet, pair.normal_s)
-        dofs = ctx.facet_cell_dofs(spaces.u_f, facet)
+        nc = trace_normal(spaces.u_f, facet, pair.normal_s)
+        dofs = facet_cell_dofs(spaces.u_f, facet)
         edge_side[dofs] += -facet["w"] @ nc
     interior = np.setdiff1d(np.arange(spaces.u_f.ndofs),
                             spaces.u_f.dirichlet_dofs)
@@ -214,10 +216,10 @@ def test_bjs_quadratic_form_is_seminorm(tiny, rng):
     u = rng.normal(size=spaces.u_r.ndofs)
     form_val = u @ block @ u
     direct = 0.0
-    for facet in ctx.facet_tables():
+    for facet in facet_tables(ctx):
         pair = facet["pair"]
-        tt = ctx.trace_tangent(spaces.u_r, facet, pair.tangent)
-        vals = tt @ u[ctx.facet_cell_dofs(spaces.u_r, facet)]
+        tt = trace_tangent(spaces.u_r, facet, pair.tangent)
+        vals = tt @ u[facet_cell_dofs(spaces.u_r, facet)]
         coef = params.mu_f * params.alpha_bjs / np.sqrt(pair.z_perm)
         direct += coef * facet["w"] @ vals**2
     assert abs(form_val - direct) < 1e-12 * max(1.0, direct)
@@ -486,7 +488,7 @@ def _interface_corrections_per_facet(ctx, spaces, corr, time):
     def scatter(block, dofs, vals):
         np.add.at(rhs, dofs + offsets[forms.BLOCK_NAMES.index(block)], vals)
 
-    for facet in ctx.facet_tables():
+    for facet in facet_tables(ctx):
         pair, w = facet["pair"], facet["w"]
         x, y = facet["x"][:, 0], facet["x"][:, 1]
         n_s, n_p, tau = pair.normal_s, pair.normal_p, pair.tangent
@@ -498,24 +500,24 @@ def _interface_corrections_per_facet(ctx, spaces, corr, time):
         def integral(vals, table):
             return np.einsum("q,q,qa->a", w, vals, table)
 
-        nc_f = ctx.trace_normal(spaces.u_f, facet, n_s)
-        nc_r = ctx.trace_normal(spaces.u_r, facet, n_p)
-        nc_w = ctx.trace_normal(spaces.y_s, facet, n_p)
-        tt_f = ctx.trace_normal(spaces.u_f, facet, tau)
-        tt_r = ctx.trace_normal(spaces.u_r, facet, tau)
-        tt_w = ctx.trace_normal(spaces.y_s, facet, tau)
-        snn_f = ctx.trace_stress_nn(spaces.u_f, facet, n_s)
-        phi_w = ctx.trace_values(spaces.y_s, facet)
-        scatter("u_f", ctx.facet_cell_dofs(spaces.u_f, facet),
+        nc_f = trace_normal(spaces.u_f, facet, n_s)
+        nc_r = trace_normal(spaces.u_r, facet, n_p)
+        nc_w = trace_normal(spaces.y_s, facet, n_p)
+        tt_f = trace_normal(spaces.u_f, facet, tau)
+        tt_r = trace_normal(spaces.u_r, facet, tau)
+        tt_w = trace_normal(spaces.y_s, facet, tau)
+        snn_f = trace_stress_nn(spaces.u_f, facet, n_s)
+        phi_w = trace_values(spaces.y_s, facet)
+        scatter("u_f", facet_cell_dofs(spaces.u_f, facet),
                 integral(c_pen * m1, nc_f) - sig * two_mu * integral(m1, snn_f)
                 - integral(m4, tt_f))
-        scatter("p_S", ctx.facet_cell_dofs(spaces.p_S, facet, vector=False),
-                -integral(m1, ctx.trace_values(spaces.p_S, facet)))
-        scatter("u_r", ctx.facet_cell_dofs(spaces.u_r, facet),
+        scatter("p_S", facet_cell_dofs(spaces.p_S, facet, vector=False),
+                -integral(m1, trace_values(spaces.p_S, facet)))
+        scatter("u_r", facet_cell_dofs(spaces.u_r, facet),
                 integral(c_pen * m1, nc_r) + integral(m2, nc_r)
                 - integral(m5, tt_r))
         m3_vec = np.einsum("q,qk,qi->ik", w, m3, phi_w).ravel()
-        scatter("y_s", ctx.facet_cell_dofs(spaces.y_s, facet),
+        scatter("y_s", facet_cell_dofs(spaces.y_s, facet),
                 integral(c_pen * m1, nc_w) + m3_vec + integral(m4, tt_w))
     return rhs
 
@@ -645,3 +647,190 @@ def test_volume_forms_reject_unknown_destination(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     with pytest.raises(FormsError, match="destination must be 'M' or 'N'"):
         assemble_volume_forms(spaces, params, "C", ctx=ctx)
+
+
+# --- batched kernels and interface assemblers against their einsum forms -------
+
+def _einsum_kernels(ctx):
+    """The volume kernels' local blocks as per-entry einsum contractions."""
+
+    def expand(base):
+        c, ni, nj = base.shape
+        out = np.zeros((c, ni, 2, nj, 2))
+        out[:, :, 0, :, 0] = base
+        out[:, :, 1, :, 1] = base
+        return out.reshape(c, 2 * ni, 2 * nj)
+
+    def wdet(space):
+        return ctx.geo[space.subdomain].wdet
+
+    def mass(test, trial, coeff):
+        base = np.einsum("cq,qi,qj->cij", wdet(test) * coeff,
+                         ctx.phi_table(test), ctx.phi_table(trial))
+        return expand(base) if test.components == 2 else base
+
+    def tensor_mass(test, trial, tensor):
+        local = np.einsum("cq,cqkl,qi,qj->cikjl", wdet(test), tensor,
+                          ctx.phi_table(test), ctx.phi_table(trial))
+        c, ni, _, nj, _ = local.shape
+        return local.reshape(c, 2 * ni, 2 * nj)
+
+    def eps_eps(test, trial, coeff):
+        g_t, g_u, w = ctx.grads(test), ctx.grads(trial), wdet(test) * coeff
+        t1 = np.einsum("cq,cqid,cqjd->cij", w, g_t, g_u)
+        local = 0.5 * np.einsum("cq,cqil,cqjk->cikjl", w, g_t, g_u)
+        local[:, :, 0, :, 0] += 0.5 * t1
+        local[:, :, 1, :, 1] += 0.5 * t1
+        c, ni, _, nj, _ = local.shape
+        return local.reshape(c, 2 * ni, 2 * nj)
+
+    def div_div(test, trial, coeff):
+        local = np.einsum("cq,cqik,cqjl->cikjl", wdet(test) * coeff,
+                          ctx.grads(test), ctx.grads(trial))
+        c, ni, _, nj, _ = local.shape
+        return local.reshape(c, 2 * ni, 2 * nj)
+
+    def pressure_div(scalar_sp, vector_sp, coeff, grad_coeff):
+        w, phi_q = wdet(vector_sp), ctx.phi_table(scalar_sp)
+        local = np.einsum("cq,cq,qi,cqjl->cijl", w, coeff, phi_q,
+                          ctx.grads(vector_sp))
+        if grad_coeff is not None:
+            local += np.einsum("cq,cql,qi,qj->cijl", w, grad_coeff, phi_q,
+                               ctx.phi_table(vector_sp))
+        c, ni, nj, _ = local.shape
+        return local.reshape(c, ni, 2 * nj)
+
+    return dict(mass=mass, tensor_mass=tensor_mass, eps_eps=eps_eps,
+                div_div=div_div, pressure_div=pressure_div)
+
+
+def _field_params():
+    """Reference parameters with a callable porosity and permeability."""
+    return PhysicalParams(**{
+        **forms.REFERENCE_PARAMS,
+        "phi": forms.Coefficient(
+            lambda x, y: 0.1 + 0.05 * x * y + 0.02 * np.sin(3.0 * y),
+            grad=lambda x, y: np.stack(
+                [0.05 * y, 0.05 * x + 0.06 * np.cos(3.0 * y)], axis=-1)),
+        "kappa": lambda x, y: np.array([[1.0 + x, 0.2 * y], [0.2 * y, 1.0 + y]])})
+
+
+@pytest.mark.parametrize("nx", [2, 8])
+def test_kernels_match_einsum_reference(nx):
+    # each matrix-product kernel against its einsum form, per local block
+    spaces = build_spaces(generate_structured(nx, nx))
+    params = _field_params()
+    ctx = AssemblyContext(spaces, params, NitscheParams())
+    kern, ref = forms._Kernels(ctx), _einsum_kernels(ctx)
+    phi, grad_phi = ctx.phi_P, ctx.grad_phi_P
+    ones_s = np.ones_like(ctx.geo["S"].wdet)
+    drag = phi[..., None, None] ** 2 * ctx.kappa_inv_P
+    cases = [
+        (kern.mass(spaces.u_f, spaces.u_f, 2.0 * ones_s, "u_f", "u_f"),
+         ref["mass"](spaces.u_f, spaces.u_f, 2.0 * ones_s)),
+        (kern.mass(spaces.u_r, spaces.u_s, phi, "u_r", "u_s"),
+         ref["mass"](spaces.u_r, spaces.u_s, phi)),
+        (kern.mass(spaces.p_P, spaces.p_P, (1.0 - phi) ** 2, "p_P", "p_P"),
+         ref["mass"](spaces.p_P, spaces.p_P, (1.0 - phi) ** 2)),
+        (kern.tensor_mass(spaces.u_r, spaces.u_r, drag, "u_r", "u_r"),
+         ref["tensor_mass"](spaces.u_r, spaces.u_r, drag)),
+        (kern.eps_eps(spaces.u_f, spaces.u_f, 20.0 * ones_s, "u_f", "u_f"),
+         ref["eps_eps"](spaces.u_f, spaces.u_f, 20.0 * ones_s)),
+        (kern.eps_eps(spaces.y_s, spaces.u_r, 20.0 * phi, "y_s", "u_r"),
+         ref["eps_eps"](spaces.y_s, spaces.u_r, 20.0 * phi)),
+        (kern.div_div(spaces.y_s, spaces.y_s, 10.0 * phi, "y_s", "y_s"),
+         ref["div_div"](spaces.y_s, spaces.y_s, 10.0 * phi)),
+        (kern.pressure_div(spaces.p_S, spaces.u_f, ones_s, None, "p_S", "u_f"),
+         ref["pressure_div"](spaces.p_S, spaces.u_f, ones_s, None)),
+        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, grad_phi, "p_P", "u_r"),
+         ref["pressure_div"](spaces.p_P, spaces.u_r, phi, grad_phi)),
+        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, grad_phi, "u_r", "p_P",
+                           transpose=True, sign=-1.0),
+         -np.transpose(ref["pressure_div"](spaces.p_P, spaces.u_r, phi, grad_phi),
+                       (0, 2, 1))),
+    ]
+    for got, want in cases:
+        name = got[:2]
+        test_sp, trial_sp = (getattr(spaces, n) for n in name)
+        rows = (ctx.vec_dofs(test_sp) if test_sp.components == 2
+                else test_sp.cell_dofs)
+        cols = (ctx.vec_dofs(trial_sp) if trial_sp.components == 2
+                else trial_sp.cell_dofs)
+        assert want.shape == (rows.shape[0], rows.shape[1], cols.shape[1]), name
+        assert np.array_equal(got[2], np.repeat(rows, cols.shape[1], axis=1).ravel())
+        assert np.array_equal(got[3], np.tile(cols, (1, rows.shape[1])).ravel())
+        got_local = got[4].reshape(want.shape[0], -1)
+        want_local = want.reshape(want.shape[0], -1)
+        scale = np.abs(want_local).max(axis=1)
+        assert np.all(scale > 0.0), name
+        assert np.all(np.abs(got_local - want_local).max(axis=1) <= 1e-14 * scale), name
+
+
+def _interface_mesh(kind):
+    if kind == "channel":
+        from fpsi.mesh import generate_channel
+        return generate_channel(10, 14)
+    return generate_structured(8, 8)
+
+
+@pytest.mark.parametrize("kind", ["structured", "channel"])
+@pytest.mark.parametrize("varsigma", [-1, 0, 1])
+def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
+    # the all-facets assemblers against the facet-by-facet loops they
+    # replaced, summed into CSR matrices per destination
+    import _per_facet
+    spaces = build_spaces(_interface_mesh(kind))
+    nitsche = NitscheParams(gamma=40.0, varsigma=varsigma)
+    for alpha in (1.0, 0.0):
+        params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": alpha})
+        ctx = AssemblyContext(spaces, params, nitsche)
+        pairs = [
+            (assemble_bjs(spaces, params, ctx=ctx),
+             _per_facet.assemble_bjs(ctx, spaces, params)),
+            (assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
+             _per_facet.assemble_nitsche_consistency(ctx, spaces, params, nitsche)),
+            (assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx),
+             _per_facet.assemble_nitsche_penalty(ctx, spaces, params, nitsche)),
+        ]
+        for got, want in pairs:
+            for dest in ("M", "N"):
+                assert ({p[:2] for p in got[dest]} == {p[:2] for p in want[dest]})
+                got_mat = BlockSystem.from_contributions(spaces, got[dest]).matrix
+                want_mat = BlockSystem.from_contributions(spaces, want[dest]).matrix
+                scale = abs(want_mat).max() if want_mat.nnz else 0.0
+                diff = abs(got_mat - want_mat).max() if got_mat.nnz else 0.0
+                assert diff <= 1e-14 * scale, (alpha, dest, diff, scale)
+        if alpha == 0.0:
+            assert pairs[0][0] == {"M": [], "N": []}
+
+
+def test_context_checks_callable_coefficients(spaces22):
+    phi_high = PhysicalParams(**{**forms.REFERENCE_PARAMS,
+                                 "phi": lambda x, y: 0.3 + 0.4 * x})
+    with pytest.raises(FormsError, match="porosity out of range"):
+        AssemblyContext(spaces22, phi_high)
+    indefinite = PhysicalParams(**{
+        **forms.REFERENCE_PARAMS,
+        "kappa": lambda x, y: np.array([[1.0, 2.0 * x], [2.0 * x, 1.0]])})
+    with pytest.raises(FormsError, match="positive definite"):
+        AssemblyContext(spaces22, indefinite)
+
+
+def test_context_checks_constants_only_once(spaces22, monkeypatch):
+    # constants were checked when the parameters were built; the context
+    # checks only callable coefficients at its quadrature points
+    constant = PhysicalParams(**forms.REFERENCE_PARAMS)
+    field = _field_params()
+    calls = []
+    for name in ("_check_samples", "_check_kappa"):
+        original = getattr(PhysicalParams, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(PhysicalParams, name, counted)
+    AssemblyContext(spaces22, constant)
+    assert calls == []
+    AssemblyContext(spaces22, field)
+    assert sorted(calls) == ["_check_kappa", "_check_samples"]

@@ -558,6 +558,43 @@ def _energy_own_geometry(state, params):
         block = state.block(name)
         space = block.space
         coeffs = block.values.reshape(space.num_nodes, space.components)
+        return tab[degree][0] @ coeffs[space.cell_dofs]
+
+    def integral(wdet, density):
+        return float(wdet.ravel() @ density.reshape(wdet.size, -1).sum(axis=1))
+
+    u_f = at_quad("u_f", 2)
+    total = params.rho_f * integral(geo_s.wdet, u_f**2)
+    w = geo_p.wdet
+    phi = params.phi.at(geo_p.x[..., 0], geo_p.x[..., 1])
+    u_s, u_r, p_p = at_quad("u_s", 1), at_quad("u_r", 2), at_quad("p_P", 1)
+    total += params.rho_s * integral(w * (1.0 - phi), u_s**2)
+    total += integral(w * (1.0 - phi)**2 / params.K, p_p**2)
+    total += params.rho_f * integral(w * phi, (u_r + u_s)**2)
+    y_space = state.block("y_s").space
+    grads = geo_p.physical_grads(tab[2][1])
+    c, q, nloc, _ = grads.shape
+    coeffs = state.block("y_s").values.reshape(y_space.num_nodes, 2)
+    g = (np.swapaxes(grads, 2, 3).reshape(c, 2 * q, nloc)
+         @ coeffs[y_space.cell_dofs]).reshape(c, q, 2, 2)
+    eps = 0.5 * (g + np.swapaxes(g, -1, -2))
+    total += 2.0 * params.mu_p * integral(w, eps**2)
+    total += params.lam_p * integral(w, (g[..., 0, 0] + g[..., 1, 1])**2)
+    return 0.5 * total
+
+
+def _energy_einsum(state, params):
+    """discrete_energy as per-entry einsum contractions, as the reference."""
+    mesh = state.block("u_f").space.mesh
+    rule = fem.quadrature_rule("triangle", forms.VOLUME_QUAD_DEGREE)
+    tab = {1: fem.tabulate(1, rule.points), 2: fem.tabulate(2, rule.points)}
+    geo_s = fem.CellGeometry(mesh, mesh.cells_in("S"), rule)
+    geo_p = fem.CellGeometry(mesh, mesh.cells_in("P"), rule)
+
+    def at_quad(name, degree):
+        block = state.block(name)
+        space = block.space
+        coeffs = block.values.reshape(space.num_nodes, space.components)
         return np.einsum("ql,clk->cqk", tab[degree][0], coeffs[space.cell_dofs])
 
     u_f = at_quad("u_f", 2)
@@ -589,6 +626,21 @@ def test_energy_with_stepper_context_is_bit_identical(small_setup, rng):
     want = _energy_own_geometry(state, params)
     assert discrete_energy(state, params, stepper.ctx) == want
     assert discrete_energy(state, params) == want
+
+
+@pytest.mark.parametrize("nx", [4, 24])
+def test_energy_matches_einsum_reference(nx):
+    # fields and gradients by matrix products against the einsum forms
+    spaces = build_spaces(generate_structured(nx, nx))
+    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    ctx = forms.AssemblyContext(spaces, params, NitscheParams())
+    rng = np.random.default_rng(nx)
+    for _ in range(5):
+        state = StateVector.zero(spaces)
+        for block in state.blocks:
+            block.values[:] = rng.normal(size=block.space.ndofs)
+        want = _energy_einsum(state, params)
+        assert abs(discrete_energy(state, params, ctx) - want) <= 1e-13 * want
 
 
 def test_energy_sign_flip_invariance(small_setup, table1_params, rng):
@@ -625,3 +677,61 @@ def test_time_refinement_keeps_spatial_error_dominant():
     for name in verification.ERROR_FIELDS:
         delta = abs(errs[2.5e-4][name] - errs[1.25e-4][name])
         assert delta < errs[2.5e-4][name], name
+
+
+# --- Dirichlet lift and interface jump -------------------------------------------
+
+@pytest.mark.parametrize("convection", [False, True])
+def test_lift_matches_full_product(convection):
+    # the stepper's lift through the Dirichlet columns it located with the
+    # factor, against the product with the whole operator; zero values lift
+    # nothing and leave the load as the full product does
+    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    nitsche = NitscheParams(gamma=40.0, varsigma=1)
+    spaces = build_spaces(generate_structured(4, 4))
+    sol = verification.ExactSolution()
+    stepper = TimeStepper(
+        spaces, params, nitsche, TimeGrid(tau=1e-3, final=3e-3),
+        sources=verification.derive_sources(params, check=False),
+        corrections=verification.derive_corrections(params, check=False),
+        boundary_values=verification.manufactured_boundary_values(sol),
+        convection=convection)
+    state, _ = stepper.step(StateVector.zero(spaces), 1)
+    rng = np.random.default_rng(7)
+    dofs, vals = fem.dirichlet_data(stepper.M, spaces, stepper.boundary_values,
+                                    stepper.grid.time_at(2))
+    assert np.abs(vals).max() > 0.0
+    rhs = rng.normal(size=stepper.M.size)
+    operators = [(stepper._operator, stepper._entries)]
+    if convection:
+        conv = forms.assemble_convection(spaces.u_f, state.block("u_f"), stepper.ctx)
+        operators.append((stepper._update.matrices(conv[4])[0], stepper._conv_entries))
+    for operator, entries in operators:
+        assert entries[0].size < operator.nnz
+        for values in (vals, rng.normal(size=vals.size)):
+            want = fem.lift_dofs(operator, rhs, dofs, values)
+            full = rhs - operator @ np.bincount(dofs, values, operator.shape[0])
+            full[dofs] = values
+            assert np.array_equal(want[dofs], values)
+            assert np.abs(want - full).max() <= 1e-14 * np.abs(full).max()
+            got = fem.lift_dofs(operator, rhs, dofs, values, entries)
+            assert np.abs(got - full).max() <= 1e-14 * np.abs(full).max()
+        zero = np.zeros(vals.size)
+        full = rhs - operator @ np.zeros(operator.shape[0])
+        full[dofs] = 0.0
+        assert np.array_equal(fem.lift_dofs(operator, rhs, dofs, zero, entries), full)
+
+
+def test_jump_seminorm_matches_per_facet_reference(small_setup):
+    import _per_facet
+    mesh, spaces, params, nitsche = small_setup
+    rng = np.random.default_rng(5)
+    ctx = forms.AssemblyContext(spaces, params, nitsche)
+    state = StateVector.zero(spaces)
+    for block in state.blocks:
+        block.values[:] = rng.normal(size=block.space.ndofs)
+    rate = rng.normal(size=spaces.y_s.ndofs)
+    want = _per_facet.interface_jump_seminorm(ctx, state, rate)
+    got = solver.interface_jump_seminorm(ctx, state, rate)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-13 * want
