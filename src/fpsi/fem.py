@@ -385,22 +385,12 @@ def fixed_pattern(matrix, rows, cols):
     return pattern, np.searchsorted(union, extra)[where[n:]]
 
 
-def prescribed_entries(matrix, dofs):
-    """(positions, rows, columns) of a CSR matrix's entries in the columns ``dofs``."""
-    prescribed = np.zeros(matrix.shape[0], dtype=bool)
-    prescribed[dofs] = True
-    pos = np.flatnonzero(prescribed[matrix.indices])
-    rows = np.searchsorted(matrix.indptr, pos, side="right") - 1
-    return pos, rows, matrix.indices[pos]
-
-
-def lift_dofs(matrix, rhs, dofs, values, entries=None):
+def lift_dofs(matrix, rhs, dofs, values):
     """Load half of ``eliminate_dofs``: lift the prescribed values.
 
     ``matrix`` is the operator before elimination; its product with the
     prescribed values moves to the load, and the constrained entries take
-    the values themselves; nothing is multiplied if all are zero.  ``entries``
-    (``prescribed_entries`` of ``matrix``'s pattern) limits the product to them.
+    the values themselves; nothing is multiplied if all are zero.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     values = np.asarray(values, dtype=float)
@@ -408,11 +398,7 @@ def lift_dofs(matrix, rhs, dofs, values, entries=None):
     if np.any(values):
         lifted = np.zeros(matrix.shape[0])
         lifted[dofs] = values
-        if entries is None:
-            new_rhs -= matrix @ lifted
-        else:
-            pos, rows, cols = entries
-            new_rhs -= np.bincount(rows, matrix.data[pos] * lifted[cols], lifted.size)
+        new_rhs -= matrix @ lifted
     new_rhs[dofs] = values
     return new_rhs
 

@@ -478,9 +478,9 @@ def _sym_grads(grads):
 class _Kernels:
     """Volume integration kernels over one subdomain.
 
-    Bilinear kernels build feature tables of their bases at the quadrature
-    points (values, gradients, symmetric gradients) per call, not kept, and
-    contract them with ``_gram``.
+    Bilinear kernels other than ``pressure_div`` build feature tables of
+    their bases at the quadrature points (values, gradients, symmetric
+    gradients) per call, not kept, and contract them with ``_gram``.
     """
 
     def __init__(self, ctx):
@@ -538,13 +538,16 @@ class _Kernels:
         same local values, used for the -(div v, p) pressure gradients.
         """
         phi_q = self.ctx.phi_table(scalar_sp)
-        div = coeff[..., None, None] * self.ctx.grads(vector_sp)   # (c, q, j, l)
+        phi_v = self.ctx.phi_table(vector_sp)
+        g_v = self.ctx.grads(vector_sp)
+        w = self._wdet(vector_sp)
+        # an einsum, not _gram: the matrix product rounds some mathematically
+        # zero entries to exact zeros, which moves the LU ordering's pattern
+        local = np.einsum("cq,cq,qi,cqjl->cijl", w, coeff, phi_q, g_v)
         if grad_coeff is not None:
-            phi_v = self.ctx.phi_table(vector_sp)
-            div = div + grad_coeff[:, :, None, :] * phi_v[None, :, :, None]
-        c, q = coeff.shape
-        local = sign * _gram(self._wdet(vector_sp), phi_q[:, None],
-                             div.reshape(c, q, 1, -1))
+            local += np.einsum("cq,cql,qi,qj->cijl", w, grad_coeff, phi_q, phi_v)
+        c, ni, nj, _ = local.shape
+        local = sign * local.reshape(c, ni, 2 * nj)
         if transpose:
             return _contrib(name_t, name_u, self.ctx.vec_dofs(vector_sp),
                             scalar_sp.cell_dofs,

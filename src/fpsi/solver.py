@@ -184,12 +184,11 @@ class _ConvectionUpdate:
     the convection kernel's (rows, cols).  ``matrices(values)`` sums one
     step's convection values into both by a single ``np.bincount``; a data
     mask zeroes them in the eliminated rows and columns.  No sparse
-    structure is built per step.  ``pattern`` is the operator on the pattern.
+    structure is built per step.
     """
 
     def __init__(self, operator, keep, rows, cols):
         pattern, self._pos = fem.fixed_pattern(operator, rows, cols)
-        self.pattern = pattern
         self._indices, self._indptr = pattern.indices, pattern.indptr
         self._shape = pattern.shape
         row = np.repeat(np.arange(pattern.shape[0]), np.diff(self._indptr))
@@ -234,9 +233,8 @@ class TimeStepper:
     on the rows and columns in nested-dissection order of the eliminated
     operator's pattern, pivoting on the diagonal down to ``PIVOT_THRESHOLD``
     of its column; the ordering runs in the first step, not here.  Each step
-    lifts the Dirichlet data of the new time level with that step's operator,
-    multiplying only its constrained columns (located with the factor, and
-    skipped when every value is zero), and solves with the held factor:
+    lifts the Dirichlet data of the new time level with that step's operator
+    (no product when every value is zero) and solves with the held factor:
     directly while the operator is the factored one, by defect correction
     otherwise, which stops at the factor's precision floor (two triangular
     solves per convective step) or when the residual no longer halves.  A
@@ -275,8 +273,6 @@ class TimeStepper:
         self._operator = None    # M / tau + N, built by the first step
         self._eliminated = None  # its eliminated form; None until then
         self._update = None      # their fixed pattern with C, if convective
-        self._entries = None       # the operator's entries in Dirichlet columns
-        self._conv_entries = None  # those of the fixed pattern
         self._pin = None         # the pinned pressure dof, if any
         self._factor = None
 
@@ -379,19 +375,16 @@ class TimeStepper:
             eliminated, keep = fem.eliminate_matrix(operator, dofs)
             self._factor = Factor(eliminated)
             self._operator, self._eliminated = operator, eliminated
-            self._entries = fem.prescribed_entries(operator, dofs)
             if self.convection:
                 rows, cols = self.ctx.vec_pattern(self.spaces.u_f)
                 start = self.M.offsets[forms.BLOCK_NAMES.index("u_f")]
                 self._update = _ConvectionUpdate(operator, keep, rows + start,
                                                  cols + start)
-                self._conv_entries = fem.prescribed_entries(self._update.pattern, dofs)
-        operator, matrix, entries = self._operator, self._eliminated, self._entries
+        operator, matrix = self._operator, self._eliminated
         if conv is not None:
             operator, matrix = self._update.matrices(conv[4])
-            entries = self._conv_entries
-        rhs = fem.lift_dofs(operator, rhs, dofs, vals, entries)
-        return solve_linear(matrix, rhs, self.solver_tol, self._factor)
+        return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
+                            self.solver_tol, self._factor)
 
 
 def _field_at_quad(block, phi_table):

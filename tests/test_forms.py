@@ -717,7 +717,8 @@ def _field_params():
 
 @pytest.mark.parametrize("nx", [2, 8])
 def test_kernels_match_einsum_reference(nx):
-    # each matrix-product kernel against its einsum form, per local block
+    # each matrix-product kernel against its einsum form, per local block;
+    # pressure_div is an einsum itself, its cases check the block layout
     spaces = build_spaces(generate_structured(nx, nx))
     params = _field_params()
     ctx = AssemblyContext(spaces, params, NitscheParams())
