@@ -122,8 +122,9 @@ class FunctionSpace:
 
     Scalar nodes are numbered deterministically: subdomain vertices in
     ascending global vertex id, then (for P2) subdomain edges in ascending
-    global edge id.  Vector degrees of freedom interleave components:
-    dof = 2 * node + component.
+    global edge id.  ``mesh_nodes`` maps each scalar node to its mesh node:
+    the vertex id, or ``mesh.num_vertices`` plus the edge id.  Vector
+    degrees of freedom interleave components: dof = 2 * node + component.
     """
 
     def __init__(self, mesh, degree, components, subdomain, dirichlet_tags=()):
@@ -167,6 +168,7 @@ class FunctionSpace:
         else:
             self._edges = np.array([], dtype=np.int64)
             self.node_coords = mesh.vertices[verts].copy()
+        self.mesh_nodes = np.concatenate([verts, mesh.num_vertices + self._edges])
 
         self._verts = verts
         self._vert_local = vert_local
@@ -283,38 +285,52 @@ class CellGeometry:
                 + dphi_ref[None, :, :, 1, None] * self.inv_jac_t[:, None, None, :, 1])
 
 
-def error_norms(field_h, exact, time, exact_grad, quad_degree=None):
+def error_norms(field_h, exact, time, exact_grad, quad_degree=None, tables=None):
     """L2 and H1-seminorm distance between a discrete and an analytic field.
 
     ``exact(t, x, y)`` returns values, ``exact_grad(t, x, y)`` returns
     gradients with shape (n, 2) for scalar fields and (n, 2, 2) with
-    entry [i, k, d] = d u_k / d x_d for vector fields.
+    entry [i, k, d] = d u_k / d x_d for vector fields.  ``tables`` is a dict
+    kept by the caller across calls on one mesh: the geometry and basis
+    tables of each (subdomain, degree, quadrature degree) are built into it
+    once.  The field and its reference gradients at the points are two
+    matrix products over all cells; the affine maps then take the
+    reference gradients to physical ones.
     """
     space = field_h.space
     if quad_degree is None:
         quad_degree = 2 * space.degree + 2
-    rule = quadrature_rule("triangle", quad_degree)
-    phi, dphi = tabulate(space.degree, rule.points)
-    geo = CellGeometry(space.mesh, space.cells, rule)
-    grads = geo.physical_grads(dphi)
+    tables = {} if tables is None else tables
+    key = (space.subdomain, space.degree, quad_degree)
+    if key not in tables:
+        rule = quadrature_rule("triangle", quad_degree)
+        phi, dphi = tabulate(space.degree, rule.points)
+        # rows (q, e): d/dxi_e of every basis function at point q
+        tables[key] = (CellGeometry(space.mesh, space.cells, rule), phi,
+                       np.swapaxes(dphi, 1, 2).reshape(-1, phi.shape[1]))
+    geo, phi, dphi = tables[key]
     x = geo.x[..., 0].ravel()
     y = geo.x[..., 1].ravel()
     nc, nq = geo.wdet.shape
+    k = space.components
 
-    coeffs = field_h.values.reshape(space.num_nodes, space.components)
-    cvals = coeffs[space.cell_dofs]  # (c, nloc, comps)
-    uh = np.einsum("ql,clk->cqk", phi, cvals)
-    guh = np.einsum("cqld,clk->cqkd", grads, cvals)
+    # coefficients as (local dof, cell and component)
+    cvals = field_h.values.reshape(space.num_nodes, k)[space.cell_dofs]
+    flat = np.moveaxis(cvals, 1, 0).reshape(-1, nc * k)
+    uh = (phi @ flat).reshape(nq, nc, k)
+    ref = (dphi @ flat).reshape(nq, 2, nc, k)
+    # [q, d, c, k] = sum_e inv_jac_t[c, d, e] ref[q, e, c, k]
+    jac = np.transpose(geo.inv_jac_t, (1, 2, 0))[None, :, :, :, None]
+    guh = ref[:, None, 0] * jac[:, :, 0] + ref[:, None, 1] * jac[:, :, 1]
 
-    if space.components == 1:
+    if k == 1:
         ue = np.asarray(exact(time, x, y), dtype=float).reshape(nc, nq, 1)
-        ge = np.asarray(exact_grad(time, x, y), dtype=float).reshape(nc, nq, 1, 2)
     else:
         ue = _eval_field(exact, time, x, y, 2).reshape(nc, nq, 2)
-        ge = np.asarray(exact_grad(time, x, y), dtype=float).reshape(nc, nq, 2, 2)
-
-    l2 = np.einsum("cq,cqk->", geo.wdet, (uh - ue) ** 2)
-    h1 = np.einsum("cq,cqkd->", geo.wdet, (guh - ge) ** 2)
+    ge = np.asarray(exact_grad(time, x, y), dtype=float).reshape(nc, nq, k, 2)
+    w = geo.wdet.T.ravel()
+    l2 = w @ ((uh - np.swapaxes(ue, 0, 1)) ** 2).sum(axis=2).ravel()
+    h1 = w @ ((guh - np.transpose(ge, (1, 3, 0, 2))) ** 2).sum(axis=(1, 3)).ravel()
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 

@@ -28,6 +28,14 @@ BLOCK_NAMES = ("u_f", "p_S", "u_r", "p_P", "y_s", "u_s")
 VOLUME_QUAD_DEGREE = 6
 INTERFACE_QUAD_DEGREE = 6
 
+# Entries below this fraction of the largest magnitude in their row are
+# rounding residues of couplings that vanish in exact arithmetic.  In the
+# assembled M and N they lie below 1e-14 of their row and every other
+# entry above 1e-10 of it; ``BlockSystem.from_contributions`` drops them, so
+# that the stored pattern, and with it the LU fill, does not depend on how
+# the sums were rounded.
+RESIDUE_RTOL = 1e-12
+
 
 class FormsError(ValueError):
     """Raised for invalid physical or penalty parameters."""
@@ -227,7 +235,11 @@ class BlockSystem:
 
     @classmethod
     def from_contributions(cls, spaces, contributions, rhs=None):
-        """Sum (test, trial, rows, cols, values) parts into CSR, int32 if it fits."""
+        """Sum (test, trial, rows, cols, values) parts into CSR, int32 if it fits.
+
+        Sums below ``RESIDUE_RTOL`` of their row's largest magnitude are
+        dropped from the pattern, exact zeros with them.
+        """
         sizes = [sp.ndofs for sp in spaces]
         offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
         total = int(sum(sizes))
@@ -244,6 +256,14 @@ class BlockSystem:
                  (np.concatenate(rows), np.concatenate(cols))),
                 shape=(total, total))
             matrix = coo.tocsr()
+            size = np.abs(matrix.data)
+            lens = np.diff(matrix.indptr)
+            row_max = np.zeros(total)
+            row_max[lens > 0] = np.maximum.reduceat(size, matrix.indptr[:-1][lens > 0])
+            matrix.data[size < RESIDUE_RTOL * np.repeat(row_max, lens)] = 0.0
+            matrix.eliminate_zeros()
+            # duplicates and residues went in place: hold only what is left
+            matrix.indices, matrix.data = matrix.indices.copy(), matrix.data.copy()
         else:
             matrix = sparse.csr_matrix((total, total))
         return cls(spaces, matrix, rhs)
@@ -478,9 +498,9 @@ def _sym_grads(grads):
 class _Kernels:
     """Volume integration kernels over one subdomain.
 
-    Bilinear kernels other than ``pressure_div`` build feature tables of
-    their bases at the quadrature points (values, gradients, symmetric
-    gradients) per call, not kept, and contract them with ``_gram``.
+    Bilinear kernels build feature tables of their bases at the quadrature
+    points (values, gradients, symmetric gradients, divergences) per call,
+    not kept, and contract them with ``_gram``.
     """
 
     def __init__(self, ctx):
@@ -538,20 +558,18 @@ class _Kernels:
         same local values, used for the -(div v, p) pressure gradients.
         """
         phi_q = self.ctx.phi_table(scalar_sp)
-        phi_v = self.ctx.phi_table(vector_sp)
-        g_v = self.ctx.grads(vector_sp)
-        w = self._wdet(vector_sp)
-        # an einsum, not _gram: the matrix product rounds some mathematically
-        # zero entries to exact zeros, which moves the LU ordering's pattern
-        local = np.einsum("cq,cq,qi,cqjl->cijl", w, coeff, phi_q, g_v)
+        # div(coeff phi_j e_l) = coeff d_l phi_j + d_l coeff phi_j, one
+        # feature per (j, l)
+        div = coeff[..., None, None] * self.ctx.grads(vector_sp)
         if grad_coeff is not None:
-            local += np.einsum("cq,cql,qi,qj->cijl", w, grad_coeff, phi_q, phi_v)
-        c, ni, nj, _ = local.shape
-        local = sign * local.reshape(c, ni, 2 * nj)
+            div = div + (grad_coeff[:, :, None, :]
+                         * self.ctx.phi_table(vector_sp)[None, :, :, None])
+        c, q = coeff.shape
+        local = _gram(sign * self._wdet(vector_sp), phi_q[:, None],
+                      div.reshape(c, q, 1, -1))
         if transpose:
             return _contrib(name_t, name_u, self.ctx.vec_dofs(vector_sp),
-                            scalar_sp.cell_dofs,
-                            np.transpose(local, (0, 2, 1)).copy())
+                            scalar_sp.cell_dofs, np.transpose(local, (0, 2, 1)))
         return _contrib(name_t, name_u, scalar_sp.cell_dofs,
                         self.ctx.vec_dofs(vector_sp), local)
 
@@ -589,10 +607,25 @@ class _Kernels:
 
 # --- component assemblers ---------------------------------------------------
 
+def _sum_blocks(parts):
+    """One part per (test, trial) block, in order of first appearance.
+
+    The kernels of one block lay their local values on the same rows and
+    columns, so the values add entry by entry.
+    """
+    blocks = {}
+    for test, trial, rows, cols, vals in parts:
+        held = blocks.get((test, trial))
+        blocks[(test, trial)] = ((test, trial, rows, cols, vals) if held is None
+                                 else held[:4] + (held[4] + vals,))
+    return list(blocks.values())
+
+
 def assemble_volume_forms(spaces, params, dest, ctx=None):
     """The subdomain (volume) couplings of one destination, ``"M"`` or ``"N"``.
 
-    Only the kernels of that destination run.
+    Only the kernels of that destination run; the parts of kernels that
+    share a (test, trial) block are summed into one.
     """
     if dest not in ("M", "N"):
         raise FormsError(f"destination must be 'M' or 'N', got {dest!r}")
@@ -605,7 +638,7 @@ def assemble_volume_forms(spaces, params, dest, ctx=None):
     ones_p = np.ones_like(ctx.geo["P"].wdet)
 
     if dest == "M":
-        return [
+        return _sum_blocks([
             # momentum storage terms
             k.mass(spaces.u_f, spaces.u_f, p.rho_f * ones_s, "u_f", "u_f"),
             k.mass(spaces.u_r, spaces.u_r, p.rho_f * phi, "u_r", "u_r"),
@@ -623,8 +656,8 @@ def assemble_volume_forms(spaces, params, dest, ctx=None):
             # pore-pressure storage and solid dilation rate
             k.mass(spaces.p_P, spaces.p_P, (1.0 - phi) ** 2 / p.K, "p_P", "p_P"),
             k.pressure_div(spaces.p_P, spaces.y_s, ones_p, None, "p_P", "y_s"),
-        ]
-    return [
+        ])
+    return _sum_blocks([
         k.mass(spaces.u_s, spaces.u_s, ctx.rho_p_P, "u_s", "u_s"),
         k.eps_eps(spaces.u_f, spaces.u_f, 2.0 * p.mu_f * ones_s, "u_f", "u_f"),
         k.eps_eps(spaces.y_s, spaces.u_r, 2.0 * p.mu_f * phi, "y_s", "u_r"),
@@ -647,7 +680,7 @@ def assemble_volume_forms(spaces, params, dest, ctx=None):
         # mass conservation rows: +(div u, q)
         k.pressure_div(spaces.p_S, spaces.u_f, ones_s, None, "p_S", "u_f"),
         k.pressure_div(spaces.p_P, spaces.u_r, phi, ctx.grad_phi_P, "p_P", "u_r"),
-    ]
+    ])
 
 
 def _facet_outer(w, rows_t, cols_t):

@@ -120,11 +120,11 @@ def _signed_area(p0, p1, p2):
                   - (p2[..., 0] - p0[..., 0]) * (p1[..., 1] - p0[..., 1]))
 
 
-def _build_mesh(vertices, cells, cell_tags, edge_tag_of):
+def _build_mesh(vertices, cells, cell_tags, tag_edges):
     """Assemble a validated Mesh from raw arrays.
 
-    ``edge_tag_of`` maps a sorted vertex pair (a, b) to a facet tag for
-    every non-interior edge; interior edges may be omitted.
+    ``tag_edges(edges)`` maps the (E, 2) array of sorted vertex pairs to one
+    facet tag per edge, None for an interior edge.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float)
     cells = np.ascontiguousarray(cells, dtype=np.int64)
@@ -149,59 +149,67 @@ def _build_mesh(vertices, cells, cell_tags, edge_tag_of):
     raw = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
     raw_sorted = np.sort(raw, axis=1)
     edges, inverse = np.unique(raw_sorted, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
     cell_edges = inverse.reshape(3, -1).T.copy()
 
-    num_edges = edges.shape[0]
+    # each edge's cells in the order (local edge, cell) of the entries of
+    # ``inverse``: the first two fill its slots, a third is an error
+    num_edges, num_cells = edges.shape[0], cells.shape[0]
+    order = np.argsort(inverse, kind="stable")
+    owner = inverse[order]
+    slot = np.arange(order.size) - np.searchsorted(owner, owner)
+    if np.any(slot > 1):
+        raise MeshError(f"edge {inverse[order[slot > 1].min()]} shared by "
+                        "more than two cells")
     edge_cells = np.full((num_edges, 2), -1, dtype=np.int64)
-    for local in range(3):
-        for c in range(cells.shape[0]):
-            e = cell_edges[c, local]
-            if edge_cells[e, 0] == -1:
-                edge_cells[e, 0] = c
-            elif edge_cells[e, 1] == -1:
-                edge_cells[e, 1] = c
-            else:
-                raise MeshError(f"edge {e} shared by more than two cells")
+    edge_cells[owner, slot] = order % num_cells
 
-    edge_tags = np.array([TAG_INTERIOR] * num_edges, dtype=object)
-    for e in range(num_edges):
-        tag = edge_tag_of(int(edges[e, 0]), int(edges[e, 1]))
-        if tag is not None:
-            if tag not in ALL_TAGS:
-                raise MeshError(f"unknown facet tag {tag!r}")
-            edge_tags[e] = tag
+    tags = np.array(tag_edges(edges), dtype=object)
+    named = np.not_equal(tags, None)
+    known = np.zeros(num_edges, dtype=bool)
+    for tag in ALL_TAGS:
+        known |= tags == tag
+    unknown = np.flatnonzero(named & ~known)
+    if unknown.size:
+        raise MeshError(f"unknown facet tag {tags[unknown[0]]!r}")
+    tags[~named] = TAG_INTERIOR
 
     mesh = Mesh(vertices=vertices, cells=cells, cell_tags=cell_tags,
-                edges=edges, edge_tags=edge_tags, edge_cells=edge_cells,
+                edges=edges, edge_tags=tags, edge_cells=edge_cells,
                 cell_edges=cell_edges, _areas=np.asarray(areas, dtype=float))
     _validate(mesh)
     return mesh
 
 
 def _validate(mesh):
-    exterior = mesh.edge_cells[:, 1] == -1
-    for e in range(mesh.num_edges):
-        tag = mesh.edge_tags[e]
-        if exterior[e]:
-            if tag == TAG_INTERIOR:
-                raise MeshError(f"boundary facet {e} carries no boundary tag")
-            if tag == TAG_SIGMA:
-                raise MeshError(f"interface facet {e} lies on the domain boundary")
-        else:
-            c0, c1 = mesh.edge_cells[e]
-            t0, t1 = mesh.cell_tags[c0], mesh.cell_tags[c1]
-            if tag == TAG_SIGMA:
-                if {t0, t1} != {SUBDOMAIN_S, SUBDOMAIN_P}:
-                    raise MeshError(
-                        f"interface facet {e} must join one S-cell and one "
-                        f"P-cell, found subdomains ({t0}, {t1})")
-            elif tag == TAG_INTERIOR:
-                if t0 != t1:
-                    raise MeshError(
-                        f"facet {e} separates subdomains {t0}/{t1} but is "
-                        "not tagged as interface")
-            else:
-                raise MeshError(f"internal facet {e} carries boundary tag {tag!r}")
+    """Raise MeshError for the first edge, in edge order, tagged against its cells."""
+    tags = mesh.edge_tags
+    c0, c1 = mesh.edge_cells.T
+    exterior = c1 == -1
+    t0 = mesh.cell_tags[c0]
+    t1 = mesh.cell_tags[np.where(exterior, c0, c1)]
+    interior, sigma = tags == TAG_INTERIOR, tags == TAG_SIGMA
+    joins_both = (((t0 == SUBDOMAIN_S) & (t1 == SUBDOMAIN_P))
+                  | ((t0 == SUBDOMAIN_P) & (t1 == SUBDOMAIN_S)))
+    faults = [
+        (exterior & interior,
+         lambda e: f"boundary facet {e} carries no boundary tag"),
+        (exterior & sigma,
+         lambda e: f"interface facet {e} lies on the domain boundary"),
+        (~exterior & sigma & ~joins_both,
+         lambda e: (f"interface facet {e} must join one S-cell and one "
+                    f"P-cell, found subdomains ({t0[e]}, {t1[e]})")),
+        (~exterior & interior & (t0 != t1),
+         lambda e: (f"facet {e} separates subdomains {t0[e]}/{t1[e]} but is "
+                    "not tagged as interface")),
+        (~exterior & ~interior & ~sigma,
+         lambda e: f"internal facet {e} carries boundary tag {tags[e]!r}"),
+    ]
+    first = [(int(np.argmax(mask)), message) for mask, message in faults
+             if mask.any()]
+    if first:
+        e, message = min(first, key=lambda fault: fault[0])
+        raise MeshError(message(e))
 
 
 def interface_pairs(mesh, kappa=None):
@@ -340,66 +348,54 @@ def _structured_layers(nx, ny, x0, y0, width, height, y_splits,
     dx, dy = width / nx, height / ny
     xs = x0 + dx * np.arange(nx + 1)
     ys = y0 + dy * np.arange(ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    vertices = np.array([(xs[i], ys[j])
-                         for j in range(ny + 1) for i in range(nx + 1)])
+    # vertex j * (nx + 1) + i sits at (xs[i], ys[j])
+    vertices = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
 
     if subdomain_of_row is None:
         j_split = next(iter(y_splits))
         subdomain_of_row = lambda j: SUBDOMAIN_S if j < j_split else SUBDOMAIN_P
+    row_sub = np.empty(ny, dtype=object)
+    row_sub[:] = [subdomain_of_row(j) for j in range(ny)]
 
-    cells, tags = [], []
-    for j in range(ny):
-        sub = subdomain_of_row(j)
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-            tags.extend([sub, sub])
-    cells = np.array(cells)
-    cell_tags = np.array(tags, dtype=object)
+    # two cells per grid quad, row by row: (v00, v10, v11) and (v00, v11, v01)
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    v00 = j * (nx + 1) + i
+    v10, v01 = v00 + 1, v00 + nx + 1
+    cells = np.stack([v00, v10, v01 + 1, v00, v01 + 1, v01], axis=1).reshape(-1, 3)
+    cell_tags = np.repeat(row_sub, 2 * nx)
 
-    tol = 1e-12 * max(width, height)
-    x1, y1 = x0 + width, y0 + height
-
-    def row_of(y):
-        return int(round((y - y0) / dy))
-
-    def edge_tag_of(a, b):
-        pa, pb = vertices[a], vertices[b]
-        mx, my = 0.5 * (pa + pb)
-        horizontal = abs(pa[1] - pb[1]) < tol
-        if horizontal:
-            j = row_of(pa[1])
-            if 0 < j < ny:
-                below, above = subdomain_of_row(j - 1), subdomain_of_row(j)
-                if below != above:
-                    return TAG_SIGMA
-                return None
-        on_left = abs(pa[0] - x0) < tol and abs(pb[0] - x0) < tol
-        on_right = abs(pa[0] - x1) < tol and abs(pb[0] - x1) < tol
-        on_bottom = horizontal and abs(pa[1] - y0) < tol
-        on_top = horizontal and abs(pa[1] - y1) < tol
-        if not (on_left or on_right or on_bottom or on_top):
-            return None
-        if horizontal:
-            row = row_of(pa[1]) - (1 if on_top else 0)
-        else:
-            row = min(row_of(pa[1]), row_of(pb[1]))
-        sub = subdomain_of_row(row)
-        if sub == SUBDOMAIN_S:
-            if s_outlet_do_nothing and on_right:
-                return TAG_GAMMA_S_N
-            return TAG_GAMMA_S
-        if gamma_p_rule is not None:
+    def tag_edges(edges):
+        ja, ia = np.divmod(edges[:, 0], nx + 1)
+        jb, ib = np.divmod(edges[:, 1], nx + 1)
+        tags = np.full(edges.shape[0], None, dtype=object)
+        horizontal = ja == jb
+        # inner horizontal edges: the interface where the rows' subdomains
+        # differ, interior otherwise
+        inner = np.flatnonzero(horizontal & (ja > 0) & (ja < ny))
+        tags[inner[row_sub[ja[inner] - 1] != row_sub[ja[inner]]]] = TAG_SIGMA
+        on_right = (ia == nx) & (ib == nx)
+        on_top = horizontal & (ja == ny)
+        outer = np.flatnonzero(((ia == 0) & (ib == 0)) | on_right
+                               | (horizontal & (ja == 0)) | on_top)
+        row = np.where(horizontal[outer], ja[outer] - on_top[outer],
+                       np.minimum(ja[outer], jb[outer]))
+        free_flow = row_sub[row] == SUBDOMAIN_S
+        tags[outer[free_flow]] = TAG_GAMMA_S
+        if s_outlet_do_nothing:
+            tags[outer[free_flow & on_right[outer]]] = TAG_GAMMA_S_N
+        porous = outer[~free_flow]
+        if gamma_p_rule is None:
+            tags[porous] = TAG_GAMMA_P_D
+            return tags
+        mids = 0.5 * (vertices[edges[porous, 0]] + vertices[edges[porous, 1]])
+        for e, (mx, my) in zip(porous, mids):
             tag = gamma_p_rule(mx, my)
             if tag not in (TAG_GAMMA_P_D, TAG_GAMMA_P_N):
                 raise MeshError(f"gamma_p_rule returned unknown tag {tag!r}")
-            return tag
-        return TAG_GAMMA_P_D
+            tags[e] = tag
+        return tags
 
-    return _build_mesh(vertices, cells, cell_tags, edge_tag_of)
+    return _build_mesh(vertices, cells, cell_tags, tag_edges)
 
 
 # --- Gmsh MSH 2.2 ASCII import ------------------------------------------
@@ -494,7 +490,8 @@ def import_msh(path, tag_map):
             raise MeshError(f"{path}: dangling facet {key} is not a cell edge")
 
     return _build_mesh(vertices, cell_arr, np.array(cell_tags, dtype=object),
-                       lambda a, b: tagged_lines.get((a, b)))
+                       lambda edges: [tagged_lines.get((int(a), int(b)))
+                                      for a, b in edges])
 
 
 def _split_sections(lines, path):

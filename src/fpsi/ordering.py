@@ -11,21 +11,23 @@ from scipy.sparse import csgraph
 LEAF_SIZE = 64
 
 
-def nested_dissection(matrix):
+def nested_dissection(matrix, leaf_size=LEAF_SIZE):
     """Fill-reducing symmetric permutation of a square sparse ``matrix``.
 
     Returns ``perm``: ``matrix[perm][:, perm]`` is the reordered matrix.
     The ordering sees only the graph of the symmetrized sparsity pattern,
     so matrices of one pattern share it, whatever their values or storage.
 
-    Every connected component of more than ``LEAF_SIZE`` vertices is split
+    Every connected component of more than ``leaf_size`` vertices is split
     by the breadth-first levels from a pseudo-peripheral vertex: the vertex
     farthest from the component's lowest index (lowest index first among
     the farthest).  The vertices of the median level that touch the next
     level separate the levels below from those above; they are numbered
-    after both halves, which are dissected in turn.  Smaller components
-    are numbered in index order.  One round treats all components at once,
-    with breadth-first searches from a source joined to one vertex of each.
+    after both halves, which are dissected in turn.  Smaller components,
+    and components whose levels from that vertex are at most two (a dense
+    block, which no level cuts), are numbered in index order.  One round
+    treats all components at once, with breadth-first searches from a
+    source joined to one vertex of each.
     """
     csc = sparse.csc_matrix(matrix)
     n = csc.shape[0]
@@ -83,25 +85,30 @@ def nested_dissection(matrix):
         start = np.empty(count, dtype=np.int64)
         start[order] = (before - before[np.searchsorted(owner, owner)]
                         + base[reps[order]])
-        small = size[oc] <= LEAF_SIZE
-        o, rank = _group_rank(oc[small])
-        pos[open_[small][o]] = start[oc[small][o]] + rank
-        bv, bc = open_[~small], oc[~small]
+        big = size > leaf_size
+        bv, bc = open_[big[oc]], oc[big[oc]]
+        if bv.size:
+            # search again from each large component's pseudo-peripheral vertex
+            far = np.zeros(count, dtype=np.int64)
+            np.maximum.at(far, bc, dist[bv])
+            at_far = bv[dist[bv] == far[bc]]
+            lowest = np.full(count, n)
+            np.minimum.at(lowest, comp[at_far], at_far)
+            level = _levels(indptr, adj, m, lowest[lowest < n])
+            depth = np.zeros(count, dtype=np.int64)
+            np.maximum.at(depth, bc, level[bv])
+            big &= depth > 1
+        leaf = ~big[oc]
+        o, rank = _group_rank(oc[leaf])
+        pos[open_[leaf][o]] = start[oc[leaf][o]] + rank
+        bv, bc = open_[~leaf], oc[~leaf]
         if bv.size == 0:
             break
-        # search again from each large component's pseudo-peripheral vertex
-        far = np.zeros(count, dtype=np.int64)
-        np.maximum.at(far, bc, dist[bv])
-        at_far = bv[dist[bv] == far[bc]]
-        lowest = np.full(count, n)
-        np.minimum.at(lowest, comp[at_far], at_far)
-        level = _levels(indptr, adj, m, lowest[lowest < n])
         bl = level[bv]
         # cut at the median level, and below the last one
         o = np.argsort(bc * (n + 1) + bl)
         sorted_level = bl[o]
         first = np.searchsorted(bc[o], np.arange(count))
-        big = size > LEAF_SIZE
         cut = np.zeros(count, dtype=np.int64)
         cut[big] = np.minimum(sorted_level[first[big] + (size[big] + 1) // 2 - 1],
                               sorted_level[first[big] + size[big] - 1] - 1)

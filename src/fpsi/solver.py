@@ -72,30 +72,86 @@ LOAD_CHECK_RTOL = 1e-12
 # pressure blocks.
 PIVOT_THRESHOLD = 1e-4
 
+# Mesh nodes per leaf of the stepper's nested dissection of the node
+# graph: the smallest LU fill on both benchmark workloads; 1 orders alike,
+# since two adjacent nodes are a dense component (see README).
+NODE_LEAF_SIZE = 2
+
+
+def mesh_order(spaces, pairs, eliminated):
+    """Symmetric dof permutation from the nested dissection of the mesh.
+
+    The graph's vertices are the mesh P2 nodes (``FunctionSpace.mesh_nodes``)
+    that carry a dof outside ``eliminated``; two are adjacent when one cell,
+    or the two cells of one interface facet in ``pairs``, hold both.  The
+    ``eliminated`` dofs come first, then the free dofs node by node in the
+    dissection's order, each node's in index order.  The order depends on
+    the mesh and the spaces only, never on an operator's values.
+    """
+    mesh = spaces[0].mesh
+    total = mesh.num_vertices + mesh.num_edges
+    # the graph numbers edge nodes before vertex nodes, so a leaf eliminates
+    # the velocities on its edges before the pressures at its vertices,
+    # whose diagonal is zero until then: fewer off-diagonal pivots
+    edges_first = lambda ids: (ids - mesh.num_vertices) % total
+    node = edges_first(np.concatenate([np.repeat(sp.mesh_nodes, sp.components)
+                                       for sp in spaces]))
+    free = np.ones(node.size, dtype=bool)
+    free[np.asarray(eliminated, dtype=np.int64)] = False
+    carrying = np.zeros(total, dtype=bool)
+    carrying[node[free]] = True
+    index = np.cumsum(carrying) - 1
+    cell_nodes = edges_first(
+        np.hstack([mesh.cells, mesh.num_vertices + mesh.cell_edges]))
+    cliques = [cell_nodes]
+    if pairs:
+        cliques.append(np.hstack([cell_nodes[[p.cell_s for p in pairs]],
+                                  cell_nodes[[p.cell_p for p in pairs]]]))
+    rows, cols = [], []
+    for clique in cliques:
+        k = clique.shape[1]
+        rows.append(np.repeat(clique, k, axis=1).ravel())
+        cols.append(np.tile(clique, (1, k)).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    both = carrying[rows] & carrying[cols]
+    count = int(carrying.sum())
+    graph = sparse.csr_matrix(
+        (np.ones(int(both.sum())), (index[rows[both]], index[cols[both]])),
+        shape=(count, count))
+    rank = np.empty(count, dtype=np.int64)
+    rank[nested_dissection(graph, NODE_LEAF_SIZE)] = np.arange(count)
+    free_dofs = np.flatnonzero(free)
+    by_node = np.argsort(rank[index[node[free_dofs]]], kind="stable")
+    return np.concatenate([np.flatnonzero(~free), free_dofs[by_node]])
+
 
 class Factor:
     """Sparse LU factor of ``matrix``, held across calls of ``solve_linear``.
 
-    The rows and columns are ordered by ``ordering.nested_dissection`` of
-    the matrix's sparsity pattern, so every factorization of one pattern
-    orders the same way, and SuperLU pivots on the diagonal unless it is
-    below ``PIVOT_THRESHOLD`` of its column.  ``matrix`` is the object that
-    was factored; ``refresh`` replaces the factor with one of another
-    matrix.  ``floor`` is the relative residual of the first direct solve
-    with the factor (None until then): the precision this factor can reach.
+    The rows and columns are permuted by ``perm``; without one, by
+    ``ordering.nested_dissection`` of the matrix's sparsity pattern.  Either
+    order, kept as ``perm``, is fixed at construction and every ``refresh``
+    reuses it.  SuperLU pivots on the diagonal unless it is below
+    ``PIVOT_THRESHOLD`` of its column.  ``matrix`` is the object that was
+    factored; ``refresh`` replaces the factor with one of another matrix.
+    ``floor`` is the relative residual of the first direct solve with the
+    factor (None until then): the precision this factor can reach.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, perm=None):
+        self.perm = perm
         self.refresh(matrix)
 
     def refresh(self, matrix):
-        """Order and factor ``matrix`` in place of the held factor.
+        """Factor ``matrix`` in the held order in place of the held factor.
 
-        Stored zeros are dropped before ordering, so they cannot add fill.
+        Stored zeros are dropped first, so they cannot add fill.
         """
         csc = sparse.csc_matrix(matrix, copy=True)
         csc.eliminate_zeros()
-        perm = nested_dissection(csc)
+        if self.perm is None:
+            self.perm = nested_dissection(csc)
+        perm = self.perm
         try:
             lu = spla.splu(csc[perm][:, perm], permc_spec="NATURAL",
                            diag_pivot_thresh=PIVOT_THRESHOLD,
@@ -105,12 +161,12 @@ class Factor:
             raise SingularSystemError(
                 f"sparse factorization failed ({kind} singularity): {exc}") from exc
         self.matrix, self.csc, self.lu = matrix, csc, lu
-        self._perm, self._inverse = perm, np.argsort(perm)
+        self._inverse = np.argsort(perm)
         self.floor = None
 
     def solve(self, rhs):
         """Solve with the factored matrix: two triangular solves, permuted."""
-        return self.lu.solve(rhs[self._perm])[self._inverse]
+        return self.lu.solve(rhs[self.perm])[self._inverse]
 
 
 def solve_linear(matrix, rhs, tol=1e-9, factor=None):
@@ -118,14 +174,15 @@ def solve_linear(matrix, rhs, tol=1e-9, factor=None):
 
     Returns (solution, relative_residual), the residual taken against
     ``matrix``.  ``factor`` is a ``Factor`` kept by the caller; without one
-    ``matrix`` is factored here, in the same nested-dissection order and
-    with the same diagonal-preferring pivots as every ``Factor``.  With the factor of ``matrix`` itself the
-    solve is direct, plus one refinement pass when the residual exceeds
-    ``tol``; the first direct solve records the factor's floor.  A factor
-    of another matrix preconditions defect correction, which stops when the
-    residual is within ``FLOOR_FACTOR`` of that floor or no longer halves.
-    If the residual still exceeds ``tol``, ``matrix`` is factored and its
-    factor replaces the held one.  Structural or numerical singularities
+    ``matrix`` is factored here, in the nested-dissection order of its own
+    pattern and with the same diagonal-preferring pivots as every
+    ``Factor``.  With the factor of ``matrix`` itself the solve is direct,
+    plus one refinement pass when the residual exceeds ``tol``; the first
+    direct solve records the factor's floor.  A factor of another matrix
+    preconditions defect correction, which stops when the residual is
+    within ``FLOOR_FACTOR`` of that floor or no longer halves.  If the
+    residual still exceeds ``tol``, ``matrix`` is factored, in the held
+    factor's order, and its factor replaces the held one.  Structural or numerical singularities
     raise SingularSystemError; non-finite solutions raise
     NonFiniteSolutionError; a residual above ``tol`` raises SolverError.
     """
@@ -230,9 +287,10 @@ class TimeStepper:
     block, so each later step adds the lagged C(u_prev) to both by one
     scatter of its local values, masked in the eliminated rows and columns,
     without building sparse structure.  The factor is a ``Factor``: SuperLU
-    on the rows and columns in nested-dissection order of the eliminated
-    operator's pattern, pivoting on the diagonal down to ``PIVOT_THRESHOLD``
-    of its column; the ordering runs in the first step, not here.  Each step
+    on the rows and columns in ``mesh_order``, the nested dissection of the
+    mesh's node graph, pivoting on the diagonal down to ``PIVOT_THRESHOLD``
+    of its column.  The order is computed once, in the first step, and
+    every later factorization of the loop reuses it.  Each step
     lifts the Dirichlet data of the new time level with that step's operator
     (no product when every value is zero) and solves with the held factor:
     directly while the operator is the factored one, by defect correction
@@ -241,8 +299,8 @@ class TimeStepper:
     step whose correction ends above ``solver_tol`` factors its own
     operator, which later steps then reuse.  If a factorization is
     singular and ``pin_pressure_fallback`` is set, one free-flow pressure
-    dof is pinned to zero and the pinned operator is factored, with the
-    pattern rebuilt; the pin holds for every later step.
+    dof is pinned to zero and the pinned operator is factored in the same
+    order, with the pattern rebuilt; the pin holds for every later step.
 
     The load is assembled once, here: the manufactured sources and interface
     corrections are quadratic in t, so ``forms.assemble_F`` at t = 0, T/2
@@ -274,6 +332,7 @@ class TimeStepper:
         self._eliminated = None  # its eliminated form; None until then
         self._update = None      # their fixed pattern with C, if convective
         self._pin = None         # the pinned pressure dof, if any
+        self._order = None       # the factor's dof order, from the mesh
         self._factor = None
 
     def step(self, state_prev, step_index):
@@ -373,7 +432,9 @@ class TimeStepper:
         if self._eliminated is None:
             operator = self._m_over_tau + self.N.matrix
             eliminated, keep = fem.eliminate_matrix(operator, dofs)
-            self._factor = Factor(eliminated)
+            if self._order is None:
+                self._order = mesh_order(self.spaces, self.ctx.pairs, dofs)
+            self._factor = Factor(eliminated, self._order)
             self._operator, self._eliminated = operator, eliminated
             if self.convection:
                 rows, cols = self.ctx.vec_pattern(self.spaces.u_f)

@@ -3,7 +3,7 @@
 perfbench/run.py prints its JSON result only when every worker succeeds, so a
 renamed or deleted function that perfbench/worker.py wraps, a finest loop with
 too few timed steps, or a crash in a workload leaves no result line at all.
-These checks run the benchmark's own scripts as they are (≈10 s).
+These checks run the benchmark's own scripts as they are (≈15 s).
 """
 
 import importlib.util
@@ -46,6 +46,17 @@ def test_energy_decay_traced_run_reports_every_layer():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     missing = {m["name"] for m in declared} - set(result["metrics"])
     assert not missing
+
+
+def test_mms_ladder_run_prints_its_result_last():
+    # the line the benchmark reads is the last of stdout: nothing that fpsi
+    # prints may follow it
+    proc = _run("run.py", "--workload", "mms-ladder", "--seconds", "1",
+                "--trace", "0")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["failed"] == 0, lines
 
 
 def test_mms_ladder_worker_times_the_finest_loop(tmp_path):

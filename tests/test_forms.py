@@ -717,8 +717,7 @@ def _field_params():
 
 @pytest.mark.parametrize("nx", [2, 8])
 def test_kernels_match_einsum_reference(nx):
-    # each matrix-product kernel against its einsum form, per local block;
-    # pressure_div is an einsum itself, its cases check the block layout
+    # each matrix-product kernel against its einsum form, per local block
     spaces = build_spaces(generate_structured(nx, nx))
     params = _field_params()
     ctx = AssemblyContext(spaces, params, NitscheParams())
@@ -749,6 +748,10 @@ def test_kernels_match_einsum_reference(nx):
                            transpose=True, sign=-1.0),
          -np.transpose(ref["pressure_div"](spaces.p_P, spaces.u_r, phi, grad_phi),
                        (0, 2, 1))),
+        (kern.pressure_div(spaces.p_P, spaces.y_s, np.ones_like(phi), None,
+                           "y_s", "p_P", transpose=True, sign=-1.0),
+         -np.transpose(ref["pressure_div"](spaces.p_P, spaces.y_s,
+                                           np.ones_like(phi), None), (0, 2, 1))),
     ]
     for got, want in cases:
         name = got[:2]
@@ -835,3 +838,16 @@ def test_context_checks_constants_only_once(spaces22, monkeypatch):
     assert calls == []
     AssemblyContext(spaces22, field)
     assert sorted(calls) == ["_check_kappa", "_check_samples"]
+
+
+def test_from_contributions_drops_rounding_residues(spaces22):
+    # 0.1 + 0.2 - 0.3 sums to 5.6e-17, a residue of its row's largest
+    # entry 1; an exact zero goes too, a genuine small entry 1e-9 stays
+    parts = [("u_f", "u_f", [0, 0, 0, 0, 1], [0, 1, 2, 3, 1],
+              [1.0, 0.1, 1e-9, 0.0, 2.0]),
+             ("u_f", "u_f", [0, 0], [1, 1], [0.2, -0.3])]
+    matrix = BlockSystem.from_contributions(spaces22, parts).matrix
+    assert 0.1 + 0.2 - 0.3 != 0.0
+    assert matrix.nnz == 3
+    assert matrix[0, 0] == 1.0 and matrix[0, 2] == 1e-9 and matrix[1, 1] == 2.0
+    assert matrix.indices.size == matrix.data.size == 3

@@ -186,3 +186,94 @@ def test_gamma_p_rule_splits_boundary():
     assert len(m.edges_with_tag("gamma_p_d")) == 2  # one edge per upper side
     with pytest.raises(MeshError, match="unknown tag"):
         generate_structured(2, 2, gamma_p_rule=lambda x, y: "outflow")
+
+
+# --- array-built meshes against the loops they replaced -------------------------
+
+MESH_ARRAYS = ("vertices", "cells", "edges", "edge_tags", "edge_cells",
+               "cell_edges")
+
+
+def _assert_same_mesh(got, want):
+    for name in MESH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert np.array_equal(got.cell_tags, want.cell_tags)
+
+
+@pytest.mark.parametrize("nx", [2, 8, 32])
+def test_structured_mesh_matches_loop_reference(nx):
+    import _mesh_loops
+    half = lambda j: "S" if j < nx // 2 else "P"
+    _assert_same_mesh(generate_structured(nx, nx),
+                      _mesh_loops.structured_layers(nx, nx, 0.0, 0.0, 1.0, 1.0, half))
+    rule = lambda x, y: "gamma_p_n" if x > 0.5 else "gamma_p_d"
+    _assert_same_mesh(
+        generate_structured(nx, nx, gamma_p_rule=rule),
+        _mesh_loops.structured_layers(nx, nx, 0.0, 0.0, 1.0, 1.0, half,
+                                      gamma_p_rule=rule))
+
+
+def test_channel_mesh_matches_loop_reference():
+    import _mesh_loops
+    lower, upper = (meshmod.channel_row(s, 14, -0.2, 1.4) for s in (0.3, 0.7))
+    core = lambda j: "S" if lower <= j < upper else "P"
+    _assert_same_mesh(
+        generate_channel(10, 14),
+        _mesh_loops.structured_layers(10, 14, 0.0, -0.2, 2.0, 1.4, core,
+                                      s_outlet_do_nothing=True))
+
+
+def test_msh_mesh_matches_loop_reference(monkeypatch):
+    import _mesh_loops
+    seen = []
+    build = meshmod._build_mesh
+
+    def spy(vertices, cells, cell_tags, tag_edges):
+        seen.append((vertices, cells, cell_tags, tag_edges))
+        return build(vertices, cells, cell_tags, tag_edges)
+
+    monkeypatch.setattr(meshmod, "_build_mesh", spy)
+    got = import_msh(GOLDEN, TAGS)
+    vertices, cells, cell_tags, tag_edges = seen[0]
+    want = _mesh_loops.build_mesh(
+        vertices, cells, cell_tags,
+        lambda a, b: list(tag_edges(np.array([[a, b]])))[0])
+    _assert_same_mesh(got, want)
+
+
+def _faulty_inputs():
+    """(name, vertices, cells, cell_tags, edge_tag_of) that a build rejects."""
+    base = generate_structured(2, 2)
+    tag_of = {(int(a), int(b)): t for (a, b), t in zip(base.edges, base.edge_tags)
+              if t != "interior"}
+    sigma = [k for k, t in tag_of.items() if t == "sigma"]
+    outer = sorted(k for k, t in tag_of.items() if t != "sigma")
+    inner = sorted({(int(a), int(b)) for a, b in base.edges} - set(tag_of))
+    s_inner = next(k for k in inner
+                   if all(base.vertices[v][1] <= 0.5 for v in k))
+    retag = lambda changes: lambda a, b: {**tag_of, **changes}.get((a, b))
+    v, c, t = base.vertices, base.cells, base.cell_tags
+    return [
+        ("untagged boundary", v, c, t, lambda a, b: None),
+        ("unknown tag", v, c, t, retag({outer[0]: "bogus"})),
+        ("interface on boundary", v, c, t, retag({outer[1]: "sigma"})),
+        ("interface inside S", v, c, t, retag({s_inner: "sigma"})),
+        ("untagged interface", v, c, t, retag({sigma[0]: None})),
+        ("boundary tag inside", v, c, t, retag({inner[-1]: "gamma_s"})),
+        ("three cells on an edge", v, np.vstack([c, c[:1]]),
+         np.append(t, t[:1]), retag({})),
+    ]
+
+
+@pytest.mark.parametrize("case", _faulty_inputs(), ids=lambda case: case[0])
+def test_mesh_faults_match_loop_reference(case):
+    import _mesh_loops
+    _, vertices, cells, cell_tags, edge_tag_of = case
+    with pytest.raises(MeshError) as want:
+        _mesh_loops.build_mesh(vertices, cells, cell_tags, edge_tag_of)
+    with pytest.raises(MeshError) as got:
+        meshmod._build_mesh(vertices, cells, cell_tags,
+                            lambda edges: [edge_tag_of(int(a), int(b))
+                                           for a, b in edges])
+    assert str(got.value) == str(want.value)

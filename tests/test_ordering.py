@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from fpsi import fem, forms
+from fpsi import fem, forms, ordering
 from fpsi.forms import NitscheParams, PhysicalParams
 from fpsi.mesh import generate_structured
 from fpsi.ordering import LEAF_SIZE, nested_dissection
@@ -85,3 +85,19 @@ def test_nested_dissection_cuts_grid_fill():
     dissected = spla.splu(matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
     fill = lambda lu: lu.L.nnz + lu.U.nnz
     assert fill(dissected) < 0.5 * fill(natural)
+
+
+def test_dense_component_is_one_leaf(monkeypatch):
+    # the breadth-first levels of a dense block are two: no level cuts it,
+    # so it is numbered at once instead of losing one vertex per round
+    calls = {"n": 0}
+    levels = ordering._levels
+
+    def counted(*args):
+        calls["n"] += 1
+        return levels(*args)
+
+    monkeypatch.setattr(ordering, "_levels", counted)
+    perm = nested_dissection(sparse.csc_matrix(np.ones((300, 300))))
+    assert np.array_equal(perm, np.arange(300))
+    assert calls["n"] <= 4

@@ -5,7 +5,7 @@ from scipy.sparse import linalg as spla
 
 from fpsi import fem, forms, solver, verification
 from fpsi.forms import NitscheParams, PhysicalParams, StateVector, build_spaces
-from fpsi.mesh import generate_structured
+from fpsi.mesh import generate_structured, interface_pairs
 from fpsi.solver import (NonFiniteSolutionError, SingularSystemError,
                          SolverError, TimeGrid, TimeStepper, discrete_energy,
                          solve_linear)
@@ -132,7 +132,11 @@ def test_one_step_sanity_against_interpolants():
 
 
 def _direct_step(stepper, state_prev, n):
-    """One step's system built in full and solved with a fresh factor."""
+    """One step's system built in full and solved with a fresh factor.
+
+    The factor takes the stepper's order, ``solver.mesh_order`` of the
+    mesh, so it differs from the stepper's own factor only in being new.
+    """
     spaces = stepper.spaces
     t_n = stepper.grid.time_at(n)
     operator = stepper.M.matrix / stepper.grid.tau + stepper.N.matrix
@@ -145,7 +149,10 @@ def _direct_step(stepper, state_prev, n):
            + stepper.M.matrix / stepper.grid.tau @ state_prev.vector())
     system = fem.apply_dirichlet(forms.BlockSystem(spaces, operator, rhs),
                                  spaces, stepper.boundary_values, t_n)
-    return solve_linear(system.matrix, system.rhs)[0]
+    dofs, _ = fem.dirichlet_data(system, spaces, stepper.boundary_values, t_n)
+    factor = solver.Factor(system.matrix,
+                           solver.mesh_order(spaces, stepper.ctx.pairs, dofs))
+    return solve_linear(system.matrix, system.rhs, factor=factor)[0]
 
 
 def test_reused_factor_matches_direct_solve(small_setup):
@@ -356,6 +363,125 @@ def test_dissected_factor_cuts_fill_at_the_floor():
     fill = factor.lu.L.nnz + factor.lu.U.nnz
     assert fill <= 0.75 * (default.L.nnz + default.U.nnz)
     assert factor.floor <= 1e-10
+
+
+# --- the factor's order from the mesh ------------------------------------------
+
+def test_mesh_order_numbers_each_node_together(small_setup):
+    # eliminated dofs first; then every node's free dofs side by side, in
+    # index order, and every node once
+    mesh, spaces, params, nitsche = small_setup
+    system = forms.BlockSystem(spaces, None)
+    dofs, _ = fem.dirichlet_data(system, spaces, {}, 0.0)
+    perm = solver.mesh_order(spaces, interface_pairs(mesh), dofs)
+    assert np.array_equal(np.sort(perm), np.arange(system.size))
+    assert np.array_equal(perm[:dofs.size], np.sort(dofs))
+    node = np.concatenate([np.repeat(sp.mesh_nodes, sp.components)
+                           for sp in spaces])[perm[dofs.size:]]
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    assert np.unique(node).size == starts.size
+    runs = np.split(perm[dofs.size:], starts[1:])
+    assert all(np.all(np.diff(run) > 0) for run in runs)
+
+
+def test_mesh_order_is_reused_by_refactor_and_pin(small_setup, monkeypatch):
+    # one order per time loop: the pinned factor after a singular first
+    # factorization, and the refactor of a strongly convective step, take it
+    mesh, spaces, params, nitsche = small_setup
+    stepper = TimeStepper(spaces, params, nitsche,
+                          TimeGrid(tau=0.1, final=0.2), convection=True)
+    calls = {"order": 0, "splu": 0}
+    order_of, factor_of = solver.mesh_order, spla.splu
+
+    def counted_order(*args):
+        calls["order"] += 1
+        return order_of(*args)
+
+    def singular_once(matrix, **kwargs):
+        calls["splu"] += 1
+        if calls["splu"] == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return factor_of(matrix, **kwargs)
+
+    monkeypatch.setattr(solver, "mesh_order", counted_order)
+    monkeypatch.setattr(spla, "splu", singular_once)
+    state, report = stepper.step(StateVector.zero(spaces), 1)
+    assert report.pinned_pressure
+    order = stepper._factor.perm
+    state.block("u_f").values[:] = 100.0
+    _, report = stepper.step(state, 2)
+    assert report.factorized and stepper._factor.perm is order
+    assert calls == {"order": 1, "splu": 3}
+
+
+def _nx8_stepper(workload):
+    """A stepper on the nx=8 level of a benchmark workload."""
+    if workload == "mms-ladder":
+        stepper = _manufactured_stepper(8, 1e-3 / 8, True)
+    else:
+        stepper = TimeStepper(
+            build_spaces(generate_structured(8, 8)),
+            PhysicalParams(**forms.REFERENCE_PARAMS),
+            NitscheParams(gamma=40.0, varsigma=1),
+            TimeGrid(tau=1.25e-4, final=1.25e-4), convection=False)
+    return stepper
+
+
+@pytest.mark.parametrize("workload", ["mms-ladder", "energy-decay"])
+def test_mesh_order_fill_below_matrix_order(workload):
+    # the order of the mesh's node graph against nested dissection of the
+    # factored matrix's own graph, same pivoting
+    stepper = _nx8_stepper(workload)
+    stepper.step(StateVector.zero(stepper.spaces), 1)
+    factor = stepper._factor
+    by_matrix = solver.Factor(factor.csc)
+    fill = lambda f: f.lu.L.nnz + f.lu.U.nnz
+    assert fill(factor) < 0.9 * fill(by_matrix)
+
+
+def _rounding_perturbed(matrix, rng):
+    """Every entry times (1 + 1e-15 r), r uniform in [-1, 1]; entries below
+    1e-14 of their row's largest magnitude set to exact zero."""
+    out = sparse.csr_matrix(matrix, copy=True)
+    out.data *= 1.0 + 1e-15 * rng.uniform(-1.0, 1.0, out.nnz)
+    row_max = abs(out).max(axis=1).toarray().ravel()
+    row = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
+    out.data[np.abs(out.data) < 1e-14 * row_max[row]] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("workload", ["mms-ladder", "energy-decay"])
+def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
+    # the nx=8 operators of both benchmark workloads, assembled from parts
+    # whose values are perturbed at rounding level, and then perturbed and
+    # cleared of residues entry by entry: the stepper's order stays as it
+    # is, and the LU fill within 0.1 %
+    def first_factor():
+        stepper = _nx8_stepper(workload)
+        if perturb:
+            stepper.N = stepper.N.with_matrix(_rounding_perturbed(stepper.N.matrix, rng))
+            stepper._m_over_tau = _rounding_perturbed(stepper._m_over_tau, rng)
+        stepper.step(StateVector.zero(stepper.spaces), 1)
+        factor = stepper._factor
+        return factor, factor.lu.L.nnz + factor.lu.U.nnz
+
+    perturb = False
+    factor, fill = first_factor()
+    assemble = forms.BlockSystem.from_contributions.__func__
+
+    def perturbed_parts(cls, spaces, parts, rhs=None):
+        parts = [part[:4] + (part[4] * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, part[4].size)),)
+                 for part in parts]
+        return assemble(cls, spaces, parts, rhs)
+
+    monkeypatch.setattr(forms.BlockSystem, "from_contributions",
+                        classmethod(perturbed_parts))
+    perturb = True
+    perturbed, perturbed_fill = first_factor()
+    assert not np.array_equal(perturbed.csc.data, factor.csc.data)
+    assert np.array_equal(perturbed.csc.indices, factor.csc.indices)
+    assert np.array_equal(perturbed.perm, factor.perm)
+    assert abs(perturbed_fill - fill) <= 1e-3 * fill
 
 
 def test_saddle_point_with_zero_block_solves(rng):

@@ -195,3 +195,40 @@ def test_csv_output_deterministic(table1_params, nitsche_default):
     t2 = verification.convergence_study([(2, 2)], table1_params,
                                         nitsche_default)
     assert t1.to_csv_string() == t2.to_csv_string()
+
+
+def _einsum_error_norms(field_h, exact, time, exact_grad):
+    """``fem.error_norms`` as it was: four einsums on a fresh geometry."""
+    space = field_h.space
+    rule = fem.quadrature_rule("triangle", 2 * space.degree + 2)
+    phi, dphi = fem.tabulate(space.degree, rule.points)
+    geo = fem.CellGeometry(space.mesh, space.cells, rule)
+    grads = geo.physical_grads(dphi)
+    x, y = geo.x[..., 0].ravel(), geo.x[..., 1].ravel()
+    nc, nq = geo.wdet.shape
+    k = space.components
+    cvals = field_h.values.reshape(space.num_nodes, k)[space.cell_dofs]
+    uh = np.einsum("ql,clk->cqk", phi, cvals)
+    guh = np.einsum("cqld,clk->cqkd", grads, cvals)
+    ue = np.asarray(exact(time, x, y), dtype=float).reshape(nc, nq, k)
+    ge = np.asarray(exact_grad(time, x, y), dtype=float).reshape(nc, nq, k, 2)
+    l2 = np.einsum("cq,cqk->", geo.wdet, (uh - ue) ** 2)
+    h1 = np.einsum("cq,cqkd->", geo.wdet, (guh - ge) ** 2)
+    return math.sqrt(l2), math.sqrt(h1)
+
+
+@pytest.mark.parametrize("nx", [4, 8])
+def test_final_time_errors_match_einsum_reference(sol, rng, nx):
+    # shared quadrature tables and matrix products against the einsum form,
+    # on interpolants of the exact fields with random nodal errors
+    spaces = forms.build_spaces(generate_structured(nx, nx))
+    state = forms.StateVector.zero(spaces, time=0.7)
+    for name, value, _ in sol.fields():
+        block = state.block(name)
+        block.values[:] = (fem.interpolate(block.space, value, 0.7).values
+                           + 1e-3 * rng.standard_normal(block.space.ndofs))
+    l2, h1 = verification.final_time_errors(state, sol)
+    for name, value, grad in sol.fields():
+        want = _einsum_error_norms(state.block(name), value, 0.7, grad)
+        for got, ref in zip((l2[name], h1[name]), want):
+            assert abs(got - ref) <= 1e-13 * ref, name
