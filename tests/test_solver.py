@@ -417,14 +417,11 @@ def test_mesh_order_is_reused_by_refactor_and_pin(small_setup, monkeypatch):
 def _nx8_stepper(workload):
     """A stepper on the nx=8 level of a benchmark workload."""
     if workload == "mms-ladder":
-        stepper = _manufactured_stepper(8, 1e-3 / 8, True)
-    else:
-        stepper = TimeStepper(
-            build_spaces(generate_structured(8, 8)),
-            PhysicalParams(**forms.REFERENCE_PARAMS),
-            NitscheParams(gamma=40.0, varsigma=1),
-            TimeGrid(tau=1.25e-4, final=1.25e-4), convection=False)
-    return stepper
+        return _manufactured_stepper(8, 1e-3 / 8, True)
+    return TimeStepper(build_spaces(generate_structured(8, 8)),
+                       PhysicalParams(**forms.REFERENCE_PARAMS),
+                       NitscheParams(gamma=40.0, varsigma=1),
+                       TimeGrid(tau=1.25e-4, final=1.25e-4), convection=False)
 
 
 @pytest.mark.parametrize("workload", ["mms-ladder", "energy-decay"])
@@ -456,7 +453,7 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
     # whose values are perturbed at rounding level, and then perturbed and
     # cleared of residues entry by entry: the stepper's order stays as it
     # is, and the LU fill within 0.1 %
-    def first_factor():
+    def first_factor(perturb):
         stepper = _nx8_stepper(workload)
         if perturb:
             stepper.N = stepper.N.with_matrix(_rounding_perturbed(stepper.N.matrix, rng))
@@ -465,8 +462,7 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
         factor = stepper._factor
         return factor, factor.lu.L.nnz + factor.lu.U.nnz
 
-    perturb = False
-    factor, fill = first_factor()
+    factor, fill = first_factor(False)
     assemble = forms.BlockSystem.from_contributions.__func__
 
     def perturbed_parts(cls, spaces, parts, rhs=None):
@@ -476,8 +472,7 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
 
     monkeypatch.setattr(forms.BlockSystem, "from_contributions",
                         classmethod(perturbed_parts))
-    perturb = True
-    perturbed, perturbed_fill = first_factor()
+    perturbed, perturbed_fill = first_factor(True)
     assert not np.array_equal(perturbed.csc.data, factor.csc.data)
     assert np.array_equal(perturbed.csc.indices, factor.csc.indices)
     assert np.array_equal(perturbed.perm, factor.perm)
