@@ -285,30 +285,40 @@ class CellGeometry:
                 + dphi_ref[None, :, :, 1, None] * self.inv_jac_t[:, None, None, :, 1])
 
 
-def error_norms(field_h, exact, time, exact_grad, quad_degree=None, tables=None):
+def error_norms(field_h, exact, time, exact_grad, quad_degree=None):
     """L2 and H1-seminorm distance between a discrete and an analytic field.
 
     ``exact(t, x, y)`` returns values, ``exact_grad(t, x, y)`` returns
     gradients with shape (n, 2) for scalar fields and (n, 2, 2) with
-    entry [i, k, d] = d u_k / d x_d for vector fields.  ``tables`` is a dict
-    kept by the caller across calls on one mesh: the geometry and basis
-    tables of each (subdomain, degree, quadrature degree) are built into it
-    once.  The field and its reference gradients at the points are two
-    matrix products over all cells; the affine maps then take the
-    reference gradients to physical ones.
+    entry [i, k, d] = d u_k / d x_d for vector fields.
     """
-    space = field_h.space
+    return _error_norms(field_h, exact, time, exact_grad,
+                        _norm_tables(field_h.space, quad_degree))
+
+
+def _norm_tables(space, quad_degree=None):
+    """Geometry and basis tables of ``error_norms`` on ``space``'s cells.
+
+    Fields of one subdomain and degree on one mesh can share them.
+    """
     if quad_degree is None:
         quad_degree = 2 * space.degree + 2
-    tables = {} if tables is None else tables
-    key = (space.subdomain, space.degree, quad_degree)
-    if key not in tables:
-        rule = quadrature_rule("triangle", quad_degree)
-        phi, dphi = tabulate(space.degree, rule.points)
-        # rows (q, e): d/dxi_e of every basis function at point q
-        tables[key] = (CellGeometry(space.mesh, space.cells, rule), phi,
-                       np.swapaxes(dphi, 1, 2).reshape(-1, phi.shape[1]))
-    geo, phi, dphi = tables[key]
+    rule = quadrature_rule("triangle", quad_degree)
+    phi, dphi = tabulate(space.degree, rule.points)
+    # rows (q, e): d/dxi_e of every basis function at point q
+    return (CellGeometry(space.mesh, space.cells, rule), phi,
+            np.swapaxes(dphi, 1, 2).reshape(-1, phi.shape[1]))
+
+
+def _error_norms(field_h, exact, time, exact_grad, tables):
+    """``error_norms`` with the tables of ``_norm_tables``.
+
+    The field and its reference gradients at the points are two matrix
+    products over all cells; the affine maps then take the reference
+    gradients to physical ones.
+    """
+    space = field_h.space
+    geo, phi, dphi = tables
     x = geo.x[..., 0].ravel()
     y = geo.x[..., 1].ravel()
     nc, nq = geo.wdet.shape

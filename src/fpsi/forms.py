@@ -28,12 +28,15 @@ BLOCK_NAMES = ("u_f", "p_S", "u_r", "p_P", "y_s", "u_s")
 VOLUME_QUAD_DEGREE = 6
 INTERFACE_QUAD_DEGREE = 6
 
-# Entries below this fraction of the largest magnitude in their row are
-# rounding residues of couplings that vanish in exact arithmetic.  In the
-# assembled M and N they lie below 1e-14 of their row and every other
-# entry above 1e-10 of it; ``BlockSystem.from_contributions`` drops them, so
-# that the stored pattern, and with it the LU fill, does not depend on how
-# the sums were rounded.
+# Where a coupling vanishes in exact arithmetic, assembly leaves a rounding
+# residue, 1e-20 to 1e-14 of the terms it came from, instead of an exact
+# zero.  ``_contrib`` zeroes a kernel's local entries below this fraction of
+# the largest magnitude in that kernel's array on the same cell or facet, and
+# ``BlockSystem.from_contributions`` drops sums below this fraction of the
+# summed magnitudes of their own terms (couplings that cancel between
+# cells).  Neither test compares couplings of different coefficients, so no
+# choice of units or parameters moves a genuine entry below it; and the
+# stored pattern, with it the LU fill, does not depend on the rounding.
 RESIDUE_RTOL = 1e-12
 
 
@@ -237,8 +240,8 @@ class BlockSystem:
     def from_contributions(cls, spaces, contributions, rhs=None):
         """Sum (test, trial, rows, cols, values) parts into CSR, int32 if it fits.
 
-        Sums below ``RESIDUE_RTOL`` of their row's largest magnitude are
-        dropped from the pattern, exact zeros with them.
+        Exact zeros and sums below ``RESIDUE_RTOL`` of the summed magnitudes
+        of their terms are left out of the pattern.
         """
         sizes = [sp.ndofs for sp in spaces]
         offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
@@ -251,19 +254,22 @@ class BlockSystem:
             cols.append(np.asarray(c, dtype=index) + int(offsets[idx[trial]]))
             vals.append(np.asarray(v, dtype=float))
         if rows:
-            coo = sparse.coo_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
+            vals = np.concatenate(vals)
+            terms = vals != 0.0
+            # one conversion sums the values (real part) and their
+            # magnitudes (imaginary part) entry by entry
+            both = np.empty(np.count_nonzero(terms), dtype=complex)
+            both.real = vals[terms]
+            np.abs(both.real, out=both.imag)
+            summed = sparse.coo_matrix(
+                (both, (np.concatenate(rows)[terms], np.concatenate(cols)[terms])),
+                shape=(total, total)).tocsr()
+            keep = np.abs(summed.data.real) >= RESIDUE_RTOL * summed.data.imag
+            indptr = np.concatenate([[0], np.cumsum(keep)]).astype(index)
+            matrix = sparse.csr_matrix(
+                (summed.data.real[keep], summed.indices[keep], indptr[summed.indptr]),
                 shape=(total, total))
-            matrix = coo.tocsr()
-            size = np.abs(matrix.data)
-            lens = np.diff(matrix.indptr)
-            row_max = np.zeros(total)
-            row_max[lens > 0] = np.maximum.reduceat(size, matrix.indptr[:-1][lens > 0])
-            matrix.data[size < RESIDUE_RTOL * np.repeat(row_max, lens)] = 0.0
-            matrix.eliminate_zeros()
-            # duplicates and residues went in place: hold only what is left
-            matrix.indices, matrix.data = matrix.indices.copy(), matrix.data.copy()
+            matrix.has_canonical_format = True
         else:
             matrix = sparse.csr_matrix((total, total))
         return cls(spaces, matrix, rhs)
@@ -464,7 +470,13 @@ def _expand_components(base):
 
 
 def _contrib(test_name, trial_name, row_map, col_map, local):
+    """One kernel's part; its rounding residues on each cell or facet zeroed.
+
+    ``local`` (cells or facets, ni, nj) is the kernel's own fresh array.
+    """
     c, ni, nj = local.shape
+    size = np.abs(local)
+    local[size < RESIDUE_RTOL * size.max(axis=(1, 2), keepdims=True)] = 0.0
     rows = np.repeat(row_map, nj, axis=1)
     cols = np.tile(col_map, (1, ni))
     return (test_name, trial_name, rows.ravel(), cols.ravel(), local.ravel())
@@ -684,11 +696,7 @@ def assemble_volume_forms(spaces, params, dest, ctx=None):
 
 
 def _facet_outer(w, rows_t, cols_t):
-    """sum_q w rows_t cols_t per facet, by one einsum over all facets.
-
-    Each entry takes the operations of an einsum over its facet alone, so
-    the blocks keep the rounding residues that the LU ordering sees.
-    """
+    """sum_q w rows_t cols_t per facet, by one einsum over all facets."""
     return np.einsum("fq,fqa,fqb->fab", w, rows_t, cols_t)
 
 

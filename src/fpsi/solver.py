@@ -176,15 +176,17 @@ def solve_linear(matrix, rhs, tol=1e-9, factor=None):
     ``matrix``.  ``factor`` is a ``Factor`` kept by the caller; without one
     ``matrix`` is factored here, in the nested-dissection order of its own
     pattern and with the same diagonal-preferring pivots as every
-    ``Factor``.  With the factor of ``matrix`` itself the solve is direct,
-    plus one refinement pass when the residual exceeds ``tol``; the first
-    direct solve records the factor's floor.  A factor of another matrix
-    preconditions defect correction, which stops when the residual is
-    within ``FLOOR_FACTOR`` of that floor or no longer halves.  If the
-    residual still exceeds ``tol``, ``matrix`` is factored, in the held
-    factor's order, and its factor replaces the held one.  Structural or numerical singularities
-    raise SingularSystemError; non-finite solutions raise
-    NonFiniteSolutionError; a residual above ``tol`` raises SolverError.
+    ``Factor``; a caller with the mesh gets a smaller fill from
+    ``factor=Factor(matrix, mesh_order(spaces, pairs, eliminated))``.  With
+    the factor of ``matrix`` itself the solve is direct, plus one refinement
+    pass when the residual exceeds ``tol``; the first direct solve records
+    the factor's floor.  A factor of another matrix preconditions defect
+    correction, which stops when the residual is within ``FLOOR_FACTOR`` of
+    that floor or no longer halves.  If the residual still exceeds ``tol``,
+    ``matrix`` is factored, in the held factor's order, and its factor
+    replaces the held one.  Structural or numerical singularities raise
+    SingularSystemError; non-finite solutions raise NonFiniteSolutionError;
+    a residual above ``tol`` raises SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
     factor = factor if factor is not None else Factor(matrix)

@@ -841,8 +841,8 @@ def test_context_checks_constants_only_once(spaces22, monkeypatch):
 
 
 def test_from_contributions_drops_rounding_residues(spaces22):
-    # 0.1 + 0.2 - 0.3 sums to 5.6e-17, a residue of its row's largest
-    # entry 1; an exact zero goes too, a genuine small entry 1e-9 stays
+    # 0.1 + 0.2 - 0.3 sums to 5.6e-17, a residue of its terms' magnitudes
+    # 0.6; an exact zero goes too, a genuine small entry 1e-9 stays
     parts = [("u_f", "u_f", [0, 0, 0, 0, 1], [0, 1, 2, 3, 1],
               [1.0, 0.1, 1e-9, 0.0, 2.0]),
              ("u_f", "u_f", [0, 0], [1, 1], [0.2, -0.3])]
@@ -851,3 +851,32 @@ def test_from_contributions_drops_rounding_residues(spaces22):
     assert matrix.nnz == 3
     assert matrix[0, 0] == 1.0 and matrix[0, 2] == 1e-9 and matrix[1, 1] == 2.0
     assert matrix.indices.size == matrix.data.size == 3
+
+
+def test_residue_cut_keeps_couplings_of_every_scale(spaces22, table1_params,
+                                                   nitsche_default):
+    # kappa = 1e-16 puts the Darcy drag in N's u_r rows ~1e15 above the
+    # pressure gradient -(div v, phi p_P) beside it, and K = 1e16 puts the
+    # storage in M's p_P rows ~1e-17 below the solid dilation rate beside
+    # it: both stay, with their values, and M and N keep the pattern of
+    # the reference parameters
+    extreme = PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": 1e-16, "K": 1e16})
+    pairs = interface_pairs(spaces22.u_f.mesh)
+    want = [assemble(spaces22, table1_params, nitsche_default, pairs)
+            for assemble in (assemble_M, assemble_N)]
+    got = [assemble(spaces22, extreme, nitsche_default, pairs)
+           for assemble in (assemble_M, assemble_N)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.matrix.indptr, w.matrix.indptr)
+        assert np.array_equal(g.matrix.indices, w.matrix.indices)
+    m, n = got
+    drag = abs(n.block("u_r", "u_r")).max()
+    grad_p = n.block("u_r", "p_P").toarray()
+    assert np.abs(grad_p).max() < 1e-12 * drag
+    np.testing.assert_allclose(grad_p, want[1].block("u_r", "p_P").toarray(),
+                               rtol=1e-14, atol=0.0)
+    dilation = abs(m.block("p_P", "y_s")).max()
+    storage = m.block("p_P", "p_P").toarray()
+    assert 0.0 < np.abs(storage).max() < 1e-12 * dilation
+    np.testing.assert_allclose(storage, 1e-16 * want[0].block("p_P", "p_P").toarray(),
+                               rtol=1e-14, atol=0.0)
