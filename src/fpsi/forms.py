@@ -250,19 +250,20 @@ class BlockSystem:
         idx = {name: i for i, name in enumerate(BLOCK_NAMES)}
         rows, cols, vals = [], [], []
         for test, trial, r, c, v in contributions:
-            rows.append(np.asarray(r, dtype=index) + int(offsets[idx[test]]))
-            cols.append(np.asarray(c, dtype=index) + int(offsets[idx[trial]]))
-            vals.append(np.asarray(v, dtype=float))
+            v = np.asarray(v, dtype=float)
+            terms = np.flatnonzero(v)
+            rows.append(np.asarray(r, dtype=index)[terms] + index(offsets[idx[test]]))
+            cols.append(np.asarray(c, dtype=index)[terms] + index(offsets[idx[trial]]))
+            vals.append(v[terms])
         if rows:
             vals = np.concatenate(vals)
-            terms = vals != 0.0
             # one conversion sums the values (real part) and their
             # magnitudes (imaginary part) entry by entry
-            both = np.empty(np.count_nonzero(terms), dtype=complex)
-            both.real = vals[terms]
-            np.abs(both.real, out=both.imag)
+            both = np.empty(vals.size, dtype=complex)
+            both.real = vals
+            np.abs(vals, out=both.imag)
             summed = sparse.coo_matrix(
-                (both, (np.concatenate(rows)[terms], np.concatenate(cols)[terms])),
+                (both, (np.concatenate(rows), np.concatenate(cols))),
                 shape=(total, total)).tocsr()
             keep = np.abs(summed.data.real) >= RESIDUE_RTOL * summed.data.imag
             indptr = np.concatenate([[0], np.cumsum(keep)]).astype(index)
