@@ -253,6 +253,10 @@ def parse_config(path):
                           f"got {entries['levels']!r}") from None
     if any(n <= 0 for n in levels) or not levels:
         raise ConfigError("levels: cell counts must be positive")
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(
+            f"levels: a convergence rate needs at least two strictly refining "
+            f"levels (increasing cell counts), got {entries['levels']!r}")
 
     ny = _to_int(entries, "mesh.ny")
     channel = {key: _to_float(entries, f"channel.{key}")
@@ -263,6 +267,10 @@ def parse_config(path):
     dump_every = _to_int(entries, "output.dump_every")
     if dump_every < 0:
         raise ConfigError("output.dump_every: must be nonnegative")
+    energy_steps = _to_int(entries, "energy.steps")
+    if energy_steps < 0:
+        raise ConfigError(
+            f"energy.steps: must be a nonnegative step count, got {energy_steps}")
 
     return RunConfig(
         mode=mode, mesh_kind=mesh_kind,
@@ -277,7 +285,7 @@ def parse_config(path):
         inflow=_to_choice(entries, "run.inflow", INFLOW_PROFILES),
         inflow_scale=_to_float(entries, "run.inflow_scale"),
         seed=_to_int(entries, "run.seed"),
-        energy_steps=_to_int(entries, "energy.steps"),
+        energy_steps=energy_steps,
         energy_amplitude=_to_float(entries, "energy.amplitude"),
         source_path=str(path),
     )
@@ -394,6 +402,7 @@ def cmd_convergence(config, out_dir):
     table = verification.convergence_study(
         levels, params, nitsche, tau_factor=config.tau_factor,
         final_time=config.final, convection=config.convection,
+        solver_tol=config.solver_tolerance,
         progress=lambda nx, errs: print(f"  level nx={nx} done"))
     csv_path = os.path.join(out_dir, "convergence.csv")
     table.write_csv(csv_path)
@@ -453,11 +462,10 @@ def cmd_energy_check(config, out_dir):
     _ensure_outdir(out_dir)
     mesh = config.build_mesh()
     spaces = forms.build_spaces(mesh)
-    params = config.physical_params()
-    nitsche = config.nitsche_params()
     grid = solver.TimeGrid(tau=config.tau, nsteps=config.energy_steps,
                            final=config.tau * config.energy_steps)
-    stepper = solver.TimeStepper(spaces, params, nitsche, grid,
+    stepper = solver.TimeStepper(spaces, config.physical_params(),
+                                 config.nitsche_params(), grid,
                                  convection=False,
                                  solver_tol=config.solver_tolerance)
     rng = np.random.default_rng(config.seed)
@@ -467,10 +475,10 @@ def cmd_energy_check(config, out_dir):
             -1.0, 1.0, block.space.ndofs)
         block.values[block.space.dirichlet_dofs] = 0.0
 
-    energies = [solver.discrete_energy(state, params, stepper.ctx)]
+    energies = [solver.discrete_energy(state, stepper.ctx)]
     for n in range(1, grid.nsteps + 1):
         state, _ = stepper.step(state, n)
-        energies.append(solver.discrete_energy(state, params, stepper.ctx))
+        energies.append(solver.discrete_energy(state, stepper.ctx))
 
     csv_path = os.path.join(out_dir, "energy.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

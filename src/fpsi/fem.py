@@ -232,10 +232,6 @@ class FieldCoefficients:
         return FieldCoefficients(self.space, self.values.copy())
 
 
-def build_space(mesh, degree, components, subdomain, dirichlet_tags=()):
-    return FunctionSpace(mesh, degree, components, subdomain, dirichlet_tags)
-
-
 def _eval_field(fn, time, x, y, components):
     vals = np.asarray(fn(time, x, y), dtype=float)
     if components == 1:

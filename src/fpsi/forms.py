@@ -56,12 +56,12 @@ class Spaces(NamedTuple):
 def build_spaces(mesh):
     """Canonical discrete spaces: P2^2-P1-P2^2-P1-P2^2-P1^2."""
     return Spaces(
-        u_f=fem.build_space(mesh, 2, 2, "S", (TAG_GAMMA_S,)),
-        p_S=fem.build_space(mesh, 1, 1, "S"),
-        u_r=fem.build_space(mesh, 2, 2, "P", (TAG_GAMMA_P_D,)),
-        p_P=fem.build_space(mesh, 1, 1, "P"),
-        y_s=fem.build_space(mesh, 2, 2, "P", (TAG_GAMMA_P_D, TAG_GAMMA_P_N)),
-        u_s=fem.build_space(mesh, 1, 2, "P"),
+        u_f=fem.FunctionSpace(mesh, 2, 2, "S", (TAG_GAMMA_S,)),
+        p_S=fem.FunctionSpace(mesh, 1, 1, "S"),
+        u_r=fem.FunctionSpace(mesh, 2, 2, "P", (TAG_GAMMA_P_D,)),
+        p_P=fem.FunctionSpace(mesh, 1, 1, "P"),
+        y_s=fem.FunctionSpace(mesh, 2, 2, "P", (TAG_GAMMA_P_D, TAG_GAMMA_P_N)),
+        u_s=fem.FunctionSpace(mesh, 1, 2, "P"),
     )
 
 
@@ -334,16 +334,19 @@ class StateVector:
 # --- assembly context ------------------------------------------------------
 
 class AssemblyContext:
-    """Shared tabulations, geometry, and coefficient samples for assembly."""
+    """One discrete problem: its spaces, parameters and Nitsche penalty.
 
-    def __init__(self, spaces, params, nitsche=None, pairs=None,
-                 quad_degree=VOLUME_QUAD_DEGREE):
+    Holds the tabulations, geometry, coefficient samples and interface
+    facets that every assembler reads; the assemblers take no other input.
+    """
+
+    def __init__(self, spaces, params, nitsche):
         self.spaces = spaces
         self.params = params
         self.nitsche = nitsche
         mesh = spaces.u_f.mesh
         self.mesh = mesh
-        self.rule = fem.quadrature_rule("triangle", quad_degree)
+        self.rule = fem.quadrature_rule("triangle", VOLUME_QUAD_DEGREE)
         self.tab = {1: fem.tabulate(1, self.rule.points),
                     2: fem.tabulate(2, self.rule.points)}
         self.geo = {sub: fem.CellGeometry(mesh, mesh.cells_in(sub), self.rule)
@@ -358,8 +361,7 @@ class AssemblyContext:
         kap = params.kappa.at(xp, yp)
         params.check_fields(self.phi_P, self.theta_P, kap)
         self.kappa_inv_P = np.linalg.inv(kap)
-        self.pairs = pairs if pairs is not None else interface_pairs(
-            mesh, params.kappa.raw())
+        self.pairs = interface_pairs(mesh, params.kappa.raw())
         self.seg_rule = fem.quadrature_rule("segment", INTERFACE_QUAD_DEGREE)
         self.facet_stack = self._stack_facets()
         self._patterns = {}
@@ -634,7 +636,7 @@ def _sum_blocks(parts):
     return list(blocks.values())
 
 
-def assemble_volume_forms(spaces, params, dest, ctx=None):
+def assemble_volume_forms(ctx, dest):
     """The subdomain (volume) couplings of one destination, ``"M"`` or ``"N"``.
 
     Only the kernels of that destination run; the parts of kernels that
@@ -642,9 +644,8 @@ def assemble_volume_forms(spaces, params, dest, ctx=None):
     """
     if dest not in ("M", "N"):
         raise FormsError(f"destination must be 'M' or 'N', got {dest!r}")
-    ctx = ctx or AssemblyContext(spaces, params)
+    spaces, p = ctx.spaces, ctx.params
     k = _Kernels(ctx)
-    p = ctx.params
     phi = ctx.phi_P
     theta = ctx.theta_P
     ones_s = np.ones_like(ctx.geo["S"].wdet)
@@ -701,9 +702,9 @@ def _facet_outer(w, rows_t, cols_t):
     return np.einsum("fq,fqa,fqb->fab", w, rows_t, cols_t)
 
 
-def assemble_bjs(spaces, params, pairs=None, ctx=None):
+def assemble_bjs(ctx):
     """Tangential slip-friction couplings on the interface, all facets at once."""
-    ctx = ctx or AssemblyContext(spaces, params, pairs=pairs)
+    spaces, params = ctx.spaces, ctx.params
     coeff = params.mu_f * params.alpha_bjs
     fs = ctx.facet_stack
     if coeff == 0.0 or fs is None:
@@ -725,7 +726,7 @@ def assemble_bjs(spaces, params, pairs=None, ctx=None):
                   part("u_r", "u_r", 1.0)]}
 
 
-def assemble_nitsche_consistency(spaces, params, nitsche, pairs=None, ctx=None):
+def assemble_nitsche_consistency(ctx):
     """Interface stress-consistency couplings and their adjoints.
 
     Only the S-side trace of the normal stress (2 mu_f eps(u_f) - p_S I) n . n
@@ -733,12 +734,12 @@ def assemble_nitsche_consistency(spaces, params, nitsche, pairs=None, ctx=None):
     adjoint rows carry the varsigma weight on the velocity test and pair the
     trial jump with -q_S.  All facets are handled at once.
     """
-    ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
     fs = ctx.facet_stack
     if fs is None:
         return {"M": [], "N": []}
-    sig = float(nitsche.varsigma)
-    two_mu = 2.0 * params.mu_f
+    spaces = ctx.spaces
+    sig = float(ctx.nitsche.varsigma)
+    two_mu = 2.0 * ctx.params.mu_f
     w = fs["w"]
     snn_f = ctx.facet_stress_nn(spaces.u_f, fs["normal_s"])
     pv = fs[("S", spaces.p_S.degree, "phi")]
@@ -760,13 +761,12 @@ def assemble_nitsche_consistency(spaces, params, nitsche, pairs=None, ctx=None):
     return {"M": m_parts, "N": n_parts}
 
 
-def assemble_nitsche_penalty(spaces, params, nitsche, pairs=None, ctx=None):
+def assemble_nitsche_penalty(ctx):
     """Mass-conservation penalty (gamma mu_f / h_E) over the interface jump."""
-    ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
     fs = ctx.facet_stack
     if fs is None:
         return {"M": [], "N": []}
-    w = fs["w"] * (nitsche.gamma * params.mu_f / fs["h_e"])[:, None]
+    w = fs["w"] * (ctx.nitsche.gamma * ctx.params.mu_f / fs["h_e"])[:, None]
     jumps = ctx.facet_jumps()
     m_parts, n_parts = [], []
     for t_name, t_jn, t_dofs in jumps:
@@ -777,7 +777,7 @@ def assemble_nitsche_penalty(spaces, params, nitsche, pairs=None, ctx=None):
     return {"M": m_parts, "N": n_parts}
 
 
-def assemble_convection(space_f, previous_velocity, ctx):
+def assemble_convection(ctx, previous_velocity):
     """Oseen-lagged convection block for the free-flow momentum equation."""
     if previous_velocity is None:
         return None
@@ -786,42 +786,31 @@ def assemble_convection(space_f, previous_velocity, ctx):
               else np.asarray(previous_velocity, dtype=float))
     if not np.any(values):
         return None
-    return _Kernels(ctx).convection(space_f, values, "u_f")
+    return _Kernels(ctx).convection(ctx.spaces.u_f, values, "u_f")
 
 
-def _assemble(dest, spaces, params, nitsche, ctx):
+def _assemble(ctx, dest):
     """BlockSystem of one destination: volume, BJS and Nitsche parts in order."""
-    parts = assemble_volume_forms(spaces, params, dest, ctx=ctx)
-    for interface in (assemble_bjs(spaces, params, ctx=ctx),
-                      assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
-                      assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx)):
+    parts = assemble_volume_forms(ctx, dest)
+    for interface in (assemble_bjs(ctx), assemble_nitsche_consistency(ctx),
+                      assemble_nitsche_penalty(ctx)):
         parts += interface[dest]
-    return BlockSystem.from_contributions(spaces, parts)
+    return BlockSystem.from_contributions(ctx.spaces, parts)
 
 
-def assemble_M(spaces, params, nitsche, pairs=None, ctx=None):
+def assemble_M(ctx):
     """Matrix of all couplings that multiply time derivatives of the trials."""
-    ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
-    return _assemble("M", spaces, params, nitsche, ctx)
+    return _assemble(ctx, "M")
 
 
-def assemble_N(spaces, params, nitsche, pairs=None, ctx=None):
+def assemble_N(ctx):
     """Matrix of all stationary couplings; convection is assembled apart."""
-    ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
-    return _assemble("N", spaces, params, nitsche, ctx)
+    return _assemble(ctx, "N")
 
 
-def assemble_F(spaces, sources, time, corrections=None, params=None,
-               nitsche=None, ctx=None):
+def assemble_F(ctx, sources, time, corrections=None):
     """Load vector: body forces, mass residuals, and interface corrections."""
-    if ctx is None:
-        if params is None:
-            raise FormsError("assemble_F needs params when no context is given")
-        ctx = AssemblyContext(spaces, params, nitsche)
-    params = ctx.params
-    nitsche = ctx.nitsche
-    if corrections is not None and nitsche is None:
-        raise FormsError("interface corrections require Nitsche parameters")
+    spaces = ctx.spaces
     k = _Kernels(ctx)
     sizes = [sp.ndofs for sp in spaces]
     offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
@@ -858,11 +847,11 @@ def assemble_F(spaces, sources, time, corrections=None, params=None,
             add_scal("p_P", spaces.p_P, sources.load_p_P, geo_p)
 
     if corrections is not None:
-        _add_interface_corrections(ctx, spaces, corrections, time, rhs, offsets)
+        _add_interface_corrections(ctx, corrections, time, rhs, offsets)
     return rhs
 
 
-def _add_interface_corrections(ctx, spaces, corr, time, rhs, offsets):
+def _add_interface_corrections(ctx, corr, time, rhs, offsets):
     """Manufactured-solution defect terms on the interface.
 
     The penalty-weighted mass defect m1 loads every jump slot with
@@ -874,7 +863,7 @@ def _add_interface_corrections(ctx, spaces, corr, time, rhs, offsets):
     fs = ctx.facet_stack
     if fs is None:
         return
-    params, nitsche = ctx.params, ctx.nitsche
+    spaces, params, nitsche = ctx.spaces, ctx.params, ctx.nitsche
     sig = float(nitsche.varsigma)
     two_mu = 2.0 * params.mu_f
     w = fs["w"]                                   # (facets, nq)
@@ -917,8 +906,7 @@ def _add_interface_corrections(ctx, spaces, corr, time, rhs, offsets):
             + along(spaces.y_s, tau, m4))
 
 
-def penalty_matrix(spaces, params, nitsche, pairs=None, ctx=None):
+def penalty_matrix(ctx):
     """Full symmetric interface-penalty matrix over the monolithic layout."""
-    ctx = ctx or AssemblyContext(spaces, params, nitsche, pairs)
-    parts = assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx)
-    return BlockSystem.from_contributions(spaces, parts["M"] + parts["N"]).matrix
+    parts = assemble_nitsche_penalty(ctx)
+    return BlockSystem.from_contributions(ctx.spaces, parts["M"] + parts["N"]).matrix

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,11 +49,9 @@ class TimeGrid:
 
 @dataclass
 class StepReport:
-    index: int
     residual: float
     factorized: bool = False
     pinned_pressure: bool = False
-    wall_time: float = 0.0
 
 
 # Defect correction stops once the residual is within this factor of the
@@ -316,8 +313,6 @@ class TimeStepper:
                  corrections=None, boundary_values=None, convection=True,
                  solver_tol=1e-9, pin_pressure_fallback=True):
         self.spaces = spaces
-        self.params = params
-        self.nitsche = nitsche
         self.grid = grid
         self.sources = sources
         self.corrections = corrections
@@ -326,8 +321,8 @@ class TimeStepper:
         self.solver_tol = solver_tol
         self.pin_pressure_fallback = pin_pressure_fallback
         self.ctx = forms.AssemblyContext(spaces, params, nitsche)
-        self.M = forms.assemble_M(spaces, params, nitsche, ctx=self.ctx)
-        self.N = forms.assemble_N(spaces, params, nitsche, ctx=self.ctx)
+        self.M = forms.assemble_M(self.ctx)
+        self.N = forms.assemble_N(self.ctx)
         self._m_over_tau = self.M.matrix * (1.0 / grid.tau)
         self._load = self._load_polynomial()
         self._operator = None    # M / tau + N, built by the first step
@@ -340,11 +335,9 @@ class TimeStepper:
     def step(self, state_prev, step_index):
         """Advance from t_{n-1} to t_n = n tau; returns (state, report)."""
         t_n = self.grid.time_at(step_index)
-        start = _time.perf_counter()
         conv = None
         if self.convection:
-            conv = forms.assemble_convection(
-                self.spaces.u_f, state_prev.block("u_f"), self.ctx)
+            conv = forms.assemble_convection(self.ctx, state_prev.block("u_f"))
         rhs = self.load(t_n) + self._m_over_tau @ state_prev.vector()
         dofs, vals = fem.dirichlet_data(self.M, self.spaces,
                                         self.boundary_values, t_n)
@@ -374,10 +367,8 @@ class TimeStepper:
                 f"{where}: {exc}; consider a smaller time step or a larger "
                 "solver.tolerance") from exc
         state = forms.StateVector.from_vector(self.spaces, x, time=t_n)
-        report = StepReport(index=step_index, residual=res,
-                            factorized=self._factor.lu is not held,
-                            pinned_pressure=self._pin is not None,
-                            wall_time=_time.perf_counter() - start)
+        report = StepReport(residual=res, factorized=self._factor.lu is not held,
+                            pinned_pressure=self._pin is not None)
         return state, report
 
     def load(self, t):
@@ -398,8 +389,7 @@ class TimeStepper:
             return None
 
         def exact(t):
-            return forms.assemble_F(self.spaces, self.sources, t,
-                                    corrections=self.corrections, ctx=self.ctx)
+            return forms.assemble_F(self.ctx, self.sources, t, self.corrections)
 
         # a grid without steps still gets distinct nodes
         final = self.grid.final if self.grid.final > 0 else self.grid.tau
@@ -461,27 +451,23 @@ def _integral(wdet, density):
     return float(wdet.ravel() @ density.reshape(wdet.size, -1).sum(axis=1))
 
 
-def discrete_energy(state, params, ctx=None):
+def discrete_energy(state, ctx):
     """Quadratic energy of a state.
 
     1/2 [ rho_f |u_f|^2 + rho_s (1 - phi) |u_s|^2 + (1 - phi)^2 / K |p_P|^2
           + rho_f phi |u_r + u_s|^2 + 2 mu_p |eps(y_s)|^2
           + lam_p |div y_s|^2 ]
 
-    ``ctx`` is an ``AssemblyContext`` on the state's spaces, such as a
-    stepper's; its geometry, tabulations and gradients are reused.  Without
-    one a context is built for this call.  Fields and gradients at the
-    quadrature points are matrix products per cell.
+    ``ctx`` is the ``AssemblyContext`` of the state's spaces, such as a
+    stepper's: its parameters, geometry, tabulations and gradients.  Fields
+    and gradients at the quadrature points are matrix products per cell.
     """
-    if ctx is None:
-        ctx = forms.AssemblyContext(
-            forms.Spaces(*(block.space for block in state.blocks)), params)
-    tab, geo_p = ctx.tab, ctx.geo["P"]
+    params, tab, geo_p = ctx.params, ctx.tab, ctx.geo["P"]
     w_p = geo_p.wdet
     u_f = _field_at_quad(state.block("u_f"), tab[2][0])
     total = params.rho_f * _integral(ctx.geo["S"].wdet, u_f**2)
 
-    phi = params.phi.at(geo_p.x[..., 0], geo_p.x[..., 1])
+    phi = ctx.phi_P
     u_s = _field_at_quad(state.block("u_s"), tab[1][0])
     u_r = _field_at_quad(state.block("u_r"), tab[2][0])
     p_p = _field_at_quad(state.block("p_P"), tab[1][0])
@@ -520,15 +506,12 @@ def interface_jump_seminorm(ctx, state, rate_y_values):
 
 @dataclass
 class RunSummary:
-    mode: str
     dof_count: int
     h_max: float
     nsteps: int
     energy: list = field(default_factory=list)
     errors: dict = None
-    h1_errors: dict = None
     jump_seminorm: float = None
-    reports: list = field(default_factory=list)
     final_state: object = None
 
 
@@ -564,16 +547,14 @@ def run(config, on_step=None):
                           convection=config.convection,
                           solver_tol=config.solver_tolerance)
     state = forms.StateVector.zero(spaces, time=0.0)
-    summary = RunSummary(mode=config.mode,
-                         dof_count=sum(sp.ndofs for sp in spaces),
+    summary = RunSummary(dof_count=sum(sp.ndofs for sp in spaces),
                          h_max=mesh.h_max(), nsteps=grid.nsteps)
-    summary.energy.append(discrete_energy(state, params, stepper.ctx))
+    summary.energy.append(discrete_energy(state, stepper.ctx))
     prev = state
     for n in range(1, grid.nsteps + 1):
         prev = state
-        state, report = stepper.step(state, n)
-        summary.reports.append(report)
-        summary.energy.append(discrete_energy(state, params, stepper.ctx))
+        state, _ = stepper.step(state, n)
+        summary.energy.append(discrete_energy(state, stepper.ctx))
         if on_step is not None:
             on_step(state, n)
     summary.final_state = state
@@ -581,7 +562,5 @@ def run(config, on_step=None):
         rate = (state.block("y_s").values - prev.block("y_s").values) / grid.tau
         summary.jump_seminorm = interface_jump_seminorm(stepper.ctx, state, rate)
     if config.mode == "manufactured":
-        sol = verification.ExactSolution()
-        summary.errors, summary.h1_errors = verification.final_time_errors(
-            state, sol)
+        summary.errors, _ = verification.final_time_errors(state, sol)
     return summary

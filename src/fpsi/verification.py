@@ -285,10 +285,6 @@ class ExactSolution:
         ]
 
 
-def exact_solution():
-    return ExactSolution()
-
-
 # --- derived sources ---------------------------------------------------------
 
 
@@ -700,11 +696,12 @@ def final_time_errors(state, sol):
 
 
 def convergence_study(levels, params, nitsche, tau_factor=1e-3, final_time=1e-3,
-                      convection=True, progress=None):
+                      convection=True, solver_tol=1e-9, progress=None):
     """Run the manufactured problem on refining grids and tabulate errors.
 
     ``levels`` is a sequence of (nx, ny) cell counts that must refine
     strictly; the time step follows tau = h * tau_factor with h = 1/nx.
+    ``solver_tol`` is every step's residual tolerance (``TimeStepper``).
     """
     from .solver import TimeGrid, TimeStepper  # local import, no cycle at load
 
@@ -725,7 +722,7 @@ def convergence_study(levels, params, nitsche, tau_factor=1e-3, final_time=1e-3,
             spaces, params, nitsche, grid, sources=sources,
             corrections=corrections,
             boundary_values=manufactured_boundary_values(sol),
-            convection=convection)
+            convection=convection, solver_tol=solver_tol)
         state = forms.StateVector.zero(spaces, time=0.0)
         for n in range(1, grid.nsteps + 1):
             state, _ = stepper.step(state, n)

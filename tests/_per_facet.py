@@ -85,7 +85,8 @@ def _outer(w, rows_t, cols_t):
     return np.einsum("q,qa,qb->ab", w, rows_t, cols_t)
 
 
-def assemble_bjs(ctx, spaces, params):
+def assemble_bjs(ctx):
+    spaces, params = ctx.spaces, ctx.params
     m_parts, n_parts = [], []
     coeff = params.mu_f * params.alpha_bjs
     if coeff == 0.0:
@@ -115,9 +116,10 @@ def _jumps(spaces, facet):
                                         ("y_s", spaces.y_s, pair.normal_p))]
 
 
-def assemble_nitsche_consistency(ctx, spaces, params, nitsche):
-    sig = float(nitsche.varsigma)
-    two_mu = 2.0 * params.mu_f
+def assemble_nitsche_consistency(ctx):
+    spaces = ctx.spaces
+    sig = float(ctx.nitsche.varsigma)
+    two_mu = 2.0 * ctx.params.mu_f
     m_parts, n_parts = [], []
     for facet in facet_tables(ctx):
         w = facet["w"]
@@ -137,11 +139,11 @@ def assemble_nitsche_consistency(ctx, spaces, params, nitsche):
     return {"M": m_parts, "N": n_parts}
 
 
-def assemble_nitsche_penalty(ctx, spaces, params, nitsche):
+def assemble_nitsche_penalty(ctx):
     m_parts, n_parts = [], []
     for facet in facet_tables(ctx):
-        w = facet["w"] * (nitsche.gamma * params.mu_f / facet["pair"].h_e)
-        jumps = _jumps(spaces, facet)
+        w = facet["w"] * (ctx.nitsche.gamma * ctx.params.mu_f / facet["pair"].h_e)
+        jumps = _jumps(ctx.spaces, facet)
         for t_name, t_jn, t_dofs in jumps:
             for u_name, u_jn, u_dofs in jumps:
                 part = (t_name, u_name, *_flat(t_dofs, u_dofs, _outer(w, t_jn, u_jn)))

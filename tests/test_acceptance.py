@@ -79,10 +79,10 @@ def test_criterion_3_energy_decay(params):
     for block in state.blocks:
         block.values[:] = rng.uniform(-1.0, 1.0, block.space.ndofs)
         block.values[block.space.dirichlet_dofs] = 0.0
-    energies = [solver.discrete_energy(state, params)]
+    energies = [solver.discrete_energy(state, stepper.ctx)]
     for n in range(1, 51):
         state, _ = stepper.step(state, n)
-        energies.append(solver.discrete_energy(state, params))
+        energies.append(solver.discrete_energy(state, stepper.ctx))
     diffs = np.diff(energies)
     slack = 1e-10 * energies[0]
     ok = bool((diffs <= slack).all())
@@ -95,7 +95,7 @@ def test_criterion_4_penalty_structure(params):
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    mat = forms.penalty_matrix(spaces, params, nitsche)
+    mat = forms.penalty_matrix(forms.AssemblyContext(spaces, params, nitsche))
 
     asym = (mat - mat.T).tocoo()
     sym_err = np.abs(asym.data).max() if asym.nnz else 0.0

@@ -273,6 +273,33 @@ nitsche.gamma = 0.01
     assert code in (cli.EXIT_ACCEPTANCE, cli.EXIT_SOLVER)
 
 
+def test_convergence_applies_solver_tolerance(tmp_path, capsys):
+    # no step reaches a residual of 1e-30: the study stops at its first
+    # step with a solver failure instead of passing the default tolerance
+    path = write_config(tmp_path, "levels = 2,4\nsolver.tolerance = 1e-30\n")
+    code = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "step 1 (t=" in err and "solver.tolerance" in err
+
+
+@pytest.mark.parametrize("levels", ["2", "4,2", "2,4,4"])
+def test_convergence_needs_two_refining_levels(tmp_path, capsys, levels):
+    path = write_config(tmp_path, f"levels = {levels}\n")
+    code = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "levels" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_energy_steps_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, "mode = general\nrun.inflow = none\n"
+                                  "solver.convection = off\nenergy.steps = -1\n")
+    code = main(["energy-check", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "energy.steps" in capsys.readouterr().err
+
+
 def test_msh_config_roundtrip(tmp_path):
     cfg_text = """
 mode = general

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from fpsi import fem
-from fpsi.fem import (FEMError, FieldCoefficients, build_space, eliminate_dofs,
+from fpsi.fem import (FEMError, FieldCoefficients, FunctionSpace, eliminate_dofs,
                       error_norms, interpolate, quadrature_rule, tabulate)
 from fpsi.mesh import generate_structured
 
@@ -70,27 +70,27 @@ def test_basis_partition_of_unity():
 # --- spaces -------------------------------------------------------------------
 
 def test_p1_scalar_dof_count(mesh22):
-    sp = build_space(mesh22, 1, 1, "both")
+    sp = FunctionSpace(mesh22, 1, 1, "both")
     assert sp.ndofs == 9
 
 
 def test_p2_scalar_dof_count(mesh22):
-    sp = build_space(mesh22, 2, 1, "both")
+    sp = FunctionSpace(mesh22, 2, 1, "both")
     assert sp.ndofs == 25  # 9 vertices + 16 edges
 
 
 def test_p2_vector_on_lower_half(mesh22):
-    sp = build_space(mesh22, 2, 2, "S")
+    sp = FunctionSpace(mesh22, 2, 2, "S")
     assert sp.ndofs == 2 * (6 + 9)  # 6 vertices + 9 edges of the 4-cell half
 
 
 def test_unknown_dirichlet_tag(mesh22):
     with pytest.raises(FEMError, match="unknown Dirichlet tag"):
-        build_space(mesh22, 1, 1, "S", ("gamma_bogus",))
+        FunctionSpace(mesh22, 1, 1, "S", ("gamma_bogus",))
 
 
 def test_dirichlet_partition(mesh22):
-    sp = build_space(mesh22, 2, 2, "S", ("gamma_s",))
+    sp = FunctionSpace(mesh22, 2, 2, "S", ("gamma_s",))
     # lower-half boundary minus the interface: 8 vertex + 8 midpoint nodes...
     # boundary nodes of the half-square: 3 bottom + 2x2 sides verts and the
     # interface endpoints; counted nodes lie on gamma_s facets only
@@ -105,13 +105,13 @@ def test_dirichlet_partition(mesh22):
 # --- interpolation ------------------------------------------------------------
 
 def test_interpolate_constant(mesh22):
-    sp = build_space(mesh22, 2, 1, "both")
+    sp = FunctionSpace(mesh22, 2, 1, "both")
     f = interpolate(sp, lambda t, x, y: np.full_like(x, 3.25))
     assert np.allclose(f.values, 3.25)
 
 
 def test_interpolate_linear_exact_in_p2(mesh22):
-    sp = build_space(mesh22, 2, 1, "both")
+    sp = FunctionSpace(mesh22, 2, 1, "both")
     f = interpolate(sp, lambda t, x, y: x + y)
     l2, h1 = error_norms(
         f, lambda t, x, y: x + y, 0.0,
@@ -121,7 +121,7 @@ def test_interpolate_linear_exact_in_p2(mesh22):
 
 def test_interpolation_is_projection(mesh22):
     # re-interpolating the piecewise-polynomial interpolant changes nothing
-    sp = build_space(mesh22, 2, 1, "both")
+    sp = FunctionSpace(mesh22, 2, 1, "both")
     f = interpolate(sp, lambda t, x, y: np.sin(x) * np.cosh(y))
 
     def eval_fh(t, x, y):
@@ -156,7 +156,7 @@ def _point_eval(field, x, y):
 
 def test_error_norms_constant_one():
     mesh = generate_structured(4, 4)
-    sp = build_space(mesh, 1, 1, "both")
+    sp = FunctionSpace(mesh, 1, 1, "both")
     f = FieldCoefficients(sp, np.ones(sp.ndofs))
     zero = lambda t, x, y: np.zeros_like(x)
     zgrad = lambda t, x, y: np.zeros(x.shape + (2,))
@@ -167,7 +167,7 @@ def test_error_norms_constant_one():
 
 def test_error_norms_sine_against_zero():
     mesh = generate_structured(16, 16)
-    sp = build_space(mesh, 1, 1, "both")
+    sp = FunctionSpace(mesh, 1, 1, "both")
     f = FieldCoefficients(sp, np.zeros(sp.ndofs))
     c = 4 * np.pi
 

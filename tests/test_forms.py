@@ -78,7 +78,7 @@ def _dense_from_parts(spaces, parts, test, trial):
 
 def test_p2_stiffness_matches_symbolic(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    parts = assemble_volume_forms(ctx, "N")
     got = _dense_from_parts(spaces, parts, "u_f", "u_f")
     expected = np.zeros_like(got)
     sp_uf = spaces.u_f
@@ -93,7 +93,7 @@ def test_p2_stiffness_matches_symbolic(tiny):
 
 def test_p1_vector_mass_matches_symbolic(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    parts = assemble_volume_forms(ctx, "N")
     got = _dense_from_parts(spaces, parts, "u_s", "u_s")  # rho_p mass
     expected = np.zeros_like(got)
     sp_us = spaces.u_s
@@ -114,7 +114,7 @@ def test_convection_matches_symbolic(tiny):
         return np.stack([1.0 + x - 2.0 * y, x * y], axis=-1)
 
     w = fem.interpolate(sp_uf, w_field)  # quadratic field, exact in P2
-    part = assemble_convection(sp_uf, w, ctx)
+    part = assemble_convection(ctx, w)
     got = _dense_from_parts(spaces, [part], "u_f", "u_f")
     expected = np.zeros_like(got)
     w_sym = (1 + X - 2 * Y, X * Y)
@@ -129,9 +129,9 @@ def test_convection_matches_symbolic(tiny):
 
 def test_convection_zero_previous(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    assert assemble_convection(spaces.u_f, None, ctx) is None
+    assert assemble_convection(ctx, None) is None
     zero = fem.FieldCoefficients(spaces.u_f, np.zeros(spaces.u_f.ndofs))
-    assert assemble_convection(spaces.u_f, zero, ctx) is None
+    assert assemble_convection(ctx, zero) is None
 
 
 def test_convection_quadratic_form_matches_quadrature(tiny, rng):
@@ -141,7 +141,7 @@ def test_convection_quadratic_form_matches_quadrature(tiny, rng):
     sp_uf = spaces.u_f
     w = fem.FieldCoefficients(sp_uf, rng.normal(size=sp_uf.ndofs))
     u = fem.FieldCoefficients(sp_uf, rng.normal(size=sp_uf.ndofs))
-    part = assemble_convection(sp_uf, w, ctx)
+    part = assemble_convection(ctx, w)
     mat = _dense_from_parts(spaces, [part], "u_f", "u_f")
     form_val = u.values @ mat @ u.values
 
@@ -160,7 +160,7 @@ def test_convection_quadratic_form_matches_quadrature(tiny, rng):
 
 def test_a_s_p_vanishes_on_constants(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    parts = assemble_volume_forms(ctx, "N")
     block = _dense_from_parts(spaces, parts, "y_s", "y_s")
     const = np.tile([1.0, -2.0], spaces.y_s.num_nodes)
     assert np.abs(block @ const).max() < 1e-12
@@ -169,7 +169,7 @@ def test_a_s_p_vanishes_on_constants(tiny):
 def test_divergence_theorem_for_pressure_coupling(tiny):
     # b^S(v, 1) = -int div v = -int_Sigma v . n_S for v vanishing on gamma_s
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    parts = assemble_volume_forms(ctx, "N")
     bt = _dense_from_parts(spaces, parts, "u_f", "p_S")  # -(div v, q)
     ones_p = np.ones(spaces.p_S.ndofs)
     volume_side = bt @ ones_p  # b^S(v_i, 1) per velocity dof
@@ -190,7 +190,7 @@ def test_divergence_theorem_for_pressure_coupling(tiny):
 def test_bjs_zero_friction(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     free = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
-    parts = assemble_bjs(spaces, free, ctx=ctx)
+    parts = assemble_bjs(AssemblyContext(spaces, free, nitsche))
     assert parts["M"] == [] and parts["N"] == []
 
 
@@ -201,7 +201,7 @@ def test_bjs_tangential_unit_field():
     params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "mu_f": 1.0,
                                "alpha_bjs": 1.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
-    parts = assemble_bjs(spaces, params, ctx=ctx)
+    parts = assemble_bjs(ctx)
     block = _dense_from_parts(spaces, parts["N"], "u_r", "u_r")
     tang = np.tile([1.0, 0.0], spaces.u_r.num_nodes)
     assert abs(tang @ block @ tang - 1.0) < 1e-12
@@ -211,7 +211,7 @@ def test_bjs_tangential_unit_field():
 
 def test_bjs_quadratic_form_is_seminorm(tiny, rng):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_bjs(spaces, params, ctx=ctx)
+    parts = assemble_bjs(ctx)
     block = _dense_from_parts(spaces, parts["N"], "u_r", "u_r")
     u = rng.normal(size=spaces.u_r.ndofs)
     form_val = u @ block @ u
@@ -229,7 +229,7 @@ def test_consistency_zero_for_stress_free_field(tiny):
     # the trial-stress side of the coupling vanishes when eps(u_f) n . n = 0
     # and p_S = 0; the pure trial-side rows are u_r and y_s
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx)
+    parts = assemble_nitsche_consistency(ctx)
     const = np.tile([2.0, -1.0], spaces.u_f.num_nodes)
     for row in ("u_r", "y_s"):
         block = _dense_from_parts(spaces, parts["N"], row, "u_f")
@@ -239,7 +239,7 @@ def test_consistency_zero_for_stress_free_field(tiny):
 def test_consistency_pressure_jump_pairing(tiny):
     # p_S = 1 against a unit normal test jump integrates to +1 on |Sigma| = 1
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx)
+    parts = assemble_nitsche_consistency(ctx)
     block = _dense_from_parts(spaces, parts["N"], "u_r", "p_S")
     v_r = np.tile([0.0, -1.0], spaces.u_r.num_nodes)  # n_P . v_r = 1
     ones = np.ones(spaces.p_S.ndofs)
@@ -249,7 +249,7 @@ def test_consistency_pressure_jump_pairing(tiny):
 def test_consistency_varsigma_zero_drops_adjoint_velocity_rows(tiny):
     mesh, spaces, params, _, ctx = tiny
     incomplete = NitscheParams(gamma=40.0, varsigma=0)
-    parts = assemble_nitsche_consistency(spaces, params, incomplete, ctx=ctx)
+    parts = assemble_nitsche_consistency(AssemblyContext(spaces, params, incomplete))
     names = {(p[0], p[1]) for p in parts["M"] + parts["N"]}
     assert ("u_f", "u_r") not in names  # adjoint velocity-test block gone
     assert ("p_S", "u_r") in names      # -q_S rows remain
@@ -258,7 +258,7 @@ def test_consistency_varsigma_zero_drops_adjoint_velocity_rows(tiny):
 
 def test_consistency_adjoint_is_transpose_for_symmetric_variant(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx)
+    parts = assemble_nitsche_consistency(ctx)
     trial_side = _dense_from_parts(spaces, parts["N"], "u_r", "u_f")
     adjoint = _dense_from_parts(spaces, parts["N"], "u_f", "u_r")
     assert np.abs(adjoint - trial_side.T).max() < 1e-12
@@ -278,7 +278,7 @@ def penalty_22():
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
-    mat = penalty_matrix(spaces, params, nitsche)
+    mat = penalty_matrix(AssemblyContext(spaces, params, nitsche))
     return mesh, spaces, params, nitsche, mat
 
 
@@ -309,7 +309,7 @@ def test_penalty_unit_jump_single_facet():
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
-    mat = penalty_matrix(spaces, params, nitsche)
+    mat = penalty_matrix(AssemblyContext(spaces, params, nitsche))
     state = StateVector.zero(spaces)
     state.block("u_f").values[1::2] = 1.0  # u_f . n_S = 1, others zero
     x = state.vector()
@@ -318,7 +318,7 @@ def test_penalty_unit_jump_single_facet():
 
 def test_penalty_linear_in_gamma(penalty_22):
     mesh, spaces, params, _, mat = penalty_22
-    mat2 = penalty_matrix(spaces, params, NitscheParams(gamma=80.0))
+    mat2 = penalty_matrix(AssemblyContext(spaces, params, NitscheParams(gamma=80.0)))
     diff = (mat2 - 2.0 * mat).tocoo()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) < 1e-9
 
@@ -359,12 +359,12 @@ def assembled_22():
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = AssemblyContext(spaces, params, nitsche)
-    m_sys = assemble_M(spaces, params, nitsche, ctx=ctx)
+    m_sys = assemble_M(ctx)
     prev = fem.FieldCoefficients(spaces.u_f,
                                  np.full(spaces.u_f.ndofs, 0.37))
-    n_sys = assemble_N(spaces, params, nitsche, ctx=ctx)
+    n_sys = assemble_N(ctx)
     conv = BlockSystem.from_contributions(
-        spaces, [assemble_convection(spaces.u_f, prev, ctx)])
+        spaces, [assemble_convection(ctx, prev)])
     n_sys = n_sys.with_matrix(n_sys.matrix + conv.matrix)
     return spaces, params, nitsche, m_sys, n_sys
 
@@ -399,7 +399,7 @@ def test_velocity_pressure_skew_pairing():
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=-1)
-    n_sys = assemble_N(spaces, params, nitsche)
+    n_sys = assemble_N(AssemblyContext(spaces, params, nitsche))
     for vel in ("u_f", "u_r"):
         bt = n_sys.block(vel, "p_S").toarray()
         minus_b = n_sys.block("p_S", vel).toarray()
@@ -420,7 +420,7 @@ def test_volume_operator_positive_semidefinite(rng):
     spaces = build_spaces(mesh)
     params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
-    parts = assemble_volume_forms(spaces, params, "N", ctx=ctx)
+    parts = assemble_volume_forms(ctx, "N")
     sys = BlockSystem.from_contributions(spaces, parts)
     for _ in range(50):
         x = rng.normal(size=sys.size)
@@ -429,7 +429,7 @@ def test_volume_operator_positive_semidefinite(rng):
 
 def test_assemble_f_zero_sources(assembled_22):
     spaces, params, nitsche, _, _ = assembled_22
-    rhs = assemble_F(spaces, None, 0.5, params=params, nitsche=nitsche)
+    rhs = assemble_F(AssemblyContext(spaces, params, nitsche), None, 0.5)
     assert np.abs(rhs).max() == 0.0
 
 
@@ -440,8 +440,7 @@ def test_assemble_f_theta_partition_of_unity():
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     sources = verification.SourceSet(
         load_p_P=lambda t, x, y: np.full_like(x, 2.0) / params.rho_f)
-    rhs = assemble_F(spaces, sources, 0.0, params=params,
-                     nitsche=NitscheParams())
+    rhs = assemble_F(AssemblyContext(spaces, params, NitscheParams()), sources, 0.0)
     sys = BlockSystem.from_contributions(spaces, [])
     off = sys.offsets[forms.BLOCK_NAMES.index("p_P")]
     block = rhs[off:off + spaces.p_P.ndofs]
@@ -460,13 +459,13 @@ def test_assemble_f_manufactured_t0_limits(assembled_22):
     sources = verification.derive_sources(params, check=False)
     corrections = verification.derive_corrections(params, check=False)
     ctx = AssemblyContext(spaces, params, nitsche)
-    rhs = assemble_F(spaces, sources, 0.0, corrections=corrections, ctx=ctx)
+    rhs = assemble_F(ctx, sources, 0.0, corrections)
 
     sol = verification.ExactSolution()
     rate_only = verification.SourceSet(
         f_S=lambda t, x, y: params.rho_f * sol.dt_u_f(0.0, x, y),
         load_y_s=lambda t, x, y: (params.rho_s * 0.9) * sol.dt_u_s(0.0, x, y))
-    expected = assemble_F(spaces, rate_only, 0.0, ctx=ctx)
+    expected = assemble_F(ctx, rate_only, 0.0)
     assert np.abs(rhs - expected).max() < 1e-13
 
     x = np.linspace(0.05, 0.95, 7)
@@ -537,7 +536,7 @@ def test_interface_corrections_match_per_facet_reference(varsigma):
         m3=lambda t, x, y: np.stack([t * x, t - x**3], axis=-1),
         m4=lambda t, x, y: 2.0 * t * x * y,
         m5=lambda t, x, y: t * np.cos(x))
-    got = assemble_F(spaces, None, 0.7, corrections=corr, ctx=ctx)
+    got = assemble_F(ctx, None, 0.7, corr)
     want = _interface_corrections_per_facet(ctx, spaces, corr, 0.7)
     assert np.abs(got).max() > 0.0
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -575,7 +574,7 @@ def test_exact_solution_residual_decreases():
         spaces = build_spaces(mesh)
         tau = 1e-3 / nx
         ctx = AssemblyContext(spaces, params, nitsche)
-        m_sys = assemble_M(spaces, params, nitsche, ctx=ctx)
+        m_sys = assemble_M(ctx)
 
         def interp(t):
             return StateVector(
@@ -583,11 +582,11 @@ def test_exact_solution_residual_decreases():
                  in zip(sol.fields(), spaces)], time=t)
 
         x_now, x_prev = interp(T), interp(T - tau)
-        n_sys = assemble_N(spaces, params, nitsche, ctx=ctx)
+        n_sys = assemble_N(ctx)
         conv = BlockSystem.from_contributions(
-            spaces, [assemble_convection(spaces.u_f, x_prev.block("u_f"), ctx)])
+            spaces, [assemble_convection(ctx, x_prev.block("u_f"))])
         op = m_sys.matrix * (1.0 / tau) + (n_sys.matrix + conv.matrix)
-        rhs = assemble_F(spaces, sources, T, corrections=corr, ctx=ctx) \
+        rhs = assemble_F(ctx, sources, T, corr) \
             + (m_sys.matrix @ x_prev.vector()) / tau
         res = op @ x_now.vector() - rhs
         sys = BlockSystem(spaces, op, rhs)
@@ -616,7 +615,7 @@ def test_m_volume_pattern_reduction(tiny):
     # the gamma -> 0, alpha = 0, theta = 0 reduction of M: mass blocks,
     # Brinkman stiffness on the displacement rate, and dilation coupling
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(spaces, params, "M", ctx=ctx)
+    parts = assemble_volume_forms(ctx, "M")
     sys = BlockSystem.from_contributions(spaces, parts)
     assert sys.block_pattern() == EXPECTED_M_VOLUME_PATTERN
 
@@ -630,15 +629,15 @@ def test_m_and_n_match_merge_of_both_destinations(nx):
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = AssemblyContext(spaces, params, nitsche)
-    every = [{dest: assemble_volume_forms(spaces, params, dest, ctx=ctx)
+    every = [{dest: assemble_volume_forms(ctx, dest)
               for dest in ("M", "N")},
-             assemble_bjs(spaces, params, ctx=ctx),
-             assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
-             assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx)]
+             assemble_bjs(ctx),
+             assemble_nitsche_consistency(ctx),
+             assemble_nitsche_penalty(ctx)]
     for dest, assemble in (("M", assemble_M), ("N", assemble_N)):
         merged = [part for parts in every for part in parts[dest]]
         want = BlockSystem.from_contributions(spaces, merged).matrix
-        got = assemble(spaces, params, nitsche, ctx=ctx).matrix
+        got = assemble(ctx).matrix
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
@@ -646,7 +645,7 @@ def test_m_and_n_match_merge_of_both_destinations(nx):
 def test_volume_forms_reject_unknown_destination(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     with pytest.raises(FormsError, match="destination must be 'M' or 'N'"):
-        assemble_volume_forms(spaces, params, "C", ctx=ctx)
+        assemble_volume_forms(ctx, "C")
 
 
 # --- batched kernels and interface assemblers against their einsum forms -------
@@ -789,12 +788,10 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
         params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": alpha})
         ctx = AssemblyContext(spaces, params, nitsche)
         pairs = [
-            (assemble_bjs(spaces, params, ctx=ctx),
-             _per_facet.assemble_bjs(ctx, spaces, params)),
-            (assemble_nitsche_consistency(spaces, params, nitsche, ctx=ctx),
-             _per_facet.assemble_nitsche_consistency(ctx, spaces, params, nitsche)),
-            (assemble_nitsche_penalty(spaces, params, nitsche, ctx=ctx),
-             _per_facet.assemble_nitsche_penalty(ctx, spaces, params, nitsche)),
+            (assemble_bjs(ctx), _per_facet.assemble_bjs(ctx)),
+            (assemble_nitsche_consistency(ctx),
+             _per_facet.assemble_nitsche_consistency(ctx)),
+            (assemble_nitsche_penalty(ctx), _per_facet.assemble_nitsche_penalty(ctx)),
         ]
         for got, want in pairs:
             for dest in ("M", "N"):
@@ -812,12 +809,12 @@ def test_context_checks_callable_coefficients(spaces22):
     phi_high = PhysicalParams(**{**forms.REFERENCE_PARAMS,
                                  "phi": lambda x, y: 0.3 + 0.4 * x})
     with pytest.raises(FormsError, match="porosity out of range"):
-        AssemblyContext(spaces22, phi_high)
+        AssemblyContext(spaces22, phi_high, NitscheParams())
     indefinite = PhysicalParams(**{
         **forms.REFERENCE_PARAMS,
         "kappa": lambda x, y: np.array([[1.0, 2.0 * x], [2.0 * x, 1.0]])})
     with pytest.raises(FormsError, match="positive definite"):
-        AssemblyContext(spaces22, indefinite)
+        AssemblyContext(spaces22, indefinite, NitscheParams())
 
 
 def test_context_checks_constants_only_once(spaces22, monkeypatch):
@@ -834,9 +831,9 @@ def test_context_checks_constants_only_once(spaces22, monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(PhysicalParams, name, counted)
-    AssemblyContext(spaces22, constant)
+    AssemblyContext(spaces22, constant, NitscheParams())
     assert calls == []
-    AssemblyContext(spaces22, field)
+    AssemblyContext(spaces22, field, NitscheParams())
     assert sorted(calls) == ["_check_kappa", "_check_samples"]
 
 
@@ -861,10 +858,9 @@ def test_residue_cut_keeps_couplings_of_every_scale(spaces22, table1_params,
     # it: both stay, with their values, and M and N keep the pattern of
     # the reference parameters
     extreme = PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": 1e-16, "K": 1e16})
-    pairs = interface_pairs(spaces22.u_f.mesh)
-    want = [assemble(spaces22, table1_params, nitsche_default, pairs)
+    want = [assemble(AssemblyContext(spaces22, table1_params, nitsche_default))
             for assemble in (assemble_M, assemble_N)]
-    got = [assemble(spaces22, extreme, nitsche_default, pairs)
+    got = [assemble(AssemblyContext(spaces22, extreme, nitsche_default))
            for assemble in (assemble_M, assemble_N)]
     for g, w in zip(got, want):
         assert np.array_equal(g.matrix.indptr, w.matrix.indptr)

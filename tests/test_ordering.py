@@ -20,8 +20,8 @@ def _eliminated_operator(nx):
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = forms.AssemblyContext(spaces, params, nitsche)
-    M = forms.assemble_M(spaces, params, nitsche, ctx=ctx)
-    N = forms.assemble_N(spaces, params, nitsche, ctx=ctx)
+    M = forms.assemble_M(ctx)
+    N = forms.assemble_N(ctx)
     dofs, _ = fem.dirichlet_data(M, spaces, {}, 0.0)
     return fem.eliminate_matrix(M.matrix * (nx / 1e-3) + N.matrix, dofs)[0]
 

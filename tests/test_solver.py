@@ -140,8 +140,8 @@ def _direct_step(stepper, state_prev, n):
     spaces = stepper.spaces
     t_n = stepper.grid.time_at(n)
     operator = stepper.M.matrix / stepper.grid.tau + stepper.N.matrix
-    conv = forms.assemble_convection(spaces.u_f, state_prev.block("u_f"),
-                                     stepper.ctx) if stepper.convection else None
+    conv = (forms.assemble_convection(stepper.ctx, state_prev.block("u_f"))
+            if stepper.convection else None)
     if conv is not None:
         operator = operator + forms.BlockSystem.from_contributions(
             spaces, [conv]).matrix
@@ -196,8 +196,7 @@ def test_load_polynomial_matches_quadrature(nx):
                           corrections=corr)
     for n in range(1, grid.nsteps + 1):
         t_n = grid.time_at(n)
-        want = forms.assemble_F(spaces, sources, t_n, corrections=corr,
-                                ctx=stepper.ctx)
+        want = forms.assemble_F(stepper.ctx, sources, t_n, corr)
         dev = np.abs(stepper.load(t_n) - want).max() / np.abs(want).max()
         assert dev <= 1e-14, (n, dev)
 
@@ -519,7 +518,7 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     stepper = _manufactured_stepper(2, 1e-3, True)
     stepper.step(StateVector.zero(stepper.spaces), 1)
     u_f = rng.normal(size=stepper.spaces.u_f.ndofs)
-    conv = forms.assemble_convection(stepper.spaces.u_f, u_f, stepper.ctx)
+    conv = forms.assemble_convection(stepper.ctx, u_f)
     dofs, _ = fem.dirichlet_data(stepper.M, stepper.spaces, {}, 0.0)
     operator = stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix
     for got, want in zip(stepper._update.matrices(conv[4]),
@@ -656,15 +655,17 @@ def test_pin_decided_once_per_factor(small_setup, monkeypatch):
 
 def test_energy_zero_state(small_setup, table1_params):
     mesh, spaces, params, nitsche = small_setup
-    assert discrete_energy(StateVector.zero(spaces), table1_params) == 0.0
+    ctx = forms.AssemblyContext(spaces, table1_params, nitsche)
+    assert discrete_energy(StateVector.zero(spaces), ctx) == 0.0
 
 
 def test_energy_unit_pore_pressure(small_setup, table1_params):
     mesh, spaces, params, nitsche = small_setup
     state = StateVector.zero(spaces)
     state.block("p_P").values[:] = 1.0
+    ctx = forms.AssemblyContext(spaces, table1_params, nitsche)
     # 1/2 (1 - phi)^2 / K over |Omega_P| = 1/2 * 0.81 * 0.5
-    assert abs(discrete_energy(state, table1_params) - 0.2025) < 1e-14
+    assert abs(discrete_energy(state, ctx) - 0.2025) < 1e-14
 
 
 def _energy_own_geometry(state, params):
@@ -745,8 +746,7 @@ def test_energy_with_stepper_context_is_bit_identical(small_setup, rng):
     for block in state.blocks:
         block.values[:] = rng.normal(size=block.space.ndofs)
     want = _energy_own_geometry(state, params)
-    assert discrete_energy(state, params, stepper.ctx) == want
-    assert discrete_energy(state, params) == want
+    assert discrete_energy(state, stepper.ctx) == want
 
 
 @pytest.mark.parametrize("nx", [4, 24])
@@ -761,7 +761,7 @@ def test_energy_matches_einsum_reference(nx):
         for block in state.blocks:
             block.values[:] = rng.normal(size=block.space.ndofs)
         want = _energy_einsum(state, params)
-        assert abs(discrete_energy(state, params, ctx) - want) <= 1e-13 * want
+        assert abs(discrete_energy(state, ctx) - want) <= 1e-13 * want
 
 
 def test_energy_sign_flip_invariance(small_setup, table1_params, rng):
@@ -771,8 +771,9 @@ def test_energy_sign_flip_invariance(small_setup, table1_params, rng):
         block.values[:] = rng.normal(size=block.space.ndofs)
     flipped = StateVector([fem.FieldCoefficients(b.space, -b.values)
                            for b in state.blocks])
-    e1 = discrete_energy(state, table1_params)
-    e2 = discrete_energy(flipped, table1_params)
+    ctx = forms.AssemblyContext(spaces, table1_params, nitsche)
+    e1 = discrete_energy(state, ctx)
+    e2 = discrete_energy(flipped, ctx)
     assert abs(e1 - e2) < 1e-12 * max(1.0, e1)
 
 
@@ -824,7 +825,7 @@ def test_lift_matches_full_product(convection):
     rhs = rng.normal(size=stepper.M.size)
     operators = [stepper._operator]
     if convection:
-        conv = forms.assemble_convection(spaces.u_f, state.block("u_f"), stepper.ctx)
+        conv = forms.assemble_convection(stepper.ctx, state.block("u_f"))
         operators.append(stepper._update.matrices(conv[4])[0])
     for operator in operators:
         for values in (vals, rng.normal(size=vals.size), np.zeros(vals.size)):

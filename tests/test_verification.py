@@ -6,13 +6,12 @@ import pytest
 from fpsi import fem, forms, verification
 from fpsi.mesh import generate_structured
 from fpsi.verification import (ERROR_FIELDS, ErrorTable, ExactSolution,
-                               OracleError, derive_corrections, derive_sources,
-                               exact_solution)
+                               OracleError, derive_corrections, derive_sources)
 
 
 @pytest.fixture(scope="module")
 def sol():
-    return exact_solution()
+    return ExactSolution()
 
 
 def test_u_f_corner_value(sol):
