@@ -321,40 +321,14 @@ def _parse_kappa(text):
 # --- VTK output ---------------------------------------------------------------
 
 
-@dataclass
-class FieldDump:
-    """Vertex-sampled snapshot of all six fields over the whole mesh."""
+def write_vtk(mesh, state, path):
+    """Legacy ASCII VTK unstructured grid of every field at the mesh vertices.
 
-    time: float
-    point_data: dict
-
-    def validate(self, mesh):
-        for name, arr in self.point_data.items():
-            if arr.shape[0] != mesh.num_vertices:
-                raise ValueError(
-                    f"field {name!r} has {arr.shape[0]} values for "
-                    f"{mesh.num_vertices} mesh vertices")
-
-
-def state_to_dump(mesh, state):
-    """Sample every field at mesh vertices (zero outside its subdomain)."""
-    data = {}
-    for name, block in zip(forms.BLOCK_NAMES, state.blocks):
-        space = block.space
-        comps = space.components
-        full = np.zeros((mesh.num_vertices, comps))
-        nvert = space.num_vertex_nodes
-        coeffs = block.values.reshape(space.num_nodes, comps)
-        full[space._verts] = coeffs[:nvert]
-        data[name] = full[:, 0] if comps == 1 else full
-    return FieldDump(time=state.time, point_data=data)
-
-
-def write_vtk(mesh, dump, path):
-    """Legacy ASCII VTK unstructured grid with per-vertex point data."""
-    dump.validate(mesh)
+    Each field takes its coefficients at the vertices of its subdomain and
+    is zero at the others.
+    """
     lines = ["# vtk DataFile Version 3.0",
-             f"fpsi fields at t={dump.time:.12g}",
+             f"fpsi fields at t={state.time:.12g}",
              "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.num_vertices} double"]
@@ -366,14 +340,18 @@ def write_vtk(mesh, dump, path):
     lines.append(f"CELL_TYPES {mesh.num_cells}")
     lines.extend(["5"] * mesh.num_cells)
     lines.append(f"POINT_DATA {mesh.num_vertices}")
-    for name, arr in dump.point_data.items():
-        if arr.ndim == 1:
+    for name, block in zip(forms.BLOCK_NAMES, state.blocks):
+        space = block.space
+        full = np.zeros((mesh.num_vertices, space.components))
+        coeffs = block.values.reshape(space.num_nodes, space.components)
+        full[space._verts] = coeffs[:space.num_vertex_nodes]
+        if space.components == 1:
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in arr)
+            lines.extend(f"{v:.17g}" for v in full[:, 0])
         else:
             lines.append(f"VECTORS {name} double")
-            lines.extend(f"{v[0]:.17g} {v[1]:.17g} 0" for v in arr)
+            lines.extend(f"{v[0]:.17g} {v[1]:.17g} 0" for v in full)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -425,27 +403,30 @@ def cmd_convergence(config, out_dir):
 
 
 def cmd_run(config, out_dir):
-    """General-mode simulation with optional VTK dumps."""
+    """One simulation: energy and jump lines, errors in manufactured mode."""
     _ensure_outdir(out_dir)
     mesh = config.build_mesh()
     dumps = []
 
-    def on_step(state, index):
+    def dump(index, state, report):
         if config.dump_every and index % config.dump_every == 0:
             path = os.path.join(out_dir, f"fields_{index:05d}.vtk")
-            write_vtk(mesh, state_to_dump(mesh, state), path)
-            dumps.append(path)
+            dumps.append(write_vtk(mesh, state, path))
 
-    summary = solver.run(config, on_step=on_step)
-    if not np.all(np.isfinite(summary.final_state.vector())):
+    summary = solver.run(config, on_step=dump)
+    state = summary.final_state
+    if not np.all(np.isfinite(state.vector())):
         print("non-finite field values in the final state", file=sys.stderr)
         return EXIT_SOLVER
-    print(f"completed {summary.nsteps} steps on {summary.dof_count} dofs "
-          f"(h_max={summary.h_max:.4g})")
+    print(f"completed {summary.nsteps} steps on {state.vector().size} dofs "
+          f"(h_max={mesh.h_max():.4g})")
     jump = ("n/a" if summary.jump_seminorm is None
             else f"{summary.jump_seminorm:.6e}")
     print(f"final energy {summary.energy[-1]:.6e}, interface jump seminorm "
           f"{jump}")
+    if summary.errors is not None:
+        print("final-time L2 errors "
+              + ", ".join(f"{k} {v:.6e}" for k, v in summary.errors.items()))
     if dumps:
         print(f"wrote {len(dumps)} VTK dumps to {out_dir}")
     return EXIT_OK
@@ -460,8 +441,7 @@ def cmd_energy_check(config, out_dir):
         raise ConfigError(
             "energy-check requires solver.convection = off")
     _ensure_outdir(out_dir)
-    mesh = config.build_mesh()
-    spaces = forms.build_spaces(mesh)
+    spaces = forms.build_spaces(config.build_mesh())
     grid = solver.TimeGrid(tau=config.tau, nsteps=config.energy_steps,
                            final=config.tau * config.energy_steps)
     stepper = solver.TimeStepper(spaces, config.physical_params(),
@@ -476,9 +456,8 @@ def cmd_energy_check(config, out_dir):
         block.values[block.space.dirichlet_dofs] = 0.0
 
     energies = [solver.discrete_energy(state, stepper.ctx)]
-    for n in range(1, grid.nsteps + 1):
-        state, _ = stepper.step(state, n)
-        energies.append(solver.discrete_energy(state, stepper.ctx))
+    solver.march(stepper, state, lambda n, new, report: energies.append(
+        solver.discrete_energy(new, stepper.ctx)))
 
     csv_path = os.path.join(out_dir, "energy.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

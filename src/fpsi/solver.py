@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
@@ -504,63 +504,68 @@ def interface_jump_seminorm(ctx, state, rate_y_values):
     return float(np.sum(fs["w"] * jn**2 / fs["h_e"][:, None]))
 
 
+def march(stepper, state, on_step=None):
+    """Step ``state`` through ``stepper.grid``; returns the final state.
+
+    The one time loop: steps 1..``grid.nsteps`` in order, each from the
+    state the previous one returned.  After every accepted step
+    ``on_step(n, state, report)`` sees the step index, the new state and
+    that step's ``StepReport``.  A grid without steps returns ``state`` and
+    never calls the observer.
+    """
+    for n in range(1, stepper.grid.nsteps + 1):
+        state, report = stepper.step(state, n)
+        if on_step is not None:
+            on_step(n, state, report)
+    return state
+
+
 @dataclass
 class RunSummary:
-    dof_count: int
-    h_max: float
     nsteps: int
-    energy: list = field(default_factory=list)
+    energy: list
+    final_state: object
     errors: dict = None
     jump_seminorm: float = None
-    final_state: object = None
 
 
 def run(config, on_step=None):
     """Execute one configured simulation and summarize it.
 
     ``config`` provides the mesh, parameters, grid, and mode (see the cli
-    module).  In manufactured mode the load carries the derived sources and
-    interface corrections and the summary includes final-time errors; in
-    general mode boundary data comes from the configured profiles.
-    ``on_step(state, index)`` is invoked after every accepted step.
+    module).  In manufactured mode the stepper takes the loads of
+    ``verification.manufactured_problem`` and the summary includes
+    final-time errors; in general mode boundary data comes from the
+    configured profiles.  ``on_step`` observes every accepted step, as in
+    ``march``.
     """
     from . import verification
 
-    mesh = config.build_mesh()
-    spaces = forms.build_spaces(mesh)
+    spaces = forms.build_spaces(config.build_mesh())
     params = config.physical_params()
-    nitsche = config.nitsche_params()
     grid = config.time_grid()
-
     if config.mode == "manufactured":
-        sol = verification.ExactSolution()
-        sources = verification.derive_sources(params)
-        corrections = verification.derive_corrections(params)
-        bvals = verification.manufactured_boundary_values(sol)
+        sol, loads = verification.manufactured_problem(params)
     else:
-        sources = None
-        corrections = None
-        bvals = config.boundary_values()
-
-    stepper = TimeStepper(spaces, params, nitsche, grid, sources=sources,
-                          corrections=corrections, boundary_values=bvals,
+        sol, loads = None, {"boundary_values": config.boundary_values()}
+    stepper = TimeStepper(spaces, params, config.nitsche_params(), grid,
                           convection=config.convection,
-                          solver_tol=config.solver_tolerance)
+                          solver_tol=config.solver_tolerance, **loads)
     state = forms.StateVector.zero(spaces, time=0.0)
-    summary = RunSummary(dof_count=sum(sp.ndofs for sp in spaces),
-                         h_max=mesh.h_max(), nsteps=grid.nsteps)
-    summary.energy.append(discrete_energy(state, stepper.ctx))
-    prev = state
-    for n in range(1, grid.nsteps + 1):
-        prev = state
-        state, _ = stepper.step(state, n)
-        summary.energy.append(discrete_energy(state, stepper.ctx))
+    energy = [discrete_energy(state, stepper.ctx)]
+    last = [state, state]  # the states before and after the latest step
+
+    def observe(n, new, report):
+        energy.append(discrete_energy(new, stepper.ctx))
+        last[:] = last[1], new
         if on_step is not None:
-            on_step(state, n)
-    summary.final_state = state
+            on_step(n, new, report)
+
+    state = march(stepper, state, observe)
+    summary = RunSummary(nsteps=grid.nsteps, energy=energy, final_state=state)
     if grid.nsteps > 0:
-        rate = (state.block("y_s").values - prev.block("y_s").values) / grid.tau
+        rate = (state.block("y_s").values - last[0].block("y_s").values) / grid.tau
         summary.jump_seminorm = interface_jump_seminorm(stepper.ctx, state, rate)
-    if config.mode == "manufactured":
+    if sol is not None:
         summary.errors, _ = verification.final_time_errors(state, sol)
     return summary

@@ -641,6 +641,11 @@ class ErrorTable:
 
     def mean_rate(self, name, last=3):
         rates = [r[name] for r in self.rates()[1:] if r[name] is not None]
+        if not rates:
+            raise ValueError(
+                f"no convergence rate of {name} in a table of "
+                f"{len(self.rows)} level(s): a rate needs two strictly "
+                "refining levels with nonzero errors")
         tail = rates[-last:]
         return sum(tail) / len(tail)
 
@@ -675,8 +680,18 @@ class ErrorTable:
             fh.write(self.to_csv_string())
 
 
-def manufactured_boundary_values(sol):
-    return {"u_f": sol.u_f, "u_r": sol.u_r, "y_s": sol.y_s}
+def manufactured_problem(params):
+    """Exact solution and ``TimeStepper`` loads of the manufactured problem.
+
+    The loads are the keywords ``sources`` and ``corrections`` (derived and
+    oracle-checked for ``params``) and ``boundary_values`` (the exact u_f,
+    u_r and y_s), passed as ``TimeStepper(..., **loads)``.
+    """
+    sol = ExactSolution()
+    return sol, {"sources": derive_sources(params),
+                 "corrections": derive_corrections(params),
+                 "boundary_values": {"u_f": sol.u_f, "u_r": sol.u_r,
+                                     "y_s": sol.y_s}}
 
 
 def final_time_errors(state, sol):
@@ -703,29 +718,21 @@ def convergence_study(levels, params, nitsche, tau_factor=1e-3, final_time=1e-3,
     strictly; the time step follows tau = h * tau_factor with h = 1/nx.
     ``solver_tol`` is every step's residual tolerance (``TimeStepper``).
     """
-    from .solver import TimeGrid, TimeStepper  # local import, no cycle at load
+    from .solver import TimeGrid, TimeStepper, march  # no cycle at load
 
     hs = [1.0 / nx for nx, _ in levels]
     if any(h1 >= h0 for h0, h1 in zip(hs, hs[1:])):
         raise ValueError("levels must refine strictly (h decreasing)")
 
-    sol = ExactSolution()
-    sources = derive_sources(params)
-    corrections = derive_corrections(params)
+    sol, loads = manufactured_problem(params)
     table = ErrorTable()
     for (nx, ny), h in zip(levels, hs):
-        mesh = meshmod.generate_structured(nx, ny)
-        spaces = forms.build_spaces(mesh)
-        tau = h * tau_factor
-        grid = TimeGrid(tau=tau, final=final_time)
-        stepper = TimeStepper(
-            spaces, params, nitsche, grid, sources=sources,
-            corrections=corrections,
-            boundary_values=manufactured_boundary_values(sol),
-            convection=convection, solver_tol=solver_tol)
-        state = forms.StateVector.zero(spaces, time=0.0)
-        for n in range(1, grid.nsteps + 1):
-            state, _ = stepper.step(state, n)
+        spaces = forms.build_spaces(meshmod.generate_structured(nx, ny))
+        grid = TimeGrid(tau=h * tau_factor, final=final_time)
+        stepper = TimeStepper(spaces, params, nitsche, grid,
+                              convection=convection, solver_tol=solver_tol,
+                              **loads)
+        state = march(stepper, forms.StateVector.zero(spaces, time=0.0))
         errors, h1_errors = final_time_errors(state, sol)
         if any(not np.isfinite(v) for v in errors.values()):
             raise RuntimeError(f"non-finite error at level nx={nx}")

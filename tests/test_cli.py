@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fpsi import cli, forms, mesh as meshmod, solver
-from fpsi.cli import (ConfigError, FieldDump, RunConfig, main, parse_config,
-                      state_to_dump, write_vtk)
+from fpsi.cli import ConfigError, RunConfig, main, parse_config, write_vtk
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -131,7 +130,7 @@ def _read_vtk(path):
 def test_write_vtk_structure(tmp_path, mesh22):
     spaces, state = _tiny_state(mesh22)
     path = str(tmp_path / "out.vtk")
-    write_vtk(mesh22, state_to_dump(mesh22, state), path)
+    write_vtk(mesh22, state, path)
     npoints, cells, types, fields = _read_vtk(path)
     assert npoints == 9
     assert len(cells) == 8
@@ -145,7 +144,7 @@ def test_write_vtk_zero_fields(tmp_path, mesh22):
     spaces = forms.build_spaces(mesh22)
     state = forms.StateVector.zero(spaces)
     path = str(tmp_path / "zero.vtk")
-    write_vtk(mesh22, state_to_dump(mesh22, state), path)
+    write_vtk(mesh22, state, path)
     _, _, _, fields = _read_vtk(path)
     for arr in fields.values():
         assert np.all(arr == 0.0)
@@ -154,22 +153,18 @@ def test_write_vtk_zero_fields(tmp_path, mesh22):
 def test_write_vtk_deterministic(tmp_path, mesh22):
     spaces, state = _tiny_state(mesh22)
     p1, p2 = str(tmp_path / "a.vtk"), str(tmp_path / "b.vtk")
-    write_vtk(mesh22, state_to_dump(mesh22, state), p1)
-    write_vtk(mesh22, state_to_dump(mesh22, state), p2)
+    write_vtk(mesh22, state, p1)
+    write_vtk(mesh22, state, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_dump_count_validation(mesh22):
-    dump = FieldDump(time=0.0, point_data={"u_f": np.zeros((4, 2))})
-    with pytest.raises(ValueError, match="mesh vertices"):
-        dump.validate(mesh22)
-
-
-def test_vertex_sampling_matches_coefficients(mesh22):
+def test_vertex_sampling_matches_coefficients(tmp_path, mesh22):
     spaces, state = _tiny_state(mesh22)
-    dump = state_to_dump(mesh22, state)
+    path = str(tmp_path / "sampled.vtk")
+    write_vtk(mesh22, state, path)
+    _, _, _, fields = _read_vtk(path)
     space = spaces.p_S
-    vals = dump.point_data["p_S"]
+    vals = fields["p_S"]
     for local, vertex in enumerate(space._verts):
         assert vals[vertex] == state.block("p_S").values[local]
     outside = np.setdiff1d(np.arange(mesh22.num_vertices), space._verts)
@@ -210,6 +205,40 @@ energy.steps = 1
     lines = open(os.path.join(out, "energy.csv")).read().splitlines()
     assert lines[0] == "step,energy"
     assert len(lines) == 3
+
+
+def test_energy_check_without_steps(tmp_path):
+    # a zero-step grid: the initial energy alone, and nothing to judge
+    path = write_config(tmp_path, "mode = general\nmesh.nx = 2\nmesh.ny = 2\n"
+                                  "run.inflow = none\nsolver.convection = off\n"
+                                  "energy.steps = 0\n")
+    out = str(tmp_path / "energy")
+    assert main(["energy-check", "--config", path, "--out", out]) == cli.EXIT_OK
+    lines = open(os.path.join(out, "energy.csv")).read().splitlines()
+    assert lines[0] == "step,energy"
+    assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+def test_run_manufactured_prints_errors(tmp_path, capsys):
+    # the final-time L2 error of every field, on the line after the energy;
+    # general mode has no exact solution and prints no such line
+    path = write_config(tmp_path, "mode = manufactured\nmesh.nx = 2\n"
+                                  "mesh.ny = 2\ntime.tau = 0.0005\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "m")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    energy = next(i for i, line in enumerate(lines)
+                  if line.startswith("final energy"))
+    errors = lines[energy + 1]
+    assert errors.startswith("final-time L2 errors ")
+    values = dict(item.split() for item in
+                  errors[len("final-time L2 errors "):].split(", "))
+    assert list(values) == ["u_f", "p_S", "u_r", "p_P", "y_s", "u_s"]
+    assert all(0.0 < float(v) < np.inf for v in values.values())
+    general = write_config(tmp_path, "mode = general\nmesh.nx = 2\n"
+                                     "mesh.ny = 2\nrun.inflow = none\n"
+                                     "time.tau = 0.0005\n", name="g.cfg")
+    assert main(["run", "--config", general, "--out", str(tmp_path / "g")]) == 0
+    assert "errors" not in capsys.readouterr().out
 
 
 def test_run_channel_dumps(tmp_path):

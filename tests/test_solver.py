@@ -1,3 +1,6 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -54,29 +57,24 @@ def test_zero_data_gives_zero_states(small_setup):
     mesh, spaces, params, nitsche = small_setup
     grid = TimeGrid(tau=1e-3, final=5e-3)
     stepper = TimeStepper(spaces, params, nitsche, grid)
-    state = StateVector.zero(spaces)
-    for n in range(1, grid.nsteps + 1):
-        state, report = stepper.step(state, n)
+
+    def check(n, state, report):
         assert np.abs(state.vector()).max() < 1e-12
         assert report.residual <= 1e-9
+
+    solver.march(stepper, StateVector.zero(spaces), check)
 
 
 def test_determinism_bit_identical(small_setup):
     mesh, spaces, params, nitsche = small_setup
-    sol = verification.ExactSolution()
-    sources = verification.derive_sources(params, check=False)
-    corr = verification.derive_corrections(params, check=False)
+    _, loads = verification.manufactured_problem(params)
 
     def one_run():
         grid = TimeGrid(tau=5e-4, final=1e-3)
-        stepper = TimeStepper(
-            spaces, params, nitsche, grid, sources=sources, corrections=corr,
-            boundary_values=verification.manufactured_boundary_values(sol))
-        state = StateVector.zero(spaces)
+        stepper = TimeStepper(spaces, params, nitsche, grid, **loads)
         out = []
-        for n in range(1, grid.nsteps + 1):
-            state, _ = stepper.step(state, n)
-            out.append(state.vector().copy())
+        solver.march(stepper, StateVector.zero(spaces),
+                     lambda n, state, report: out.append(state.vector().copy()))
         return out
 
     a, b = one_run(), one_run()
@@ -86,16 +84,11 @@ def test_determinism_bit_identical(small_setup):
 
 def test_dirichlet_values_exact_on_boundary(small_setup):
     mesh, spaces, params, nitsche = small_setup
-    sol = verification.ExactSolution()
-    sources = verification.derive_sources(params, check=False)
-    corr = verification.derive_corrections(params, check=False)
+    _, loads = verification.manufactured_problem(params)
     grid = TimeGrid(tau=5e-4, final=1e-3)
-    bvals = verification.manufactured_boundary_values(sol)
-    stepper = TimeStepper(spaces, params, nitsche, grid, sources=sources,
-                          corrections=corr, boundary_values=bvals)
-    state = StateVector.zero(spaces)
-    for n in range(1, grid.nsteps + 1):
-        state, _ = stepper.step(state, n)
+    bvals = loads["boundary_values"]
+    stepper = TimeStepper(spaces, params, nitsche, grid, **loads)
+    state = solver.march(stepper, StateVector.zero(spaces))
     for name in ("u_f", "u_r", "y_s"):
         space = state.block(name).space
         got = state.block(name).values[space.dirichlet_dofs]
@@ -111,13 +104,9 @@ def test_one_step_sanity_against_interpolants():
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
-    sol = verification.ExactSolution()
-    sources = verification.derive_sources(params, check=False)
-    corr = verification.derive_corrections(params, check=False)
+    sol, loads = verification.manufactured_problem(params)
     grid = TimeGrid(tau=5e-4, final=5e-4)
-    stepper = TimeStepper(spaces, params, nitsche, grid, sources=sources,
-                          corrections=corr,
-                          boundary_values=verification.manufactured_boundary_values(sol))
+    stepper = TimeStepper(spaces, params, nitsche, grid, **loads)
     state, _ = stepper.step(StateVector.zero(spaces), 1)
     assert np.all(np.isfinite(state.vector()))
     for name, value, grad in sol.fields():
@@ -160,19 +149,16 @@ def test_reused_factor_matches_direct_solve(small_setup):
     # bit-identical while the operator is the factored one, to 1e-10 once
     # convection changes it
     mesh, spaces, params, nitsche = small_setup
-    sol = verification.ExactSolution()
-    sources = verification.derive_sources(params, check=False)
-    corr = verification.derive_corrections(params, check=False)
+    _, loads = verification.manufactured_problem(params)
     grid = TimeGrid(tau=5e-4, final=2e-3)
     for convection in (False, True):
-        stepper = TimeStepper(
-            spaces, params, nitsche, grid, sources=sources, corrections=corr,
-            boundary_values=verification.manufactured_boundary_values(sol),
-            convection=convection)
-        state = StateVector.zero(spaces)
-        for n in range(1, grid.nsteps + 1):
-            want = _direct_step(stepper, state, n)
-            state, report = stepper.step(state, n)
+        stepper = TimeStepper(spaces, params, nitsche, grid,
+                              convection=convection, **loads)
+        prev = [StateVector.zero(spaces)]
+
+        def check(n, state, report):
+            want = _direct_step(stepper, prev[0], n)
+            prev[0] = state
             assert report.factorized == (n == 1)
             if convection and n > 1:
                 err = (np.linalg.norm(state.vector() - want)
@@ -180,6 +166,8 @@ def test_reused_factor_matches_direct_solve(small_setup):
                 assert err <= 1e-10
             else:
                 assert np.array_equal(state.vector(), want)
+
+        solver.march(stepper, prev[0], check)
 
 
 @pytest.mark.parametrize("nx", [4, 16])
@@ -240,9 +228,8 @@ def test_constant_operator_factors_once(small_setup, monkeypatch):
     state = StateVector.zero(spaces)
     state.block("u_f").values[:] = 1.0
     factorized = []
-    for n in range(1, grid.nsteps + 1):
-        state, report = stepper.step(state, n)
-        factorized.append(report.factorized)
+    solver.march(stepper, state, lambda n, state, report:
+                 factorized.append(report.factorized))
     assert calls["n"] == 1
     assert factorized == [True, False, False, False, False]
 
@@ -299,14 +286,10 @@ def _manufactured_stepper(nx, final, convection):
     mesh = generate_structured(nx, nx)
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
-    sol = verification.ExactSolution()
+    _, loads = verification.manufactured_problem(params)
     return TimeStepper(
         spaces, params, NitscheParams(gamma=40.0, varsigma=1),
-        TimeGrid(tau=1e-3 / nx, final=final),
-        sources=verification.derive_sources(params, check=False),
-        corrections=verification.derive_corrections(params, check=False),
-        boundary_values=verification.manufactured_boundary_values(sol),
-        convection=convection)
+        TimeGrid(tau=1e-3 / nx, final=final), convection=convection, **loads)
 
 
 def test_convective_step_is_two_triangular_solves(monkeypatch):
@@ -316,13 +299,17 @@ def test_convective_step_is_two_triangular_solves(monkeypatch):
     counts = _counting_solves(monkeypatch)
     for convection, per_step in ((True, 2), (False, 1)):
         stepper = _manufactured_stepper(4, 2e-3, convection)
-        state = StateVector.zero(stepper.spaces)
-        solves = []
-        for n in range(1, stepper.grid.nsteps + 1):
-            before = counts["solves"]
-            state, report = stepper.step(state, n)
+        solves, reports, before = [], [], counts["solves"]
+
+        def count(n, state, report):
+            nonlocal before
             solves.append(counts["solves"] - before)
+            before = counts["solves"]
             assert report.factorized == (n == 1)
+            reports.append(report)
+
+        solver.march(stepper, StateVector.zero(stepper.spaces), count)
+        report = reports[-1]
         assert solves == [1] + [per_step] * (stepper.grid.nsteps - 1)
         assert stepper._factor.floor is not None
         assert report.residual <= solver.FLOOR_FACTOR * stepper._factor.floor
@@ -333,9 +320,7 @@ def test_factored_matrix_holds_no_stored_zeros(monkeypatch):
     # though the per-step matrices carry the convection pattern's zeros
     counts = _counting_solves(monkeypatch)
     stepper = _manufactured_stepper(4, 1e-3, True)
-    state = StateVector.zero(stepper.spaces)
-    for n in range(1, stepper.grid.nsteps + 1):
-        state, _ = stepper.step(state, n)
+    state = solver.march(stepper, StateVector.zero(stepper.spaces))
     dofs, _ = fem.dirichlet_data(stepper.M, stepper.spaces,
                                  stepper.boundary_values, 0.0)
     want, _ = fem.eliminate_matrix(
@@ -641,15 +626,78 @@ def test_pin_decided_once_per_factor(small_setup, monkeypatch):
         return counting(matrix, **kwargs)
 
     monkeypatch.setattr(spla, "splu", singular_once)
-    state = StateVector.zero(spaces)
     reports = []
-    for n in range(1, grid.nsteps + 1):
-        state, report = stepper.step(state, n)
-        reports.append(report)
+    state = solver.march(stepper, StateVector.zero(spaces),
+                         lambda n, state, report: reports.append(report))
     assert calls["n"] == 2  # the failed factorization and the pinned one
     assert [r.pinned_pressure for r in reports] == [True, True, True]
     assert [r.factorized for r in reports] == [True, False, False]
     assert state.block("p_S").values[0] == 0.0
+
+# --- the time loop ---------------------------------------------------------------
+
+def test_march_without_steps_returns_the_initial_state(small_setup):
+    mesh, spaces, params, nitsche = small_setup
+    stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=0.0))
+    seen = []
+    initial = StateVector.zero(spaces)
+    assert solver.march(stepper, initial, lambda *args: seen.append(args)) is initial
+    assert seen == []
+
+
+def test_march_observes_each_step_in_order(small_setup):
+    # the observer sees n = 1..nsteps, each with the state and the report
+    # that step returned, and march returns the last state
+    mesh, spaces, params, nitsche = small_setup
+    stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=3e-3))
+    step, returned, seen = stepper.step, [], []
+
+    def recorded(state, n):
+        new, report = step(state, n)
+        returned.append((n, new, report))
+        return new, report
+
+    stepper.step = recorded
+    final = solver.march(stepper, StateVector.zero(spaces),
+                         lambda *args: seen.append(args))
+    assert [n for n, _, _ in seen] == [1, 2, 3]
+    assert all(a[0] == b[0] and a[1] is b[1] and a[2] is b[2]
+               for a, b in zip(returned, seen))
+    assert len(returned) == 3 and final is seen[-1][1]
+
+
+class _StepCalls(ast.NodeVisitor):
+    """Qualified names of the functions and classes that call ``.step(``."""
+
+    def __init__(self, module):
+        self.scope, self.found = [module], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "step":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_march_steps():
+    # one time loop: no function of the package but solver.march calls a
+    # stepper's step, so run, convergence and energy-check cannot fork it
+    root = os.path.dirname(solver.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                calls = _StepCalls(name[:-3])
+                calls.visit(ast.parse(fh.read()))
+            found += calls.found
+    assert found == ["solver.march"]
+
 
 # --- discrete energy -------------------------------------------------------------
 
@@ -781,20 +829,14 @@ def test_time_refinement_keeps_spatial_error_dominant():
     # halving tau moves the final-time errors by less than the error itself
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
-    sol = verification.ExactSolution()
-    sources = verification.derive_sources(params, check=False)
-    corr = verification.derive_corrections(params, check=False)
+    sol, loads = verification.manufactured_problem(params)
     mesh = generate_structured(4, 4)
     spaces = build_spaces(mesh)
     errs = {}
     for tau in (2.5e-4, 1.25e-4):
         grid = TimeGrid(tau=tau, final=1e-3)
-        stepper = TimeStepper(
-            spaces, params, nitsche, grid, sources=sources, corrections=corr,
-            boundary_values=verification.manufactured_boundary_values(sol))
-        state = StateVector.zero(spaces)
-        for n in range(1, grid.nsteps + 1):
-            state, _ = stepper.step(state, n)
+        stepper = TimeStepper(spaces, params, nitsche, grid, **loads)
+        state = solver.march(stepper, StateVector.zero(spaces))
         errs[tau], _ = verification.final_time_errors(state, sol)
     for name in verification.ERROR_FIELDS:
         delta = abs(errs[2.5e-4][name] - errs[1.25e-4][name])
@@ -810,13 +852,10 @@ def test_lift_matches_full_product(convection):
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     spaces = build_spaces(generate_structured(4, 4))
-    sol = verification.ExactSolution()
-    stepper = TimeStepper(
-        spaces, params, nitsche, TimeGrid(tau=1e-3, final=3e-3),
-        sources=verification.derive_sources(params, check=False),
-        corrections=verification.derive_corrections(params, check=False),
-        boundary_values=verification.manufactured_boundary_values(sol),
-        convection=convection)
+    _, loads = verification.manufactured_problem(params)
+    stepper = TimeStepper(spaces, params, nitsche,
+                          TimeGrid(tau=1e-3, final=3e-3),
+                          convection=convection, **loads)
     state, _ = stepper.step(StateVector.zero(spaces), 1)
     rng = np.random.default_rng(7)
     dofs, vals = fem.dirichlet_data(stepper.M, spaces, stepper.boundary_values,

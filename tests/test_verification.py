@@ -188,6 +188,27 @@ def test_convergence_study_single_level(table1_params, nitsche_default):
     assert all(np.isfinite(v) for v in table.rows[0]["errors"].values())
 
 
+def test_single_level_has_no_mean_rate(table1_params, nitsche_default):
+    table = verification.convergence_study([(2, 2)], table1_params,
+                                           nitsche_default)
+    with pytest.raises(ValueError, match=r"u_f in a table of 1 level.*"
+                                         r"two strictly refining levels"):
+        table.mean_rate("u_f")
+
+
+def test_manufactured_problem_loads(table1_params):
+    # the exact solution's u_f, u_r and y_s are the Dirichlet data, and the
+    # derived sources and corrections ride along as TimeStepper keywords
+    sol, loads = verification.manufactured_problem(table1_params)
+    assert set(loads) == {"sources", "corrections", "boundary_values"}
+    assert set(loads["boundary_values"]) == {"u_f", "u_r", "y_s"}
+    x, y = np.array([0.25, 0.75]), np.array([0.2, 0.9])
+    for name, fn in loads["boundary_values"].items():
+        assert np.array_equal(fn(0.5, x, y), getattr(sol, name)(0.5, x, y))
+    assert isinstance(loads["sources"], verification.SourceSet)
+    assert isinstance(loads["corrections"], verification.InterfaceCorrections)
+
+
 def test_csv_output_deterministic(table1_params, nitsche_default):
     t1 = verification.convergence_study([(2, 2)], table1_params,
                                         nitsche_default)
