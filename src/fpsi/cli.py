@@ -499,6 +499,11 @@ def main(argv=None):
     except (ConfigError, forms.FormsError, meshmod.MeshError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except verification.OracleError as exc:
+        print(f"configuration error: the manufactured problem fails its oracle: "
+              f"{exc}; use parameters nearer the reference set, or mode = general",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except solver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -281,37 +281,27 @@ class CellGeometry:
                 + dphi_ref[None, :, :, 1, None] * self.inv_jac_t[:, None, None, :, 1])
 
 
-def error_norms(field_h, exact, time, exact_grad, quad_degree=None):
-    """L2 and H1-seminorm distance between a discrete and an analytic field.
-
-    ``exact(t, x, y)`` returns values, ``exact_grad(t, x, y)`` returns
-    gradients with shape (n, 2) for scalar fields and (n, 2, 2) with
-    entry [i, k, d] = d u_k / d x_d for vector fields.
-    """
-    return _error_norms(field_h, exact, time, exact_grad,
-                        _norm_tables(field_h.space, quad_degree))
-
-
-def _norm_tables(space, quad_degree=None):
+def norm_tables(space):
     """Geometry and basis tables of ``error_norms`` on ``space``'s cells.
 
     Fields of one subdomain and degree on one mesh can share them.
     """
-    if quad_degree is None:
-        quad_degree = 2 * space.degree + 2
-    rule = quadrature_rule("triangle", quad_degree)
+    rule = quadrature_rule("triangle", 2 * space.degree + 2)
     phi, dphi = tabulate(space.degree, rule.points)
     # rows (q, e): d/dxi_e of every basis function at point q
     return (CellGeometry(space.mesh, space.cells, rule), phi,
             np.swapaxes(dphi, 1, 2).reshape(-1, phi.shape[1]))
 
 
-def _error_norms(field_h, exact, time, exact_grad, tables):
-    """``error_norms`` with the tables of ``_norm_tables``.
+def error_norms(field_h, exact, time, exact_grad, tables):
+    """L2 and H1-seminorm distance between a discrete and an analytic field.
 
-    The field and its reference gradients at the points are two matrix
-    products over all cells; the affine maps then take the reference
-    gradients to physical ones.
+    ``exact(t, x, y)`` returns values, ``exact_grad(t, x, y)`` returns
+    gradients with shape (n, 2) for scalar fields and (n, 2, 2) with
+    entry [i, k, d] = d u_k / d x_d for vector fields.  ``tables`` are
+    ``norm_tables(field_h.space)``.  The field and its reference gradients
+    at the points are two matrix products over all cells; the affine maps
+    then take the reference gradients to physical ones.
     """
     space = field_h.space
     geo, phi, dphi = tables
@@ -340,32 +330,15 @@ def _error_norms(field_h, exact, time, exact_grad, tables):
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
-def field_l2_norm(field_h, quad_degree=None):
-    """Plain L2 norm of a discrete field over its subdomain."""
-    zero = lambda t, x, y: np.zeros((len(x), field_h.space.components)).squeeze()
-    zgrad = lambda t, x, y: np.zeros((len(x), field_h.space.components, 2)).squeeze()
-    l2, _ = error_norms(field_h, zero, 0.0, zgrad, quad_degree)
-    return l2
-
-
-def eliminate_dofs(matrix, rhs, dofs, values):
-    """Symmetric elimination of prescribed dofs from a square sparse system.
-
-    Rows and columns are zeroed, the diagonal is set to one, and the load
-    vector receives the lifted contributions so constrained dofs solve to
-    their prescribed values exactly.  Returns (matrix, rhs) as new objects.
-    """
-    new_mat, _ = eliminate_matrix(matrix, dofs)
-    return new_mat, lift_dofs(matrix, rhs, dofs, values)
-
-
 def eliminate_matrix(matrix, dofs):
-    """Matrix half of ``eliminate_dofs``.
+    """Symmetric elimination of prescribed dofs from a square sparse matrix.
 
-    Returns the eliminated matrix and the mask ``keep`` (zero at ``dofs``,
-    one elsewhere).  A matrix ``A`` later added to the system is eliminated
-    by zeroing its entries in rows or columns where ``keep`` is zero; the
-    unit diagonal is already in place.
+    Rows and columns are zeroed and the diagonal is set to one, so with the
+    load of ``lift_dofs`` the constrained dofs solve to their prescribed
+    values exactly.  Returns the eliminated matrix, a new object, and the
+    mask ``keep`` (zero at ``dofs``, one elsewhere).  A matrix ``A`` later
+    added to the system is eliminated by zeroing its entries in rows or
+    columns where ``keep`` is zero; the unit diagonal is already in place.
     """
     keep = np.ones(matrix.shape[0])
     keep[np.asarray(dofs, dtype=np.int64)] = 0.0
@@ -408,7 +381,7 @@ def fixed_pattern(matrix, rows, cols):
 
 
 def lift_dofs(matrix, rhs, dofs, values):
-    """Load half of ``eliminate_dofs``: lift the prescribed values.
+    """Load half of ``eliminate_matrix``: lift the prescribed values.
 
     ``matrix`` is the operator before elimination; its product with the
     prescribed values moves to the load, and the constrained entries take
@@ -457,5 +430,5 @@ def apply_dirichlet(system, spaces, boundary_values, time):
     dofs, vals = dirichlet_data(system, spaces, boundary_values, time)
     if dofs.size == 0:
         return system
-    mat, rhs = eliminate_dofs(system.matrix, system.rhs, dofs, vals)
-    return system.with_matrix(mat, rhs)
+    mat, _ = eliminate_matrix(system.matrix, dofs)
+    return system.with_matrix(mat, lift_dofs(system.matrix, system.rhs, dofs, vals))

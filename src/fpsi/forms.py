@@ -708,7 +708,7 @@ def assemble_bjs(ctx):
     coeff = params.mu_f * params.alpha_bjs
     fs = ctx.facet_stack
     if coeff == 0.0 or fs is None:
-        return {"M": [], "N": []}
+        return []
     w = fs["w"] * (coeff / np.sqrt(fs["z_perm"]))[:, None]
     tangential = {name: (ctx.facet_trace(space, fs["tangent"]), ctx.facet_dofs(space))
                   for name, space in (("u_f", spaces.u_f), ("y_s", spaces.y_s),
@@ -719,11 +719,10 @@ def assemble_bjs(ctx):
         return _contrib(test, trial, t_dofs, u_dofs,
                         sign * _facet_outer(w, t_tr, u_tr))
 
-    # ((u_f - d_t y) . tau, (v_f - w_s) . tau): the u_f column goes to N,
-    # the y_s column to M; then the pore-velocity friction
-    return {"M": [part("u_f", "y_s", -1.0), part("y_s", "y_s", 1.0)],
-            "N": [part("u_f", "u_f", 1.0), part("y_s", "u_f", -1.0),
-                  part("u_r", "u_r", 1.0)]}
+    # ((u_f - d_t y) . tau, (v_f - w_s) . tau), then the pore-velocity friction
+    return [part("u_f", "y_s", -1.0), part("y_s", "y_s", 1.0),
+            part("u_f", "u_f", 1.0), part("y_s", "u_f", -1.0),
+            part("u_r", "u_r", 1.0)]
 
 
 def assemble_nitsche_consistency(ctx):
@@ -736,7 +735,7 @@ def assemble_nitsche_consistency(ctx):
     """
     fs = ctx.facet_stack
     if fs is None:
-        return {"M": [], "N": []}
+        return []
     spaces = ctx.spaces
     sig = float(ctx.nitsche.varsigma)
     two_mu = 2.0 * ctx.params.mu_f
@@ -745,36 +744,30 @@ def assemble_nitsche_consistency(ctx):
     pv = fs[("S", spaces.p_S.degree, "phi")]
     d_f = ctx.facet_dofs(spaces.u_f)
     d_ps = ctx.facet_dofs(spaces.p_S, vector=False)
-    m_parts, n_parts = [], []
+    parts = []
     for name, jn, dofs in ctx.facet_jumps():
         # trial-side stress against the test jump:
         # -(2 mu_f eps(u_f) n . n)(jump v) and +(p_S)(jump v)
-        n_parts.append(_contrib(name, "u_f", dofs, d_f,
-                                -two_mu * _facet_outer(w, jn, snn_f)))
-        n_parts.append(_contrib(name, "p_S", dofs, d_ps, _facet_outer(w, jn, pv)))
+        parts.append(_contrib(name, "u_f", dofs, d_f,
+                              -two_mu * _facet_outer(w, jn, snn_f)))
+        parts.append(_contrib(name, "p_S", dofs, d_ps, _facet_outer(w, jn, pv)))
         # adjoint: test stress against the trial jump
-        dest = m_parts if name == "y_s" else n_parts
         if sig != 0.0:
-            dest.append(_contrib("u_f", name, d_f, dofs,
-                                 -sig * two_mu * _facet_outer(w, snn_f, jn)))
-        dest.append(_contrib("p_S", name, d_ps, dofs, -_facet_outer(w, pv, jn)))
-    return {"M": m_parts, "N": n_parts}
+            parts.append(_contrib("u_f", name, d_f, dofs,
+                                  -sig * two_mu * _facet_outer(w, snn_f, jn)))
+        parts.append(_contrib("p_S", name, d_ps, dofs, -_facet_outer(w, pv, jn)))
+    return parts
 
 
 def assemble_nitsche_penalty(ctx):
     """Mass-conservation penalty (gamma mu_f / h_E) over the interface jump."""
     fs = ctx.facet_stack
     if fs is None:
-        return {"M": [], "N": []}
+        return []
     w = fs["w"] * (ctx.nitsche.gamma * ctx.params.mu_f / fs["h_e"])[:, None]
     jumps = ctx.facet_jumps()
-    m_parts, n_parts = [], []
-    for t_name, t_jn, t_dofs in jumps:
-        for u_name, u_jn, u_dofs in jumps:
-            part = _contrib(t_name, u_name, t_dofs, u_dofs,
-                            _facet_outer(w, t_jn, u_jn))
-            (m_parts if u_name == "y_s" else n_parts).append(part)
-    return {"M": m_parts, "N": n_parts}
+    return [_contrib(t_name, u_name, t_dofs, u_dofs, _facet_outer(w, t_jn, u_jn))
+            for t_name, t_jn, t_dofs in jumps for u_name, u_jn, u_dofs in jumps]
 
 
 def assemble_convection(ctx, previous_velocity):
@@ -790,11 +783,15 @@ def assemble_convection(ctx, previous_velocity):
 
 
 def _assemble(ctx, dest):
-    """BlockSystem of one destination: volume, BJS and Nitsche parts in order."""
+    """BlockSystem of one destination: volume, BJS and Nitsche parts in order.
+
+    An interface part goes to M exactly when its trial is y_s, the
+    displacement whose rate is the interface velocity, and otherwise to N.
+    """
     parts = assemble_volume_forms(ctx, dest)
     for interface in (assemble_bjs(ctx), assemble_nitsche_consistency(ctx),
                       assemble_nitsche_penalty(ctx)):
-        parts += interface[dest]
+        parts += [p for p in interface if (p[1] == "y_s") == (dest == "M")]
     return BlockSystem.from_contributions(ctx.spaces, parts)
 
 
@@ -905,8 +902,3 @@ def _add_interface_corrections(ctx, corr, time, rhs, offsets):
     scatter("y_s", spaces.y_s, along(spaces.y_s, n_p, pen) + m3_vals
             + along(spaces.y_s, tau, m4))
 
-
-def penalty_matrix(ctx):
-    """Full symmetric interface-penalty matrix over the monolithic layout."""
-    parts = assemble_nitsche_penalty(ctx)
-    return BlockSystem.from_contributions(ctx.spaces, parts["M"] + parts["N"]).matrix

@@ -125,17 +125,16 @@ def mesh_order(spaces, pairs, eliminated):
 class Factor:
     """Sparse LU factor of ``matrix``, held across calls of ``solve_linear``.
 
-    The rows and columns are permuted by ``perm``; without one, by
-    ``ordering.nested_dissection`` of the matrix's sparsity pattern.  Either
-    order, kept as ``perm``, is fixed at construction and every ``refresh``
-    reuses it.  SuperLU pivots on the diagonal unless it is below
-    ``PIVOT_THRESHOLD`` of its column.  ``matrix`` is the object that was
-    factored; ``refresh`` replaces the factor with one of another matrix.
-    ``floor`` is the relative residual of the first direct solve with the
-    factor (None until then): the precision this factor can reach.
+    The rows and columns are permuted by ``perm``, such as ``mesh_order``'s;
+    the order is fixed at construction and every ``refresh`` reuses it.
+    SuperLU pivots on the diagonal unless it is below ``PIVOT_THRESHOLD`` of
+    its column.  ``matrix`` is the object that was factored; ``refresh``
+    replaces the factor with one of another matrix.  ``floor`` is the
+    relative residual of the first direct solve with the factor (None until
+    then): the precision this factor can reach.
     """
 
-    def __init__(self, matrix, perm=None):
+    def __init__(self, matrix, perm):
         self.perm = perm
         self.refresh(matrix)
 
@@ -146,11 +145,8 @@ class Factor:
         """
         csc = sparse.csc_matrix(matrix, copy=True)
         csc.eliminate_zeros()
-        if self.perm is None:
-            self.perm = nested_dissection(csc)
-        perm = self.perm
         try:
-            lu = spla.splu(csc[perm][:, perm], permc_spec="NATURAL",
+            lu = spla.splu(csc[self.perm][:, self.perm], permc_spec="NATURAL",
                            diag_pivot_thresh=PIVOT_THRESHOLD,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
@@ -158,7 +154,7 @@ class Factor:
             raise SingularSystemError(
                 f"sparse factorization failed ({kind} singularity): {exc}") from exc
         self.matrix, self.csc, self.lu = matrix, csc, lu
-        self._inverse = np.argsort(perm)
+        self._inverse = np.argsort(self.perm)
         self.floor = None
 
     def solve(self, rhs):
@@ -166,27 +162,23 @@ class Factor:
         return self.lu.solve(rhs[self.perm])[self._inverse]
 
 
-def solve_linear(matrix, rhs, tol=1e-9, factor=None):
+def solve_linear(matrix, rhs, tol, factor):
     """Sparse LU solve with a residual check, reusing a held factor.
 
     Returns (solution, relative_residual), the residual taken against
-    ``matrix``.  ``factor`` is a ``Factor`` kept by the caller; without one
-    ``matrix`` is factored here, in the nested-dissection order of its own
-    pattern and with the same diagonal-preferring pivots as every
-    ``Factor``; a caller with the mesh gets a smaller fill from
-    ``factor=Factor(matrix, mesh_order(spaces, pairs, eliminated))``.  With
-    the factor of ``matrix`` itself the solve is direct, plus one refinement
-    pass when the residual exceeds ``tol``; the first direct solve records
-    the factor's floor.  A factor of another matrix preconditions defect
-    correction, which stops when the residual is within ``FLOOR_FACTOR`` of
-    that floor or no longer halves.  If the residual still exceeds ``tol``,
-    ``matrix`` is factored, in the held factor's order, and its factor
-    replaces the held one.  Structural or numerical singularities raise
-    SingularSystemError; non-finite solutions raise NonFiniteSolutionError;
-    a residual above ``tol`` raises SolverError.
+    ``matrix``.  ``factor`` is a ``Factor`` kept by the caller, whose order
+    also serves ``matrix``.  With the factor of ``matrix`` itself the solve
+    is direct, plus one refinement pass when the residual exceeds ``tol``;
+    the first direct solve records the factor's floor.  A factor of another
+    matrix of the same size preconditions defect correction, which stops
+    when the residual is within ``FLOOR_FACTOR`` of that floor or no longer
+    halves.  If the residual still exceeds ``tol``, ``matrix`` is factored,
+    in the held factor's order, and its factor replaces the held one.
+    Structural or numerical singularities raise SingularSystemError;
+    non-finite solutions raise NonFiniteSolutionError; a residual above
+    ``tol`` raises SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
-    factor = factor if factor is not None else Factor(matrix)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     x, res = _solve_with(factor, matrix, rhs, scale, tol)
     if res > tol and factor.matrix is not matrix:

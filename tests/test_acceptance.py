@@ -94,7 +94,9 @@ def test_criterion_4_penalty_structure(params):
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    mat = forms.penalty_matrix(forms.AssemblyContext(spaces, params, nitsche))
+    ctx = forms.AssemblyContext(spaces, params, nitsche)
+    mat = forms.BlockSystem.from_contributions(
+        spaces, forms.assemble_nitsche_penalty(ctx)).matrix
 
     asym = (mat - mat.T).tocoo()
     sym_err = np.abs(asym.data).max() if asym.nnz else 0.0

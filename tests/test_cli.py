@@ -312,6 +312,18 @@ def test_convergence_applies_solver_tolerance(tmp_path, capsys):
     assert "step 1 (t=" in err and "solver.tolerance" in err
 
 
+def test_convergence_oracle_failure_names_correction_and_remedy(tmp_path, capsys):
+    # at mu_f = 1e9 the correct m2 (values near 5e10) misses the absolute
+    # defect gate by rounding: one stderr line, a configuration exit
+    path = write_config(tmp_path, "levels = 2,4\nphysics.mu_f = 1e9\n")
+    code = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert "m2" in err[0] and "absolute gate" in err[0]
+    assert "reference set" in err[0] and "mode = general" in err[0]
+
+
 @pytest.mark.parametrize("levels", ["2", "4,2", "2,4,4"])
 def test_convergence_needs_two_refining_levels(tmp_path, capsys, levels):
     path = write_config(tmp_path, f"levels = {levels}\n")

@@ -7,7 +7,7 @@ from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
                         PhysicalParams, Spaces, StateVector, assemble_bjs,
                         assemble_convection, assemble_F, assemble_M, assemble_N,
                         assemble_nitsche_consistency, assemble_nitsche_penalty,
-                        assemble_volume_forms, build_spaces, penalty_matrix)
+                        assemble_volume_forms, build_spaces)
 from fpsi.mesh import generate_structured, interface_pairs
 
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
@@ -68,6 +68,16 @@ def _triangles_of(mesh, space):
     for c in space.cells:
         out.append([tuple(mesh.vertices[v]) for v in mesh.cells[c]])
     return out
+
+
+def _route(parts, dest):
+    """The interface parts of one destination: M exactly for the trial y_s."""
+    return [p for p in parts if (p[1] == "y_s") == (dest == "M")]
+
+
+def _penalty_matrix(ctx):
+    return BlockSystem.from_contributions(
+        ctx.spaces, assemble_nitsche_penalty(ctx)).matrix
 
 
 def _dense_from_parts(spaces, parts, test, trial):
@@ -191,7 +201,7 @@ def test_bjs_zero_friction(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     free = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
     parts = assemble_bjs(AssemblyContext(spaces, free, nitsche))
-    assert parts["M"] == [] and parts["N"] == []
+    assert parts == []
 
 
 def test_bjs_tangential_unit_field():
@@ -202,7 +212,7 @@ def test_bjs_tangential_unit_field():
                                "alpha_bjs": 1.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
     parts = assemble_bjs(ctx)
-    block = _dense_from_parts(spaces, parts["N"], "u_r", "u_r")
+    block = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "u_r")
     tang = np.tile([1.0, 0.0], spaces.u_r.num_nodes)
     assert abs(tang @ block @ tang - 1.0) < 1e-12
     normal = np.tile([0.0, 1.0], spaces.u_r.num_nodes)
@@ -212,7 +222,7 @@ def test_bjs_tangential_unit_field():
 def test_bjs_quadratic_form_is_seminorm(tiny, rng):
     mesh, spaces, params, nitsche, ctx = tiny
     parts = assemble_bjs(ctx)
-    block = _dense_from_parts(spaces, parts["N"], "u_r", "u_r")
+    block = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "u_r")
     u = rng.normal(size=spaces.u_r.ndofs)
     form_val = u @ block @ u
     direct = 0.0
@@ -232,7 +242,7 @@ def test_consistency_zero_for_stress_free_field(tiny):
     parts = assemble_nitsche_consistency(ctx)
     const = np.tile([2.0, -1.0], spaces.u_f.num_nodes)
     for row in ("u_r", "y_s"):
-        block = _dense_from_parts(spaces, parts["N"], row, "u_f")
+        block = _dense_from_parts(spaces, _route(parts, "N"), row, "u_f")
         assert np.abs(block @ const).max() < 1e-13
 
 
@@ -240,7 +250,7 @@ def test_consistency_pressure_jump_pairing(tiny):
     # p_S = 1 against a unit normal test jump integrates to +1 on |Sigma| = 1
     mesh, spaces, params, nitsche, ctx = tiny
     parts = assemble_nitsche_consistency(ctx)
-    block = _dense_from_parts(spaces, parts["N"], "u_r", "p_S")
+    block = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "p_S")
     v_r = np.tile([0.0, -1.0], spaces.u_r.num_nodes)  # n_P . v_r = 1
     ones = np.ones(spaces.p_S.ndofs)
     assert abs(v_r @ block @ ones - 1.0) < 1e-12
@@ -250,7 +260,7 @@ def test_consistency_varsigma_zero_drops_adjoint_velocity_rows(tiny):
     mesh, spaces, params, _, ctx = tiny
     incomplete = NitscheParams(gamma=40.0, varsigma=0)
     parts = assemble_nitsche_consistency(AssemblyContext(spaces, params, incomplete))
-    names = {(p[0], p[1]) for p in parts["M"] + parts["N"]}
+    names = {(p[0], p[1]) for p in parts}
     assert ("u_f", "u_r") not in names  # adjoint velocity-test block gone
     assert ("p_S", "u_r") in names      # -q_S rows remain
     assert ("u_r", "u_f") in names      # trial-side stress rows remain
@@ -259,11 +269,11 @@ def test_consistency_varsigma_zero_drops_adjoint_velocity_rows(tiny):
 def test_consistency_adjoint_is_transpose_for_symmetric_variant(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     parts = assemble_nitsche_consistency(ctx)
-    trial_side = _dense_from_parts(spaces, parts["N"], "u_r", "u_f")
-    adjoint = _dense_from_parts(spaces, parts["N"], "u_f", "u_r")
+    trial_side = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "u_f")
+    adjoint = _dense_from_parts(spaces, _route(parts, "N"), "u_f", "u_r")
     assert np.abs(adjoint - trial_side.T).max() < 1e-12
-    trial_y = _dense_from_parts(spaces, parts["N"], "y_s", "u_f")
-    adjoint_y = _dense_from_parts(spaces, parts["M"], "u_f", "y_s")
+    trial_y = _dense_from_parts(spaces, _route(parts, "N"), "y_s", "u_f")
+    adjoint_y = _dense_from_parts(spaces, _route(parts, "M"), "u_f", "y_s")
     assert np.abs(adjoint_y - trial_y.T).max() < 1e-12
 
 
@@ -278,7 +288,7 @@ def penalty_22():
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
-    mat = penalty_matrix(AssemblyContext(spaces, params, nitsche))
+    mat = _penalty_matrix(AssemblyContext(spaces, params, nitsche))
     return mesh, spaces, params, nitsche, mat
 
 
@@ -309,7 +319,7 @@ def test_penalty_unit_jump_single_facet():
     spaces = build_spaces(mesh)
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
-    mat = penalty_matrix(AssemblyContext(spaces, params, nitsche))
+    mat = _penalty_matrix(AssemblyContext(spaces, params, nitsche))
     state = StateVector.zero(spaces)
     state.block("u_f").values[1::2] = 1.0  # u_f . n_S = 1, others zero
     x = state.vector()
@@ -318,7 +328,7 @@ def test_penalty_unit_jump_single_facet():
 
 def test_penalty_linear_in_gamma(penalty_22):
     mesh, spaces, params, _, mat = penalty_22
-    mat2 = penalty_matrix(AssemblyContext(spaces, params, NitscheParams(gamma=80.0)))
+    mat2 = _penalty_matrix(AssemblyContext(spaces, params, NitscheParams(gamma=80.0)))
     diff = (mat2 - 2.0 * mat).tocoo()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) < 1e-9
 
@@ -629,13 +639,11 @@ def test_m_and_n_match_merge_of_both_destinations(nx):
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = AssemblyContext(spaces, params, nitsche)
-    every = [{dest: assemble_volume_forms(ctx, dest)
-              for dest in ("M", "N")},
-             assemble_bjs(ctx),
-             assemble_nitsche_consistency(ctx),
-             assemble_nitsche_penalty(ctx)]
+    interface = [assemble_bjs(ctx), assemble_nitsche_consistency(ctx),
+                 assemble_nitsche_penalty(ctx)]
     for dest, assemble in (("M", assemble_M), ("N", assemble_N)):
-        merged = [part for parts in every for part in parts[dest]]
+        merged = assemble_volume_forms(ctx, dest) + [
+            part for parts in interface for part in _route(parts, dest)]
         want = BlockSystem.from_contributions(spaces, merged).matrix
         got = assemble(ctx).matrix
         for attr in ("data", "indices", "indptr"):
@@ -780,7 +788,8 @@ def _interface_mesh(kind):
 @pytest.mark.parametrize("varsigma", [-1, 0, 1])
 def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
     # the all-facets assemblers against the facet-by-facet loops they
-    # replaced, summed into CSR matrices per destination
+    # replaced, summed into CSR matrices per destination: the batched parts
+    # split by the routing rule, the per-facet ones routed by hand
     import _per_facet
     spaces = build_spaces(_interface_mesh(kind))
     nitsche = NitscheParams(gamma=40.0, varsigma=varsigma)
@@ -795,14 +804,15 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
         ]
         for got, want in pairs:
             for dest in ("M", "N"):
-                assert ({p[:2] for p in got[dest]} == {p[:2] for p in want[dest]})
-                got_mat = BlockSystem.from_contributions(spaces, got[dest]).matrix
+                routed = _route(got, dest)
+                assert {p[:2] for p in routed} == {p[:2] for p in want[dest]}
+                got_mat = BlockSystem.from_contributions(spaces, routed).matrix
                 want_mat = BlockSystem.from_contributions(spaces, want[dest]).matrix
                 scale = abs(want_mat).max() if want_mat.nnz else 0.0
                 diff = abs(got_mat - want_mat).max() if got_mat.nnz else 0.0
                 assert diff <= 1e-14 * scale, (alpha, dest, diff, scale)
         if alpha == 0.0:
-            assert pairs[0][0] == {"M": [], "N": []}
+            assert pairs[0][0] == []
 
 
 def test_context_checks_callable_coefficients(spaces22):

@@ -9,6 +9,7 @@ from scipy.sparse import linalg as spla
 from fpsi import fem, forms, solver, verification
 from fpsi.forms import NitscheParams, PhysicalParams, StateVector, build_spaces
 from fpsi.mesh import generate_structured, interface_pairs
+from fpsi.ordering import nested_dissection
 from fpsi.solver import (NonFiniteSolutionError, SingularSystemError,
                          SolverError, TimeGrid, TimeStepper, discrete_energy,
                          solve_linear)
@@ -24,16 +25,22 @@ def test_time_grid_consistency():
         TimeGrid(tau=-1e-4, final=1e-3)
 
 
+def _one_shot(matrix, rhs):
+    """``solve_linear`` with a fresh factor in the matrix graph's own order."""
+    factor = solver.Factor(matrix, nested_dissection(matrix))
+    return solve_linear(matrix, rhs, 1e-9, factor)
+
+
 def test_solve_identity():
     b = np.array([2.0, -3.0, 0.5])
-    x, res = solve_linear(sparse.identity(3, format="csr"), b)
+    x, res = _one_shot(sparse.identity(3, format="csr"), b)
     assert np.allclose(x, b)
     assert res < 1e-15
 
 
 def test_solve_2x2_hand_case():
     mat = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x, res = solve_linear(mat, np.array([3.0, 3.0]))
+    x, res = _one_shot(mat, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0])
     assert res <= 1e-9
 
@@ -41,7 +48,7 @@ def test_solve_2x2_hand_case():
 def test_solve_singular_reported():
     mat = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError):
-        solve_linear(mat, np.array([1.0, 1.0]))
+        _one_shot(mat, np.array([1.0, 1.0]))
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +120,13 @@ def test_one_step_sanity_against_interpolants():
         block = state.block(name)
         if name in ("p_S", "p_P"):
             continue
-        err, _ = fem.error_norms(block, value, state.time, grad)
+        tables = fem.norm_tables(block.space)
+        err, _ = fem.error_norms(block, value, state.time, grad, tables)
         interp = fem.interpolate(block.space, value, state.time)
-        ierr, _ = fem.error_norms(interp, value, state.time, grad)
-        norm = fem.field_l2_norm(interp)
+        ierr, _ = fem.error_norms(interp, value, state.time, grad, tables)
+        norm, _ = fem.error_norms(
+            interp, lambda t, x, y: np.zeros((x.size, 2)), state.time,
+            lambda t, x, y: np.zeros((x.size, 2, 2)), tables)
         assert err <= 10.0 * max(ierr, 0.1 * norm), name
 
 
@@ -141,7 +151,7 @@ def _direct_step(stepper, state_prev, n):
     dofs, _ = fem.dirichlet_data(system, spaces, stepper.boundary_values, t_n)
     factor = solver.Factor(system.matrix,
                            solver.mesh_order(spaces, stepper.ctx.pairs, dofs))
-    return solve_linear(system.matrix, system.rhs, factor=factor)[0]
+    return solve_linear(system.matrix, system.rhs, 1e-9, factor)[0]
 
 
 def test_reused_factor_matches_direct_solve(small_setup):
@@ -415,7 +425,7 @@ def test_mesh_order_fill_below_matrix_order(workload):
     stepper = _nx8_stepper(workload)
     stepper.step(StateVector.zero(stepper.spaces), 1)
     factor = stepper._factor
-    by_matrix = solver.Factor(factor.csc)
+    by_matrix = solver.Factor(factor.csc, nested_dissection(factor.csc))
     fill = lambda f: f.lu.L.nnz + f.lu.U.nnz
     assert fill(factor) < 0.9 * fill(by_matrix)
 
@@ -475,8 +485,8 @@ def test_saddle_point_with_zero_block_solves(rng):
                               shape=(m, k * k))
     matrix = sparse.bmat([[a, b.T], [b, None]], format="csr")
     rhs = rng.normal(size=k * k + m)
-    factor = solver.Factor(matrix)
-    x, res = solve_linear(matrix, rhs, factor=factor)
+    factor = solver.Factor(matrix, nested_dissection(matrix))
+    x, res = solve_linear(matrix, rhs, 1e-9, factor)
     assert res <= 1e-12
     assert factor.floor == res
     want = np.linalg.solve(matrix.toarray(), rhs)
@@ -552,7 +562,7 @@ def test_singularity_kind_from_superlu_message(monkeypatch):
     for dense in ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]):
         with pytest.raises(SingularSystemError,
                            match=r"\(structural singularity\).*exactly singular"):
-            solve_linear(sparse.csr_matrix(np.array(dense)), rhs)
+            _one_shot(sparse.csr_matrix(np.array(dense)), rhs)
 
     def failing(matrix, **kwargs):
         raise RuntimeError("not enough memory")
@@ -560,7 +570,7 @@ def test_singularity_kind_from_superlu_message(monkeypatch):
     monkeypatch.setattr(spla, "splu", failing)
     with pytest.raises(SingularSystemError,
                        match=r"\(numerical singularity\).*not enough memory"):
-        solve_linear(sparse.identity(2, format="csr"), rhs)
+        _one_shot(sparse.identity(2, format="csr"), rhs)
 
 
 def test_nan_load_names_step_and_remedy(small_setup, monkeypatch):
@@ -594,7 +604,7 @@ def test_pressure_pin_fallback(small_setup, monkeypatch):
     calls = {"n": 0}
     original = solver.solve_linear
 
-    def flaky(matrix, rhs, tol=1e-9, factor=None):
+    def flaky(matrix, rhs, tol, factor):
         if calls["n"] == 0:
             calls["n"] += 1
             raise SingularSystemError("injected failure")

@@ -106,6 +106,47 @@ def test_m5_closed_form(table1_params, rng):
     assert np.abs(corr.m5(t, x, np.full_like(x, 0.5)) - expected).max() < 1e-14
 
 
+def _permeability_params(kappa):
+    return forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": kappa})
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 1e-8])
+def test_corrections_pass_their_gate_below_unit_permeability(kappa):
+    derive_corrections(_permeability_params(kappa), check=True)
+
+
+def test_m5_matches_symbolic_slip_defect(rng):
+    # m5 = -(sigma_fP n_P) . tau - mu_f alpha / sqrt(kappa_tt) u_r . tau on
+    # y = 1/2, from the exact fields by sympy
+    import sympy as sp
+    t, x, y = sp.symbols("t x y")
+    params = _permeability_params(1e-4)
+    mu_f, phi = params.mu_f, params.phi.constant
+    c, s = sp.cos(4 * sp.pi * y), sp.sin(4 * sp.pi * y)
+    u_s = sp.Matrix([t * x**3 * c, -2 * t * x**3 * s])
+    u_r = sp.Matrix([t**2 * s**2 - t * x**3 * c, t**2 * s**2 + 2 * t * x**3 * s])
+    p_p = t**2 * (1 - sp.sin(4 * sp.pi * x) * s)
+    grad = (u_r + u_s).jacobian([x, y])
+    sigma = mu_f * phi * (grad + grad.T) - phi * p_p * sp.eye(2)
+    n_p, tangent = sp.Matrix([0, -1]), sp.Matrix([1, 0])
+    defect = (-(sigma * n_p).dot(tangent)
+              - mu_f * params.alpha_bjs / sp.sqrt(params.kappa.constant[0, 0])
+              * u_r.dot(tangent))
+    oracle = sp.lambdify((t, x), defect.subs(y, sp.Rational(1, 2)), "numpy")
+    tt, xx = rng.uniform(0.1, 1.0, 64), rng.uniform(0.0, 1.0, 64)
+    got = derive_corrections(params, check=False).m5(tt, xx, np.full_like(xx, 0.5))
+    want = oracle(tt, xx)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ladder_converges_below_unit_permeability(nitsche_default):
+    table = verification.convergence_study([(2, 2), (4, 4), (8, 8)],
+                                           _permeability_params(1e-4),
+                                           nitsche_default)
+    last = table.rates()[-1]
+    assert all(last[name] >= 1.8 for name in ERROR_FIELDS), last
+
+
 def test_sources_require_constant_coefficients():
     params = forms.PhysicalParams(
         **{**forms.REFERENCE_PARAMS, "phi": lambda x, y: 0.1 + 0.0 * x})
@@ -122,7 +163,7 @@ def test_interpolation_error_baseline(table1_params, sol):
         spaces = forms.build_spaces(mesh)
         for (name, value, grad), space in zip(sol.fields(), spaces):
             f = fem.interpolate(space, value, 1.0)
-            l2, _ = fem.error_norms(f, value, 1.0, grad)
+            l2, _ = fem.error_norms(f, value, 1.0, grad, fem.norm_tables(space))
             errors[name].append(l2)
     for (name, _, _), space in zip(sol.fields(), forms.build_spaces(
             generate_structured(2, 2))):
