@@ -398,14 +398,15 @@ def lift_dofs(matrix, rhs, dofs, values):
     return new_rhs
 
 
-def dirichlet_data(system, spaces, boundary_values, time):
+def dirichlet_data(system, boundary_values, time):
     """Constrained global dofs of a block system and their values at ``time``.
 
     ``boundary_values`` maps block names to ``f(t, x, y)`` evaluators; blocks
     without an entry keep only homogeneous constraints (value zero).
     """
     all_dofs, all_vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for name, space, offset in zip(system.block_names, spaces, system.offsets):
+    for name, space, offset in zip(system.block_names, system.spaces,
+                                   system.offsets):
         if space.dirichlet_dofs.size == 0:
             continue
         fn = boundary_values.get(name) if boundary_values else None
@@ -418,17 +419,15 @@ def dirichlet_data(system, spaces, boundary_values, time):
     return np.concatenate(all_dofs), np.concatenate(all_vals)
 
 
-def apply_dirichlet(system, spaces, boundary_values, time):
-    """Apply Dirichlet data to an assembled block system.
+def apply_dirichlet(system, rhs, boundary_values, time):
+    """Dirichlet data applied to a block system and its load ``rhs``.
 
     ``boundary_values`` maps block names to ``f(t, x, y)`` evaluators; blocks
     without an entry keep only homogeneous constraints (value zero).  Returns
-    a new BlockSystem sharing the block layout.
+    the eliminated matrix and the lifted load, ``(matrix, rhs)``.
     """
-    if system.rhs is None:
-        raise FEMError("apply_dirichlet needs an assembled right-hand side")
-    dofs, vals = dirichlet_data(system, spaces, boundary_values, time)
+    dofs, vals = dirichlet_data(system, boundary_values, time)
     if dofs.size == 0:
-        return system
+        return system.matrix, rhs
     mat, _ = eliminate_matrix(system.matrix, dofs)
-    return system.with_matrix(mat, lift_dofs(system.matrix, system.rhs, dofs, vals))
+    return mat, lift_dofs(system.matrix, rhs, dofs, vals)

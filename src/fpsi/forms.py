@@ -227,17 +227,16 @@ class NitscheParams:
 class BlockSystem:
     """Sparse square operator over the monolithic six-field dof layout."""
 
-    def __init__(self, spaces, matrix, rhs=None):
+    def __init__(self, spaces, matrix):
         self.spaces = spaces
         self.block_names = BLOCK_NAMES
         self.sizes = tuple(sp.ndofs for sp in spaces)
         self.offsets = tuple(np.concatenate([[0], np.cumsum(self.sizes)])[:-1])
         self.size = sum(self.sizes)
         self.matrix = matrix
-        self.rhs = rhs
 
     @classmethod
-    def from_contributions(cls, spaces, contributions, rhs=None):
+    def from_contributions(cls, spaces, contributions):
         """Sum (test, trial, rows, cols, values) parts into CSR, int32 if it fits.
 
         Exact zeros and sums below ``RESIDUE_RTOL`` of the summed magnitudes
@@ -273,7 +272,7 @@ class BlockSystem:
             matrix.has_canonical_format = True
         else:
             matrix = sparse.csr_matrix((total, total))
-        return cls(spaces, matrix, rhs)
+        return cls(spaces, matrix)
 
     def block(self, test, trial):
         i = BLOCK_NAMES.index(test)
@@ -293,9 +292,6 @@ class BlockSystem:
                 if sub.nnz:
                     pattern.add((test, trial))
         return pattern
-
-    def with_matrix(self, matrix, rhs=None):
-        return BlockSystem(self.spaces, matrix, self.rhs if rhs is None else rhs)
 
 
 class StateVector:

@@ -258,31 +258,26 @@ def _eval_kappa(kappa, point):
     return kap
 
 
-def generate_structured(nx, ny, *, x0=0.0, y0=0.0, width=1.0, height=1.0,
-                        split=0.5, gamma_p_rule=None):
-    """Structured triangulation of a rectangle split into S (below) and P.
+def generate_structured(nx, ny, gamma_p_rule=None):
+    """Structured triangulation of the unit square, S below y = 1/2, P above.
 
     Each grid quad is cut along its lower-left to upper-right diagonal so
-    refinements are reproducible.  The split ordinate must coincide with a
-    horizontal grid line; for the default unit-square geometry that means
-    ``ny`` even.  ``gamma_p_rule(x, y) -> tag`` may reassign porous
-    boundary facets between Dirichlet and Neumann (default: all Dirichlet).
+    refinements are reproducible.  The split at y = 1/2 must be a grid line,
+    so ``ny`` must be even.  ``gamma_p_rule(x, y) -> tag`` may reassign
+    porous boundary facets between Dirichlet and Neumann (default: all
+    Dirichlet).
     """
     nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
         raise MeshError("nx and ny must be at least 1")
-    if width <= 0 or height <= 0:
-        raise MeshError("degenerate geometry: width and height must be positive")
-    dy = height / ny
-    j_split = (split - y0) / dy
-    if abs(j_split - round(j_split)) > 1e-9 or not (0 < round(j_split) < ny):
-        raise MeshError(
-            f"split ordinate {split} is not an interior grid line; "
-            f"ny={ny} must be even for a centred split")
-    j_split = int(round(j_split))
-    y_splits = {j_split: (SUBDOMAIN_S, SUBDOMAIN_P)}
-    return _structured_layers(nx, ny, x0, y0, width, height, y_splits,
-                              gamma_p_rule=gamma_p_rule)
+    if ny % 2:
+        raise MeshError(f"split ordinate 0.5 is not an interior grid line; "
+                        f"ny={ny} must be even for a centred split")
+    half = ny // 2
+    return _structured_layers(
+        nx, ny, 0.0, 0.0, 1.0, 1.0,
+        lambda j: SUBDOMAIN_S if j < half else SUBDOMAIN_P,
+        gamma_p_rule=gamma_p_rule)
 
 
 def generate_channel(nx, ny, *, x0=0.0, y0=-0.2, width=2.0, height=1.4,
@@ -311,8 +306,7 @@ def generate_channel(nx, ny, *, x0=0.0, y0=-0.2, width=2.0, height=1.4,
             return SUBDOMAIN_S
         return SUBDOMAIN_P
 
-    return _structured_layers(nx, ny, x0, y0, width, height, None,
-                              subdomain_of_row=subdomain_of_row,
+    return _structured_layers(nx, ny, x0, y0, width, height, subdomain_of_row,
                               s_outlet_do_nothing=True)
 
 
@@ -342,18 +336,14 @@ def smallest_channel_rows(y0, height, s_lower, s_upper):
                  and channel_row(s_upper, ny, y0, height) is not None), None)
 
 
-def _structured_layers(nx, ny, x0, y0, width, height, y_splits,
-                       gamma_p_rule=None, subdomain_of_row=None,
-                       s_outlet_do_nothing=False):
+def _structured_layers(nx, ny, x0, y0, width, height, subdomain_of_row,
+                       gamma_p_rule=None, s_outlet_do_nothing=False):
     dx, dy = width / nx, height / ny
     xs = x0 + dx * np.arange(nx + 1)
     ys = y0 + dy * np.arange(ny + 1)
     # vertex j * (nx + 1) + i sits at (xs[i], ys[j])
     vertices = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
 
-    if subdomain_of_row is None:
-        j_split = next(iter(y_splits))
-        subdomain_of_row = lambda j: SUBDOMAIN_S if j < j_split else SUBDOMAIN_P
     row_sub = np.empty(ny, dtype=object)
     row_sub[:] = [subdomain_of_row(j) for j in range(ny)]
 

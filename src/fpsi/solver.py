@@ -289,9 +289,9 @@ class TimeStepper:
     solves per convective step) or when the residual no longer halves.  A
     step whose correction ends above ``solver_tol`` factors its own
     operator, which later steps then reuse.  If a factorization is
-    singular and ``pin_pressure_fallback`` is set, one free-flow pressure
-    dof is pinned to zero and the pinned operator is factored in the same
-    order, with the pattern rebuilt; the pin holds for every later step.
+    singular, one free-flow pressure dof is pinned to zero and the pinned
+    operator is factored in the same order, with the pattern rebuilt; the
+    pin holds for every later step.
 
     The load is assembled once, here: the manufactured sources and interface
     corrections are quadratic in t, so ``forms.assemble_F`` at t = 0, T/2
@@ -303,7 +303,7 @@ class TimeStepper:
 
     def __init__(self, spaces, params, nitsche, grid, sources=None,
                  corrections=None, boundary_values=None, convection=True,
-                 solver_tol=1e-9, pin_pressure_fallback=True):
+                 solver_tol=1e-9):
         self.spaces = spaces
         self.grid = grid
         self.sources = sources
@@ -311,7 +311,6 @@ class TimeStepper:
         self.boundary_values = boundary_values or {}
         self.convection = convection
         self.solver_tol = solver_tol
-        self.pin_pressure_fallback = pin_pressure_fallback
         self.ctx = forms.AssemblyContext(spaces, params, nitsche)
         self.M = forms.assemble_M(self.ctx)
         self.N = forms.assemble_N(self.ctx)
@@ -331,25 +330,25 @@ class TimeStepper:
         if self.convection:
             conv = forms.assemble_convection(self.ctx, state_prev.block("u_f"))
         rhs = self.load(t_n) + self._m_over_tau @ state_prev.vector()
-        dofs, vals = fem.dirichlet_data(self.M, self.spaces,
-                                        self.boundary_values, t_n)
+        dofs, vals = fem.dirichlet_data(self.M, self.boundary_values, t_n)
         held = self._factor and self._factor.lu
         where = f"step {step_index} (t={t_n:.6g})"
         try:
             x, res = self._solve(conv, rhs, dofs, vals)
         except SingularSystemError as exc:
-            if not self.pin_pressure_fallback or self._pin is not None:
+            if self._pin is not None:
                 raise SingularSystemError(
-                    f"{where}: {exc}; consider raising the penalty gamma or "
-                    "pinning a pressure dof") from exc
+                    f"{where}: {exc}, with global dof {self._pin} (p_S dof 0) "
+                    "already pinned; consider raising the penalty gamma") from exc
             self._pin = self.M.offsets[forms.BLOCK_NAMES.index("p_S")]
             self._eliminated = None
             try:
                 x, res = self._solve(conv, rhs, dofs, vals)
             except SolverError as exc2:
                 raise SingularSystemError(
-                    f"{where} remains singular after pinning a pressure dof: "
-                    f"{exc2}; consider raising the penalty gamma") from exc2
+                    f"{where} remains singular after pinning global dof "
+                    f"{self._pin} (p_S dof 0): {exc2}; consider raising the "
+                    "penalty gamma") from exc2
         except NonFiniteSolutionError as exc:
             raise NonFiniteSolutionError(
                 f"{where}: {exc}; check the loads, the boundary data and the "
@@ -510,54 +509,3 @@ def march(stepper, state, on_step=None):
         if on_step is not None:
             on_step(n, state, report)
     return state
-
-
-@dataclass
-class RunSummary:
-    nsteps: int
-    energy: list
-    final_state: object
-    errors: dict = None
-    jump_seminorm: float = None
-
-
-def run(config, on_step=None):
-    """Execute one configured simulation and summarize it.
-
-    ``config`` provides the mesh, parameters, grid, and mode (see the cli
-    module).  In manufactured mode the stepper takes the loads of
-    ``verification.manufactured_problem`` and the summary includes
-    final-time errors; in general mode boundary data comes from the
-    configured profiles.  ``on_step`` observes every accepted step, as in
-    ``march``.
-    """
-    from . import verification
-
-    spaces = forms.build_spaces(config.build_mesh())
-    params = config.physical_params()
-    grid = config.time_grid()
-    if config.mode == "manufactured":
-        sol, loads = verification.manufactured_problem(params)
-    else:
-        sol, loads = None, {"boundary_values": config.boundary_values()}
-    stepper = TimeStepper(spaces, params, config.nitsche_params(), grid,
-                          convection=config.convection,
-                          solver_tol=config.solver_tolerance, **loads)
-    state = forms.StateVector.zero(spaces, time=0.0)
-    energy = [discrete_energy(state, stepper.ctx)]
-    last = [state, state]  # the states before and after the latest step
-
-    def observe(n, new, report):
-        energy.append(discrete_energy(new, stepper.ctx))
-        last[:] = last[1], new
-        if on_step is not None:
-            on_step(n, new, report)
-
-    state = march(stepper, state, observe)
-    summary = RunSummary(nsteps=grid.nsteps, energy=energy, final_state=state)
-    if grid.nsteps > 0:
-        rate = (state.block("y_s").values - last[0].block("y_s").values) / grid.tau
-        summary.jump_seminorm = interface_jump_seminorm(stepper.ctx, state, rate)
-    if sol is not None:
-        summary.errors, _ = verification.final_time_errors(state, sol)
-    return summary

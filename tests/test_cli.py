@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from fpsi import cli, forms, mesh as meshmod, solver
-from fpsi.cli import ConfigError, RunConfig, main, parse_config, write_vtk
+from fpsi import cli, forms, verification
+from fpsi.cli import ConfigError, main, parse_config, write_vtk
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -312,15 +312,22 @@ def test_convergence_applies_solver_tolerance(tmp_path, capsys):
     assert "step 1 (t=" in err and "solver.tolerance" in err
 
 
-def test_convergence_oracle_failure_names_correction_and_remedy(tmp_path, capsys):
-    # at mu_f = 1e9 the correct m2 (values near 5e10) misses the absolute
-    # defect gate by rounding: one stderr line, a configuration exit
-    path = write_config(tmp_path, "levels = 2,4\nphysics.mu_f = 1e9\n")
+def test_convergence_oracle_failure_names_correction_and_remedy(
+        tmp_path, capsys, monkeypatch):
+    # a closed form m2 off by 1e-6 misses the defect gate (1e-8 at the
+    # reference parameters): one stderr line, a configuration exit
+    exact = verification.InterfaceCorrections
+
+    def tampered(m1, m2, m3, m4, m5):
+        return exact(m1, lambda t, x, y: m2(t, x, y) + 1e-6, m3, m4, m5)
+
+    monkeypatch.setattr(verification, "InterfaceCorrections", tampered)
+    path = write_config(tmp_path, "levels = 2,4\n")
     code = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
-    assert "m2" in err[0] and "absolute gate" in err[0]
+    assert "m2" in err[0] and "above the gate 1.0e-08" in err[0]
     assert "reference set" in err[0] and "mode = general" in err[0]
 
 
@@ -358,43 +365,60 @@ mesh.tag.wall_p = gamma_p_d
     assert len(mesh.edges_with_tag("sigma")) == 2
 
 
-# --- solver.run driven by a parsed config -------------------------------------
+# --- fpsi run driven by a parsed config ----------------------------------------
 
-def test_run_manufactured_mode_summary(tmp_path):
-    path = write_config(tmp_path, """
+def _run_lines(tmp_path, capsys, text):
+    """Exit code and stdout lines of ``fpsi run`` on a config ``text``."""
+    path = write_config(tmp_path, text)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "run")])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def _l2_errors(line):
+    assert line.startswith("final-time L2 errors ")
+    pairs = (item.split() for item in line[len("final-time L2 errors "):].split(", "))
+    return {name: float(value) for name, value in pairs}
+
+
+def test_run_manufactured_mode_summary(tmp_path, capsys):
+    code, lines = _run_lines(tmp_path, capsys, """
 mode = manufactured
 mesh.nx = 4
 mesh.ny = 4
 time.tau = 0.00025
 time.final = 0.001
 """)
-    cfg = parse_config(path)
-    summary = solver.run(cfg)
-    assert summary.nsteps == 4
-    assert len(summary.energy) == 5
-    assert summary.errors is not None
-    assert all(np.isfinite(v) for v in summary.errors.values())
-    assert summary.errors["u_f"] < 1e-3  # coarse-level sanity
-    assert summary.jump_seminorm is not None
+    assert code == cli.EXIT_OK
+    assert lines[0].startswith("completed 4 steps on ")
+    energy, jump = lines[1].split(", interface jump seminorm ")
+    assert np.isfinite(float(energy.split()[-1]))
+    assert np.isfinite(float(jump))
+    errors = _l2_errors(lines[2])
+    assert set(errors) == {"u_f", "p_S", "u_r", "p_P", "y_s", "u_s"}
+    assert all(np.isfinite(v) for v in errors.values())
+    assert errors["u_f"] < 1e-3  # coarse-level sanity
 
 
-def test_run_zero_steps_returns_initial_state(tmp_path):
-    path = write_config(tmp_path, """
+def test_run_zero_steps_returns_initial_state(tmp_path, capsys):
+    # every exact field vanishes at t = 0, so the final-time errors are the
+    # norms of the final state: all zero for the initial state
+    code, lines = _run_lines(tmp_path, capsys, """
 mode = manufactured
 mesh.nx = 2
 mesh.ny = 2
 time.tau = 0.0005
 time.final = 0
 """)
-    cfg = parse_config(path)
-    summary = solver.run(cfg)
-    assert summary.nsteps == 0
-    assert np.abs(summary.final_state.vector()).max() == 0.0
-    assert summary.jump_seminorm is None
+    assert code == cli.EXIT_OK
+    assert lines[0].startswith("completed 0 steps on ")
+    assert lines[1] == ("final energy 0.000000e+00, interface jump seminorm "
+                        "n/a")
+    assert set(_l2_errors(lines[2]).values()) == {0.0}
 
 
-def test_run_general_mode_on_imported_mesh(tmp_path):
-    path = write_config(tmp_path, """
+def test_run_general_mode_on_imported_mesh(tmp_path, capsys):
+    # a non-finite final state would exit with EXIT_SOLVER
+    code, lines = _run_lines(tmp_path, capsys, """
 mode = general
 mesh.kind = msh
 mesh.path = tests/data/two_layer_8tri.msh
@@ -407,10 +431,11 @@ run.inflow = none
 time.tau = 0.001
 time.final = 0.003
 """)
-    cfg = parse_config(path)
-    summary = solver.run(cfg)
-    assert summary.nsteps == 3
-    assert np.all(np.isfinite(summary.final_state.vector()))
+    assert code == cli.EXIT_OK
+    assert lines[0].startswith("completed 3 steps on ")
+    energy, jump = lines[1].split(", interface jump seminorm ")
+    assert np.isfinite(float(energy.split()[-1])) and np.isfinite(float(jump))
+    assert len(lines) == 2
 
 
 def test_default_channel_rows_rejected_with_remedy(tmp_path, capsys):

@@ -375,7 +375,7 @@ def assembled_22():
     n_sys = assemble_N(ctx)
     conv = BlockSystem.from_contributions(
         spaces, [assemble_convection(ctx, prev)])
-    n_sys = n_sys.with_matrix(n_sys.matrix + conv.matrix)
+    n_sys = BlockSystem(spaces, n_sys.matrix + conv.matrix)
     return spaces, params, nitsche, m_sys, n_sys
 
 
@@ -466,8 +466,8 @@ def test_assemble_f_manufactured_t0_limits(assembled_22):
     # velocity rates while every other load and correction vanishes
     from fpsi import verification
     spaces, params, nitsche, _, _ = assembled_22
-    sources = verification.derive_sources(params, check=False)
-    corrections = verification.derive_corrections(params, check=False)
+    sources = verification.derive_sources(params)
+    corrections = verification.derive_corrections(params)
     ctx = AssemblyContext(spaces, params, nitsche)
     rhs = assemble_F(ctx, sources, 0.0, corrections)
 
@@ -575,8 +575,8 @@ def test_exact_solution_residual_decreases():
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     sol = verification.ExactSolution()
-    sources = verification.derive_sources(params, check=False)
-    corr = verification.derive_corrections(params, check=False)
+    sources = verification.derive_sources(params)
+    corr = verification.derive_corrections(params)
     T = 1e-3
     norms = []
     for nx in (4, 8, 16):
@@ -599,7 +599,7 @@ def test_exact_solution_residual_decreases():
         rhs = assemble_F(ctx, sources, T, corr) \
             + (m_sys.matrix @ x_prev.vector()) / tau
         res = op @ x_now.vector() - rhs
-        sys = BlockSystem(spaces, op, rhs)
+        sys = BlockSystem(spaces, op)
         for space, off in zip(spaces, sys.offsets):
             res[space.dirichlet_dofs + off] = 0.0
         norms.append(np.linalg.norm(res))

@@ -24,11 +24,6 @@ def test_odd_ny_rejected():
         generate_structured(2, 3)
 
 
-def test_degenerate_geometry_rejected():
-    with pytest.raises(MeshError, match="width and height"):
-        generate_structured(2, 2, width=0.0)
-
-
 def test_subdomain_areas(mesh22):
     assert abs(mesh22.subdomain_area("S") - 0.5) < 1e-12
     assert abs(mesh22.subdomain_area("P") - 0.5) < 1e-12

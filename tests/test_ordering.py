@@ -22,7 +22,7 @@ def _eliminated_operator(nx):
     ctx = forms.AssemblyContext(spaces, params, nitsche)
     M = forms.assemble_M(ctx)
     N = forms.assemble_N(ctx)
-    dofs, _ = fem.dirichlet_data(M, spaces, {}, 0.0)
+    dofs, _ = fem.dirichlet_data(M, {}, 0.0)
     return fem.eliminate_matrix(M.matrix * (nx / 1e-3) + N.matrix, dofs)[0]
 
 

@@ -146,12 +146,12 @@ def _direct_step(stepper, state_prev, n):
             spaces, [conv]).matrix
     rhs = (stepper.load(t_n)
            + stepper.M.matrix / stepper.grid.tau @ state_prev.vector())
-    system = fem.apply_dirichlet(forms.BlockSystem(spaces, operator, rhs),
-                                 spaces, stepper.boundary_values, t_n)
-    dofs, _ = fem.dirichlet_data(system, spaces, stepper.boundary_values, t_n)
-    factor = solver.Factor(system.matrix,
+    system = forms.BlockSystem(spaces, operator)
+    matrix, rhs = fem.apply_dirichlet(system, rhs, stepper.boundary_values, t_n)
+    dofs, _ = fem.dirichlet_data(system, stepper.boundary_values, t_n)
+    factor = solver.Factor(matrix,
                            solver.mesh_order(spaces, stepper.ctx.pairs, dofs))
-    return solve_linear(system.matrix, system.rhs, 1e-9, factor)[0]
+    return solve_linear(matrix, rhs, 1e-9, factor)[0]
 
 
 def test_reused_factor_matches_direct_solve(small_setup):
@@ -187,8 +187,8 @@ def test_load_polynomial_matches_quadrature(nx):
     params = PhysicalParams(**forms.REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     spaces = build_spaces(generate_structured(nx, nx))
-    sources = verification.derive_sources(params, check=False)
-    corr = verification.derive_corrections(params, check=False)
+    sources = verification.derive_sources(params)
+    corr = verification.derive_corrections(params)
     grid = TimeGrid(tau=1e-3 / nx, final=1e-3)
     stepper = TimeStepper(spaces, params, nitsche, grid, sources=sources,
                           corrections=corr)
@@ -331,8 +331,7 @@ def test_factored_matrix_holds_no_stored_zeros(monkeypatch):
     counts = _counting_solves(monkeypatch)
     stepper = _manufactured_stepper(4, 1e-3, True)
     state = solver.march(stepper, StateVector.zero(stepper.spaces))
-    dofs, _ = fem.dirichlet_data(stepper.M, stepper.spaces,
-                                 stepper.boundary_values, 0.0)
+    dofs, _ = fem.dirichlet_data(stepper.M, stepper.boundary_values, 0.0)
     want, _ = fem.eliminate_matrix(
         stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix, dofs)
     assert len(counts["factored"]) == 1
@@ -366,7 +365,7 @@ def test_mesh_order_numbers_each_node_together(small_setup):
     # index order, and every node once
     mesh, spaces, params, nitsche = small_setup
     system = forms.BlockSystem(spaces, None)
-    dofs, _ = fem.dirichlet_data(system, spaces, {}, 0.0)
+    dofs, _ = fem.dirichlet_data(system, {}, 0.0)
     perm = solver.mesh_order(spaces, interface_pairs(mesh), dofs)
     assert np.array_equal(np.sort(perm), np.arange(system.size))
     assert np.array_equal(perm[:dofs.size], np.sort(dofs))
@@ -450,7 +449,8 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
     def first_factor(perturb):
         stepper = _nx8_stepper(workload)
         if perturb:
-            stepper.N = stepper.N.with_matrix(_rounding_perturbed(stepper.N.matrix, rng))
+            stepper.N = forms.BlockSystem(
+                stepper.spaces, _rounding_perturbed(stepper.N.matrix, rng))
             stepper._m_over_tau = _rounding_perturbed(stepper._m_over_tau, rng)
         stepper.step(StateVector.zero(stepper.spaces), 1)
         factor = stepper._factor
@@ -459,10 +459,10 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
     factor, fill = first_factor(False)
     assemble = forms.BlockSystem.from_contributions.__func__
 
-    def perturbed_parts(cls, spaces, parts, rhs=None):
+    def perturbed_parts(cls, spaces, parts):
         parts = [part[:4] + (part[4] * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, part[4].size)),)
                  for part in parts]
-        return assemble(cls, spaces, parts, rhs)
+        return assemble(cls, spaces, parts)
 
     monkeypatch.setattr(forms.BlockSystem, "from_contributions",
                         classmethod(perturbed_parts))
@@ -514,7 +514,7 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     stepper.step(StateVector.zero(stepper.spaces), 1)
     u_f = rng.normal(size=stepper.spaces.u_f.ndofs)
     conv = forms.assemble_convection(stepper.ctx, u_f)
-    dofs, _ = fem.dirichlet_data(stepper.M, stepper.spaces, {}, 0.0)
+    dofs, _ = fem.dirichlet_data(stepper.M, {}, 0.0)
     operator = stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix
     for got, want in zip(stepper._update.matrices(conv[4]),
                          _convection_reference(stepper, operator, conv, dofs)):
@@ -615,11 +615,37 @@ def test_pressure_pin_fallback(small_setup, monkeypatch):
     assert report.pinned_pressure
     assert np.all(np.isfinite(state.vector()))
 
-    stepper_strict = TimeStepper(spaces, params, nitsche, grid,
-                                 pin_pressure_fallback=False)
-    calls["n"] = 0
-    with pytest.raises(SingularSystemError, match="gamma"):
-        stepper_strict.step(StateVector.zero(spaces), 1)
+
+def test_singular_after_pin_names_the_pinned_dof(small_setup, monkeypatch):
+    # splu fails at the first factorization, which the pin mends, and again
+    # at the refactorization that strong convection forces in step 2: a
+    # second pin cannot help, so the error names the pinned dof and leaves
+    # the penalty as the remedy
+    mesh, spaces, params, nitsche = small_setup
+    stepper = TimeStepper(spaces, params, nitsche,
+                          TimeGrid(tau=0.1, final=0.2), convection=True)
+    calls = {"n": 0}
+    original = spla.splu
+
+    def singular_twice(matrix, **kwargs):
+        calls["n"] += 1
+        if calls["n"] in (1, 3):
+            raise RuntimeError("Factor is exactly singular")
+        return original(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", singular_twice)
+    state, report = stepper.step(StateVector.zero(spaces), 1)
+    assert report.pinned_pressure
+    state.block("u_f").values[:] = 100.0
+    pin = stepper.M.offsets[forms.BLOCK_NAMES.index("p_S")]
+    with pytest.raises(SingularSystemError) as info:
+        stepper.step(state, 2)
+    message = str(info.value)
+    assert calls["n"] == 3
+    assert message.startswith("step 2 (t=0.2): ")
+    assert f"global dof {pin} (p_S dof 0) already pinned" in message
+    assert "raising the penalty gamma" in message
+    assert "pinning" not in message
 
 
 def test_pin_decided_once_per_factor(small_setup, monkeypatch):
@@ -707,6 +733,47 @@ def test_only_march_steps():
                 calls.visit(ast.parse(fh.read()))
             found += calls.found
     assert found == ["solver.march"]
+
+
+# Each module of the package may import only modules before it here.
+LAYERS = ("mesh", "ordering", "fem", "forms", "solver", "verification", "cli")
+
+
+def _package_imports(tree):
+    """Package modules that ``tree`` imports, at any depth, in any form."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("fpsi."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "fpsi":
+                continue
+            parts = module.split(".")[1:] if node.level == 0 else module.split(".")
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_imports_follow_the_layer_order():
+    # no import cycle, not even through a function-level import: mesh,
+    # ordering, fem, forms, solver, verification and cli, each importing
+    # only modules earlier in that order
+    root = os.path.dirname(solver.__file__)
+    wrong = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        module = name[:-3]
+        rank = 0 if module == "__init__" else LAYERS.index(module)
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            imported = _package_imports(ast.parse(fh.read()))
+        wrong += [f"{module} imports {other}" for other in sorted(imported)
+                  if other not in LAYERS[:rank]]
+    assert wrong == []
 
 
 # --- discrete energy -------------------------------------------------------------
@@ -868,7 +935,7 @@ def test_lift_matches_full_product(convection):
                           convection=convection, **loads)
     state, _ = stepper.step(StateVector.zero(spaces), 1)
     rng = np.random.default_rng(7)
-    dofs, vals = fem.dirichlet_data(stepper.M, spaces, stepper.boundary_values,
+    dofs, vals = fem.dirichlet_data(stepper.M, stepper.boundary_values,
                                     stepper.grid.time_at(2))
     assert np.abs(vals).max() > 0.0
     rhs = rng.normal(size=stepper.M.size)

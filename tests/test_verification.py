@@ -48,36 +48,49 @@ def test_r_s_closed_form(sol, rng):
 
 
 def test_derive_sources_oracle_gate(table1_params):
-    derive_sources(table1_params, check=True)  # raises on disagreement
+    derive_sources(table1_params)  # raises on disagreement
 
 
 def test_derive_corrections_oracle_gate(table1_params):
-    derive_corrections(table1_params, check=True)
+    derive_corrections(table1_params)
 
 
 def test_oracle_rejects_tampered_source(table1_params):
-    sources = derive_sources(table1_params, check=False)
+    sources = derive_sources(table1_params)
     sol = ExactSolution()
     broken = verification.SourceSet(
         f_S=lambda t, x, y: sources.f_S(t, x, y) * 1.001,
         load_u_r=sources.load_u_r, load_y_s=sources.load_y_s,
         r_S=sources.r_S, load_p_P=sources.load_p_P)
     with pytest.raises(OracleError, match=r"f_S.*\(t="):
-        verification._check_sources(sol, table1_params, broken, 1, 50)
+        verification._check_sources(sol, table1_params, broken)
 
 
 def test_oracle_rejects_tampered_correction(table1_params):
-    corr = derive_corrections(table1_params, check=False)
+    corr = derive_corrections(table1_params)
     sol = ExactSolution()
     broken = verification.InterfaceCorrections(
         m1=corr.m1, m2=lambda t, x, y: corr.m2(t, x, y) + 1e-6,
         m3=corr.m3, m4=corr.m4, m5=corr.m5)
     with pytest.raises(OracleError, match="m2"):
-        verification._check_corrections(sol, table1_params, broken, 1.0, 1, 50)
+        verification._check_corrections(sol, table1_params, broken, 1.0)
+
+
+def test_correction_gate_scales_with_the_defect_terms():
+    # at mu_f = 1e9 the tractions reach ~4e10 and the correct m2 misses a
+    # 1e-8 gate by rounding alone (~1.5e-5); the gate, 1e-13 of the largest
+    # term (~4.4e-3), passes it and still refuses m2 off by 1e-2
+    params = forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, "mu_f": 1e9})
+    corr = derive_corrections(params)
+    broken = verification.InterfaceCorrections(
+        m1=corr.m1, m2=lambda t, x, y: corr.m2(t, x, y) + 1e-2,
+        m3=corr.m3, m4=corr.m4, m5=corr.m5)
+    with pytest.raises(OracleError, match=r"m2.*above the gate 4\.4e-03"):
+        verification._check_corrections(ExactSolution(), params, broken, 1.0)
 
 
 def test_m1_zero_everywhere(table1_params, rng):
-    corr = derive_corrections(table1_params, check=False)
+    corr = derive_corrections(table1_params)
     t = rng.uniform(0.0, 2.0, 64)
     x = rng.uniform(0.0, 1.0, 64)
     assert np.abs(corr.m1(t, x, np.full_like(x, 0.5))).max() == 0.0
@@ -87,7 +100,7 @@ def test_m4_reduces_to_stress_trace_without_friction(rng):
     # with alpha = 0 the slip defect is the tangential stress trace alone,
     # which vanishes identically for this solution
     params = forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
-    corr = derive_corrections(params, check=True)
+    corr = derive_corrections(params)
     sol = ExactSolution()
     t = rng.uniform(0.1, 1.0, 32)
     x = rng.uniform(0.0, 1.0, 32)
@@ -99,7 +112,7 @@ def test_m4_reduces_to_stress_trace_without_friction(rng):
 
 
 def test_m5_closed_form(table1_params, rng):
-    corr = derive_corrections(table1_params, check=False)
+    corr = derive_corrections(table1_params)
     t = rng.uniform(0.1, 1.0, 32)
     x = rng.uniform(0.0, 1.0, 32)
     expected = table1_params.mu_f * table1_params.alpha_bjs * t * x**3
@@ -112,7 +125,7 @@ def _permeability_params(kappa):
 
 @pytest.mark.parametrize("kappa", [1e-4, 1e-8])
 def test_corrections_pass_their_gate_below_unit_permeability(kappa):
-    derive_corrections(_permeability_params(kappa), check=True)
+    derive_corrections(_permeability_params(kappa))
 
 
 def test_m5_matches_symbolic_slip_defect(rng):
@@ -134,7 +147,7 @@ def test_m5_matches_symbolic_slip_defect(rng):
               * u_r.dot(tangent))
     oracle = sp.lambdify((t, x), defect.subs(y, sp.Rational(1, 2)), "numpy")
     tt, xx = rng.uniform(0.1, 1.0, 64), rng.uniform(0.0, 1.0, 64)
-    got = derive_corrections(params, check=False).m5(tt, xx, np.full_like(xx, 0.5))
+    got = derive_corrections(params).m5(tt, xx, np.full_like(xx, 0.5))
     want = oracle(tt, xx)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
