@@ -166,9 +166,12 @@ def _parse_lines(path):
 
 def _to_float(entries, key):
     try:
-        return float(entries[key])
+        value = float(entries[key])
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {entries[key]!r}") from None
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {entries[key]!r}")
+    return value
 
 
 def _to_int(entries, key):
@@ -256,6 +259,9 @@ def parse_config(path):
         raise ConfigError(
             f"levels: a convergence rate needs at least two strictly refining "
             f"levels (increasing cell counts), got {entries['levels']!r}")
+    if any(n % 2 for n in levels):
+        raise ConfigError(f"levels: each level is an nx x nx square split at "
+                          f"y = 1/2, so nx must be even, got {entries['levels']!r}")
 
     ny = _to_int(entries, "mesh.ny")
     channel = {key: _to_float(entries, f"channel.{key}")
@@ -309,11 +315,13 @@ def _check_channel_rows(ny, ch):
 
 def _parse_kappa(text):
     parts = text.split()
-    if len(parts) == 1:
-        return float(parts[0])
-    if len(parts) == 4:
-        return np.array(parts, dtype=float).reshape(2, 2)
-    raise ConfigError(f"physics.kappa: expected 1 or 4 numbers, got {text!r}")
+    try:
+        kappa = np.array(parts, dtype=float)
+    except ValueError:
+        kappa = np.array([])
+    if kappa.size not in (1, 4) or not np.all(np.isfinite(kappa)):
+        raise ConfigError(f"physics.kappa: expected 1 or 4 finite numbers, got {text!r}")
+    return float(kappa[0]) if kappa.size == 1 else kappa.reshape(2, 2)
 
 
 # --- VTK output ---------------------------------------------------------------
@@ -371,6 +379,15 @@ def _ensure_outdir(path):
 
 def cmd_convergence(config, out_dir):
     """Run the refinement study, write the error table, check thresholds."""
+    # checked here, not in parse_config: only this command steps by tau_factor
+    for nx in config.levels:
+        try:
+            solver.TimeGrid(tau=(1.0 / nx) * config.tau_factor, final=config.final)
+        except ValueError as exc:
+            raise ConfigError(
+                f"convergence.tau_factor: level nx={nx} steps by tau = "
+                f"tau_factor / nx: {exc}; choose a positive tau_factor with "
+                "time.final a multiple of tau_factor / nx at every level") from exc
     _ensure_outdir(out_dir)
     params = config.physical_params()
     nitsche = config.nitsche_params()
@@ -433,8 +450,9 @@ def cmd_run(config, out_dir):
     jump = "n/a"
     if grid.nsteps > 0:
         rate = (state.block("y_s").values - last[0].block("y_s").values) / grid.tau
-        jump = f"{solver.interface_jump_seminorm(stepper.ctx, state, rate):.6e}"
-    print(f"final energy {solver.discrete_energy(state, stepper.ctx):.6e}, "
+        jump = f"{forms.interface_jump_seminorm(stepper.ctx, state, rate):.6e}"
+    energy = forms.energy_matrix(stepper.M, stepper.N)
+    print(f"final energy {solver.discrete_energy(state, energy):.6e}, "
           f"interface jump seminorm {jump}")
     if sol is not None:
         errors, _ = verification.final_time_errors(state, sol)
@@ -468,9 +486,10 @@ def cmd_energy_check(config, out_dir):
             -1.0, 1.0, block.space.ndofs)
         block.values[block.space.dirichlet_dofs] = 0.0
 
-    energies = [solver.discrete_energy(state, stepper.ctx)]
+    energy = forms.energy_matrix(stepper.M, stepper.N)
+    energies = [solver.discrete_energy(state, energy)]
     solver.march(stepper, state, lambda n, new, report: energies.append(
-        solver.discrete_energy(new, stepper.ctx)))
+        solver.discrete_energy(new, energy)))
 
     csv_path = os.path.join(out_dir, "energy.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -197,10 +197,6 @@ class FunctionSpace:
                         nodes.add(int(self.num_vertex_nodes + pos))
         return np.array(sorted(nodes), dtype=np.int64)
 
-    @property
-    def num_interior_dofs(self):
-        return self.ndofs - self.dirichlet_dofs.size
-
     def dirichlet_values(self, value_fn, time):
         """Prescribed values at the Dirichlet dofs, in dof order."""
         if self.dirichlet_nodes.size == 0:
@@ -242,13 +238,6 @@ def _eval_field(fn, time, x, y, components):
         return vals.T
     raise FEMError(f"vector field returned shape {vals.shape}, "
                    f"expected ({len(x)}, 2)")
-
-
-def interpolate(space, field, time=0.0):
-    """Nodal interpolant: evaluate the field at every Lagrange node."""
-    x, y = space.node_coords[:, 0], space.node_coords[:, 1]
-    vals = _eval_field(field, time, x, y, space.components)
-    return FieldCoefficients(space, vals.ravel())
 
 
 class CellGeometry:

@@ -149,12 +149,12 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("rho_f", "rho_s", "mu_f", "mu_p", "lam_p", "K"):
             val = float(getattr(self, name))
-            if val <= 0:
-                raise FormsError(f"{name} must be positive, got {val}")
+            if not 0 < val < np.inf:
+                raise FormsError(f"{name} must be positive and finite, got {val}")
             setattr(self, name, val)
         self.alpha_bjs = float(self.alpha_bjs)
-        if self.alpha_bjs < 0:
-            raise FormsError(f"alpha_bjs must be nonnegative, got {self.alpha_bjs}")
+        if not 0 <= self.alpha_bjs < np.inf:
+            raise FormsError(f"alpha_bjs must be finite and >= 0, got {self.alpha_bjs}")
         if not isinstance(self.phi, Coefficient):
             self.phi = Coefficient(self.phi)
         if not isinstance(self.theta, Coefficient):
@@ -177,6 +177,10 @@ class PhysicalParams:
         return self.rho_s * (1.0 - phi) + self.rho_f * phi
 
     def _check_samples(self, phi_vals, theta_vals):
+        for name, vals in (("porosity phi", phi_vals), ("sink theta", theta_vals)):
+            if not np.all(np.isfinite(vals)):
+                raise FormsError(f"{name} must be finite, sampled "
+                                 f"{vals[~np.isfinite(vals)].flat[0]}")
         lo, hi = float(phi_vals.min()), float(phi_vals.max())
         if lo <= 0 or hi >= self.phi_max_bound:
             raise FormsError(
@@ -187,6 +191,9 @@ class PhysicalParams:
                           "expects a sink (theta <= 0)")
 
     def _check_kappa(self, kap):
+        if not np.all(np.isfinite(kap)):
+            raise FormsError("permeability tensor must be finite, sampled "
+                             f"{kap[~np.isfinite(kap)].flat[0]}")
         sym_err = np.abs(kap - np.transpose(kap, (0, 2, 1))).max()
         if sym_err > 1e-12:
             raise FormsError("permeability tensor must be symmetric")
@@ -218,8 +225,8 @@ class NitscheParams:
     varsigma: int = 1
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise FormsError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise FormsError(f"gamma must be positive and finite, got {self.gamma}")
         if self.varsigma not in (-1, 0, 1):
             raise FormsError(f"varsigma must be -1, 0, or 1, got {self.varsigma}")
 
@@ -240,7 +247,8 @@ class BlockSystem:
         """Sum (test, trial, rows, cols, values) parts into CSR, int32 if it fits.
 
         Exact zeros and sums below ``RESIDUE_RTOL`` of the summed magnitudes
-        of their terms are left out of the pattern.
+        of their terms are left out of the pattern.  A non-finite term, which
+        would make its sum fail that test and vanish, raises FormsError.
         """
         sizes = [sp.ndofs for sp in spaces]
         offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
@@ -250,6 +258,9 @@ class BlockSystem:
         rows, cols, vals = [], [], []
         for test, trial, r, c, v in contributions:
             v = np.asarray(v, dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise FormsError(f"non-finite term in block ({test}, {trial}): check "
+                                 "the parameters and coefficients for NaN or inf")
             terms = np.flatnonzero(v)
             rows.append(np.asarray(r, dtype=index)[terms] + index(offsets[idx[test]]))
             cols.append(np.asarray(c, dtype=index)[terms] + index(offsets[idx[trial]]))
@@ -279,19 +290,6 @@ class BlockSystem:
         j = BLOCK_NAMES.index(trial)
         r0, c0 = self.offsets[i], self.offsets[j]
         return self.matrix[r0:r0 + self.sizes[i], c0:c0 + self.sizes[j]]
-
-    def block_pattern(self):
-        """Set of (test, trial) block pairs holding structural nonzeros."""
-        pruned = self.matrix.copy()
-        pruned.eliminate_zeros()
-        pattern = set()
-        for i, test in enumerate(BLOCK_NAMES):
-            for j, trial in enumerate(BLOCK_NAMES):
-                r0, c0 = self.offsets[i], self.offsets[j]
-                sub = pruned[r0:r0 + self.sizes[i], c0:c0 + self.sizes[j]]
-                if sub.nnz:
-                    pattern.add((test, trial))
-        return pattern
 
 
 class StateVector:
@@ -457,6 +455,22 @@ class AssemblyContext:
                 for name, space, normal in (("u_f", spaces.u_f, "normal_s"),
                                             ("u_r", spaces.u_r, "normal_p"),
                                             ("y_s", spaces.y_s, "normal_p"))]
+
+
+def interface_jump_seminorm(ctx, state, rate_y_values):
+    """Sum over interface facets of h_E^{-1} | n.u_f + n.u_r + n.d_t y |^2.
+
+    ``rate_y_values`` holds the coefficients of the discrete displacement
+    rate (typically the backward difference of y_s over the last step).
+    """
+    fs = ctx.facet_stack
+    if fs is None:
+        return 0.0
+    values = {"u_f": state.block("u_f").values, "u_r": state.block("u_r").values,
+              "y_s": rate_y_values}
+    jn = sum(np.einsum("fqa,fa->fq", trace, values[name][dofs])
+             for name, trace, dofs in ctx.facet_jumps())
+    return float(np.sum(fs["w"] * jn**2 / fs["h_e"][:, None]))
 
 
 def _expand_components(base):
@@ -799,6 +813,32 @@ def assemble_M(ctx):
 def assemble_N(ctx):
     """Matrix of all stationary couplings; convection is assembled apart."""
     return _assemble(ctx, "N")
+
+
+def energy_matrix(M, N):
+    """Sparse E with 1/2 x^T E x the discrete energy of the state x.
+
+    1/2 [ rho_f |u_f|^2 + rho_s (1 - phi) |u_s|^2 + (1 - phi)^2 / K |p_P|^2
+          + rho_f phi |u_r + u_s|^2 + 2 mu_p |eps(y_s)|^2 + lam_p |div y_s|^2 ]
+
+    is read off blocks of ``assemble_M`` and ``assemble_N`` that hold no
+    other coupling: M's (u_f, u_f), (u_r, u_r) and (p_P, p_P) storage
+    masses, M's (u_r, u_s) cross mass with its transpose at (u_s, u_r), N's
+    (u_s, u_s) mass, whose weight rho_p is rho_s (1 - phi) + rho_f phi, and
+    N's (y_s, y_s) elasticity.  Interface parts reach M only with the trial
+    y_s, and the sink, Brinkman and Darcy terms lie in M's (y_s, y_s) and
+    (u_r, y_s) and N's (u_r, u_r) and (y_s, u_r), so none enters E.
+    """
+    at = BLOCK_NAMES.index
+    grid = [[None] * len(BLOCK_NAMES) for _ in BLOCK_NAMES]
+    for source, test, trial in ((M, "u_f", "u_f"), (M, "u_r", "u_r"),
+                                (M, "u_r", "u_s"), (M, "p_P", "p_P"),
+                                (N, "u_s", "u_s"), (N, "y_s", "y_s")):
+        grid[at(test)][at(trial)] = source.block(test, trial)
+    grid[at("u_s")][at("u_r")] = grid[at("u_r")][at("u_s")].T
+    # p_S holds no energy, but bmat needs the block's size
+    grid[at("p_S")][at("p_S")] = sparse.csr_matrix((M.sizes[at("p_S")],) * 2)
+    return sparse.bmat(grid, format="csr")
 
 
 def assemble_F(ctx, sources, time, corrections=None):

@@ -9,7 +9,7 @@ is shared by exactly one S-cell and one P-cell.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class Mesh:
     edge_tags: np.ndarray
     edge_cells: np.ndarray
     cell_edges: np.ndarray
-    _areas: np.ndarray = field(repr=False, default=None)
 
     @property
     def num_vertices(self):
@@ -71,17 +70,11 @@ class Mesh:
     def num_edges(self):
         return self.edges.shape[0]
 
-    def cell_areas(self):
-        return self._areas
-
     def cells_in(self, subdomain):
         """Indices of cells carrying the given subdomain tag."""
         if subdomain == "both":
             return np.arange(self.num_cells)
         return np.flatnonzero(self.cell_tags == subdomain)
-
-    def subdomain_area(self, subdomain):
-        return float(self._areas[self.cells_in(subdomain)].sum())
 
     def edges_with_tag(self, tag):
         return np.flatnonzero(self.edge_tags == tag)
@@ -176,7 +169,7 @@ def _build_mesh(vertices, cells, cell_tags, tag_edges):
 
     mesh = Mesh(vertices=vertices, cells=cells, cell_tags=cell_tags,
                 edges=edges, edge_tags=tags, edge_cells=edge_cells,
-                cell_edges=cell_edges, _areas=np.asarray(areas, dtype=float))
+                cell_edges=cell_edges)
     _validate(mesh)
     return mesh
 

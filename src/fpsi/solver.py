@@ -431,68 +431,14 @@ class TimeStepper:
                             self.solver_tol, self._factor)
 
 
-def _field_at_quad(block, phi_table):
-    space = block.space
-    coeffs = block.values.reshape(space.num_nodes, space.components)
-    return phi_table @ coeffs[space.cell_dofs]
+def discrete_energy(state, energy):
+    """1/2 x^T E x of the state x with ``energy`` the matrix E.
 
-
-def _integral(wdet, density):
-    """sum over cells and points of wdet times ``density`` (c, q, ...)."""
-    return float(wdet.ravel() @ density.reshape(wdet.size, -1).sum(axis=1))
-
-
-def discrete_energy(state, ctx):
-    """Quadratic energy of a state.
-
-    1/2 [ rho_f |u_f|^2 + rho_s (1 - phi) |u_s|^2 + (1 - phi)^2 / K |p_P|^2
-          + rho_f phi |u_r + u_s|^2 + 2 mu_p |eps(y_s)|^2
-          + lam_p |div y_s|^2 ]
-
-    ``ctx`` is the ``AssemblyContext`` of the state's spaces, such as a
-    stepper's: its parameters, geometry, tabulations and gradients.  Fields
-    and gradients at the quadrature points are matrix products per cell.
+    E is ``forms.energy_matrix(M, N)`` of the state's operators, such as a
+    stepper's ``M`` and ``N``.
     """
-    params, tab, geo_p = ctx.params, ctx.tab, ctx.geo["P"]
-    w_p = geo_p.wdet
-    u_f = _field_at_quad(state.block("u_f"), tab[2][0])
-    total = params.rho_f * _integral(ctx.geo["S"].wdet, u_f**2)
-
-    phi = ctx.phi_P
-    u_s = _field_at_quad(state.block("u_s"), tab[1][0])
-    u_r = _field_at_quad(state.block("u_r"), tab[2][0])
-    p_p = _field_at_quad(state.block("p_P"), tab[1][0])
-    total += params.rho_s * _integral(w_p * (1.0 - phi), u_s**2)
-    total += _integral(w_p * (1.0 - phi)**2 / params.K, p_p**2)
-    total += params.rho_f * _integral(w_p * phi, (u_r + u_s)**2)
-
-    y_space = state.block("y_s").space
-    grads = ctx.grads(y_space)                      # (c, q, nloc, 2)
-    c, q, nloc, _ = grads.shape
-    coeffs = state.block("y_s").values.reshape(y_space.num_nodes, 2)
-    # per cell (q d, nloc) @ (nloc, k): g[c, q, d, k] = d_d y_k
-    g = (np.swapaxes(grads, 2, 3).reshape(c, 2 * q, nloc)
-         @ coeffs[y_space.cell_dofs]).reshape(c, q, 2, 2)
-    eps = 0.5 * (g + np.swapaxes(g, -1, -2))
-    total += 2.0 * params.mu_p * _integral(w_p, eps**2)
-    total += params.lam_p * _integral(w_p, (g[..., 0, 0] + g[..., 1, 1])**2)
-    return 0.5 * total
-
-
-def interface_jump_seminorm(ctx, state, rate_y_values):
-    """Sum over interface facets of h_E^{-1} | n.u_f + n.u_r + n.d_t y |^2.
-
-    ``rate_y_values`` holds the coefficients of the discrete displacement
-    rate (typically the backward difference of y_s over the last step).
-    """
-    fs = ctx.facet_stack
-    if fs is None:
-        return 0.0
-    values = {"u_f": state.block("u_f").values, "u_r": state.block("u_r").values,
-              "y_s": rate_y_values}
-    jn = sum(np.einsum("fqa,fa->fq", trace, values[name][dofs])
-             for name, trace, dofs in ctx.facet_jumps())
-    return float(np.sum(fs["w"] * jn**2 / fs["h_e"][:, None]))
+    x = state.vector()
+    return 0.5 * float(x @ (energy @ x))
 
 
 def march(stepper, state, on_step=None):

@@ -219,25 +219,17 @@ class ExactSolution:
     u_f = u_s = dt_y_s = _pointwise("vel")
     grad_u_f = grad_u_s = _pointwise("vel_grad")
     dt_u_f = dt_u_s = _pointwise("vel_dt")
-    lap_u_f = lap_u_s = _pointwise("vel_laplacian")
-    grad_div_u_f = grad_div_u_s = _pointwise("vel_grad_div")
-    div_u_f = div_u_s = _pointwise("vel_div")
 
-    p_S = p_P = pressure = _pointwise("pressure")
-    grad_p_S = grad_p_P = grad_pressure = _pointwise("grad_pressure")
-    dt_p_S = dt_p_P = dt_pressure = _pointwise("dt_pressure")
+    p_S = p_P = _pointwise("pressure")
+    grad_p_S = grad_p_P = _pointwise("grad_pressure")
+    dt_p_S = dt_p_P = _pointwise("dt_pressure")
 
     u_r = _pointwise("u_r")
     grad_u_r = _pointwise("grad_u_r")
     dt_u_r = _pointwise("dt_u_r")
-    lap_u_r = _pointwise("lap_u_r")
-    grad_div_u_r = _pointwise("grad_div_u_r")
-    div_u_r = _pointwise("div_u_r")
 
     y_s = _pointwise("y_s")
     grad_y_s = _pointwise("grad_y_s")
-    lap_y_s = _pointwise("lap_y_s")
-    grad_div_y_s = _pointwise("grad_div_y_s")
     div_y_s = _pointwise("div_y_s")
 
     # -- interface stress traces (general position, used by defect oracles) --

@@ -1,0 +1,35 @@
+"""Small helpers that only the tests use: interpolation, areas, block patterns."""
+
+from fpsi.fem import FieldCoefficients, _eval_field
+from fpsi.forms import BLOCK_NAMES
+from fpsi.mesh import _signed_area
+
+
+def interpolate(space, field, time=0.0):
+    """Nodal interpolant: evaluate the field at every Lagrange node."""
+    x, y = space.node_coords[:, 0], space.node_coords[:, 1]
+    vals = _eval_field(field, time, x, y, space.components)
+    return FieldCoefficients(space, vals.ravel())
+
+
+def cell_areas(mesh):
+    """Signed cell areas: positive for counterclockwise cells."""
+    p = mesh.vertices[mesh.cells]
+    return _signed_area(p[:, 0], p[:, 1], p[:, 2])
+
+
+def subdomain_area(mesh, subdomain):
+    return float(cell_areas(mesh)[mesh.cells_in(subdomain)].sum())
+
+
+def block_pattern(system):
+    """Set of (test, trial) block pairs of a BlockSystem holding nonzeros."""
+    pruned = system.matrix.copy()
+    pruned.eliminate_zeros()
+    pattern = set()
+    for i, test in enumerate(BLOCK_NAMES):
+        for j, trial in enumerate(BLOCK_NAMES):
+            r0, c0 = system.offsets[i], system.offsets[j]
+            if pruned[r0:r0 + system.sizes[i], c0:c0 + system.sizes[j]].nnz:
+                pattern.add((test, trial))
+    return pattern

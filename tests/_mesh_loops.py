@@ -54,7 +54,7 @@ def build_mesh(vertices, cells, cell_tags, edge_tag_of):
 
     mesh = Mesh(vertices=vertices, cells=cells, cell_tags=cell_tags,
                 edges=edges, edge_tags=edge_tags, edge_cells=edge_cells,
-                cell_edges=cell_edges, _areas=np.asarray(areas, dtype=float))
+                cell_edges=cell_edges)
     validate(mesh)
     return mesh
 

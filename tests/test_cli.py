@@ -340,6 +340,39 @@ def test_convergence_needs_two_refining_levels(tmp_path, capsys, levels):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line", ["physics.mu_f = nan", "nitsche.gamma = nan",
+                                  "physics.kappa = nan", "physics.phi = nan",
+                                  "physics.alpha_bjs = inf",
+                                  "physics.kappa = 1 0 0 nan"])
+def test_non_finite_parameter_rejected(tmp_path, capsys, line):
+    # a NaN would otherwise drop every operator term it multiplies
+    path = write_config(tmp_path, "mode = general\nrun.inflow = none\n"
+                                  "solver.convection = off\nmesh.nx = 4\n"
+                                  f"mesh.ny = 4\nenergy.steps = 1\n{line}\n")
+    code = main(["energy-check", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert line.split(" =")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau_factor", ["-1", "0.0003"])
+def test_convergence_tau_factor_off_the_time_grid_rejected(tmp_path, capsys,
+                                                           tau_factor):
+    path = write_config(tmp_path, "levels = 2,4\n"
+                                  f"convergence.tau_factor = {tau_factor}\n")
+    code = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "convergence.tau_factor" in err and "level nx=2" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_convergence_odd_levels_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, "levels = 3,6\n")
+    code = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "levels: " in capsys.readouterr().err
+
+
 def test_negative_energy_steps_rejected(tmp_path, capsys):
     path = write_config(tmp_path, "mode = general\nrun.inflow = none\n"
                                   "solver.convection = off\nenergy.steps = -1\n")

@@ -10,6 +10,7 @@ from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
                         assemble_volume_forms, build_spaces)
 from fpsi.mesh import generate_structured, interface_pairs
 
+from _helpers import block_pattern, interpolate
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
 from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
                         trace_stress_nn, trace_tangent, trace_values)
@@ -44,6 +45,35 @@ def test_nitsche_validation():
         NitscheParams(gamma=-1.0)
     with pytest.raises(FormsError, match="varsigma"):
         NitscheParams(gamma=10.0, varsigma=2)
+
+
+def test_non_finite_parameters_rejected():
+    with pytest.raises(FormsError, match="mu_f"):
+        PhysicalParams(mu_f=np.nan)
+    with pytest.raises(FormsError, match="alpha_bjs"):
+        PhysicalParams(alpha_bjs=np.inf)
+    with pytest.raises(FormsError, match="porosity"):
+        PhysicalParams(phi=np.nan)
+    with pytest.raises(FormsError, match="permeability"):
+        PhysicalParams(kappa=np.array([[1.0, 0.0], [0.0, np.nan]]))
+    with pytest.raises(FormsError, match="gamma"):
+        NitscheParams(gamma=np.nan)
+
+
+def test_callable_porosity_nan_at_one_point_rejected(nitsche_default):
+    # a callable is sampled at the quadrature points when a context is built
+    spaces = build_spaces(generate_structured(4, 4))
+    params = PhysicalParams(phi=lambda x, y: np.where((x > 0.75) & (y > 0.75),
+                                                      np.nan, 0.1))
+    with pytest.raises(FormsError, match="porosity"):
+        AssemblyContext(spaces, params, nitsche_default)
+
+
+def test_non_finite_term_raises_naming_its_block(spaces22):
+    part = ("u_r", "p_P", np.array([0, 1]), np.array([0, 0]),
+            np.array([1.0, np.nan]))
+    with pytest.raises(FormsError, match=r"\(u_r, p_P\)"):
+        BlockSystem.from_contributions(spaces22, [part])
 
 
 def test_derived_rho_p(table1_params):
@@ -123,7 +153,7 @@ def test_convection_matches_symbolic(tiny):
     def w_field(t, x, y):
         return np.stack([1.0 + x - 2.0 * y, x * y], axis=-1)
 
-    w = fem.interpolate(sp_uf, w_field)  # quadratic field, exact in P2
+    w = interpolate(sp_uf, w_field)  # quadratic field, exact in P2
     part = assemble_convection(ctx, w)
     got = _dense_from_parts(spaces, [part], "u_f", "u_f")
     expected = np.zeros_like(got)
@@ -381,12 +411,12 @@ def assembled_22():
 
 def test_m_block_pattern(assembled_22):
     spaces, _, _, m_sys, _ = assembled_22
-    assert m_sys.block_pattern() == EXPECTED_M_PATTERN
+    assert block_pattern(m_sys) == EXPECTED_M_PATTERN
 
 
 def test_n_block_pattern(assembled_22):
     spaces, _, _, _, n_sys = assembled_22
-    assert n_sys.block_pattern() == EXPECTED_N_PATTERN
+    assert block_pattern(n_sys) == EXPECTED_N_PATTERN
 
 
 def test_total_dimension(assembled_22):
@@ -588,7 +618,7 @@ def test_exact_solution_residual_decreases():
 
         def interp(t):
             return StateVector(
-                [fem.interpolate(space, val, t) for (nm, val, gr), space
+                [interpolate(space, val, t) for (nm, val, gr), space
                  in zip(sol.fields(), spaces)], time=t)
 
         x_now, x_prev = interp(T), interp(T - tau)
@@ -627,7 +657,7 @@ def test_m_volume_pattern_reduction(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     parts = assemble_volume_forms(ctx, "M")
     sys = BlockSystem.from_contributions(spaces, parts)
-    assert sys.block_pattern() == EXPECTED_M_VOLUME_PATTERN
+    assert block_pattern(sys) == EXPECTED_M_VOLUME_PATTERN
 
 
 @pytest.mark.parametrize("nx", [2, 8])

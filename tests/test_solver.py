@@ -8,11 +8,13 @@ from scipy.sparse import linalg as spla
 
 from fpsi import fem, forms, solver, verification
 from fpsi.forms import NitscheParams, PhysicalParams, StateVector, build_spaces
-from fpsi.mesh import generate_structured, interface_pairs
+from fpsi.mesh import generate_channel, generate_structured, interface_pairs
 from fpsi.ordering import nested_dissection
 from fpsi.solver import (NonFiniteSolutionError, SingularSystemError,
                          SolverError, TimeGrid, TimeStepper, discrete_energy,
                          solve_linear)
+
+from _helpers import interpolate
 
 
 def test_time_grid_consistency():
@@ -122,7 +124,7 @@ def test_one_step_sanity_against_interpolants():
             continue
         tables = fem.norm_tables(block.space)
         err, _ = fem.error_norms(block, value, state.time, grad, tables)
-        interp = fem.interpolate(block.space, value, state.time)
+        interp = interpolate(block.space, value, state.time)
         ierr, _ = fem.error_norms(interp, value, state.time, grad, tables)
         norm, _ = fem.error_norms(
             interp, lambda t, x, y: np.zeros((x.size, 2)), state.time,
@@ -776,21 +778,45 @@ def test_imports_follow_the_layer_order():
     assert wrong == []
 
 
+def test_solver_reads_no_quadrature_data():
+    # forms is the one module that integrates: solver reads no tabulation,
+    # cell geometry, quadrature weight or interface facet table
+    with open(solver.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    read = sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("tab", "geo", "wdet", "facet_stack")})
+    assert read == []
+
+
 # --- discrete energy -------------------------------------------------------------
+
+def _energy_matrix(spaces, params, nitsche=NitscheParams()):
+    """``forms.energy_matrix`` of the operators of a fresh context."""
+    ctx = forms.AssemblyContext(spaces, params, nitsche)
+    return forms.energy_matrix(forms.assemble_M(ctx), forms.assemble_N(ctx))
+
+
+def _random_state(spaces, rng):
+    state = StateVector.zero(spaces)
+    for block in state.blocks:
+        block.values[:] = rng.normal(size=block.space.ndofs)
+    return state
+
 
 def test_energy_zero_state(small_setup, table1_params):
     mesh, spaces, params, nitsche = small_setup
-    ctx = forms.AssemblyContext(spaces, table1_params, nitsche)
-    assert discrete_energy(StateVector.zero(spaces), ctx) == 0.0
+    energy = _energy_matrix(spaces, table1_params, nitsche)
+    assert discrete_energy(StateVector.zero(spaces), energy) == 0.0
 
 
 def test_energy_unit_pore_pressure(small_setup, table1_params):
     mesh, spaces, params, nitsche = small_setup
     state = StateVector.zero(spaces)
     state.block("p_P").values[:] = 1.0
-    ctx = forms.AssemblyContext(spaces, table1_params, nitsche)
+    energy = _energy_matrix(spaces, table1_params, nitsche)
     # 1/2 (1 - phi)^2 / K over |Omega_P| = 1/2 * 0.81 * 0.5
-    assert abs(discrete_energy(state, ctx) - 0.2025) < 1e-14
+    assert abs(discrete_energy(state, energy) - 0.2025) < 1e-14
 
 
 def _energy_own_geometry(state, params):
@@ -864,41 +890,65 @@ def _energy_einsum(state, params):
     return 0.5 * float(total)
 
 
-def test_energy_with_stepper_context_is_bit_identical(small_setup, rng):
+def test_energy_of_stepper_operators_matches_own_geometry(small_setup, rng):
     mesh, spaces, params, nitsche = small_setup
     stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=1e-3))
-    state = StateVector.zero(spaces)
-    for block in state.blocks:
-        block.values[:] = rng.normal(size=block.space.ndofs)
+    energy = forms.energy_matrix(stepper.M, stepper.N)
+    state = _random_state(spaces, rng)
     want = _energy_own_geometry(state, params)
-    assert discrete_energy(state, stepper.ctx) == want
+    assert abs(discrete_energy(state, energy) - want) <= 1e-13 * want
+
+
+# away from the reference set: every weight of the energy differs from 1
+NON_REFERENCE_PARAMS = dict(forms.REFERENCE_PARAMS, phi=0.3, theta=-0.5,
+                            rho_s=2.0, K=3.0, mu_p=7.0, lam_p=100.0)
 
 
 @pytest.mark.parametrize("nx", [4, 24])
 def test_energy_matches_einsum_reference(nx):
-    # fields and gradients by matrix products against the einsum forms
+    # 1/2 x^T E x against the energy integrated by einsum contractions, and
+    # E symmetric
     spaces = build_spaces(generate_structured(nx, nx))
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
-    ctx = forms.AssemblyContext(spaces, params, NitscheParams())
     rng = np.random.default_rng(nx)
-    for _ in range(5):
-        state = StateVector.zero(spaces)
-        for block in state.blocks:
-            block.values[:] = rng.normal(size=block.space.ndofs)
+    for values in (forms.REFERENCE_PARAMS, NON_REFERENCE_PARAMS):
+        params = PhysicalParams(**values)
+        energy = _energy_matrix(spaces, params)
+        assert abs(energy - energy.T).max() <= 1e-12 * abs(energy).max()
+        for _ in range(5):
+            state = _random_state(spaces, rng)
+            want = _energy_einsum(state, params)
+            assert abs(discrete_energy(state, energy) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("case", ["callable phi", "channel"])
+def test_energy_matches_einsum_reference_off_the_square(case):
+    if case == "callable phi":
+        mesh = generate_structured(8, 8)
+        params = PhysicalParams(**dict(
+            forms.REFERENCE_PARAMS, theta=-0.3, kappa=[[2.0, 0.5], [0.5, 1.0]],
+            phi=lambda x, y: 0.2 + 0.1 * np.sin(3.0 * x) * y))
+    else:
+        mesh = generate_channel(10, 14)  # with tests/test_pin.py's parameters
+        params = PhysicalParams(**dict(forms.REFERENCE_PARAMS, mu_f=0.01,
+                                       mu_p=1033.6, lam_p=49364.0, phi=0.3,
+                                       kappa=1e-3, K=1e6))
+    spaces = build_spaces(mesh)
+    energy = _energy_matrix(spaces, params, NitscheParams(gamma=30.0))
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        state = _random_state(spaces, rng)
         want = _energy_einsum(state, params)
-        assert abs(discrete_energy(state, ctx) - want) <= 1e-13 * want
+        assert abs(discrete_energy(state, energy) - want) <= 1e-13 * want
 
 
 def test_energy_sign_flip_invariance(small_setup, table1_params, rng):
     mesh, spaces, params, nitsche = small_setup
-    state = StateVector.zero(spaces)
-    for block in state.blocks:
-        block.values[:] = rng.normal(size=block.space.ndofs)
+    state = _random_state(spaces, rng)
     flipped = StateVector([fem.FieldCoefficients(b.space, -b.values)
                            for b in state.blocks])
-    ctx = forms.AssemblyContext(spaces, table1_params, nitsche)
-    e1 = discrete_energy(state, ctx)
-    e2 = discrete_energy(flipped, ctx)
+    energy = _energy_matrix(spaces, table1_params, nitsche)
+    e1 = discrete_energy(state, energy)
+    e2 = discrete_energy(flipped, energy)
     assert abs(e1 - e2) < 1e-12 * max(1.0, e1)
 
 
@@ -964,6 +1014,6 @@ def test_jump_seminorm_matches_per_facet_reference(small_setup):
         block.values[:] = rng.normal(size=block.space.ndofs)
     rate = rng.normal(size=spaces.y_s.ndofs)
     want = _per_facet.interface_jump_seminorm(ctx, state, rate)
-    got = solver.interface_jump_seminorm(ctx, state, rate)
+    got = forms.interface_jump_seminorm(ctx, state, rate)
     assert want > 0.0
     assert abs(got - want) <= 1e-13 * want

@@ -8,6 +8,8 @@ from fpsi.mesh import generate_structured
 from fpsi.verification import (ERROR_FIELDS, ErrorTable, ExactSolution,
                                OracleError, derive_corrections, derive_sources)
 
+from _helpers import interpolate
+
 
 @pytest.fixture(scope="module")
 def sol():
@@ -39,12 +41,13 @@ def test_point_forms_double_angle_factors(rng):
     assert np.abs(p.s8 - np.sin(8.0 * math.pi * y)).max() <= 4e-15
 
 
-def test_r_s_closed_form(sol, rng):
+def test_r_s_closed_form(rng):
     t = rng.uniform(0.1, 1.0, 50)
     x = rng.uniform(0.0, 1.0, 50)
     y = rng.uniform(0.0, 0.5, 50)
     expected = t * x**2 * np.cos(4 * np.pi * y) * (3.0 - 8.0 * np.pi * x)
-    assert np.abs(sol.div_u_f(t, x, y) - expected).max() < 1e-13
+    got = verification.PointForms(x, y).vel_div(t)
+    assert np.abs(got - expected).max() < 1e-13
 
 
 def test_derive_sources_oracle_gate(table1_params):
@@ -175,7 +178,7 @@ def test_interpolation_error_baseline(table1_params, sol):
         mesh = generate_structured(nx, nx)
         spaces = forms.build_spaces(mesh)
         for (name, value, grad), space in zip(sol.fields(), spaces):
-            f = fem.interpolate(space, value, 1.0)
+            f = interpolate(space, value, 1.0)
             l2, _ = fem.error_norms(f, value, 1.0, grad, fem.norm_tables(space))
             errors[name].append(l2)
     for (name, _, _), space in zip(sol.fields(), forms.build_spaces(
@@ -299,7 +302,7 @@ def test_final_time_errors_match_einsum_reference(sol, rng, nx):
     state = forms.StateVector.zero(spaces, time=0.7)
     for name, value, _ in sol.fields():
         block = state.block(name)
-        block.values[:] = (fem.interpolate(block.space, value, 0.7).values
+        block.values[:] = (interpolate(block.space, value, 0.7).values
                            + 1e-3 * rng.standard_normal(block.space.ndofs))
     l2, h1 = verification.final_time_errors(state, sol)
     for name, value, grad in sol.fields():
