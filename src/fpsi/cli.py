@@ -276,6 +276,10 @@ def parse_config(path):
     if energy_steps < 0:
         raise ConfigError(
             f"energy.steps: must be a nonnegative step count, got {energy_steps}")
+    solver_tolerance = _to_float(entries, "solver.tolerance")
+    if solver_tolerance <= 0:
+        raise ConfigError(
+            f"solver.tolerance: must be positive, got {solver_tolerance:g}")
 
     return RunConfig(
         mode=mode, mesh_kind=mesh_kind,
@@ -285,7 +289,7 @@ def parse_config(path):
         levels=levels, tau_factor=_to_float(entries, "convergence.tau_factor"),
         channel=channel,
         output_dir=entries["output.dir"], dump_every=dump_every,
-        solver_tolerance=_to_float(entries, "solver.tolerance"),
+        solver_tolerance=solver_tolerance,
         convection=_to_choice(entries, "solver.convection", ("on", "off")) == "on",
         inflow=_to_choice(entries, "run.inflow", INFLOW_PROFILES),
         inflow_scale=_to_float(entries, "run.inflow_scale"),
@@ -419,6 +423,13 @@ def cmd_convergence(config, out_dir):
 
 def cmd_run(config, out_dir):
     """One simulation: energy and jump lines, errors in manufactured mode."""
+    # checked here, not in parse_config: convergence meshes its own unit
+    # squares, and energy-check solves no manufactured problem
+    if config.mode == "manufactured" and config.mesh_kind != "structured":
+        raise ConfigError(
+            f"mode = manufactured needs mesh.kind = structured (its corrections "
+            f"assume the unit square with S below y = 1/2), got mesh.kind = "
+            f"{config.mesh_kind}; use mode = general")
     _ensure_outdir(out_dir)
     mesh = config.build_mesh()
     spaces = forms.build_spaces(mesh)

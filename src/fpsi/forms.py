@@ -65,73 +65,12 @@ def build_spaces(mesh):
     )
 
 
-class Coefficient:
-    """Scalar material coefficient: a constant or a callable field f(x, y)."""
-
-    def __init__(self, value, grad=None):
-        if callable(value):
-            self._fn = value
-            self._grad = grad
-            self.constant = None
-        else:
-            self._fn = None
-            self._grad = None
-            self.constant = float(value)
-
-    def at(self, x, y):
-        if self._fn is None:
-            return np.full(np.shape(x), self.constant)
-        return np.asarray(self._fn(x, y), dtype=float)
-
-    def grad_at(self, x, y):
-        out = np.zeros(np.shape(x) + (2,))
-        if self._fn is None:
-            return out
-        if self._grad is not None:
-            return np.asarray(self._grad(x, y), dtype=float)
-        h = 1e-7  # fallback for callables supplied without a gradient
-        out[..., 0] = (self._fn(x + h, y) - self._fn(x - h, y)) / (2 * h)
-        out[..., 1] = (self._fn(x, y + h) - self._fn(x, y - h)) / (2 * h)
-        return out
-
-
-class TensorCoefficient:
-    """2x2 material tensor: constant matrix, scalar, or callable field."""
-
-    def __init__(self, value):
-        if callable(value):
-            self._fn = value
-            self.constant = None
-        else:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                arr = float(arr) * np.eye(2)
-            if arr.shape != (2, 2):
-                raise FormsError("tensor coefficient must be 2x2")
-            self._fn = None
-            self.constant = arr
-
-    def at(self, x, y):
-        shape = np.shape(x)
-        if self._fn is None:
-            return np.broadcast_to(self.constant, shape + (2, 2)).copy()
-        out = np.empty(shape + (2, 2))
-        flat_x, flat_y = np.ravel(x), np.ravel(y)
-        flat = out.reshape(-1, 2, 2)
-        for i, (xi, yi) in enumerate(zip(flat_x, flat_y)):
-            flat[i] = np.asarray(self._fn(xi, yi), dtype=float)
-        return out
-
-    def raw(self):
-        return self._fn if self._fn is not None else self.constant
-
-
-@dataclass
+@dataclass(eq=False)
 class PhysicalParams:
-    """Material parameters of the coupled model.
+    """Material parameters of the coupled model, all constants.
 
-    Porosity, permeability, and the sink term may be spatial fields; all
-    other coefficients are positive constants.  The saturated density
+    ``kappa`` may be given as a scalar or a 2x2 array and is stored as the
+    2x2 permeability tensor.  The saturated density
     rho_p = rho_s (1 - phi) + rho_f phi is derived.
     """
 
@@ -140,10 +79,10 @@ class PhysicalParams:
     mu_f: float = 10.0
     mu_p: float = 10.0
     lam_p: float = 10.0
-    phi: object = 0.1
+    phi: float = 0.1
     kappa: object = 1.0
     K: float = 1.0
-    theta: object = 0.0
+    theta: float = 0.0
     alpha_bjs: float = 1.0
 
     def __post_init__(self):
@@ -155,60 +94,41 @@ class PhysicalParams:
         self.alpha_bjs = float(self.alpha_bjs)
         if not 0 <= self.alpha_bjs < np.inf:
             raise FormsError(f"alpha_bjs must be finite and >= 0, got {self.alpha_bjs}")
-        if not isinstance(self.phi, Coefficient):
-            self.phi = Coefficient(self.phi)
-        if not isinstance(self.theta, Coefficient):
-            self.theta = Coefficient(self.theta)
-        if not isinstance(self.kappa, TensorCoefficient):
-            self.kappa = TensorCoefficient(self.kappa)
-        if self.phi.constant is not None:
-            self._check_samples(np.array([self.phi.constant]),
-                                np.array([0.0]) if self.theta.constant is None
-                                else np.array([self.theta.constant]))
-        if self.kappa.constant is not None:
-            self._check_kappa(self.kappa.constant[None, :, :])
-
-    @property
-    def phi_max_bound(self):
-        return self.rho_s / (self.rho_s + self.rho_f)
-
-    def rho_p_at(self, x, y):
-        phi = self.phi.at(x, y)
-        return self.rho_s * (1.0 - phi) + self.rho_f * phi
-
-    def _check_samples(self, phi_vals, theta_vals):
-        for name, vals in (("porosity phi", phi_vals), ("sink theta", theta_vals)):
-            if not np.all(np.isfinite(vals)):
-                raise FormsError(f"{name} must be finite, sampled "
-                                 f"{vals[~np.isfinite(vals)].flat[0]}")
-        lo, hi = float(phi_vals.min()), float(phi_vals.max())
-        if lo <= 0 or hi >= self.phi_max_bound:
+        self.phi, self.theta = float(self.phi), float(self.theta)
+        for name, val in (("porosity phi", self.phi), ("sink theta", self.theta)):
+            if not np.isfinite(val):
+                raise FormsError(f"{name} must be finite, got {val}")
+        if not 0 < self.phi < self.phi_max_bound:
             raise FormsError(
                 f"porosity out of range: need 0 < phi < rho_s/(rho_s+rho_f) "
-                f"= {self.phi_max_bound:.6g}, sampled range [{lo:.6g}, {hi:.6g}]")
-        if theta_vals.max() > 0:
+                f"= {self.phi_max_bound:.6g}, got {self.phi:.6g}")
+        if self.theta > 0:
             warnings.warn("theta > 0 acts as a fluid source; the model "
                           "expects a sink (theta <= 0)")
-
-    def _check_kappa(self, kap):
+        kap = np.array(self.kappa, dtype=float)
+        if kap.ndim == 0:
+            kap = float(kap) * np.eye(2)
+        if kap.shape != (2, 2):
+            raise FormsError(f"permeability tensor must be 2x2, got shape {kap.shape}")
         if not np.all(np.isfinite(kap)):
-            raise FormsError("permeability tensor must be finite, sampled "
+            raise FormsError("permeability tensor must be finite, got "
                              f"{kap[~np.isfinite(kap)].flat[0]}")
-        sym_err = np.abs(kap - np.transpose(kap, (0, 2, 1))).max()
-        if sym_err > 1e-12:
+        if np.abs(kap - kap.T).max() > 1e-12:
             raise FormsError("permeability tensor must be symmetric")
         eigs = np.linalg.eigvalsh(kap)
         if eigs.min() <= 0:
             raise FormsError(
                 f"permeability tensor must be positive definite "
                 f"(min eigenvalue {eigs.min():.3g})")
+        self.kappa = kap
 
-    def check_fields(self, phi, theta, kappa):
-        """Check callable coefficients at samples; constants were checked at init."""
-        if self.phi.constant is None or self.theta.constant is None:
-            self._check_samples(phi, theta)
-        if self.kappa.constant is None:
-            self._check_kappa(kappa.reshape(-1, 2, 2))
+    @property
+    def phi_max_bound(self):
+        return self.rho_s / (self.rho_s + self.rho_f)
+
+    @property
+    def rho_p(self):
+        return self.rho_s * (1.0 - self.phi) + self.rho_f * self.phi
 
 
 # non-dimensional set used by the manufactured verification problem
@@ -330,8 +250,8 @@ class StateVector:
 class AssemblyContext:
     """One discrete problem: its spaces, parameters and Nitsche penalty.
 
-    Holds the tabulations, geometry, coefficient samples and interface
-    facets that every assembler reads; the assemblers take no other input.
+    Holds the tabulations, geometry and interface facets that every
+    assembler reads; the assemblers take no other input.
     """
 
     def __init__(self, spaces, params, nitsche):
@@ -346,16 +266,7 @@ class AssemblyContext:
         self.geo = {sub: fem.CellGeometry(mesh, mesh.cells_in(sub), self.rule)
                     for sub in ("S", "P")}
         self._grads = {}
-        p_geo = self.geo["P"]
-        xp, yp = p_geo.x[..., 0], p_geo.x[..., 1]
-        self.phi_P = params.phi.at(xp, yp)
-        self.grad_phi_P = params.phi.grad_at(xp, yp)
-        self.theta_P = params.theta.at(xp, yp)
-        self.rho_p_P = params.rho_p_at(xp, yp)
-        kap = params.kappa.at(xp, yp)
-        params.check_fields(self.phi_P, self.theta_P, kap)
-        self.kappa_inv_P = np.linalg.inv(kap)
-        self.pairs = interface_pairs(mesh, params.kappa.raw())
+        self.pairs = interface_pairs(mesh)
         self.seg_rule = fem.quadrature_rule("segment", INTERFACE_QUAD_DEGREE)
         self.facet_stack = self._stack_facets()
         self._patterns = {}
@@ -393,8 +304,9 @@ class AssemblyContext:
     def _stack_facets(self):
         """Tables of all interface facets along a leading facet axis, or None.
 
-        Points ``"x"``, weights ``"w"``, the pairs' normals, ``tangent``,
-        ``h_e`` and ``z_perm``, and per side and degree the adjacent cell's
+        Points ``"x"``, weights ``"w"``, the pairs' normals, ``tangent`` and
+        ``h_e``, the tangential permeability ``z_perm`` = (kappa tangent) .
+        tangent, and per side and degree the adjacent cell's
         basis values and gradients, ``(side, deg, "phi" | "grad")``, and its
         index among the side's cells, ``(side, "pos")``.
         """
@@ -407,8 +319,10 @@ class AssemblyContext:
         s = self.seg_rule.points[:, 0]
         x = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
         stack = {"x": x}
-        for attr in ("normal_s", "normal_p", "tangent", "h_e", "z_perm"):
+        for attr in ("normal_s", "normal_p", "tangent", "h_e"):
             stack[attr] = np.array([getattr(pair, attr) for pair in pairs])
+        tangent = stack["tangent"]
+        stack["z_perm"] = np.sum((tangent @ self.params.kappa) * tangent, axis=1)
         stack["w"] = self.seg_rule.weights[None, :] * stack["h_e"][:, None]
         for side, attr in (("S", "cell_s"), ("P", "cell_p")):
             cells = np.array([getattr(pair, attr) for pair in pairs])
@@ -535,7 +449,7 @@ class _Kernels:
         return self.ctx.geo[space.subdomain].wdet
 
     def mass(self, test, trial, coeff, name_t, name_u):
-        """(coeff w, z): scalar coefficient, identical component structure."""
+        """(coeff w, z): constant scalar coefficient, same component structure."""
         phi_t = self.ctx.phi_table(test)
         phi_u = self.ctx.phi_table(trial)
         base = _gram(self._wdet(test) * coeff, phi_t[:, None], phi_u[:, None])
@@ -545,17 +459,17 @@ class _Kernels:
         return _contrib(name_t, name_u, test.cell_dofs, trial.cell_dofs, base)
 
     def tensor_mass(self, test, trial, tensor, name_t, name_u):
-        """(T w, z) with a 2x2 tensor coefficient sampled at quad points."""
+        """(T w, z) with a constant 2x2 tensor coefficient T."""
         phi_t = self.ctx.phi_table(test)
         phi_u = self.ctx.phi_table(trial)
-        c, q = tensor.shape[:2]
         # one feature per (k, j, l): T_kl phi_j; the blocks (i, k) x (j, l)
         # then flatten to the interleaved (2i + k, 2j + l)
         t_u = np.swapaxes(tensor[..., None] * phi_u[:, None, None, :], -1, -2)
-        local = _gram(self._wdet(test), phi_t[:, None], t_u.reshape(c, q, 1, -1))
+        local = _gram(self._wdet(test), phi_t[:, None],
+                      t_u.reshape(phi_u.shape[0], 1, -1))
         return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
                         self.ctx.vec_dofs(trial),
-                        local.reshape(c, 2 * phi_t.shape[1], 2 * phi_u.shape[1]))
+                        local.reshape(-1, 2 * phi_t.shape[1], 2 * phi_u.shape[1]))
 
     def eps_eps(self, test, trial, coeff, name_t, name_u):
         """(coeff eps(u), eps(v)) for vector spaces on one subdomain."""
@@ -568,28 +482,24 @@ class _Kernels:
 
     def div_div(self, test, trial, coeff, name_t, name_u):
         # div(phi_i e_k) = d_k phi_i: the gradients, flattened per dof
-        c, q = coeff.shape
+        c, q = self._wdet(test).shape
         d_t = self.ctx.grads(test).reshape(c, q, 1, -1)
         d_u = self.ctx.grads(trial).reshape(c, q, 1, -1)
         local = _gram(self._wdet(test) * coeff, d_t, d_u)
         return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
                         self.ctx.vec_dofs(trial), local)
 
-    def pressure_div(self, scalar_sp, vector_sp, coeff, grad_coeff,
-                     name_t, name_u, transpose=False, sign=1.0):
-        """(q, div(coeff v)) = (q, coeff div v + grad(coeff) . v).
+    def pressure_div(self, scalar_sp, vector_sp, coeff, name_t, name_u,
+                     transpose=False, sign=1.0):
+        """(q, coeff div v) for a constant coeff.
 
         With ``transpose`` the roles flip to a (v, q)-block carrying the
         same local values, used for the -(div v, p) pressure gradients.
         """
         phi_q = self.ctx.phi_table(scalar_sp)
-        # div(coeff phi_j e_l) = coeff d_l phi_j + d_l coeff phi_j, one
-        # feature per (j, l)
-        div = coeff[..., None, None] * self.ctx.grads(vector_sp)
-        if grad_coeff is not None:
-            div = div + (grad_coeff[:, :, None, :]
-                         * self.ctx.phi_table(vector_sp)[None, :, :, None])
-        c, q = coeff.shape
+        # div(coeff phi_j e_l) = coeff d_l phi_j, one feature per (j, l)
+        div = coeff * self.ctx.grads(vector_sp)
+        c, q = self._wdet(vector_sp).shape
         local = _gram(sign * self._wdet(vector_sp), phi_q[:, None],
                       div.reshape(c, q, 1, -1))
         if transpose:
@@ -656,21 +566,21 @@ def assemble_volume_forms(ctx, dest):
         raise FormsError(f"destination must be 'M' or 'N', got {dest!r}")
     spaces, p = ctx.spaces, ctx.params
     k = _Kernels(ctx)
-    phi = ctx.phi_P
-    theta = ctx.theta_P
-    ones_s = np.ones_like(ctx.geo["S"].wdet)
-    ones_p = np.ones_like(ctx.geo["P"].wdet)
+    phi, theta, rho_p = p.phi, p.theta, p.rho_p
+    # np.square rounds phi * phi once; a Python float's ** 2 calls pow()
+    storage = np.square(1.0 - phi) / p.K
+    drag = np.square(phi) * np.linalg.inv(p.kappa)
 
     if dest == "M":
         return _sum_blocks([
             # momentum storage terms
-            k.mass(spaces.u_f, spaces.u_f, p.rho_f * ones_s, "u_f", "u_f"),
+            k.mass(spaces.u_f, spaces.u_f, p.rho_f, "u_f", "u_f"),
             k.mass(spaces.u_r, spaces.u_r, p.rho_f * phi, "u_r", "u_r"),
             k.mass(spaces.u_r, spaces.u_s, p.rho_f * phi, "u_r", "u_s"),
             k.mass(spaces.y_s, spaces.u_r, p.rho_f * phi, "y_s", "u_r"),
-            k.mass(spaces.y_s, spaces.u_s, ctx.rho_p_P, "y_s", "u_s"),
+            k.mass(spaces.y_s, spaces.u_s, rho_p, "y_s", "u_s"),
             # velocity/displacement compatibility row
-            k.mass(spaces.u_s, spaces.y_s, -ctx.rho_p_P, "u_s", "y_s"),
+            k.mass(spaces.u_s, spaces.y_s, -rho_p, "u_s", "y_s"),
             # Brinkman stiffness acting on the displacement rate
             k.eps_eps(spaces.u_r, spaces.y_s, 2.0 * p.mu_f * phi, "u_r", "y_s"),
             k.eps_eps(spaces.y_s, spaces.y_s, 2.0 * p.mu_f * phi, "y_s", "y_s"),
@@ -678,32 +588,31 @@ def assemble_volume_forms(ctx, dest):
             k.mass(spaces.u_r, spaces.y_s, -theta, "u_r", "y_s"),
             k.mass(spaces.y_s, spaces.y_s, -theta, "y_s", "y_s"),
             # pore-pressure storage and solid dilation rate
-            k.mass(spaces.p_P, spaces.p_P, (1.0 - phi) ** 2 / p.K, "p_P", "p_P"),
-            k.pressure_div(spaces.p_P, spaces.y_s, ones_p, None, "p_P", "y_s"),
+            k.mass(spaces.p_P, spaces.p_P, storage, "p_P", "p_P"),
+            k.pressure_div(spaces.p_P, spaces.y_s, 1.0, "p_P", "y_s"),
         ])
     return _sum_blocks([
-        k.mass(spaces.u_s, spaces.u_s, ctx.rho_p_P, "u_s", "u_s"),
-        k.eps_eps(spaces.u_f, spaces.u_f, 2.0 * p.mu_f * ones_s, "u_f", "u_f"),
+        k.mass(spaces.u_s, spaces.u_s, rho_p, "u_s", "u_s"),
+        k.eps_eps(spaces.u_f, spaces.u_f, 2.0 * p.mu_f, "u_f", "u_f"),
         k.eps_eps(spaces.y_s, spaces.u_r, 2.0 * p.mu_f * phi, "y_s", "u_r"),
         k.eps_eps(spaces.u_r, spaces.u_r, 2.0 * p.mu_f * phi, "u_r", "u_r"),
-        k.eps_eps(spaces.y_s, spaces.y_s, 2.0 * p.mu_p * ones_p, "y_s", "y_s"),
-        k.div_div(spaces.y_s, spaces.y_s, p.lam_p * ones_p, "y_s", "y_s"),
+        k.eps_eps(spaces.y_s, spaces.y_s, 2.0 * p.mu_p, "y_s", "y_s"),
+        k.div_div(spaces.y_s, spaces.y_s, p.lam_p, "y_s", "y_s"),
         # pressure gradients: -(div v, p)
-        k.pressure_div(spaces.p_S, spaces.u_f, ones_s, None, "u_f", "p_S",
+        k.pressure_div(spaces.p_S, spaces.u_f, 1.0, "u_f", "p_S",
                        transpose=True, sign=-1.0),
-        k.pressure_div(spaces.p_P, spaces.y_s, ones_p, None, "y_s", "p_P",
+        k.pressure_div(spaces.p_P, spaces.y_s, 1.0, "y_s", "p_P",
                        transpose=True, sign=-1.0),
-        k.pressure_div(spaces.p_P, spaces.u_r, phi, ctx.grad_phi_P, "u_r", "p_P",
+        k.pressure_div(spaces.p_P, spaces.u_r, phi, "u_r", "p_P",
                        transpose=True, sign=-1.0),
         # sink terms on the pore velocity
         k.mass(spaces.y_s, spaces.u_r, -theta, "y_s", "u_r"),
         k.mass(spaces.u_r, spaces.u_r, -theta, "u_r", "u_r"),
         # Darcy drag
-        k.tensor_mass(spaces.u_r, spaces.u_r,
-                      phi[..., None, None] ** 2 * ctx.kappa_inv_P, "u_r", "u_r"),
+        k.tensor_mass(spaces.u_r, spaces.u_r, drag, "u_r", "u_r"),
         # mass conservation rows: +(div u, q)
-        k.pressure_div(spaces.p_S, spaces.u_f, ones_s, None, "p_S", "u_f"),
-        k.pressure_div(spaces.p_P, spaces.u_r, phi, ctx.grad_phi_P, "p_P", "u_r"),
+        k.pressure_div(spaces.p_S, spaces.u_f, 1.0, "p_S", "u_f"),
+        k.pressure_div(spaces.p_P, spaces.u_r, phi, "p_P", "u_r"),
     ])
 
 

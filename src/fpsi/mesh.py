@@ -94,7 +94,6 @@ class InterfaceFacetPair:
     The tangent is ``normal_s`` rotated by -90 degrees so that
     (tangent, normal_s) is a right-handed frame; interface data that is
     linear in the tangent must use the same convention.
-    ``z_perm`` is the tangential permeability (kappa tangent) . tangent.
     """
 
     edge_id: int
@@ -105,7 +104,6 @@ class InterfaceFacetPair:
     tangent: np.ndarray
     cell_s: int
     cell_p: int
-    z_perm: float
 
 
 def _signed_area(p0, p1, p2):
@@ -205,13 +203,8 @@ def _validate(mesh):
         raise MeshError(message(e))
 
 
-def interface_pairs(mesh, kappa=None):
-    """All conforming interface facets with normals, tangents, and h_E.
-
-    ``kappa`` is the permeability: a 2x2 array, a scalar, or a callable
-    ``kappa(x, y) -> 2x2 array``; it defaults to the identity.  The
-    tangential permeability Z is evaluated at the facet midpoint.
-    """
+def interface_pairs(mesh):
+    """All conforming interface facets with normals, tangents, and h_E."""
     pairs = []
     p = mesh.vertices
     for e in mesh.edges_with_tag(TAG_SIGMA):
@@ -229,26 +222,11 @@ def interface_pairs(mesh, kappa=None):
         if np.dot(n, midpoint - centroid) < 0:
             n = -n
         tangent = np.array([n[1], -n[0]])
-        kap = _eval_kappa(kappa, midpoint)
-        z = float(tangent @ kap @ tangent)
-        if z <= 0:
-            raise MeshError(f"non-positive tangential permeability on facet {e}")
         pairs.append(InterfaceFacetPair(
             edge_id=int(e), vertex_ids=(a, b), h_e=h_e,
             normal_s=n, normal_p=-n, tangent=tangent,
-            cell_s=cs, cell_p=cp, z_perm=z))
+            cell_s=cs, cell_p=cp))
     return pairs
-
-
-def _eval_kappa(kappa, point):
-    if kappa is None:
-        return np.eye(2)
-    if callable(kappa):
-        return np.asarray(kappa(point[0], point[1]), dtype=float)
-    kap = np.asarray(kappa, dtype=float)
-    if kap.ndim == 0:
-        return float(kap) * np.eye(2)
-    return kap
 
 
 def generate_structured(nx, ny, gamma_p_rule=None):

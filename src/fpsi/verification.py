@@ -245,18 +245,18 @@ class ExactSolution:
         return sig
 
     def stress_f_P(self, params, t, x, y):
-        phi = params.phi.at(*_as_arrays(x, y))
+        phi = params.phi
         gr = self.grad_u_r(t, *_as_arrays(x, y))
         gs = self.grad_u_s(t, *_as_arrays(x, y))
         e = 0.5 * (gr + np.swapaxes(gr, -1, -2) + gs + np.swapaxes(gs, -1, -2))
-        sig = 2.0 * params.mu_f * phi[..., None, None] * e
+        sig = 2.0 * params.mu_f * phi * e
         p = phi * self.p_P(t, *_as_arrays(x, y))
         sig[..., 0, 0] -= p
         sig[..., 1, 1] -= p
         return sig
 
     def stress_s_P(self, params, t, x, y):
-        phi = params.phi.at(*_as_arrays(x, y))
+        phi = params.phi
         g = self.grad_y_s(t, *_as_arrays(x, y))
         e = 0.5 * (g + np.swapaxes(g, -1, -2))
         sig = 2.0 * params.mu_p * e
@@ -298,15 +298,6 @@ class SourceSet:
     load_p_P: object = None
 
 
-def _require_constant(params):
-    if params.phi.constant is None or params.theta.constant is None \
-            or params.kappa.constant is None:
-        raise OracleError(
-            "manufactured sources are derived for constant porosity, "
-            "permeability, and sink coefficients")
-    return params.phi.constant, params.theta.constant, params.kappa.constant
-
-
 def derive_sources(params):
     """Closed-form forcing terms for the manufactured problem.
 
@@ -316,10 +307,10 @@ def derive_sources(params):
     source set is returned; disagreement raises OracleError naming the
     offending point.
     """
-    phi, theta, kappa = _require_constant(params)
+    phi, theta, kappa = params.phi, params.theta, params.kappa
     sol = ExactSolution()
     kappa_inv = np.linalg.inv(kappa)
-    rho_p = params.rho_s * (1.0 - phi) + params.rho_f * phi
+    rho_p = params.rho_p
 
     # Each source evaluates its closed forms on one PointForms, so the
     # spatial factors are computed once per call.
@@ -453,9 +444,9 @@ def _check_sources(sol, params, sources):
     """Gate B: loads match strong-form residuals with finite-difference
     outer derivatives applied to analytic stresses and velocities."""
     rng = np.random.default_rng(_SOURCE_SEED + 1)
-    phi, theta, kappa = _require_constant(params)
+    phi, theta, kappa = params.phi, params.theta, params.kappa
     kappa_inv = np.linalg.inv(kappa)
-    rho_p = params.rho_s * (1.0 - phi) + params.rho_f * phi
+    rho_p = params.rho_p
 
     t, x, y = _sample_points(rng, (0.05, 0.45))
     div_sig = _fd_div_tensor(lambda tt, xx, yy: sol.stress_f_S(params, tt, xx, yy),
@@ -523,7 +514,7 @@ def derive_corrections(params):
     corresponding interface-condition defect built from the exact stresses
     at 220 random interface points; disagreement raises OracleError.
     """
-    phi, _, kappa = _require_constant(params)
+    phi, kappa = params.phi, params.kappa
     sol = ExactSolution()
     mu_f, mu_p, lam_p = params.mu_f, params.mu_p, params.lam_p
     alpha = params.alpha_bjs

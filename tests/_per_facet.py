@@ -93,7 +93,8 @@ def assemble_bjs(ctx):
         return {"M": m_parts, "N": n_parts}
     for facet in facet_tables(ctx):
         pair = facet["pair"]
-        w = facet["w"] * (coeff / np.sqrt(pair.z_perm))
+        z_perm = pair.tangent @ params.kappa @ pair.tangent
+        w = facet["w"] * (coeff / np.sqrt(z_perm))
         tt_f = trace_tangent(spaces.u_f, facet, pair.tangent)
         tt_y = trace_tangent(spaces.y_s, facet, pair.tangent)
         tt_r = trace_tangent(spaces.u_r, facet, pair.tangent)

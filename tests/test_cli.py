@@ -23,7 +23,7 @@ def test_empty_config_gives_reference_defaults(tmp_path):
     assert p["theta"] == 0.0
     assert cfg.gamma == 40.0 and cfg.varsigma == 1
     params = cfg.physical_params()
-    assert abs(params.rho_p_at(np.zeros(1), np.zeros(1))[0] - 1.0) < 1e-15
+    assert abs(params.rho_p - 1.0) < 1e-15
 
 
 def test_missing_file_rejected(tmp_path):
@@ -379,6 +379,44 @@ def test_negative_energy_steps_rejected(tmp_path, capsys):
     code = main(["energy-check", "--config", path, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "energy.steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_solver_tolerance_rejected(tmp_path, capsys, value):
+    # no residual meets it: the run would fail only after assembly and LU
+    path = write_config(tmp_path, "mesh.nx = 2\nmesh.ny = 2\n"
+                                  f"solver.tolerance = {value}\n")
+    code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "solver.tolerance" in capsys.readouterr().err
+
+
+MSH_LINES = f"""
+mesh.kind = msh
+mesh.path = {os.path.join(os.path.dirname(__file__), "data", "two_layer_8tri.msh")}
+mesh.tag.fluid = S
+mesh.tag.porous = P
+mesh.tag.interface = sigma
+mesh.tag.wall_s = gamma_s
+mesh.tag.wall_p = gamma_p_d
+"""
+
+
+@pytest.mark.parametrize("mesh_lines", [
+    "mesh.kind = channel\nmesh.nx = 10\nmesh.ny = 14\n", MSH_LINES],
+    ids=["channel", "msh"])
+def test_manufactured_run_off_the_unit_square_rejected(tmp_path, capsys,
+                                                       mesh_lines):
+    # the manufactured corrections hold on y = 1/2 of the unit square only;
+    # elsewhere the run would report errors of a problem it did not solve
+    path = write_config(tmp_path, "mode = manufactured\n" + mesh_lines
+                        + "time.tau = 0.001\ntime.final = 0.001\n")
+    code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mode = manufactured" in err and "mesh.kind" in err
+    assert "mode = general" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_msh_config_roundtrip(tmp_path):

@@ -1,8 +1,13 @@
+import ast
+import dataclasses
+import glob
+import os
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from fpsi import fem, forms
+from fpsi import fem, forms, mesh as meshmod
 from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
                         PhysicalParams, Spaces, StateVector, assemble_bjs,
                         assemble_convection, assemble_F, assemble_M, assemble_N,
@@ -60,15 +65,6 @@ def test_non_finite_parameters_rejected():
         NitscheParams(gamma=np.nan)
 
 
-def test_callable_porosity_nan_at_one_point_rejected(nitsche_default):
-    # a callable is sampled at the quadrature points when a context is built
-    spaces = build_spaces(generate_structured(4, 4))
-    params = PhysicalParams(phi=lambda x, y: np.where((x > 0.75) & (y > 0.75),
-                                                      np.nan, 0.1))
-    with pytest.raises(FormsError, match="porosity"):
-        AssemblyContext(spaces, params, nitsche_default)
-
-
 def test_non_finite_term_raises_naming_its_block(spaces22):
     part = ("u_r", "p_P", np.array([0, 1]), np.array([0, 0]),
             np.array([1.0, np.nan]))
@@ -77,8 +73,7 @@ def test_non_finite_term_raises_naming_its_block(spaces22):
 
 
 def test_derived_rho_p(table1_params):
-    x = np.array([0.3])
-    assert abs(table1_params.rho_p_at(x, x)[0] - 1.0) < 1e-14
+    assert abs(table1_params.rho_p - 1.0) < 1e-14
 
 
 # --- single-element / few-element oracle checks ---------------------------------
@@ -227,6 +222,53 @@ def test_divergence_theorem_for_pressure_coupling(tiny):
 
 # --- interface forms -------------------------------------------------------------
 
+def test_z_identity_and_anisotropic(spaces22, mesh22):
+    # Z = (kappa tangent) . tangent; the 2x2 interface is horizontal, tangent (1, 0)
+    for kappa, z in ((1.0, 1.0), (np.diag([2.0, 3.0]), 2.0)):
+        params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": kappa})
+        ctx = AssemblyContext(spaces22, params, NitscheParams())
+        assert np.all(np.abs(ctx.facet_stack["z_perm"] - z) < 1e-14)
+    # sheared by y += 0.3 x, the interface has tangent (1, 0.3) / |(1, 0.3)|
+    sheared = dataclasses.replace(mesh22, vertices=mesh22.vertices @ [[1.0, 0.3],
+                                                                      [0.0, 1.0]])
+    kappa = np.array([[2.0, 0.5], [0.5, 1.0]])
+    params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": kappa})
+    ctx = AssemblyContext(build_spaces(sheared), params, NitscheParams())
+    tangent = np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
+    assert np.all(np.abs(ctx.facet_stack["z_perm"] - tangent @ kappa @ tangent)
+                  < 1e-14)
+
+
+def _identifiers(tree):
+    """Every name, attribute, argument and definition named in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "arg", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                names.add(value)
+    return names
+
+
+def test_coefficients_are_constants_decided_in_forms():
+    # the permeability reaches the interface through forms alone, and no
+    # module samples a coefficient field
+    with open(meshmod.__file__, encoding="utf-8") as fh:
+        named = sorted(name for name in _identifiers(ast.parse(fh.read()))
+                       if "kappa" in name or "z_perm" in name)
+    assert named == []
+    calls = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(forms.__file__),
+                                              "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            calls += [f"{os.path.basename(path)}:{node.lineno}"
+                      for node in ast.walk(ast.parse(fh.read()))
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "callable"]
+    assert calls == []
+
+
 def test_bjs_zero_friction(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     free = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
@@ -260,7 +302,8 @@ def test_bjs_quadratic_form_is_seminorm(tiny, rng):
         pair = facet["pair"]
         tt = trace_tangent(spaces.u_r, facet, pair.tangent)
         vals = tt @ u[facet_cell_dofs(spaces.u_r, facet)]
-        coef = params.mu_f * params.alpha_bjs / np.sqrt(pair.z_perm)
+        z_perm = pair.tangent @ params.kappa @ pair.tangent
+        coef = params.mu_f * params.alpha_bjs / np.sqrt(z_perm)
         direct += coef * facet["w"] @ vals**2
     assert abs(form_val - direct) < 1e-12 * max(1.0, direct)
 
@@ -707,7 +750,7 @@ def _einsum_kernels(ctx):
         return expand(base) if test.components == 2 else base
 
     def tensor_mass(test, trial, tensor):
-        local = np.einsum("cq,cqkl,qi,qj->cikjl", wdet(test), tensor,
+        local = np.einsum("cq,kl,qi,qj->cikjl", wdet(test), tensor,
                           ctx.phi_table(test), ctx.phi_table(trial))
         c, ni, _, nj, _ = local.shape
         return local.reshape(c, 2 * ni, 2 * nj)
@@ -727,13 +770,9 @@ def _einsum_kernels(ctx):
         c, ni, _, nj, _ = local.shape
         return local.reshape(c, 2 * ni, 2 * nj)
 
-    def pressure_div(scalar_sp, vector_sp, coeff, grad_coeff):
-        w, phi_q = wdet(vector_sp), ctx.phi_table(scalar_sp)
-        local = np.einsum("cq,cq,qi,cqjl->cijl", w, coeff, phi_q,
-                          ctx.grads(vector_sp))
-        if grad_coeff is not None:
-            local += np.einsum("cq,cql,qi,qj->cijl", w, grad_coeff, phi_q,
-                               ctx.phi_table(vector_sp))
+    def pressure_div(scalar_sp, vector_sp, coeff):
+        local = np.einsum("cq,qi,cqjl->cijl", wdet(vector_sp) * coeff,
+                          ctx.phi_table(scalar_sp), ctx.grads(vector_sp))
         c, ni, nj, _ = local.shape
         return local.reshape(c, ni, 2 * nj)
 
@@ -741,54 +780,49 @@ def _einsum_kernels(ctx):
                 div_div=div_div, pressure_div=pressure_div)
 
 
-def _field_params():
-    """Reference parameters with a callable porosity and permeability."""
-    return PhysicalParams(**{
-        **forms.REFERENCE_PARAMS,
-        "phi": forms.Coefficient(
-            lambda x, y: 0.1 + 0.05 * x * y + 0.02 * np.sin(3.0 * y),
-            grad=lambda x, y: np.stack(
-                [0.05 * y, 0.05 * x + 0.06 * np.cos(3.0 * y)], axis=-1)),
-        "kappa": lambda x, y: np.array([[1.0 + x, 0.2 * y], [0.2 * y, 1.0 + y]])})
+# constant coefficients off the reference set: an anisotropic permeability
+# keeps the off-diagonal of the Darcy tensor mass covered
+ANISOTROPIC_PARAMS = {**forms.REFERENCE_PARAMS,
+                      "kappa": np.array([[2.0, 0.5], [0.5, 1.0]]),
+                      "theta": -0.5, "phi": 0.3, "K": 3.0, "rho_s": 2.0}
 
 
 @pytest.mark.parametrize("nx", [2, 8])
 def test_kernels_match_einsum_reference(nx):
     # each matrix-product kernel against its einsum form, per local block
     spaces = build_spaces(generate_structured(nx, nx))
-    params = _field_params()
+    params = PhysicalParams(**ANISOTROPIC_PARAMS)
     ctx = AssemblyContext(spaces, params, NitscheParams())
     kern, ref = forms._Kernels(ctx), _einsum_kernels(ctx)
-    phi, grad_phi = ctx.phi_P, ctx.grad_phi_P
-    ones_s = np.ones_like(ctx.geo["S"].wdet)
-    drag = phi[..., None, None] ** 2 * ctx.kappa_inv_P
+    phi = params.phi
+    drag = phi**2 * np.linalg.inv(params.kappa)
     cases = [
-        (kern.mass(spaces.u_f, spaces.u_f, 2.0 * ones_s, "u_f", "u_f"),
-         ref["mass"](spaces.u_f, spaces.u_f, 2.0 * ones_s)),
+        (kern.mass(spaces.u_f, spaces.u_f, 2.0, "u_f", "u_f"),
+         ref["mass"](spaces.u_f, spaces.u_f, 2.0)),
         (kern.mass(spaces.u_r, spaces.u_s, phi, "u_r", "u_s"),
          ref["mass"](spaces.u_r, spaces.u_s, phi)),
         (kern.mass(spaces.p_P, spaces.p_P, (1.0 - phi) ** 2, "p_P", "p_P"),
          ref["mass"](spaces.p_P, spaces.p_P, (1.0 - phi) ** 2)),
         (kern.tensor_mass(spaces.u_r, spaces.u_r, drag, "u_r", "u_r"),
          ref["tensor_mass"](spaces.u_r, spaces.u_r, drag)),
-        (kern.eps_eps(spaces.u_f, spaces.u_f, 20.0 * ones_s, "u_f", "u_f"),
-         ref["eps_eps"](spaces.u_f, spaces.u_f, 20.0 * ones_s)),
+        (kern.eps_eps(spaces.u_f, spaces.u_f, 20.0, "u_f", "u_f"),
+         ref["eps_eps"](spaces.u_f, spaces.u_f, 20.0)),
         (kern.eps_eps(spaces.y_s, spaces.u_r, 20.0 * phi, "y_s", "u_r"),
          ref["eps_eps"](spaces.y_s, spaces.u_r, 20.0 * phi)),
         (kern.div_div(spaces.y_s, spaces.y_s, 10.0 * phi, "y_s", "y_s"),
          ref["div_div"](spaces.y_s, spaces.y_s, 10.0 * phi)),
-        (kern.pressure_div(spaces.p_S, spaces.u_f, ones_s, None, "p_S", "u_f"),
-         ref["pressure_div"](spaces.p_S, spaces.u_f, ones_s, None)),
-        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, grad_phi, "p_P", "u_r"),
-         ref["pressure_div"](spaces.p_P, spaces.u_r, phi, grad_phi)),
-        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, grad_phi, "u_r", "p_P",
+        (kern.pressure_div(spaces.p_S, spaces.u_f, 1.0, "p_S", "u_f"),
+         ref["pressure_div"](spaces.p_S, spaces.u_f, 1.0)),
+        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, "p_P", "u_r"),
+         ref["pressure_div"](spaces.p_P, spaces.u_r, phi)),
+        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, "u_r", "p_P",
                            transpose=True, sign=-1.0),
-         -np.transpose(ref["pressure_div"](spaces.p_P, spaces.u_r, phi, grad_phi),
+         -np.transpose(ref["pressure_div"](spaces.p_P, spaces.u_r, phi),
                        (0, 2, 1))),
-        (kern.pressure_div(spaces.p_P, spaces.y_s, np.ones_like(phi), None,
-                           "y_s", "p_P", transpose=True, sign=-1.0),
-         -np.transpose(ref["pressure_div"](spaces.p_P, spaces.y_s,
-                                           np.ones_like(phi), None), (0, 2, 1))),
+        (kern.pressure_div(spaces.p_P, spaces.y_s, 1.0, "y_s", "p_P",
+                           transpose=True, sign=-1.0),
+         -np.transpose(ref["pressure_div"](spaces.p_P, spaces.y_s, 1.0),
+                       (0, 2, 1))),
     ]
     for got, want in cases:
         name = got[:2]
@@ -843,38 +877,6 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
                 assert diff <= 1e-14 * scale, (alpha, dest, diff, scale)
         if alpha == 0.0:
             assert pairs[0][0] == []
-
-
-def test_context_checks_callable_coefficients(spaces22):
-    phi_high = PhysicalParams(**{**forms.REFERENCE_PARAMS,
-                                 "phi": lambda x, y: 0.3 + 0.4 * x})
-    with pytest.raises(FormsError, match="porosity out of range"):
-        AssemblyContext(spaces22, phi_high, NitscheParams())
-    indefinite = PhysicalParams(**{
-        **forms.REFERENCE_PARAMS,
-        "kappa": lambda x, y: np.array([[1.0, 2.0 * x], [2.0 * x, 1.0]])})
-    with pytest.raises(FormsError, match="positive definite"):
-        AssemblyContext(spaces22, indefinite, NitscheParams())
-
-
-def test_context_checks_constants_only_once(spaces22, monkeypatch):
-    # constants were checked when the parameters were built; the context
-    # checks only callable coefficients at its quadrature points
-    constant = PhysicalParams(**forms.REFERENCE_PARAMS)
-    field = _field_params()
-    calls = []
-    for name in ("_check_samples", "_check_kappa"):
-        original = getattr(PhysicalParams, name)
-
-        def counted(self, *args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(self, *args)
-
-        monkeypatch.setattr(PhysicalParams, name, counted)
-    AssemblyContext(spaces22, constant, NitscheParams())
-    assert calls == []
-    AssemblyContext(spaces22, field, NitscheParams())
-    assert sorted(calls) == ["_check_kappa", "_check_samples"]
 
 
 def test_from_contributions_drops_rounding_residues(spaces22):

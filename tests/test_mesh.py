@@ -47,14 +47,6 @@ def test_interface_pairs_structured_4x4():
         assert abs(np.linalg.norm(p.tangent) - 1.0) < 1e-14
 
 
-def test_z_identity_and_anisotropic():
-    m = generate_structured(2, 2)
-    for p in interface_pairs(m):
-        assert abs(p.z_perm - 1.0) < 1e-14
-    for p in interface_pairs(m, kappa=np.diag([2.0, 3.0])):
-        assert abs(p.z_perm - 2.0) < 1e-14  # horizontal interface, tangent (1,0)
-
-
 @settings(max_examples=20, deadline=None)
 @given(nx=st.integers(1, 6), half_ny=st.integers(1, 4))
 def test_sigma_pairing_property(nx, half_ny):

@@ -137,7 +137,7 @@ def test_m5_matches_symbolic_slip_defect(rng):
     import sympy as sp
     t, x, y = sp.symbols("t x y")
     params = _permeability_params(1e-4)
-    mu_f, phi = params.mu_f, params.phi.constant
+    mu_f, phi = params.mu_f, params.phi
     c, s = sp.cos(4 * sp.pi * y), sp.sin(4 * sp.pi * y)
     u_s = sp.Matrix([t * x**3 * c, -2 * t * x**3 * s])
     u_r = sp.Matrix([t**2 * s**2 - t * x**3 * c, t**2 * s**2 + 2 * t * x**3 * s])
@@ -146,7 +146,7 @@ def test_m5_matches_symbolic_slip_defect(rng):
     sigma = mu_f * phi * (grad + grad.T) - phi * p_p * sp.eye(2)
     n_p, tangent = sp.Matrix([0, -1]), sp.Matrix([1, 0])
     defect = (-(sigma * n_p).dot(tangent)
-              - mu_f * params.alpha_bjs / sp.sqrt(params.kappa.constant[0, 0])
+              - mu_f * params.alpha_bjs / sp.sqrt(params.kappa[0, 0])
               * u_r.dot(tangent))
     oracle = sp.lambdify((t, x), defect.subs(y, sp.Rational(1, 2)), "numpy")
     tt, xx = rng.uniform(0.1, 1.0, 64), rng.uniform(0.0, 1.0, 64)
@@ -155,19 +155,22 @@ def test_m5_matches_symbolic_slip_defect(rng):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_ladder_converges_below_unit_permeability(nitsche_default):
-    table = verification.convergence_study([(2, 2), (4, 4), (8, 8)],
-                                           _permeability_params(1e-4),
+@pytest.mark.parametrize("change", [
+    {"kappa": 1e-4},
+    {"kappa": 1e-6 * np.array([[2.0, 0.5], [0.5, 1.0]])},
+    {"theta": -5.0},
+], ids=["kappa 1e-4", "anisotropic kappa 1e-6", "theta -5"])
+def test_ladder_converges_off_the_reference_set(change, nitsche_default):
+    # an anisotropic Darcy tensor and a sink, each large enough that the
+    # ladder sees them: dropping the off-diagonal of kappa^-1 takes the last
+    # u_r rate to about 0, dropping the sink on (u_r, u_r) or (y_s, y_s)
+    # makes every rate negative; at kappa = [[2, .5], [.5, 1]] or
+    # theta = -0.5 neither would move a rate below 1.8
+    params = forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, **change})
+    table = verification.convergence_study([(2, 2), (4, 4), (8, 8)], params,
                                            nitsche_default)
     last = table.rates()[-1]
     assert all(last[name] >= 1.8 for name in ERROR_FIELDS), last
-
-
-def test_sources_require_constant_coefficients():
-    params = forms.PhysicalParams(
-        **{**forms.REFERENCE_PARAMS, "phi": lambda x, y: 0.1 + 0.0 * x})
-    with pytest.raises(OracleError, match="constant"):
-        derive_sources(params)
 
 
 def test_interpolation_error_baseline(table1_params, sol):
