@@ -267,7 +267,7 @@ def parse_config(path):
     channel = {key: _to_float(entries, f"channel.{key}")
                for key in ("length", "y0", "height", "lower", "upper")}
     if mesh_kind == "channel":
-        _check_channel_rows(ny, channel)
+        _require_channel_rows(ny, channel)
 
     dump_every = _to_int(entries, "output.dump_every")
     if dump_every < 0:
@@ -299,7 +299,7 @@ def parse_config(path):
     )
 
 
-def _check_channel_rows(ny, ch):
+def _require_channel_rows(ny, ch):
     """Reject a ``mesh.ny`` whose grid lines miss a channel interface."""
     y0, height = ch["y0"], ch["height"]
     missed = [key for key in ("lower", "upper")
@@ -541,11 +541,6 @@ def main(argv=None):
         return cmd_energy_check(config, out_dir)
     except (ConfigError, forms.FormsError, meshmod.MeshError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except verification.OracleError as exc:
-        print(f"configuration error: the manufactured problem fails its oracle: "
-              f"{exc}; use parameters nearer the reference set, or mode = general",
-              file=sys.stderr)
         return EXIT_CONFIG
     except solver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -131,12 +131,6 @@ class PhysicalParams:
         return self.rho_s * (1.0 - self.phi) + self.rho_f * self.phi
 
 
-# non-dimensional set used by the manufactured verification problem
-REFERENCE_PARAMS = dict(rho_f=1.0, rho_s=1.0, mu_f=10.0, mu_p=10.0,
-                        lam_p=10.0, phi=0.1, kappa=1.0, K=1.0, theta=0.0,
-                        alpha_bjs=1.0)
-
-
 @dataclass(frozen=True)
 class NitscheParams:
     """Interface penalty gamma and consistency variant varsigma."""
@@ -690,12 +684,12 @@ def assemble_nitsche_penalty(ctx):
 
 
 def assemble_convection(ctx, previous_velocity):
-    """Oseen-lagged convection block for the free-flow momentum equation."""
-    if previous_velocity is None:
-        return None
-    values = (previous_velocity.values
-              if isinstance(previous_velocity, fem.FieldCoefficients)
-              else np.asarray(previous_velocity, dtype=float))
+    """Oseen-lagged convection block for the free-flow momentum equation.
+
+    ``previous_velocity`` is the u_f ``fem.FieldCoefficients`` of the last
+    step.  Returns None when it is zero, as in the first step from rest.
+    """
+    values = previous_velocity.values
     if not np.any(values):
         return None
     return _Kernels(ctx).convection(ctx.spaces.u_f, values, "u_f")

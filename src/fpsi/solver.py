@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -289,9 +290,9 @@ class TimeStepper:
     solves per convective step) or when the residual no longer halves.  A
     step whose correction ends above ``solver_tol`` factors its own
     operator, which later steps then reuse.  If a factorization is
-    singular, one free-flow pressure dof is pinned to zero and the pinned
-    operator is factored in the same order, with the pattern rebuilt; the
-    pin holds for every later step.
+    singular, one free-flow pressure dof is pinned to zero, with a warning
+    that names it, and the pinned operator is factored in the same order,
+    with the pattern rebuilt; the pin holds for every later step.
 
     The load is assembled once, here: the manufactured sources and interface
     corrections are quadratic in t, so ``forms.assemble_F`` at t = 0, T/2
@@ -341,6 +342,12 @@ class TimeStepper:
                     f"{where}: {exc}, with global dof {self._pin} (p_S dof 0) "
                     "already pinned; consider raising the penalty gamma") from exc
             self._pin = self.M.offsets[forms.BLOCK_NAMES.index("p_S")]
+            warnings.warn(
+                f"{where}: singular operator ({exc}); pinned global dof "
+                f"{self._pin} (p_S dof 0) to zero for this and every later "
+                "step; raise nitsche.gamma unless the domain is a closed "
+                "pure-Stokes cavity, whose pressure is fixed only up to a "
+                "constant")
             self._eliminated = None
             try:
                 x, res = self._solve(conv, rhs, dofs, vals)

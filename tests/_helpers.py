@@ -1,8 +1,15 @@
-"""Small helpers that only the tests use: interpolation, areas, block patterns."""
+"""Small helpers that only the tests use: the reference parameter set,
+interpolation, areas, block patterns."""
 
 from fpsi.fem import FieldCoefficients, _eval_field
 from fpsi.forms import BLOCK_NAMES
 from fpsi.mesh import _signed_area
+
+# The non-dimensional set of the manufactured verification problem, which is
+# also every physics default of an empty config file (``cli._DEFAULTS``).
+REFERENCE_PARAMS = dict(rho_f=1.0, rho_s=1.0, mu_f=10.0, mu_p=10.0,
+                        lam_p=10.0, phi=0.1, kappa=1.0, K=1.0, theta=0.0,
+                        alpha_bjs=1.0)
 
 
 def interpolate(space, field, time=0.0):

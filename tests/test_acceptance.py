@@ -12,7 +12,8 @@ from fpsi import fem, forms, mesh as meshmod, solver, verification
 from fpsi.forms import NitscheParams, PhysicalParams, StateVector, build_spaces
 from fpsi.mesh import generate_channel, generate_structured, interface_pairs
 
-from _helpers import interpolate
+import _fd_gates as fd_gates
+from _helpers import REFERENCE_PARAMS, interpolate
 from _oracles import X, Y, convection_dense, eps_eps_dense
 
 LEVELS = [(n, n) for n in (2, 4, 8, 16, 32)]
@@ -28,7 +29,7 @@ def _report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def params():
-    return PhysicalParams(**forms.REFERENCE_PARAMS)
+    return PhysicalParams(**REFERENCE_PARAMS)
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +57,13 @@ def test_criterion_1_convergence_rates(ladder40):
 
 
 def test_criterion_2_oracle_gates(params):
-    # derive_* raise OracleError on disagreement; tolerances are 1e-6
+    # the gates raise OracleError on disagreement; tolerances are 1e-6
     # relative (sources, finite differences) and, at these parameters, 1e-8
     # absolute (corrections, interface defects) at 220 random points
     try:
-        verification.derive_sources(params)
-        verification.derive_corrections(params)
+        fd_gates.check_all(params)
         ok, detail = True, "220 points, 1e-6 rel / 1e-8 abs"
-    except verification.OracleError as exc:  # pragma: no cover
+    except fd_gates.OracleError as exc:  # pragma: no cover
         ok, detail = False, str(exc)
     _report(2, "source/correction oracle gates", ok, detail)
 

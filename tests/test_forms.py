@@ -15,7 +15,7 @@ from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
                         assemble_volume_forms, build_spaces)
 from fpsi.mesh import generate_structured, interface_pairs
 
-from _helpers import block_pattern, interpolate
+from _helpers import REFERENCE_PARAMS, block_pattern, interpolate
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
 from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
                         trace_stress_nn, trace_tangent, trace_values)
@@ -82,7 +82,7 @@ def test_derived_rho_p(table1_params):
 def tiny():
     mesh = generate_structured(1, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams()
     ctx = AssemblyContext(spaces, params, nitsche)
     return mesh, spaces, params, nitsche, ctx
@@ -164,7 +164,6 @@ def test_convection_matches_symbolic(tiny):
 
 def test_convection_zero_previous(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    assert assemble_convection(ctx, None) is None
     zero = fem.FieldCoefficients(spaces.u_f, np.zeros(spaces.u_f.ndofs))
     assert assemble_convection(ctx, zero) is None
 
@@ -225,14 +224,14 @@ def test_divergence_theorem_for_pressure_coupling(tiny):
 def test_z_identity_and_anisotropic(spaces22, mesh22):
     # Z = (kappa tangent) . tangent; the 2x2 interface is horizontal, tangent (1, 0)
     for kappa, z in ((1.0, 1.0), (np.diag([2.0, 3.0]), 2.0)):
-        params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": kappa})
+        params = PhysicalParams(**{**REFERENCE_PARAMS, "kappa": kappa})
         ctx = AssemblyContext(spaces22, params, NitscheParams())
         assert np.all(np.abs(ctx.facet_stack["z_perm"] - z) < 1e-14)
     # sheared by y += 0.3 x, the interface has tangent (1, 0.3) / |(1, 0.3)|
     sheared = dataclasses.replace(mesh22, vertices=mesh22.vertices @ [[1.0, 0.3],
                                                                       [0.0, 1.0]])
     kappa = np.array([[2.0, 0.5], [0.5, 1.0]])
-    params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": kappa})
+    params = PhysicalParams(**{**REFERENCE_PARAMS, "kappa": kappa})
     ctx = AssemblyContext(build_spaces(sheared), params, NitscheParams())
     tangent = np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
     assert np.all(np.abs(ctx.facet_stack["z_perm"] - tangent @ kappa @ tangent)
@@ -271,7 +270,7 @@ def test_coefficients_are_constants_decided_in_forms():
 
 def test_bjs_zero_friction(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    free = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
+    free = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": 0.0})
     parts = assemble_bjs(AssemblyContext(spaces, free, nitsche))
     assert parts == []
 
@@ -280,7 +279,7 @@ def test_bjs_tangential_unit_field():
     # unit tangential pore velocity, kappa = I, mu_f alpha = 1, |Sigma| = 1
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "mu_f": 1.0,
+    params = PhysicalParams(**{**REFERENCE_PARAMS, "mu_f": 1.0,
                                "alpha_bjs": 1.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
     parts = assemble_bjs(ctx)
@@ -359,7 +358,7 @@ def test_penalty_requires_positive_gamma():
 def penalty_22():
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     mat = _penalty_matrix(AssemblyContext(spaces, params, nitsche))
     return mesh, spaces, params, nitsche, mat
@@ -390,7 +389,7 @@ def test_penalty_unit_jump_single_facet():
     # one facet of length 1: constant unit jump gives gamma mu_f exactly
     mesh = generate_structured(1, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     mat = _penalty_matrix(AssemblyContext(spaces, params, nitsche))
     state = StateVector.zero(spaces)
@@ -407,7 +406,7 @@ def test_penalty_linear_in_gamma(penalty_22):
 
 
 def test_penalty_coefficient_h_scaling():
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     gamma_mu = 40.0 * params.mu_f
     coarse = [gamma_mu / p.h_e for p in interface_pairs(generate_structured(4, 4))]
     fine = [gamma_mu / p.h_e for p in interface_pairs(generate_structured(8, 8))]
@@ -439,7 +438,7 @@ EXPECTED_N_PATTERN = {
 def assembled_22():
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = AssemblyContext(spaces, params, nitsche)
     m_sys = assemble_M(ctx)
@@ -480,7 +479,7 @@ def test_velocity_pressure_skew_pairing():
     # B^T and -B rows are exact negative transposes (skew-symmetric variant)
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=-1)
     n_sys = assemble_N(AssemblyContext(spaces, params, nitsche))
     for vel in ("u_f", "u_r"):
@@ -501,7 +500,7 @@ def test_volume_operator_positive_semidefinite(rng):
     # stationary operator is a sum of coercive forms plus skew pairings
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
+    params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": 0.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
     parts = assemble_volume_forms(ctx, "N")
     sys = BlockSystem.from_contributions(spaces, parts)
@@ -520,7 +519,7 @@ def test_assemble_f_theta_partition_of_unity():
     from fpsi import verification
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     sources = verification.SourceSet(
         load_p_P=lambda t, x, y: np.full_like(x, 2.0) / params.rho_f)
     rhs = assemble_F(AssemblyContext(spaces, params, NitscheParams()), sources, 0.0)
@@ -611,7 +610,7 @@ def test_interface_corrections_match_per_facet_reference(varsigma):
     from fpsi import verification
     mesh = generate_structured(4, 4)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     ctx = AssemblyContext(spaces, params, NitscheParams(gamma=40.0, varsigma=varsigma))
     corr = verification.InterfaceCorrections(
         m1=lambda t, x, y: t * (1.0 + x**2),
@@ -645,7 +644,7 @@ def test_loads_match_einsum_reference(tiny, rng):
 
 def test_exact_solution_residual_decreases():
     from fpsi import verification
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     sol = verification.ExactSolution()
     sources = verification.derive_sources(params)
@@ -709,7 +708,7 @@ def test_m_and_n_match_merge_of_both_destinations(nx):
     # result is bit-identical to building every part and keeping one half
     mesh = generate_structured(nx, nx)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = AssemblyContext(spaces, params, nitsche)
     interface = [assemble_bjs(ctx), assemble_nitsche_consistency(ctx),
@@ -782,7 +781,7 @@ def _einsum_kernels(ctx):
 
 # constant coefficients off the reference set: an anisotropic permeability
 # keeps the off-diagonal of the Darcy tensor mass covered
-ANISOTROPIC_PARAMS = {**forms.REFERENCE_PARAMS,
+ANISOTROPIC_PARAMS = {**REFERENCE_PARAMS,
                       "kappa": np.array([[2.0, 0.5], [0.5, 1.0]]),
                       "theta": -0.5, "phi": 0.3, "K": 3.0, "rho_s": 2.0}
 
@@ -858,7 +857,7 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
     spaces = build_spaces(_interface_mesh(kind))
     nitsche = NitscheParams(gamma=40.0, varsigma=varsigma)
     for alpha in (1.0, 0.0):
-        params = PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": alpha})
+        params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": alpha})
         ctx = AssemblyContext(spaces, params, nitsche)
         pairs = [
             (assemble_bjs(ctx), _per_facet.assemble_bjs(ctx)),
@@ -899,7 +898,7 @@ def test_residue_cut_keeps_couplings_of_every_scale(spaces22, table1_params,
     # storage in M's p_P rows ~1e-17 below the solid dilation rate beside
     # it: both stay, with their values, and M and N keep the pattern of
     # the reference parameters
-    extreme = PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": 1e-16, "K": 1e16})
+    extreme = PhysicalParams(**{**REFERENCE_PARAMS, "kappa": 1e-16, "K": 1e16})
     want = [assemble(AssemblyContext(spaces22, table1_params, nitsche_default))
             for assemble in (assemble_M, assemble_N)]
     got = [assemble(AssemblyContext(spaces22, extreme, nitsche_default))

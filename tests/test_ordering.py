@@ -8,6 +8,8 @@ from fpsi.forms import NitscheParams, PhysicalParams
 from fpsi.mesh import generate_structured
 from fpsi.ordering import LEAF_SIZE, nested_dissection
 
+from _helpers import REFERENCE_PARAMS
+
 
 def _grid_laplacian(k):
     d = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
@@ -17,7 +19,7 @@ def _grid_laplacian(k):
 
 def _eliminated_operator(nx):
     spaces = forms.build_spaces(generate_structured(nx, nx))
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = forms.AssemblyContext(spaces, params, nitsche)
     M = forms.assemble_M(ctx)

@@ -1,5 +1,6 @@
 import ast
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fpsi.solver import (NonFiniteSolutionError, SingularSystemError,
                          SolverError, TimeGrid, TimeStepper, discrete_energy,
                          solve_linear)
 
-from _helpers import interpolate
+from _helpers import REFERENCE_PARAMS, interpolate
 
 
 def test_time_grid_consistency():
@@ -57,7 +58,7 @@ def test_solve_singular_reported():
 def small_setup():
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     return mesh, spaces, params, nitsche
 
@@ -111,7 +112,7 @@ def test_one_step_sanity_against_interpolants():
     # coarse-level response is orders above the tiny exact pressure)
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     sol, loads = verification.manufactured_problem(params)
     grid = TimeGrid(tau=5e-4, final=5e-4)
@@ -186,7 +187,7 @@ def test_reused_factor_matches_direct_solve(small_setup):
 def test_load_polynomial_matches_quadrature(nx):
     # the manufactured load is quadratic in t: interpolating it at 0, T/2
     # and T reproduces assemble_F at every step time of the ladder's grid
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     spaces = build_spaces(generate_structured(nx, nx))
     sources = verification.derive_sources(params)
@@ -251,7 +252,7 @@ def test_strong_convection_refactors(monkeypatch):
     # factored M / tau + N, so defect correction with that factor diverges
     mesh = generate_structured(4, 4)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     grid = TimeGrid(tau=0.1, final=0.2)
     stepper = TimeStepper(spaces, params, nitsche, grid, convection=True)
@@ -297,7 +298,7 @@ def _counting_solves(monkeypatch):
 def _manufactured_stepper(nx, final, convection):
     mesh = generate_structured(nx, nx)
     spaces = build_spaces(mesh)
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     _, loads = verification.manufactured_problem(params)
     return TimeStepper(
         spaces, params, NitscheParams(gamma=40.0, varsigma=1),
@@ -400,7 +401,8 @@ def test_mesh_order_is_reused_by_refactor_and_pin(small_setup, monkeypatch):
 
     monkeypatch.setattr(solver, "mesh_order", counted_order)
     monkeypatch.setattr(spla, "splu", singular_once)
-    state, report = stepper.step(StateVector.zero(spaces), 1)
+    with pytest.warns(UserWarning, match="pinned global dof"):
+        state, report = stepper.step(StateVector.zero(spaces), 1)
     assert report.pinned_pressure
     order = stepper._factor.perm
     state.block("u_f").values[:] = 100.0
@@ -414,7 +416,7 @@ def _nx8_stepper(workload):
     if workload == "mms-ladder":
         return _manufactured_stepper(8, 1e-3 / 8, True)
     return TimeStepper(build_spaces(generate_structured(8, 8)),
-                       PhysicalParams(**forms.REFERENCE_PARAMS),
+                       PhysicalParams(**REFERENCE_PARAMS),
                        NitscheParams(gamma=40.0, varsigma=1),
                        TimeGrid(tau=1.25e-4, final=1.25e-4), convection=False)
 
@@ -514,7 +516,8 @@ def _convection_reference(stepper, operator, conv, dofs):
 def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     stepper = _manufactured_stepper(2, 1e-3, True)
     stepper.step(StateVector.zero(stepper.spaces), 1)
-    u_f = rng.normal(size=stepper.spaces.u_f.ndofs)
+    u_f = fem.FieldCoefficients(stepper.spaces.u_f,
+                                rng.normal(size=stepper.spaces.u_f.ndofs))
     conv = forms.assemble_convection(stepper.ctx, u_f)
     dofs, _ = fem.dirichlet_data(stepper.M, {}, 0.0)
     operator = stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix
@@ -548,7 +551,8 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
         return original(matrix, **kwargs)
 
     monkeypatch.setattr(spla, "splu", singular_once)
-    _, report = pinned.step(StateVector.zero(pinned.spaces), 1)
+    with pytest.warns(UserWarning, match="pinned global dof"):
+        _, report = pinned.step(StateVector.zero(pinned.spaces), 1)
     assert report.pinned_pressure
     pin_dofs = np.append(dofs, pinned.M.offsets[forms.BLOCK_NAMES.index("p_S")])
     for got, want in zip(pinned._update.matrices(conv[4]),
@@ -613,9 +617,26 @@ def test_pressure_pin_fallback(small_setup, monkeypatch):
         return original(matrix, rhs, tol, factor)
 
     monkeypatch.setattr(solver, "solve_linear", flaky)
-    state, report = stepper.step(StateVector.zero(spaces), 1)
+    pin = stepper.M.offsets[forms.BLOCK_NAMES.index("p_S")]
+    with pytest.warns(UserWarning) as record:
+        state, report = stepper.step(StateVector.zero(spaces), 1)
+    assert len(record) == 1
+    message = str(record[0].message)
+    assert message.startswith("step 1 (t=0.001): ")
+    assert f"pinned global dof {pin} (p_S dof 0)" in message
+    assert "raise nitsche.gamma" in message
+    assert "closed pure-Stokes cavity" in message
     assert report.pinned_pressure
     assert np.all(np.isfinite(state.vector()))
+
+
+def test_ladder_pins_no_pressure(table1_params, nitsche_default):
+    # a pin changes the solved system and warns; the reference ladder needs
+    # none, so its levels raise no warning at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verification.convergence_study([(2, 2), (4, 4)], table1_params,
+                                       nitsche_default)
 
 
 def test_singular_after_pin_names_the_pinned_dof(small_setup, monkeypatch):
@@ -636,7 +657,8 @@ def test_singular_after_pin_names_the_pinned_dof(small_setup, monkeypatch):
         return original(matrix, **kwargs)
 
     monkeypatch.setattr(spla, "splu", singular_twice)
-    state, report = stepper.step(StateVector.zero(spaces), 1)
+    with pytest.warns(UserWarning, match="pinned global dof"):
+        state, report = stepper.step(StateVector.zero(spaces), 1)
     assert report.pinned_pressure
     state.block("u_f").values[:] = 100.0
     pin = stepper.M.offsets[forms.BLOCK_NAMES.index("p_S")]
@@ -665,8 +687,9 @@ def test_pin_decided_once_per_factor(small_setup, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", singular_once)
     reports = []
-    state = solver.march(stepper, StateVector.zero(spaces),
-                         lambda n, state, report: reports.append(report))
+    with pytest.warns(UserWarning, match="pinned global dof"):
+        state = solver.march(stepper, StateVector.zero(spaces),
+                             lambda n, state, report: reports.append(report))
     assert calls["n"] == 2  # the failed factorization and the pinned one
     assert [r.pinned_pressure for r in reports] == [True, True, True]
     assert [r.factorized for r in reports] == [True, False, False]
@@ -900,7 +923,7 @@ def test_energy_of_stepper_operators_matches_own_geometry(small_setup, rng):
 
 
 # away from the reference set: every weight of the energy differs from 1
-NON_REFERENCE_PARAMS = dict(forms.REFERENCE_PARAMS, phi=0.3, theta=-0.5,
+NON_REFERENCE_PARAMS = dict(REFERENCE_PARAMS, phi=0.3, theta=-0.5,
                             rho_s=2.0, K=3.0, mu_p=7.0, lam_p=100.0)
 
 
@@ -910,7 +933,7 @@ def test_energy_matches_einsum_reference(nx):
     # E symmetric
     spaces = build_spaces(generate_structured(nx, nx))
     rng = np.random.default_rng(nx)
-    for values in (forms.REFERENCE_PARAMS, NON_REFERENCE_PARAMS):
+    for values in (REFERENCE_PARAMS, NON_REFERENCE_PARAMS):
         params = PhysicalParams(**values)
         energy = _energy_matrix(spaces, params)
         assert abs(energy - energy.T).max() <= 1e-12 * abs(energy).max()
@@ -925,11 +948,11 @@ def test_energy_matches_einsum_reference_off_the_square(case):
     if case == "anisotropic":
         mesh = generate_structured(8, 8)
         params = PhysicalParams(**dict(
-            forms.REFERENCE_PARAMS, kappa=[[2.0, 0.5], [0.5, 1.0]], theta=-0.5,
+            REFERENCE_PARAMS, kappa=[[2.0, 0.5], [0.5, 1.0]], theta=-0.5,
             phi=0.3, K=3.0, rho_s=2.0))
     else:
         mesh = generate_channel(10, 14)  # with tests/test_pin.py's parameters
-        params = PhysicalParams(**dict(forms.REFERENCE_PARAMS, mu_f=0.01,
+        params = PhysicalParams(**dict(REFERENCE_PARAMS, mu_f=0.01,
                                        mu_p=1033.6, lam_p=49364.0, phi=0.3,
                                        kappa=1e-3, K=1e6))
     spaces = build_spaces(mesh)
@@ -954,7 +977,7 @@ def test_energy_sign_flip_invariance(small_setup, table1_params, rng):
 
 def test_time_refinement_keeps_spatial_error_dominant():
     # halving tau moves the final-time errors by less than the error itself
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     sol, loads = verification.manufactured_problem(params)
     mesh = generate_structured(4, 4)
@@ -976,7 +999,7 @@ def test_time_refinement_keeps_spatial_error_dominant():
 def test_lift_matches_full_product(convection):
     # the stepper's lift, which skips the product when every prescribed value
     # is zero, against the product with the whole operator
-    params = PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     spaces = build_spaces(generate_structured(4, 4))
     _, loads = verification.manufactured_problem(params)

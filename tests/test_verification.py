@@ -6,9 +6,11 @@ import pytest
 from fpsi import fem, forms, verification
 from fpsi.mesh import generate_structured
 from fpsi.verification import (ERROR_FIELDS, ErrorTable, ExactSolution,
-                               OracleError, derive_corrections, derive_sources)
+                               derive_corrections, derive_sources)
 
-from _helpers import interpolate
+import _fd_gates as fd_gates
+from _fd_gates import ExactStresses, OracleError
+from _helpers import REFERENCE_PARAMS, interpolate
 
 
 @pytest.fixture(scope="module")
@@ -51,45 +53,48 @@ def test_r_s_closed_form(rng):
 
 
 def test_derive_sources_oracle_gate(table1_params):
-    derive_sources(table1_params)  # raises on disagreement
+    sol = ExactStresses()
+    fd_gates.check_derivatives(sol)  # raises on disagreement
+    fd_gates.check_sources(sol, table1_params, derive_sources(table1_params))
 
 
 def test_derive_corrections_oracle_gate(table1_params):
-    derive_corrections(table1_params)
+    fd_gates.check_corrections(ExactStresses(), table1_params,
+                               derive_corrections(table1_params), 1.0)
 
 
 def test_oracle_rejects_tampered_source(table1_params):
     sources = derive_sources(table1_params)
-    sol = ExactSolution()
+    sol = ExactStresses()
     broken = verification.SourceSet(
         f_S=lambda t, x, y: sources.f_S(t, x, y) * 1.001,
         load_u_r=sources.load_u_r, load_y_s=sources.load_y_s,
         r_S=sources.r_S, load_p_P=sources.load_p_P)
     with pytest.raises(OracleError, match=r"f_S.*\(t="):
-        verification._check_sources(sol, table1_params, broken)
+        fd_gates.check_sources(sol, table1_params, broken)
 
 
 def test_oracle_rejects_tampered_correction(table1_params):
     corr = derive_corrections(table1_params)
-    sol = ExactSolution()
+    sol = ExactStresses()
     broken = verification.InterfaceCorrections(
         m1=corr.m1, m2=lambda t, x, y: corr.m2(t, x, y) + 1e-6,
         m3=corr.m3, m4=corr.m4, m5=corr.m5)
     with pytest.raises(OracleError, match="m2"):
-        verification._check_corrections(sol, table1_params, broken, 1.0)
+        fd_gates.check_corrections(sol, table1_params, broken, 1.0)
 
 
 def test_correction_gate_scales_with_the_defect_terms():
     # at mu_f = 1e9 the tractions reach ~4e10 and the correct m2 misses a
     # 1e-8 gate by rounding alone (~1.5e-5); the gate, 1e-13 of the largest
     # term (~4.4e-3), passes it and still refuses m2 off by 1e-2
-    params = forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, "mu_f": 1e9})
+    params = forms.PhysicalParams(**{**REFERENCE_PARAMS, "mu_f": 1e9})
     corr = derive_corrections(params)
     broken = verification.InterfaceCorrections(
         m1=corr.m1, m2=lambda t, x, y: corr.m2(t, x, y) + 1e-2,
         m3=corr.m3, m4=corr.m4, m5=corr.m5)
     with pytest.raises(OracleError, match=r"m2.*above the gate 4\.4e-03"):
-        verification._check_corrections(ExactSolution(), params, broken, 1.0)
+        fd_gates.check_corrections(ExactStresses(), params, broken, 1.0)
 
 
 def test_m1_zero_everywhere(table1_params, rng):
@@ -102,9 +107,9 @@ def test_m1_zero_everywhere(table1_params, rng):
 def test_m4_reduces_to_stress_trace_without_friction(rng):
     # with alpha = 0 the slip defect is the tangential stress trace alone,
     # which vanishes identically for this solution
-    params = forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, "alpha_bjs": 0.0})
+    params = forms.PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": 0.0})
     corr = derive_corrections(params)
-    sol = ExactSolution()
+    sol = ExactStresses()
     t = rng.uniform(0.1, 1.0, 32)
     x = rng.uniform(0.0, 1.0, 32)
     y = np.full_like(x, 0.5)
@@ -123,12 +128,14 @@ def test_m5_closed_form(table1_params, rng):
 
 
 def _permeability_params(kappa):
-    return forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, "kappa": kappa})
+    return forms.PhysicalParams(**{**REFERENCE_PARAMS, "kappa": kappa})
 
 
 @pytest.mark.parametrize("kappa", [1e-4, 1e-8])
 def test_corrections_pass_their_gate_below_unit_permeability(kappa):
-    derive_corrections(_permeability_params(kappa))
+    params = _permeability_params(kappa)
+    fd_gates.check_corrections(ExactStresses(), params,
+                               derive_corrections(params), kappa)
 
 
 def test_m5_matches_symbolic_slip_defect(rng):
@@ -166,7 +173,7 @@ def test_ladder_converges_off_the_reference_set(change, nitsche_default):
     # u_r rate to about 0, dropping the sink on (u_r, u_r) or (y_s, y_s)
     # makes every rate negative; at kappa = [[2, .5], [.5, 1]] or
     # theta = -0.5 neither would move a rate below 1.8
-    params = forms.PhysicalParams(**{**forms.REFERENCE_PARAMS, **change})
+    params = forms.PhysicalParams(**{**REFERENCE_PARAMS, **change})
     table = verification.convergence_study([(2, 2), (4, 4), (8, 8)], params,
                                            nitsche_default)
     last = table.rates()[-1]
