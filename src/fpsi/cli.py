@@ -71,7 +71,6 @@ _DEFAULTS = {
     "run.inflow_scale": "1.0",
     "run.seed": "0",
     "energy.steps": "50",
-    "energy.amplitude": "1.0",
 }
 
 
@@ -101,7 +100,6 @@ class RunConfig:
     inflow_scale: float
     seed: int
     energy_steps: int
-    energy_amplitude: float
     _mesh_cache: object = field(default=None, repr=False)
 
     def physical_params(self):
@@ -253,8 +251,12 @@ def parse_config(path):
     except ValueError:
         raise ConfigError(f"levels: expected comma-separated integers, "
                           f"got {entries['levels']!r}") from None
-    if any(n <= 0 for n in levels) or not levels:
-        raise ConfigError("levels: cell counts must be positive")
+    if not levels:
+        raise ConfigError("levels: empty; give increasing even cell counts, "
+                          "such as levels = 2,4,8,16,32")
+    if any(n <= 0 for n in levels):
+        raise ConfigError(f"levels: cell counts must be positive, got "
+                          f"{entries['levels']!r}")
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError(
             f"levels: a convergence rate needs at least two strictly refining "
@@ -263,7 +265,15 @@ def parse_config(path):
         raise ConfigError(f"levels: each level is an nx x nx square split at "
                           f"y = 1/2, so nx must be even, got {entries['levels']!r}")
 
-    ny = _to_int(entries, "mesh.ny")
+    nx, ny = _to_int(entries, "mesh.nx"), _to_int(entries, "mesh.ny")
+    if mesh_kind != "msh" and nx < 1:
+        raise ConfigError(f"mesh.nx: the {mesh_kind} grid needs at least one "
+                          f"column of cells, got {nx}; give a positive mesh.nx")
+    if mesh_kind == "structured" and (ny < 2 or ny % 2):
+        raise ConfigError(
+            f"mesh.ny: the structured grid splits the unit square at y = 1/2 on "
+            f"a grid line, so it needs an even, positive row count, got {ny}; "
+            f"use mesh.ny = {max(2, ny + ny % 2)}")
     channel = {key: _to_float(entries, f"channel.{key}")
                for key in ("length", "y0", "height", "lower", "upper")}
     if mesh_kind == "channel":
@@ -283,7 +293,7 @@ def parse_config(path):
 
     return RunConfig(
         mode=mode, mesh_kind=mesh_kind,
-        nx=_to_int(entries, "mesh.nx"), ny=ny,
+        nx=nx, ny=ny,
         mesh_path=mesh_path, tag_map=tag_map, physics=physics,
         gamma=gamma, varsigma=varsigma, tau=tau, final=final,
         levels=levels, tau_factor=_to_float(entries, "convergence.tau_factor"),
@@ -295,7 +305,6 @@ def parse_config(path):
         inflow_scale=_to_float(entries, "run.inflow_scale"),
         seed=_to_int(entries, "run.seed"),
         energy_steps=energy_steps,
-        energy_amplitude=_to_float(entries, "energy.amplitude"),
     )
 
 
@@ -493,8 +502,7 @@ def cmd_energy_check(config, out_dir):
     rng = np.random.default_rng(config.seed)
     state = forms.StateVector.zero(spaces)
     for block in state.blocks:
-        block.values[:] = config.energy_amplitude * rng.uniform(
-            -1.0, 1.0, block.space.ndofs)
+        block.values[:] = rng.uniform(-1.0, 1.0, block.space.ndofs)
         block.values[block.space.dirichlet_dofs] = 0.0
 
     energy = forms.energy_matrix(stepper.M, stepper.N)

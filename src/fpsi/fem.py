@@ -26,27 +26,17 @@ class QuadratureRule:
     degree: int
 
 
-# Symmetric positive-weight rules on the reference triangle, stored as
-# (degree, [(weight_on_unit_sum, (l0, l1, l2)), ...]); weights are scaled
-# by the reference measure 1/2 when the rule is built.
+# Symmetric positive-weight rules on the reference triangle of the degrees
+# that assembly and the error norms request (a lower degree takes the next
+# rule up), stored as (degree, [(weight_on_unit_sum, (l0, l1, l2)), ...]);
+# weights are scaled by the reference measure 1/2 when the rule is built.
 _TRI_RULES = {
-    1: [(1.0, (1 / 3, 1 / 3, 1 / 3))],
-    2: [(1 / 3, (2 / 3, 1 / 6, 1 / 6)),
-        (1 / 3, (1 / 6, 2 / 3, 1 / 6)),
-        (1 / 3, (1 / 6, 1 / 6, 2 / 3))],
     4: [(0.223381589678011, (0.108103018168070, 0.445948490915965, 0.445948490915965)),
         (0.223381589678011, (0.445948490915965, 0.108103018168070, 0.445948490915965)),
         (0.223381589678011, (0.445948490915965, 0.445948490915965, 0.108103018168070)),
         (0.109951743655322, (0.816847572980459, 0.091576213509771, 0.091576213509771)),
         (0.109951743655322, (0.091576213509771, 0.816847572980459, 0.091576213509771)),
         (0.109951743655322, (0.091576213509771, 0.091576213509771, 0.816847572980459))],
-    5: [(0.225, (1 / 3, 1 / 3, 1 / 3)),
-        (0.132394152788506, (0.059715871789770, 0.470142064105115, 0.470142064105115)),
-        (0.132394152788506, (0.470142064105115, 0.059715871789770, 0.470142064105115)),
-        (0.132394152788506, (0.470142064105115, 0.470142064105115, 0.059715871789770)),
-        (0.125939180544827, (0.797426985353087, 0.101286507323456, 0.101286507323456)),
-        (0.125939180544827, (0.101286507323456, 0.797426985353087, 0.101286507323456)),
-        (0.125939180544827, (0.101286507323456, 0.101286507323456, 0.797426985353087))],
     6: [(0.050844906370207, (0.873821971016996, 0.063089014491502, 0.063089014491502)),
         (0.050844906370207, (0.063089014491502, 0.873821971016996, 0.063089014491502)),
         (0.050844906370207, (0.063089014491502, 0.063089014491502, 0.873821971016996)),

@@ -65,6 +65,24 @@ def build_spaces(mesh):
     )
 
 
+def _starts(spaces):
+    """Offset of each block in the monolithic layout, by block name."""
+    return dict(zip(BLOCK_NAMES, np.cumsum([0] + [sp.ndofs for sp in spaces[:-1]])))
+
+
+def _entries(row_dofs, col_dofs, terms):
+    """Global (rows, cols) of the local entries at the flat indices ``terms``.
+
+    Flat index t of a local array (cells or facets, ni, nj) is its entry
+    (c, i, j) with c ni + i = t // nj and j = t % nj, which lies at row
+    ``row_dofs[c, i]`` and column ``col_dofs[c, j]``.  This is the one
+    place where dof maps expand into entries.
+    """
+    ni, nj = row_dofs.shape[1], col_dofs.shape[1]
+    cell_row, j = np.divmod(terms, nj)
+    return row_dofs.ravel()[cell_row], col_dofs.ravel()[cell_row // ni * nj + j]
+
+
 @dataclass(eq=False)
 class PhysicalParams:
     """Material parameters of the coupled model, all constants.
@@ -152,34 +170,37 @@ class BlockSystem:
         self.spaces = spaces
         self.block_names = BLOCK_NAMES
         self.sizes = tuple(sp.ndofs for sp in spaces)
-        self.offsets = tuple(np.concatenate([[0], np.cumsum(self.sizes)])[:-1])
+        self.offsets = tuple(_starts(spaces).values())
         self.size = sum(self.sizes)
         self.matrix = matrix
 
     @classmethod
     def from_contributions(cls, spaces, contributions):
-        """Sum (test, trial, rows, cols, values) parts into CSR, int32 if it fits.
+        """Sum (test, trial, row_dofs, col_dofs, local) parts into CSR, int32 if it fits.
 
-        Exact zeros and sums below ``RESIDUE_RTOL`` of the summed magnitudes
-        of their terms are left out of the pattern.  A non-finite term, which
-        would make its sum fail that test and vanish, raises FormsError.
+        ``local`` (cells or facets, ni, nj) holds one block per cell or
+        facet; ``row_dofs`` (.., ni) and ``col_dofs`` (.., nj) are the test
+        and trial block dofs of its rows and columns.  Exact zeros and sums
+        below ``RESIDUE_RTOL`` of the summed magnitudes of their terms are
+        left out of the pattern.  A non-finite term, which would make its
+        sum fail that test and vanish, raises FormsError.
         """
-        sizes = [sp.ndofs for sp in spaces]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-        total = int(sum(sizes))
+        total = int(sum(sp.ndofs for sp in spaces))
         index = np.int32 if total < np.iinfo(np.int32).max else np.int64
-        idx = {name: i for i, name in enumerate(BLOCK_NAMES)}
-        rows, cols, vals = [], [], []
-        for test, trial, r, c, v in contributions:
-            v = np.asarray(v, dtype=float)
-            if not np.all(np.isfinite(v)):
+        start = _starts(spaces)
+        entries, vals = [], []
+        for test, trial, row_dofs, col_dofs, local in contributions:
+            local = np.asarray(local, dtype=float)
+            if not np.all(np.isfinite(local)):
                 raise FormsError(f"non-finite term in block ({test}, {trial}): check "
                                  "the parameters and coefficients for NaN or inf")
-            terms = np.flatnonzero(v)
-            rows.append(np.asarray(r, dtype=index)[terms] + index(offsets[idx[test]]))
-            cols.append(np.asarray(c, dtype=index)[terms] + index(offsets[idx[trial]]))
-            vals.append(v[terms])
-        if rows:
+            terms = np.flatnonzero(local)
+            rows = np.asarray(row_dofs, dtype=index) + index(start[test])
+            cols = np.asarray(col_dofs, dtype=index) + index(start[trial])
+            entries.append(_entries(rows, cols, terms))
+            vals.append(local.ravel()[terms])
+        if entries:
+            rows, cols = (np.concatenate(axis) for axis in zip(*entries))
             vals = np.concatenate(vals)
             # one conversion sums the values (real part) and their
             # magnitudes (imaginary part) entry by entry
@@ -187,8 +208,7 @@ class BlockSystem:
             both.real = vals
             np.abs(vals, out=both.imag)
             summed = sparse.coo_matrix(
-                (both, (np.concatenate(rows), np.concatenate(cols))),
-                shape=(total, total)).tocsr()
+                (both, (rows, cols)), shape=(total, total)).tocsr()
             keep = np.abs(summed.data.real) >= RESIDUE_RTOL * summed.data.imag
             indptr = np.concatenate([[0], np.cumsum(keep)]).astype(index)
             matrix = sparse.csr_matrix(
@@ -263,7 +283,6 @@ class AssemblyContext:
         self.pairs = interface_pairs(mesh)
         self.seg_rule = fem.quadrature_rule("segment", INTERFACE_QUAD_DEGREE)
         self.facet_stack = self._stack_facets()
-        self._patterns = {}
 
     def grads(self, space):
         key = (space.subdomain, space.degree)
@@ -272,26 +291,30 @@ class AssemblyContext:
             self._grads[key] = self.geo[space.subdomain].physical_grads(dphi)
         return self._grads[key]
 
-    def vec_pattern(self, space):
-        """(rows, cols) of a vector block's local entries, built once.
-
-        The order is that of ``_contrib`` over ``vec_dofs`` x ``vec_dofs``,
-        so a kernel's flattened local values line up with it.
-        """
-        key = (space.subdomain, space.degree)
-        if key not in self._patterns:
-            dofs = self.vec_dofs(space)
-            nloc = dofs.shape[1]
-            self._patterns[key] = (np.repeat(dofs, nloc, axis=1).ravel(),
-                                   np.tile(dofs, (1, nloc)).ravel())
-        return self._patterns[key]
-
     def phi_table(self, space):
         return self.tab[space.degree][0]
 
-    def vec_dofs(self, space):
-        return (2 * space.cell_dofs[:, :, None]
-                + np.arange(2)[None, None, :]).reshape(space.cell_dofs.shape[0], -1)
+    def dof_map(self, space):
+        """Block dofs of each cell's local basis: (cells, ndofs per cell).
+
+        A vector space interleaves its components: node k holds 2k and 2k + 1.
+        """
+        dofs = space.cell_dofs
+        if space.components == 1:
+            return dofs
+        return (2 * dofs[:, :, None] + np.arange(2)).reshape(dofs.shape[0], -1)
+
+    def pattern(self, test, trial):
+        """Global (rows, cols) of a volume block's local entries.
+
+        In the order of a kernel's local values for that block.  Built per
+        call and not kept: expanded patterns held on the context raise the
+        ladder's peak memory by about 7 %.
+        """
+        start = _starts(self.spaces)
+        rows = self.dof_map(getattr(self.spaces, test)) + start[test]
+        cols = self.dof_map(getattr(self.spaces, trial)) + start[trial]
+        return _entries(rows, cols, np.arange(rows.size * cols.shape[1]))
 
     # -- interface facet tabulations --------------------------------------
 
@@ -336,12 +359,9 @@ class AssemblyContext:
             stack[(side, "pos")] = np.searchsorted(mesh.cells_in(side), cells)
         return stack
 
-    def facet_dofs(self, space, vector=True):
+    def facet_dofs(self, space):
         """Dofs of each facet's adjacent cell in ``space``: (facets, ndofs)."""
-        dofs = space.cell_dofs[self.facet_stack[(space.subdomain, "pos")]]
-        if vector and space.components == 2:
-            return (2 * dofs[..., None] + np.arange(2)).reshape(dofs.shape[0], -1)
-        return dofs
+        return self.dof_map(space)[self.facet_stack[(space.subdomain, "pos")]]
 
     def facet_trace(self, space, direction):
         """direction (facets, 2) . vector basis at the points: (facets, nq, 2 nloc)."""
@@ -390,17 +410,14 @@ def _expand_components(base):
     return out.reshape(c, 2 * ni, 2 * nj)
 
 
-def _contrib(test_name, trial_name, row_map, col_map, local):
+def _contrib(test, trial, row_dofs, col_dofs, local):
     """One kernel's part; its rounding residues on each cell or facet zeroed.
 
     ``local`` (cells or facets, ni, nj) is the kernel's own fresh array.
     """
-    c, ni, nj = local.shape
     size = np.abs(local)
     local[size < RESIDUE_RTOL * size.max(axis=(1, 2), keepdims=True)] = 0.0
-    rows = np.repeat(row_map, nj, axis=1)
-    cols = np.tile(col_map, (1, ni))
-    return (test_name, trial_name, rows.ravel(), cols.ravel(), local.ravel())
+    return (test, trial, row_dofs, col_dofs, local)
 
 
 def _gram(w, a, b):
@@ -429,85 +446,89 @@ def _sym_grads(grads):
 
 
 class _Kernels:
-    """Volume integration kernels over one subdomain.
+    """Volume integration kernels over one subdomain, named by their blocks.
 
-    Bilinear kernels build feature tables of their bases at the quadrature
-    points (values, gradients, symmetric gradients, divergences) per call,
-    not kept, and contract them with ``_gram``.
+    Each kernel takes the test and trial block names, looks their spaces
+    up in ``ctx.spaces`` and returns a part on the cells of their
+    subdomain.  Bilinear kernels build feature tables of their bases at
+    the quadrature points (values, gradients, symmetric gradients,
+    divergences) per call, not kept, and contract them with ``_gram``.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
 
+    def _space(self, name):
+        return getattr(self.ctx.spaces, name)
+
     def _wdet(self, space):
         return self.ctx.geo[space.subdomain].wdet
 
-    def mass(self, test, trial, coeff, name_t, name_u):
-        """(coeff w, z): constant scalar coefficient, same component structure."""
-        phi_t = self.ctx.phi_table(test)
-        phi_u = self.ctx.phi_table(trial)
-        base = _gram(self._wdet(test) * coeff, phi_t[:, None], phi_u[:, None])
-        if test.components == 2:
-            return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                            self.ctx.vec_dofs(trial), _expand_components(base))
-        return _contrib(name_t, name_u, test.cell_dofs, trial.cell_dofs, base)
+    def _part(self, test, trial, local):
+        dof_map = self.ctx.dof_map
+        return _contrib(test, trial, dof_map(self._space(test)),
+                        dof_map(self._space(trial)), local)
 
-    def tensor_mass(self, test, trial, tensor, name_t, name_u):
+    def mass(self, test, trial, coeff):
+        """(coeff w, z): constant scalar coefficient, same component structure."""
+        sp_t, sp_u = self._space(test), self._space(trial)
+        base = _gram(self._wdet(sp_t) * coeff, self.ctx.phi_table(sp_t)[:, None],
+                     self.ctx.phi_table(sp_u)[:, None])
+        return self._part(test, trial,
+                          _expand_components(base) if sp_t.components == 2 else base)
+
+    def tensor_mass(self, test, trial, tensor):
         """(T w, z) with a constant 2x2 tensor coefficient T."""
-        phi_t = self.ctx.phi_table(test)
-        phi_u = self.ctx.phi_table(trial)
+        sp_t, sp_u = self._space(test), self._space(trial)
+        phi_t, phi_u = self.ctx.phi_table(sp_t), self.ctx.phi_table(sp_u)
         # one feature per (k, j, l): T_kl phi_j; the blocks (i, k) x (j, l)
         # then flatten to the interleaved (2i + k, 2j + l)
         t_u = np.swapaxes(tensor[..., None] * phi_u[:, None, None, :], -1, -2)
-        local = _gram(self._wdet(test), phi_t[:, None],
+        local = _gram(self._wdet(sp_t), phi_t[:, None],
                       t_u.reshape(phi_u.shape[0], 1, -1))
-        return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                        self.ctx.vec_dofs(trial),
-                        local.reshape(-1, 2 * phi_t.shape[1], 2 * phi_u.shape[1]))
+        return self._part(test, trial,
+                          local.reshape(-1, 2 * phi_t.shape[1], 2 * phi_u.shape[1]))
 
-    def eps_eps(self, test, trial, coeff, name_t, name_u):
+    def eps_eps(self, test, trial, coeff):
         """(coeff eps(u), eps(v)) for vector spaces on one subdomain."""
-        g_t, g_u = self.ctx.grads(test), self.ctx.grads(trial)
+        sp_t = self._space(test)
+        g_t, g_u = self.ctx.grads(sp_t), self.ctx.grads(self._space(trial))
         e_t = _sym_grads(g_t)
         e_u = e_t if g_u is g_t else _sym_grads(g_u)
-        local = _gram(self._wdet(test) * coeff, e_t, e_u)
-        return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                        self.ctx.vec_dofs(trial), local)
+        return self._part(test, trial, _gram(self._wdet(sp_t) * coeff, e_t, e_u))
 
-    def div_div(self, test, trial, coeff, name_t, name_u):
+    def div_div(self, test, trial, coeff):
         # div(phi_i e_k) = d_k phi_i: the gradients, flattened per dof
-        c, q = self._wdet(test).shape
-        d_t = self.ctx.grads(test).reshape(c, q, 1, -1)
-        d_u = self.ctx.grads(trial).reshape(c, q, 1, -1)
-        local = _gram(self._wdet(test) * coeff, d_t, d_u)
-        return _contrib(name_t, name_u, self.ctx.vec_dofs(test),
-                        self.ctx.vec_dofs(trial), local)
+        sp_t = self._space(test)
+        c, q = self._wdet(sp_t).shape
+        d_t = self.ctx.grads(sp_t).reshape(c, q, 1, -1)
+        d_u = self.ctx.grads(self._space(trial)).reshape(c, q, 1, -1)
+        return self._part(test, trial, _gram(self._wdet(sp_t) * coeff, d_t, d_u))
 
-    def pressure_div(self, scalar_sp, vector_sp, coeff, name_t, name_u,
-                     transpose=False, sign=1.0):
-        """(q, coeff div v) for a constant coeff.
+    def pressure_div(self, test, trial, coeff):
+        """(q, coeff div v) for a scalar test q.
 
-        With ``transpose`` the roles flip to a (v, q)-block carrying the
-        same local values, used for the -(div v, p) pressure gradients.
+        For a scalar trial p it is the pressure gradient -(coeff div v, p):
+        the same local values, negated and transposed.
         """
-        phi_q = self.ctx.phi_table(scalar_sp)
+        gradient = self._space(trial).components == 1
+        scalar, vector = (trial, test) if gradient else (test, trial)
+        sp_q, sp_v = self._space(scalar), self._space(vector)
+        phi_q = self.ctx.phi_table(sp_q)
         # div(coeff phi_j e_l) = coeff d_l phi_j, one feature per (j, l)
-        div = coeff * self.ctx.grads(vector_sp)
-        c, q = self._wdet(vector_sp).shape
-        local = _gram(sign * self._wdet(vector_sp), phi_q[:, None],
-                      div.reshape(c, q, 1, -1))
-        if transpose:
-            return _contrib(name_t, name_u, self.ctx.vec_dofs(vector_sp),
-                            scalar_sp.cell_dofs, np.transpose(local, (0, 2, 1)))
-        return _contrib(name_t, name_u, scalar_sp.cell_dofs,
-                        self.ctx.vec_dofs(vector_sp), local)
+        div = coeff * self.ctx.grads(sp_v)
+        w = self._wdet(sp_v)
+        c, q = w.shape
+        local = _gram(-w if gradient else w, phi_q[:, None], div.reshape(c, q, 1, -1))
+        return self._part(test, trial,
+                          np.transpose(local, (0, 2, 1)) if gradient else local)
 
-    def convection(self, space, advecting_values, name):
+    def convection(self, name, advecting_values):
         """((w . grad) u, v) with the advecting field w given by coefficients.
 
-        The rows and columns are ``ctx.vec_pattern(space)``, the same arrays
-        on every call.
+        The local values follow ``ctx.pattern(name, name)``.
         """
+        space = self._space(name)
         phi = self.ctx.phi_table(space)
         g = self.ctx.grads(space)
         w = self._wdet(space)
@@ -516,22 +537,24 @@ class _Kernels:
         wq = phi @ coeffs[space.cell_dofs]                      # (c, q, d)
         wdotg = wq[..., 0, None] * g[..., 0] + wq[..., 1, None] * g[..., 1]
         base = phi.T @ (w[..., None] * wdotg)                   # (c, i, j)
-        rows, cols = self.ctx.vec_pattern(space)
-        return (name, name, rows, cols, _expand_components(base).ravel())
+        dofs = self.ctx.dof_map(space)
+        return (name, name, dofs, dofs, _expand_components(base))
 
-    def vector_load(self, space, values_cqk):
+    def vector_load(self, name, values_cqk):
+        """(f, v) per cell: (name, dofs, local), both (cells, 2 nloc)."""
+        space = self._space(name)
         phi = self.ctx.phi_table(space)
         w = self._wdet(space)
         # one matrix product over all cells: (q, i) x (c, q, k) -> (i, c, k)
         local = np.tensordot(phi, w[..., None] * values_cqk, axes=([0], [1]))
-        return (self.ctx.vec_dofs(space).ravel(),
-                np.transpose(local, (1, 0, 2)).ravel())
+        return (name, self.ctx.dof_map(space),
+                np.transpose(local, (1, 0, 2)).reshape(w.shape[0], -1))
 
-    def scalar_load(self, space, values_cq):
-        phi = self.ctx.phi_table(space)
-        w = self._wdet(space)
-        local = (w * values_cq) @ phi
-        return space.cell_dofs.ravel(), local.ravel()
+    def scalar_load(self, name, values_cq):
+        """(f, q) per cell: (name, dofs, local), both (cells, nloc)."""
+        space = self._space(name)
+        local = (self._wdet(space) * values_cq) @ self.ctx.phi_table(space)
+        return name, self.ctx.dof_map(space), local
 
 
 # --- component assemblers ---------------------------------------------------
@@ -558,7 +581,7 @@ def assemble_volume_forms(ctx, dest):
     """
     if dest not in ("M", "N"):
         raise FormsError(f"destination must be 'M' or 'N', got {dest!r}")
-    spaces, p = ctx.spaces, ctx.params
+    p = ctx.params
     k = _Kernels(ctx)
     phi, theta, rho_p = p.phi, p.theta, p.rho_p
     # np.square rounds phi * phi once; a Python float's ** 2 calls pow()
@@ -568,45 +591,42 @@ def assemble_volume_forms(ctx, dest):
     if dest == "M":
         return _sum_blocks([
             # momentum storage terms
-            k.mass(spaces.u_f, spaces.u_f, p.rho_f, "u_f", "u_f"),
-            k.mass(spaces.u_r, spaces.u_r, p.rho_f * phi, "u_r", "u_r"),
-            k.mass(spaces.u_r, spaces.u_s, p.rho_f * phi, "u_r", "u_s"),
-            k.mass(spaces.y_s, spaces.u_r, p.rho_f * phi, "y_s", "u_r"),
-            k.mass(spaces.y_s, spaces.u_s, rho_p, "y_s", "u_s"),
+            k.mass("u_f", "u_f", p.rho_f),
+            k.mass("u_r", "u_r", p.rho_f * phi),
+            k.mass("u_r", "u_s", p.rho_f * phi),
+            k.mass("y_s", "u_r", p.rho_f * phi),
+            k.mass("y_s", "u_s", rho_p),
             # velocity/displacement compatibility row
-            k.mass(spaces.u_s, spaces.y_s, -rho_p, "u_s", "y_s"),
+            k.mass("u_s", "y_s", -rho_p),
             # Brinkman stiffness acting on the displacement rate
-            k.eps_eps(spaces.u_r, spaces.y_s, 2.0 * p.mu_f * phi, "u_r", "y_s"),
-            k.eps_eps(spaces.y_s, spaces.y_s, 2.0 * p.mu_f * phi, "y_s", "y_s"),
+            k.eps_eps("u_r", "y_s", 2.0 * p.mu_f * phi),
+            k.eps_eps("y_s", "y_s", 2.0 * p.mu_f * phi),
             # sink terms on the displacement rate
-            k.mass(spaces.u_r, spaces.y_s, -theta, "u_r", "y_s"),
-            k.mass(spaces.y_s, spaces.y_s, -theta, "y_s", "y_s"),
+            k.mass("u_r", "y_s", -theta),
+            k.mass("y_s", "y_s", -theta),
             # pore-pressure storage and solid dilation rate
-            k.mass(spaces.p_P, spaces.p_P, storage, "p_P", "p_P"),
-            k.pressure_div(spaces.p_P, spaces.y_s, 1.0, "p_P", "y_s"),
+            k.mass("p_P", "p_P", storage),
+            k.pressure_div("p_P", "y_s", 1.0),
         ])
     return _sum_blocks([
-        k.mass(spaces.u_s, spaces.u_s, rho_p, "u_s", "u_s"),
-        k.eps_eps(spaces.u_f, spaces.u_f, 2.0 * p.mu_f, "u_f", "u_f"),
-        k.eps_eps(spaces.y_s, spaces.u_r, 2.0 * p.mu_f * phi, "y_s", "u_r"),
-        k.eps_eps(spaces.u_r, spaces.u_r, 2.0 * p.mu_f * phi, "u_r", "u_r"),
-        k.eps_eps(spaces.y_s, spaces.y_s, 2.0 * p.mu_p, "y_s", "y_s"),
-        k.div_div(spaces.y_s, spaces.y_s, p.lam_p, "y_s", "y_s"),
+        k.mass("u_s", "u_s", rho_p),
+        k.eps_eps("u_f", "u_f", 2.0 * p.mu_f),
+        k.eps_eps("y_s", "u_r", 2.0 * p.mu_f * phi),
+        k.eps_eps("u_r", "u_r", 2.0 * p.mu_f * phi),
+        k.eps_eps("y_s", "y_s", 2.0 * p.mu_p),
+        k.div_div("y_s", "y_s", p.lam_p),
         # pressure gradients: -(div v, p)
-        k.pressure_div(spaces.p_S, spaces.u_f, 1.0, "u_f", "p_S",
-                       transpose=True, sign=-1.0),
-        k.pressure_div(spaces.p_P, spaces.y_s, 1.0, "y_s", "p_P",
-                       transpose=True, sign=-1.0),
-        k.pressure_div(spaces.p_P, spaces.u_r, phi, "u_r", "p_P",
-                       transpose=True, sign=-1.0),
+        k.pressure_div("u_f", "p_S", 1.0),
+        k.pressure_div("y_s", "p_P", 1.0),
+        k.pressure_div("u_r", "p_P", phi),
         # sink terms on the pore velocity
-        k.mass(spaces.y_s, spaces.u_r, -theta, "y_s", "u_r"),
-        k.mass(spaces.u_r, spaces.u_r, -theta, "u_r", "u_r"),
+        k.mass("y_s", "u_r", -theta),
+        k.mass("u_r", "u_r", -theta),
         # Darcy drag
-        k.tensor_mass(spaces.u_r, spaces.u_r, drag, "u_r", "u_r"),
+        k.tensor_mass("u_r", "u_r", drag),
         # mass conservation rows: +(div u, q)
-        k.pressure_div(spaces.p_S, spaces.u_f, 1.0, "p_S", "u_f"),
-        k.pressure_div(spaces.p_P, spaces.u_r, phi, "p_P", "u_r"),
+        k.pressure_div("p_S", "u_f", 1.0),
+        k.pressure_div("p_P", "u_r", phi),
     ])
 
 
@@ -656,7 +676,7 @@ def assemble_nitsche_consistency(ctx):
     snn_f = ctx.facet_stress_nn(spaces.u_f, fs["normal_s"])
     pv = fs[("S", spaces.p_S.degree, "phi")]
     d_f = ctx.facet_dofs(spaces.u_f)
-    d_ps = ctx.facet_dofs(spaces.p_S, vector=False)
+    d_ps = ctx.facet_dofs(spaces.p_S)
     parts = []
     for name, jn, dofs in ctx.facet_jumps():
         # trial-side stress against the test jump:
@@ -692,7 +712,7 @@ def assemble_convection(ctx, previous_velocity):
     values = previous_velocity.values
     if not np.any(values):
         return None
-    return _Kernels(ctx).convection(ctx.spaces.u_f, values, "u_f")
+    return _Kernels(ctx).convection("u_f", values)
 
 
 def _assemble(ctx, dest):
@@ -748,46 +768,34 @@ def assemble_F(ctx, sources, time, corrections=None):
     """Load vector: body forces, mass residuals, and interface corrections."""
     spaces = ctx.spaces
     k = _Kernels(ctx)
-    sizes = [sp.ndofs for sp in spaces]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-    rhs = np.zeros(int(sum(sizes)))
-
-    def scatter(block, space, dofs, contrib):
-        start = offsets[BLOCK_NAMES.index(block)]
-        rhs[start:start + space.ndofs] += np.bincount(
-            dofs, weights=contrib, minlength=space.ndofs)
-
-    def add_vec(block, space, values_fn, geo):
-        x, y = geo.x[..., 0], geo.x[..., 1]
-        vals = values_fn(time, x.ravel(), y.ravel())
-        vals = np.asarray(vals, dtype=float).reshape(x.shape + (2,))
-        scatter(block, space, *k.vector_load(space, vals))
-
-    def add_scal(block, space, values_fn, geo):
-        x, y = geo.x[..., 0], geo.x[..., 1]
-        vals = np.asarray(values_fn(time, x.ravel(), y.ravel()),
-                          dtype=float).reshape(x.shape)
-        scatter(block, space, *k.scalar_load(space, vals))
-
+    rhs = np.zeros(sum(sp.ndofs for sp in spaces))
     if sources is not None:
-        geo_s, geo_p = ctx.geo["S"], ctx.geo["P"]
-        if sources.f_S is not None:
-            add_vec("u_f", spaces.u_f, sources.f_S, geo_s)
-        if sources.load_u_r is not None:
-            add_vec("u_r", spaces.u_r, sources.load_u_r, geo_p)
-        if sources.load_y_s is not None:
-            add_vec("y_s", spaces.y_s, sources.load_y_s, geo_p)
-        if sources.r_S is not None:
-            add_scal("p_S", spaces.p_S, sources.r_S, geo_s)
-        if sources.load_p_P is not None:
-            add_scal("p_P", spaces.p_P, sources.load_p_P, geo_p)
-
+        for name, values_fn in (("u_f", sources.f_S), ("u_r", sources.load_u_r),
+                                ("y_s", sources.load_y_s), ("p_S", sources.r_S),
+                                ("p_P", sources.load_p_P)):
+            if values_fn is None:
+                continue
+            space = getattr(spaces, name)
+            x = ctx.geo[space.subdomain].x                      # (c, q, 2)
+            vals = np.asarray(values_fn(time, x[..., 0].ravel(), x[..., 1].ravel()),
+                              dtype=float)
+            if space.components == 2:
+                _scatter(ctx, rhs, *k.vector_load(name, vals.reshape(x.shape)))
+            else:
+                _scatter(ctx, rhs, *k.scalar_load(name, vals.reshape(x.shape[:2])))
     if corrections is not None:
-        _add_interface_corrections(ctx, corrections, time, rhs, offsets)
+        _add_interface_corrections(ctx, corrections, time, rhs)
     return rhs
 
 
-def _add_interface_corrections(ctx, corr, time, rhs, offsets):
+def _scatter(ctx, rhs, name, dofs, local):
+    """Add local load values (cells or facets, n) at ``dofs`` of block ``name``."""
+    start, size = _starts(ctx.spaces)[name], getattr(ctx.spaces, name).ndofs
+    rhs[start:start + size] += np.bincount(dofs.ravel(), weights=local.ravel(),
+                                           minlength=size)
+
+
+def _add_interface_corrections(ctx, corr, time, rhs):
     """Manufactured-solution defect terms on the interface.
 
     The penalty-weighted mass defect m1 loads every jump slot with
@@ -811,33 +819,24 @@ def _add_interface_corrections(ctx, corr, time, rhs, offsets):
     def at_points(fn):
         return np.asarray(fn(time, x.ravel(), y.ravel()), dtype=float)
 
-    m1 = at_points(corr.m1).reshape(shape)
-    m2 = at_points(corr.m2).reshape(shape)
+    m1, m2, m4, m5 = (at_points(fn).reshape(shape)
+                      for fn in (corr.m1, corr.m2, corr.m4, corr.m5))
     m3 = at_points(corr.m3).reshape(shape + (2,))
-    m4 = at_points(corr.m4).reshape(shape)
-    m5 = at_points(corr.m5).reshape(shape)
 
     def along(space, direction, values):
         """sum_q w values (direction . basis vector) per facet and dof."""
         return np.einsum("fq,fqa->fa", w * values, ctx.facet_trace(space, direction))
 
-    def scatter(block, space, vals, vector=True):
-        dofs = ctx.facet_dofs(space, vector)
-        start = offsets[BLOCK_NAMES.index(block)]
-        rhs[start:start + space.ndofs] += np.bincount(
-            dofs.ravel(), weights=vals.ravel(), minlength=space.ndofs)
+    def scatter(name, vals):
+        _scatter(ctx, rhs, name, ctx.facet_dofs(getattr(spaces, name)), vals)
 
     pen = c_pen * m1
-    scatter("u_f", spaces.u_f, along(spaces.u_f, n_s, pen)
+    scatter("u_f", along(spaces.u_f, n_s, pen)
             - sig * two_mu * np.einsum("fq,fqa->fa", w * m1,
                                        ctx.facet_stress_nn(spaces.u_f, n_s))
             - along(spaces.u_f, tau, m4))
-    scatter("p_S", spaces.p_S,
-            -np.einsum("fq,fqi->fi", w * m1, fs[("S", 1, "phi")]), vector=False)
-    scatter("u_r", spaces.u_r, along(spaces.u_r, n_p, pen + m2)
-            - along(spaces.u_r, tau, m5))
+    scatter("p_S", -np.einsum("fq,fqi->fi", w * m1, fs[("S", 1, "phi")]))
+    scatter("u_r", along(spaces.u_r, n_p, pen + m2) - along(spaces.u_r, tau, m5))
     phi_w = fs[(spaces.y_s.subdomain, spaces.y_s.degree, "phi")]
     m3_vals = np.einsum("fq,fqk,fqi->fik", w, m3, phi_w).reshape(len(w), -1)
-    scatter("y_s", spaces.y_s, along(spaces.y_s, n_p, pen) + m3_vals
-            + along(spaces.y_s, tau, m4))
-
+    scatter("y_s", along(spaces.y_s, n_p, pen) + m3_vals + along(spaces.y_s, tau, m4))

@@ -7,18 +7,21 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 # Components of at most this many vertices are numbered as they are, in
-# index order, instead of being dissected further.
-LEAF_SIZE = 64
+# index order, instead of being dissected further.  On the stepper's graph
+# of mesh nodes, 2 gives the smallest LU fill on both benchmark workloads;
+# 1 orders alike, since two adjacent nodes are a dense component (see
+# README).
+LEAF_SIZE = 2
 
 
-def nested_dissection(matrix, leaf_size=LEAF_SIZE):
+def nested_dissection(matrix):
     """Fill-reducing symmetric permutation of a square sparse ``matrix``.
 
     Returns ``perm``: ``matrix[perm][:, perm]`` is the reordered matrix.
     The ordering sees only the graph of the symmetrized sparsity pattern,
     so matrices of one pattern share it, whatever their values or storage.
 
-    Every connected component of more than ``leaf_size`` vertices is split
+    Every connected component of more than ``LEAF_SIZE`` vertices is split
     by the breadth-first levels from a pseudo-peripheral vertex: the vertex
     farthest from the component's lowest index (lowest index first among
     the farthest).  The vertices of the median level that touch the next
@@ -85,7 +88,7 @@ def nested_dissection(matrix, leaf_size=LEAF_SIZE):
         start = np.empty(count, dtype=np.int64)
         start[order] = (before - before[np.searchsorted(owner, owner)]
                         + base[reps[order]])
-        big = size > leaf_size
+        big = size > LEAF_SIZE
         bv, bc = open_[big[oc]], oc[big[oc]]
         if bv.size:
             # search again from each large component's pseudo-peripheral vertex

@@ -70,11 +70,6 @@ LOAD_CHECK_RTOL = 1e-12
 # pressure blocks.
 PIVOT_THRESHOLD = 1e-4
 
-# Mesh nodes per leaf of the stepper's nested dissection of the node
-# graph: the smallest LU fill on both benchmark workloads; 1 orders alike,
-# since two adjacent nodes are a dense component (see README).
-NODE_LEAF_SIZE = 2
-
 
 def mesh_order(spaces, pairs, eliminated):
     """Symmetric dof permutation from the nested dissection of the mesh.
@@ -117,7 +112,7 @@ def mesh_order(spaces, pairs, eliminated):
         (np.ones(int(both.sum())), (index[rows[both]], index[cols[both]])),
         shape=(count, count))
     rank = np.empty(count, dtype=np.int64)
-    rank[nested_dissection(graph, NODE_LEAF_SIZE)] = np.arange(count)
+    rank[nested_dissection(graph)] = np.arange(count)
     free_dofs = np.flatnonzero(free)
     by_node = np.argsort(rank[index[node[free_dofs]]], kind="stable")
     return np.concatenate([np.flatnonzero(~free), free_dofs[by_node]])
@@ -230,10 +225,10 @@ class _ConvectionUpdate:
     """M/tau + N and its eliminated form on one pattern that also holds C.
 
     Built with each factor from M/tau + N, the Dirichlet mask ``keep`` and
-    the convection kernel's (rows, cols).  ``matrices(values)`` sums one
-    step's convection values into both by a single ``np.bincount``; a data
-    mask zeroes them in the eliminated rows and columns.  No sparse
-    structure is built per step.
+    the convection block's global (rows, cols) from ``ctx.pattern``.
+    ``matrices(values)`` sums one step's convection values into both by a
+    single ``np.bincount``; a data mask zeroes them in the eliminated rows
+    and columns.  No sparse structure is built per step.
     """
 
     def __init__(self, operator, keep, rows, cols):
@@ -260,7 +255,7 @@ class _ConvectionUpdate:
         their structure in place (``eliminate_zeros``, ``sort_indices``).
         """
         span = self._span
-        conv = np.bincount(self._pos, weights=values, minlength=span)
+        conv = np.bincount(self._pos, weights=values.ravel(), minlength=span)
         np.add(self._op_head, conv, out=self._op_now[:span])
         np.add(self._el_head, self._mask * conv, out=self._el_now[:span])
         return self._csr(self._op_now), self._csr(self._el_now)
@@ -427,10 +422,8 @@ class TimeStepper:
             self._factor = Factor(eliminated, self._order)
             self._operator, self._eliminated = operator, eliminated
             if self.convection:
-                rows, cols = self.ctx.vec_pattern(self.spaces.u_f)
-                start = self.M.offsets[forms.BLOCK_NAMES.index("u_f")]
-                self._update = _ConvectionUpdate(operator, keep, rows + start,
-                                                 cols + start)
+                self._update = _ConvectionUpdate(operator, keep,
+                                                 *self.ctx.pattern("u_f", "u_f"))
         operator, matrix = self._operator, self._eliminated
         if conv is not None:
             operator, matrix = self._update.matrices(conv[4])

@@ -191,9 +191,6 @@ class PointForms:
         gy = -FOUR_PI * t**2 * s * x2 * (1.5 - FOUR_PI * x)
         return np.stack([gx, gy], axis=-1)
 
-    def div_y_s(self, t):
-        return t**2 * self.x2 * self.c * (1.5 - FOUR_PI * self.x)
-
 
 def _pointwise(form):
     """``f(t, x, y)`` evaluating the PointForms method named ``form``."""
@@ -211,21 +208,17 @@ class ExactSolution:
     entry [i, k, d] = d u_k / d x_d for vectors.
     """
 
-    u_f = u_s = dt_y_s = _pointwise("vel")
+    u_f = u_s = _pointwise("vel")
     grad_u_f = grad_u_s = _pointwise("vel_grad")
-    dt_u_f = dt_u_s = _pointwise("vel_dt")
 
     p_S = p_P = _pointwise("pressure")
     grad_p_S = grad_p_P = _pointwise("grad_pressure")
-    dt_p_S = dt_p_P = _pointwise("dt_pressure")
 
     u_r = _pointwise("u_r")
     grad_u_r = _pointwise("grad_u_r")
-    dt_u_r = _pointwise("dt_u_r")
 
     y_s = _pointwise("y_s")
     grad_y_s = _pointwise("grad_y_s")
-    div_y_s = _pointwise("div_y_s")
 
     def fields(self):
         """(name, value, grad) triples in the monolithic block order."""

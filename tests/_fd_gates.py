@@ -12,16 +12,29 @@ import math
 
 import numpy as np
 
-from fpsi.verification import (ExactSolution, _as_arrays, derive_corrections,
-                               derive_sources)
+from fpsi.verification import (FOUR_PI, ExactSolution, PointForms, _as_arrays,
+                               _pointwise, derive_corrections, derive_sources)
 
 
 class OracleError(AssertionError):
     """A derived closed form disagrees with its independent oracle."""
 
 
+def _div_y_s(t, x, y):
+    """div y_s = t^2 x^2 cos(4 pi y) (1.5 - 4 pi x)."""
+    p = PointForms(x, y)
+    return t**2 * p.x2 * p.c * (1.5 - FOUR_PI * p.x)
+
+
 class ExactStresses(ExactSolution):
-    """The exact solution with the stress tensors the gates differentiate."""
+    """The exact solution with the rates, the solid dilation and the stress
+    tensors that only the tests read."""
+
+    dt_u_f = dt_u_s = _pointwise("vel_dt")
+    dt_y_s = _pointwise("vel")
+    dt_p_S = dt_p_P = _pointwise("dt_pressure")
+    dt_u_r = _pointwise("dt_u_r")
+    div_y_s = staticmethod(_div_y_s)
 
     def stress_f_S(self, params, t, x, y):
         """2 mu_f eps(u_f) - p_S I as an (n, 2, 2) array."""

@@ -38,11 +38,11 @@ def facet_tables(ctx):
     return facets
 
 
-def facet_cell_dofs(space, facet, vector=True):
+def facet_cell_dofs(space, facet):
     cell = facet[(space.subdomain, "cell")]
     pos = int(np.searchsorted(space.cells, cell))
     dofs = space.cell_dofs[pos]
-    if vector and space.components == 2:
+    if space.components == 2:
         return (2 * dofs[:, None] + np.arange(2)[None, :]).ravel()
     return dofs
 
@@ -76,9 +76,9 @@ def trace_stress_nn(space, facet, normal):
     return out
 
 
-def _flat(rows_map, cols_map, local):
-    ni, nj = local.shape
-    return np.repeat(rows_map, nj), np.tile(cols_map, ni), local.ravel()
+def _facet_part(rows_map, cols_map, local):
+    """(row_dofs, col_dofs, local) of a part on this one facet."""
+    return rows_map[None, :], cols_map[None, :], local[None, :, :]
 
 
 def _outer(w, rows_t, cols_t):
@@ -101,11 +101,11 @@ def assemble_bjs(ctx):
         d_f = facet_cell_dofs(spaces.u_f, facet)
         d_y = facet_cell_dofs(spaces.y_s, facet)
         d_r = facet_cell_dofs(spaces.u_r, facet)
-        n_parts.append(("u_f", "u_f", *_flat(d_f, d_f, _outer(w, tt_f, tt_f))))
-        n_parts.append(("y_s", "u_f", *_flat(d_y, d_f, -_outer(w, tt_y, tt_f))))
-        m_parts.append(("u_f", "y_s", *_flat(d_f, d_y, -_outer(w, tt_f, tt_y))))
-        m_parts.append(("y_s", "y_s", *_flat(d_y, d_y, _outer(w, tt_y, tt_y))))
-        n_parts.append(("u_r", "u_r", *_flat(d_r, d_r, _outer(w, tt_r, tt_r))))
+        n_parts.append(("u_f", "u_f", *_facet_part(d_f, d_f, _outer(w, tt_f, tt_f))))
+        n_parts.append(("y_s", "u_f", *_facet_part(d_y, d_f, -_outer(w, tt_y, tt_f))))
+        m_parts.append(("u_f", "y_s", *_facet_part(d_f, d_y, -_outer(w, tt_f, tt_y))))
+        m_parts.append(("y_s", "y_s", *_facet_part(d_y, d_y, _outer(w, tt_y, tt_y))))
+        n_parts.append(("u_r", "u_r", *_facet_part(d_r, d_r, _outer(w, tt_r, tt_r))))
     return {"M": m_parts, "N": n_parts}
 
 
@@ -127,16 +127,16 @@ def assemble_nitsche_consistency(ctx):
         snn_f = trace_stress_nn(spaces.u_f, facet, facet["pair"].normal_s)
         pv = trace_values(spaces.p_S, facet)
         d_f = facet_cell_dofs(spaces.u_f, facet)
-        d_ps = facet_cell_dofs(spaces.p_S, facet, vector=False)
+        d_ps = facet_cell_dofs(spaces.p_S, facet)
         for name, jn, dofs in _jumps(spaces, facet):
-            n_parts.append((name, "u_f", *_flat(
+            n_parts.append((name, "u_f", *_facet_part(
                 dofs, d_f, -two_mu * _outer(w, jn, snn_f))))
-            n_parts.append((name, "p_S", *_flat(dofs, d_ps, _outer(w, jn, pv))))
+            n_parts.append((name, "p_S", *_facet_part(dofs, d_ps, _outer(w, jn, pv))))
             dest = m_parts if name == "y_s" else n_parts
             if sig != 0.0:
-                dest.append(("u_f", name, *_flat(
+                dest.append(("u_f", name, *_facet_part(
                     d_f, dofs, -sig * two_mu * _outer(w, snn_f, jn))))
-            dest.append(("p_S", name, *_flat(d_ps, dofs, -_outer(w, pv, jn))))
+            dest.append(("p_S", name, *_facet_part(d_ps, dofs, -_outer(w, pv, jn))))
     return {"M": m_parts, "N": n_parts}
 
 
@@ -147,7 +147,8 @@ def assemble_nitsche_penalty(ctx):
         jumps = _jumps(ctx.spaces, facet)
         for t_name, t_jn, t_dofs in jumps:
             for u_name, u_jn, u_dofs in jumps:
-                part = (t_name, u_name, *_flat(t_dofs, u_dofs, _outer(w, t_jn, u_jn)))
+                part = (t_name, u_name,
+                        *_facet_part(t_dofs, u_dofs, _outer(w, t_jn, u_jn)))
                 (m_parts if u_name == "y_s" else n_parts).append(part)
     return {"M": m_parts, "N": n_parts}
 

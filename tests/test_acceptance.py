@@ -141,12 +141,11 @@ def test_criterion_5_single_element_oracles(params):
     kern = forms._Kernels(ctx)
     sp_uf = spaces.u_f
     ones = np.ones_like(ctx.geo["S"].wdet)
-    _, _, rows, cols, vals = kern.eps_eps(sp_uf, sp_uf, 2 * params.mu_f * ones,
-                                          "u_f", "u_f")
+    _, _, rows, cols, vals = kern.eps_eps("u_f", "u_f", 2 * params.mu_f * ones)
     locals_stiff = vals.reshape(len(sp_uf.cells), 12, 12)
     w = interpolate(sp_uf, lambda t, x, y:
                     np.stack([1.0 + x - 2.0 * y, x * y], axis=-1))
-    _, _, _, _, cvals = kern.convection(sp_uf, w.values, "u_f")
+    _, _, _, _, cvals = kern.convection("u_f", w.values)
     locals_conv = cvals.reshape(len(sp_uf.cells), 12, 12)
 
     stiff_err = conv_err = 0.0

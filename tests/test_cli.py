@@ -56,9 +56,10 @@ def test_phi_bound_violation_names_constraint(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = write_config(tmp_path, "physics.viscosity = 1\n")
-    with pytest.raises(ConfigError, match="physics.viscosity"):
-        parse_config(path)
+    for key in ("physics.viscosity", "energy.amplitude"):
+        path = write_config(tmp_path, f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+            parse_config(path)
 
 
 def test_type_mismatch_names_key(tmp_path):
@@ -364,6 +365,22 @@ def test_convergence_odd_levels_rejected(tmp_path, capsys):
     code = main(["convergence", "--config", path, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
     assert "levels: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key, remedy", [
+    ("mesh.nx = 0", "mesh.nx", "give a positive mesh.nx"),
+    ("mesh.ny = 3", "mesh.ny", "use mesh.ny = 4"),
+    ("levels =", "levels", "such as levels = 2,4,8,16,32"),
+], ids=["nx zero", "structured ny odd", "levels empty"])
+def test_mesh_size_errors_name_their_key(tmp_path, capsys, line, key, remedy):
+    # rejected while parsing, before any command meshes or assembles
+    path = write_config(tmp_path, line + "\n")
+    with pytest.raises(ConfigError, match=rf"^{key}: .*{remedy}"):
+        parse_config(path)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_energy_steps_rejected(tmp_path, capsys):

@@ -15,6 +15,7 @@ from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
                         assemble_volume_forms, build_spaces)
 from fpsi.mesh import generate_structured, interface_pairs
 
+from _fd_gates import ExactStresses
 from _helpers import REFERENCE_PARAMS, block_pattern, interpolate
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
 from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
@@ -66,8 +67,8 @@ def test_non_finite_parameters_rejected():
 
 
 def test_non_finite_term_raises_naming_its_block(spaces22):
-    part = ("u_r", "p_P", np.array([0, 1]), np.array([0, 0]),
-            np.array([1.0, np.nan]))
+    part = ("u_r", "p_P", np.array([[0, 1]]), np.array([[0]]),
+            np.array([[[1.0], [np.nan]]]))
     with pytest.raises(FormsError, match=r"\(u_r, p_P\)"):
         BlockSystem.from_contributions(spaces22, [part])
 
@@ -543,7 +544,7 @@ def test_assemble_f_manufactured_t0_limits(assembled_22):
     ctx = AssemblyContext(spaces, params, nitsche)
     rhs = assemble_F(ctx, sources, 0.0, corrections)
 
-    sol = verification.ExactSolution()
+    sol = ExactStresses()
     rate_only = verification.SourceSet(
         f_S=lambda t, x, y: params.rho_f * sol.dt_u_f(0.0, x, y),
         load_y_s=lambda t, x, y: (params.rho_s * 0.9) * sol.dt_u_s(0.0, x, y))
@@ -592,7 +593,7 @@ def _interface_corrections_per_facet(ctx, spaces, corr, time):
         scatter("u_f", facet_cell_dofs(spaces.u_f, facet),
                 integral(c_pen * m1, nc_f) - sig * two_mu * integral(m1, snn_f)
                 - integral(m4, tt_f))
-        scatter("p_S", facet_cell_dofs(spaces.p_S, facet, vector=False),
+        scatter("p_S", facet_cell_dofs(spaces.p_S, facet),
                 -integral(m1, trace_values(spaces.p_S, facet)))
         scatter("u_r", facet_cell_dofs(spaces.u_r, facet),
                 integral(c_pen * m1, nc_r) + integral(m2, nc_r)
@@ -624,22 +625,33 @@ def test_interface_corrections_match_per_facet_reference(varsigma):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _cell_dofs(space):
+    """Block dofs of each cell, a vector space's components interleaved."""
+    dofs = space.cell_dofs
+    if space.components == 1:
+        return dofs
+    return np.stack([2 * dofs, 2 * dofs + 1], axis=-1).reshape(len(dofs), -1)
+
+
 def test_loads_match_einsum_reference(tiny, rng):
     mesh, spaces, params, nitsche, ctx = tiny
     kern = forms._Kernels(ctx)
-    for space in (spaces.u_f, spaces.u_r):
+    for name in ("u_f", "u_r"):
+        space = getattr(spaces, name)
         w = ctx.geo[space.subdomain].wdet
         vals = rng.normal(size=w.shape + (2,))
-        dofs, got = kern.vector_load(space, vals)
+        block, dofs, got = kern.vector_load(name, vals)
         want = np.einsum("cq,qi,cqk->cik", w, ctx.phi_table(space), vals)
-        assert np.array_equal(dofs, ctx.vec_dofs(space).ravel())
-        assert np.abs(got - want.ravel()).max() <= 1e-14 * np.abs(want).max()
+        assert block == name
+        assert np.array_equal(dofs, _cell_dofs(space))
+        assert np.abs(got - want.reshape(got.shape)).max() <= 1e-14 * np.abs(want).max()
     w = ctx.geo["P"].wdet
     vals = rng.normal(size=w.shape)
-    dofs, got = kern.scalar_load(spaces.p_P, vals)
+    block, dofs, got = kern.scalar_load("p_P", vals)
     want = np.einsum("cq,qi,cq->ci", w, ctx.phi_table(spaces.p_P), vals)
-    assert np.array_equal(dofs, spaces.p_P.cell_dofs.ravel())
-    assert np.abs(got - want.ravel()).max() <= 1e-14 * np.abs(want).max()
+    assert block == "p_P"
+    assert np.array_equal(dofs, spaces.p_P.cell_dofs)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_exact_solution_residual_decreases():
@@ -796,43 +808,36 @@ def test_kernels_match_einsum_reference(nx):
     phi = params.phi
     drag = phi**2 * np.linalg.inv(params.kappa)
     cases = [
-        (kern.mass(spaces.u_f, spaces.u_f, 2.0, "u_f", "u_f"),
-         ref["mass"](spaces.u_f, spaces.u_f, 2.0)),
-        (kern.mass(spaces.u_r, spaces.u_s, phi, "u_r", "u_s"),
-         ref["mass"](spaces.u_r, spaces.u_s, phi)),
-        (kern.mass(spaces.p_P, spaces.p_P, (1.0 - phi) ** 2, "p_P", "p_P"),
+        (kern.mass("u_f", "u_f", 2.0), ref["mass"](spaces.u_f, spaces.u_f, 2.0)),
+        (kern.mass("u_r", "u_s", phi), ref["mass"](spaces.u_r, spaces.u_s, phi)),
+        (kern.mass("p_P", "p_P", (1.0 - phi) ** 2),
          ref["mass"](spaces.p_P, spaces.p_P, (1.0 - phi) ** 2)),
-        (kern.tensor_mass(spaces.u_r, spaces.u_r, drag, "u_r", "u_r"),
+        (kern.tensor_mass("u_r", "u_r", drag),
          ref["tensor_mass"](spaces.u_r, spaces.u_r, drag)),
-        (kern.eps_eps(spaces.u_f, spaces.u_f, 20.0, "u_f", "u_f"),
+        (kern.eps_eps("u_f", "u_f", 20.0),
          ref["eps_eps"](spaces.u_f, spaces.u_f, 20.0)),
-        (kern.eps_eps(spaces.y_s, spaces.u_r, 20.0 * phi, "y_s", "u_r"),
+        (kern.eps_eps("y_s", "u_r", 20.0 * phi),
          ref["eps_eps"](spaces.y_s, spaces.u_r, 20.0 * phi)),
-        (kern.div_div(spaces.y_s, spaces.y_s, 10.0 * phi, "y_s", "y_s"),
+        (kern.div_div("y_s", "y_s", 10.0 * phi),
          ref["div_div"](spaces.y_s, spaces.y_s, 10.0 * phi)),
-        (kern.pressure_div(spaces.p_S, spaces.u_f, 1.0, "p_S", "u_f"),
+        (kern.pressure_div("p_S", "u_f", 1.0),
          ref["pressure_div"](spaces.p_S, spaces.u_f, 1.0)),
-        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, "p_P", "u_r"),
+        (kern.pressure_div("p_P", "u_r", phi),
          ref["pressure_div"](spaces.p_P, spaces.u_r, phi)),
-        (kern.pressure_div(spaces.p_P, spaces.u_r, phi, "u_r", "p_P",
-                           transpose=True, sign=-1.0),
+        # a scalar trial makes the gradient form -(div v, p)
+        (kern.pressure_div("u_r", "p_P", phi),
          -np.transpose(ref["pressure_div"](spaces.p_P, spaces.u_r, phi),
                        (0, 2, 1))),
-        (kern.pressure_div(spaces.p_P, spaces.y_s, 1.0, "y_s", "p_P",
-                           transpose=True, sign=-1.0),
+        (kern.pressure_div("y_s", "p_P", 1.0),
          -np.transpose(ref["pressure_div"](spaces.p_P, spaces.y_s, 1.0),
                        (0, 2, 1))),
     ]
     for got, want in cases:
         name = got[:2]
-        test_sp, trial_sp = (getattr(spaces, n) for n in name)
-        rows = (ctx.vec_dofs(test_sp) if test_sp.components == 2
-                else test_sp.cell_dofs)
-        cols = (ctx.vec_dofs(trial_sp) if trial_sp.components == 2
-                else trial_sp.cell_dofs)
+        rows, cols = (_cell_dofs(getattr(spaces, n)) for n in name)
         assert want.shape == (rows.shape[0], rows.shape[1], cols.shape[1]), name
-        assert np.array_equal(got[2], np.repeat(rows, cols.shape[1], axis=1).ravel())
-        assert np.array_equal(got[3], np.tile(cols, (1, rows.shape[1])).ravel())
+        assert np.array_equal(got[2], rows) and np.array_equal(got[3], cols), name
+        assert got[4].shape == want.shape, name
         got_local = got[4].reshape(want.shape[0], -1)
         want_local = want.reshape(want.shape[0], -1)
         scale = np.abs(want_local).max(axis=1)
@@ -881,9 +886,9 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
 def test_from_contributions_drops_rounding_residues(spaces22):
     # 0.1 + 0.2 - 0.3 sums to 5.6e-17, a residue of its terms' magnitudes
     # 0.6; an exact zero goes too, a genuine small entry 1e-9 stays
-    parts = [("u_f", "u_f", [0, 0, 0, 0, 1], [0, 1, 2, 3, 1],
-              [1.0, 0.1, 1e-9, 0.0, 2.0]),
-             ("u_f", "u_f", [0, 0], [1, 1], [0.2, -0.3])]
+    parts = [("u_f", "u_f", [[0, 1]], [[0, 1, 2, 3]],
+              [[[1.0, 0.1, 1e-9, 0.0], [0.0, 2.0, 0.0, 0.0]]]),
+             ("u_f", "u_f", [[0], [0]], [[1], [1]], [[[0.2]], [[-0.3]]])]
     matrix = BlockSystem.from_contributions(spaces22, parts).matrix
     assert 0.1 + 0.2 - 0.3 != 0.0
     assert matrix.nnz == 3

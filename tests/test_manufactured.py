@@ -13,9 +13,10 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 from fpsi import forms
-from fpsi.verification import (FOUR_PI, ExactSolution, PointForms,
-                               derive_corrections, derive_sources)
+from fpsi.verification import (FOUR_PI, PointForms, derive_corrections,
+                               derive_sources)
 
+from _fd_gates import ExactStresses
 from _helpers import REFERENCE_PARAMS
 from _manufactured import T, X, Y, Family
 
@@ -27,8 +28,9 @@ POINTS = 32
 SOURCES = ("f_S", "load_u_r", "load_y_s", "r_S", "load_p_P")
 DEFECTS = ("m1", "m2", "m3", "m4", "m5")
 
-# Every ExactSolution evaluator and every PointForms form it does not
-# expose, as (field, operator) of the symbolic family.
+# Every ExactStresses evaluator (those of ExactSolution and the test-side
+# rates and solid dilation) and every PointForms form it does not expose,
+# as (field, operator) of the symbolic family.
 EXACT = {
     "u_f": ("u_f", "value"), "grad_u_f": ("u_f", "grad"), "dt_u_f": ("u_f", "dt"),
     "u_s": ("u_s", "value"), "grad_u_s": ("u_s", "grad"), "dt_u_s": ("u_s", "dt"),
@@ -147,16 +149,16 @@ def test_closed_forms_match_the_symbolic_family(family, values, seed):
 
 
 def test_field_forms_match_the_symbolic_family(family):
-    # every PointForms form is checked: through the ExactSolution evaluator
-    # that names it, or directly
-    exposed = {getattr(ExactSolution, name).__name__ for name in EXACT}
+    # every PointForms form is checked: through the ExactStresses evaluator
+    # that names it, or directly; div_y_s is the tests' own closed form
+    exposed = {getattr(ExactStresses, name).__name__ for name in EXACT}
     methods = {name for name, member in vars(PointForms).items()
                if inspect.isfunction(member) and not name.startswith("_")}
-    assert methods == exposed | set(POINT_ONLY)
+    assert methods | {"_div_y_s"} == exposed | set(POINT_ONLY)
     t, x, y = _points(np.random.default_rng(5))
     want = family(t, x, y, _params(REFERENCE_PARAMS))
     for name in EXACT:
-        _assert_close(name, getattr(ExactSolution, name)(t, x, y), want[name])
+        _assert_close(name, getattr(ExactStresses, name)(t, x, y), want[name])
     for name in POINT_ONLY:
         _assert_close(name, getattr(PointForms(x, y), name)(t), want[name])
 

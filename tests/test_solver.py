@@ -464,7 +464,8 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
     assemble = forms.BlockSystem.from_contributions.__func__
 
     def perturbed_parts(cls, spaces, parts):
-        parts = [part[:4] + (part[4] * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, part[4].size)),)
+        parts = [part[:4] + (part[4] * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0,
+                                                                  part[4].shape)),)
                  for part in parts]
         return assemble(cls, spaces, parts)
 
@@ -534,8 +535,7 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     thinned = sparse.csr_matrix((coo.data[~drop], (coo.row[~drop], coo.col[~drop])),
                                 shape=operator.shape)
     _, keep = fem.eliminate_matrix(thinned, dofs)
-    rows, cols = stepper.ctx.vec_pattern(stepper.spaces.u_f)
-    update = solver._ConvectionUpdate(thinned, keep, rows, cols)
+    update = solver._ConvectionUpdate(thinned, keep, *stepper.ctx.pattern("u_f", "u_f"))
     for got, want in zip(update.matrices(conv[4]),
                          _convection_reference(stepper, thinned, conv, dofs)):
         _assert_same_entries(got, want)

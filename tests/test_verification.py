@@ -5,8 +5,8 @@ import pytest
 
 from fpsi import fem, forms, verification
 from fpsi.mesh import generate_structured
-from fpsi.verification import (ERROR_FIELDS, ErrorTable, ExactSolution,
-                               derive_corrections, derive_sources)
+from fpsi.verification import (ERROR_FIELDS, ErrorTable, derive_corrections,
+                               derive_sources)
 
 import _fd_gates as fd_gates
 from _fd_gates import ExactStresses, OracleError
@@ -15,7 +15,7 @@ from _helpers import REFERENCE_PARAMS, interpolate
 
 @pytest.fixture(scope="module")
 def sol():
-    return ExactSolution()
+    return ExactStresses()
 
 
 def test_u_f_corner_value(sol):
