@@ -328,37 +328,6 @@ def eliminate_matrix(matrix, dofs):
     return csr + sparse.diags(1.0 - keep, format="csr"), keep
 
 
-def fixed_pattern(matrix, rows, cols):
-    """One CSR pattern holding ``matrix``, its diagonal and the pairs (rows, cols).
-
-    Returns ``(pattern, positions)``: ``pattern`` is a CSR matrix on the
-    union of the three patterns whose data are ``matrix``'s values (zero
-    where ``matrix`` stores nothing), and ``positions`` gives where each
-    (row, col) pair lands, so ``np.bincount(positions, weights)`` sums values
-    given at the pairs into data on the pattern.
-    """
-    matrix = sparse.csr_matrix(matrix, copy=True)
-    matrix.sum_duplicates()
-    n, nnz = matrix.shape[0], matrix.nnz
-    # entries as sorted keys row * n + col; the extra pairs are merged into
-    # the matrix's keys, which are sorted already, instead of sorting all
-    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
-    keys = row * n + matrix.indices
-    extra, where = np.unique(
-        np.concatenate([np.arange(n, dtype=np.int64) * (n + 1),
-                        np.asarray(rows, dtype=np.int64) * n + cols]),
-        return_inverse=True)
-    at = np.searchsorted(keys, extra)
-    new = np.append(keys, -1)[at] != extra  # -1: past the end, never a key
-    union = np.insert(keys, at[new], extra[new])
-    shift = np.cumsum(np.bincount(at[new], minlength=nnz + 1))[:nnz]
-    data = np.zeros(union.size)
-    data[np.arange(nnz) + shift] = matrix.data
-    indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
-    pattern = sparse.csr_matrix((data, union % n, indptr), shape=(n, n))
-    return pattern, np.searchsorted(union, extra)[where[n:]]
-
-
 def lift_dofs(matrix, rhs, dofs, values):
     """Load half of ``eliminate_matrix``: lift the prescribed values.
 

@@ -304,17 +304,21 @@ class AssemblyContext:
             return dofs
         return (2 * dofs[:, :, None] + np.arange(2)).reshape(dofs.shape[0], -1)
 
-    def pattern(self, test, trial):
-        """Global (rows, cols) of a volume block's local entries.
+    def component_maps(self, name):
+        """Cell dofs (cells, nloc) of each component of vector block ``name``."""
+        nodes = 2 * getattr(self.spaces, name).cell_dofs
+        return nodes, nodes + 1
 
-        In the order of a kernel's local values for that block.  Built per
-        call and not kept: expanded patterns held on the context raise the
-        ladder's peak memory by about 7 %.
+    def component_pattern(self, name):
+        """Global (rows, cols) of ``assemble_convection``'s parts' values, in order.
+
+        Built per call and not kept: expanded patterns held on the context
+        raise the ladder's peak memory by about 7 %.
         """
-        start = _starts(self.spaces)
-        rows = self.dof_map(getattr(self.spaces, test)) + start[test]
-        cols = self.dof_map(getattr(self.spaces, trial)) + start[trial]
-        return _entries(rows, cols, np.arange(rows.size * cols.shape[1]))
+        start = _starts(self.spaces)[name]
+        pairs = [_entries(dofs + start, dofs + start, np.arange(dofs.size * dofs.shape[1]))
+                 for dofs in self.component_maps(name)]
+        return tuple(np.concatenate(axis) for axis in zip(*pairs))
 
     # -- interface facet tabulations --------------------------------------
 
@@ -359,18 +363,21 @@ class AssemblyContext:
             stack[(side, "pos")] = np.searchsorted(mesh.cells_in(side), cells)
         return stack
 
-    def facet_dofs(self, space):
-        """Dofs of each facet's adjacent cell in ``space``: (facets, ndofs)."""
+    def facet_dofs(self, name):
+        """Dofs of each facet's adjacent cell in block ``name``: (facets, ndofs)."""
+        space = getattr(self.spaces, name)
         return self.dof_map(space)[self.facet_stack[(space.subdomain, "pos")]]
 
-    def facet_trace(self, space, direction):
-        """direction (facets, 2) . vector basis at the points: (facets, nq, 2 nloc)."""
+    def facet_trace(self, name, direction):
+        """direction (facets, 2) . vector basis of ``name``: (facets, nq, 2 nloc)."""
+        space = getattr(self.spaces, name)
         phi = self.facet_stack[(space.subdomain, space.degree, "phi")]
         f, q, n = phi.shape
         return (phi[..., None] * direction[:, None, None, :]).reshape(f, q, 2 * n)
 
-    def facet_stress_nn(self, space, normal):
-        """(eps(vector basis) n) . n at every facet's points: (facets, nq, 2 nloc)."""
+    def facet_stress_nn(self, name, normal):
+        """(eps(vector basis of ``name``) n) . n at the points: (facets, nq, 2 nloc)."""
+        space = getattr(self.spaces, name)
         grad = self.facet_stack[(space.subdomain, space.degree, "grad")]
         gn = (grad @ normal[:, None, :, None])[..., 0]
         f, q, n = gn.shape
@@ -378,11 +385,10 @@ class AssemblyContext:
 
     def facet_jumps(self):
         """(name, normal trace, dofs) of u_f . n_S + u_r . n_P + y_s . n_P."""
-        fs, spaces = self.facet_stack, self.spaces
-        return [(name, self.facet_trace(space, fs[normal]), self.facet_dofs(space))
-                for name, space, normal in (("u_f", spaces.u_f, "normal_s"),
-                                            ("u_r", spaces.u_r, "normal_p"),
-                                            ("y_s", spaces.y_s, "normal_p"))]
+        fs = self.facet_stack
+        return [(name, self.facet_trace(name, fs[normal]), self.facet_dofs(name))
+                for name, normal in (("u_f", "normal_s"), ("u_r", "normal_p"),
+                                     ("y_s", "normal_p"))]
 
 
 def interface_jump_seminorm(ctx, state, rate_y_values):
@@ -526,7 +532,8 @@ class _Kernels:
     def convection(self, name, advecting_values):
         """((w . grad) u, v) with the advecting field w given by coefficients.
 
-        The local values follow ``ctx.pattern(name, name)``.
+        It couples each component with itself only, by the same scalar local
+        blocks: one part per component of ``ctx.component_maps(name)``.
         """
         space = self._space(name)
         phi = self.ctx.phi_table(space)
@@ -537,8 +544,8 @@ class _Kernels:
         wq = phi @ coeffs[space.cell_dofs]                      # (c, q, d)
         wdotg = wq[..., 0, None] * g[..., 0] + wq[..., 1, None] * g[..., 1]
         base = phi.T @ (w[..., None] * wdotg)                   # (c, i, j)
-        dofs = self.ctx.dof_map(space)
-        return (name, name, dofs, dofs, _expand_components(base))
+        return [(name, name, dofs, dofs, base)
+                for dofs in self.ctx.component_maps(name)]
 
     def vector_load(self, name, values_cqk):
         """(f, v) per cell: (name, dofs, local), both (cells, 2 nloc)."""
@@ -637,15 +644,14 @@ def _facet_outer(w, rows_t, cols_t):
 
 def assemble_bjs(ctx):
     """Tangential slip-friction couplings on the interface, all facets at once."""
-    spaces, params = ctx.spaces, ctx.params
+    params = ctx.params
     coeff = params.mu_f * params.alpha_bjs
     fs = ctx.facet_stack
     if coeff == 0.0 or fs is None:
         return []
     w = fs["w"] * (coeff / np.sqrt(fs["z_perm"]))[:, None]
-    tangential = {name: (ctx.facet_trace(space, fs["tangent"]), ctx.facet_dofs(space))
-                  for name, space in (("u_f", spaces.u_f), ("y_s", spaces.y_s),
-                                      ("u_r", spaces.u_r))}
+    tangential = {name: (ctx.facet_trace(name, fs["tangent"]), ctx.facet_dofs(name))
+                  for name in ("u_f", "y_s", "u_r")}
 
     def part(test, trial, sign):
         (t_tr, t_dofs), (u_tr, u_dofs) = tangential[test], tangential[trial]
@@ -669,14 +675,13 @@ def assemble_nitsche_consistency(ctx):
     fs = ctx.facet_stack
     if fs is None:
         return []
-    spaces = ctx.spaces
     sig = float(ctx.nitsche.varsigma)
     two_mu = 2.0 * ctx.params.mu_f
     w = fs["w"]
-    snn_f = ctx.facet_stress_nn(spaces.u_f, fs["normal_s"])
-    pv = fs[("S", spaces.p_S.degree, "phi")]
-    d_f = ctx.facet_dofs(spaces.u_f)
-    d_ps = ctx.facet_dofs(spaces.p_S)
+    snn_f = ctx.facet_stress_nn("u_f", fs["normal_s"])
+    pv = fs[("S", ctx.spaces.p_S.degree, "phi")]
+    d_f = ctx.facet_dofs("u_f")
+    d_ps = ctx.facet_dofs("p_S")
     parts = []
     for name, jn, dofs in ctx.facet_jumps():
         # trial-side stress against the test jump:
@@ -707,7 +712,8 @@ def assemble_convection(ctx, previous_velocity):
     """Oseen-lagged convection block for the free-flow momentum equation.
 
     ``previous_velocity`` is the u_f ``fem.FieldCoefficients`` of the last
-    step.  Returns None when it is zero, as in the first step from rest.
+    step.  Returns the two component parts of ``_Kernels.convection``, or
+    None when the velocity is zero, as in the first step from rest.
     """
     values = previous_velocity.values
     if not np.any(values):
@@ -823,20 +829,23 @@ def _add_interface_corrections(ctx, corr, time, rhs):
                       for fn in (corr.m1, corr.m2, corr.m4, corr.m5))
     m3 = at_points(corr.m3).reshape(shape + (2,))
 
-    def along(space, direction, values):
-        """sum_q w values (direction . basis vector) per facet and dof."""
-        return np.einsum("fq,fqa->fa", w * values, ctx.facet_trace(space, direction))
+    def along(name, direction, values):
+        """sum_q w values (direction . basis vector of ``name``) per facet and dof."""
+        return np.einsum("fq,fqa->fa", w * values, ctx.facet_trace(name, direction))
 
-    def scatter(name, vals):
-        _scatter(ctx, rhs, name, ctx.facet_dofs(getattr(spaces, name)), vals)
+    def load(name, normal, normal_values, slip_values, own=None):
+        """Scatter into ``name`` its load along the normal, ``own``, and along tau."""
+        vals = along(name, normal, normal_values)
+        vals = vals if own is None else vals + own
+        _scatter(ctx, rhs, name, ctx.facet_dofs(name), vals + along(name, tau, slip_values))
 
     pen = c_pen * m1
-    scatter("u_f", along(spaces.u_f, n_s, pen)
-            - sig * two_mu * np.einsum("fq,fqa->fa", w * m1,
-                                       ctx.facet_stress_nn(spaces.u_f, n_s))
-            - along(spaces.u_f, tau, m4))
-    scatter("p_S", -np.einsum("fq,fqi->fi", w * m1, fs[("S", 1, "phi")]))
-    scatter("u_r", along(spaces.u_r, n_p, pen + m2) - along(spaces.u_r, tau, m5))
+    load("u_f", n_s, pen, -m4,
+         own=-sig * two_mu * np.einsum("fq,fqa->fa", w * m1,
+                                       ctx.facet_stress_nn("u_f", n_s)))
+    _scatter(ctx, rhs, "p_S", ctx.facet_dofs("p_S"),
+             -np.einsum("fq,fqi->fi", w * m1, fs[("S", 1, "phi")]))
+    load("u_r", n_p, pen + m2, -m5)
     phi_w = fs[(spaces.y_s.subdomain, spaces.y_s.degree, "phi")]
-    m3_vals = np.einsum("fq,fqk,fqi->fik", w, m3, phi_w).reshape(len(w), -1)
-    scatter("y_s", along(spaces.y_s, n_p, pen) + m3_vals + along(spaces.y_s, tau, m4))
+    load("y_s", n_p, pen, m4,
+         own=np.einsum("fq,fqk,fqi->fik", w, m3, phi_w).reshape(len(w), -1))

@@ -119,19 +119,21 @@ def mesh_order(spaces, pairs, eliminated):
 
 
 class Factor:
-    """Sparse LU factor of ``matrix``, held across calls of ``solve_linear``.
+    """Sparse LU factor of a matrix, held across calls of ``solve_linear``.
 
     The rows and columns are permuted by ``perm``, such as ``mesh_order``'s;
     the order is fixed at construction and every ``refresh`` reuses it.
     SuperLU pivots on the diagonal unless it is below ``PIVOT_THRESHOLD`` of
-    its column.  ``matrix`` is the object that was factored; ``refresh``
-    replaces the factor with one of another matrix.  ``floor`` is the
-    relative residual of the first direct solve with the factor (None until
-    then): the precision this factor can reach.
+    its column.  ``matrix`` is the factor's own copy of what it factored, a
+    CSR matrix without stored zeros, so no later change to the caller's
+    arrays reaches it; ``refresh`` replaces both with those of another
+    matrix.  ``floor`` is the relative residual of the first direct solve
+    with the factor (None until then): the precision this factor can reach.
     """
 
     def __init__(self, matrix, perm):
         self.perm = perm
+        self._inverse = np.argsort(perm)
         self.refresh(matrix)
 
     def refresh(self, matrix):
@@ -139,18 +141,17 @@ class Factor:
 
         Stored zeros are dropped first, so they cannot add fill.
         """
-        csc = sparse.csc_matrix(matrix, copy=True)
-        csc.eliminate_zeros()
+        own = sparse.csr_matrix(matrix, copy=True)
+        own.eliminate_zeros()
         try:
-            lu = spla.splu(csc[self.perm][:, self.perm], permc_spec="NATURAL",
+            lu = spla.splu(own.tocsc()[self.perm][:, self.perm], permc_spec="NATURAL",
                            diag_pivot_thresh=PIVOT_THRESHOLD,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             kind = "structural" if "exactly singular" in str(exc).lower() else "numerical"
             raise SingularSystemError(
                 f"sparse factorization failed ({kind} singularity): {exc}") from exc
-        self.matrix, self.csc, self.lu = matrix, csc, lu
-        self._inverse = np.argsort(self.perm)
+        self.matrix, self.lu = own, lu
         self.floor = None
 
     def solve(self, rhs):
@@ -163,23 +164,22 @@ def solve_linear(matrix, rhs, tol, factor):
 
     Returns (solution, relative_residual), the residual taken against
     ``matrix``.  ``factor`` is a ``Factor`` kept by the caller, whose order
-    also serves ``matrix``.  With the factor of ``matrix`` itself the solve
-    is direct, plus one refinement pass when the residual exceeds ``tol``;
-    the first direct solve records the factor's floor.  A factor of another
-    matrix of the same size preconditions defect correction, which stops
-    when the residual is within ``FLOOR_FACTOR`` of that floor or no longer
-    halves.  If the residual still exceeds ``tol``, ``matrix`` is factored,
-    in the held factor's order, and its factor replaces the held one.
-    Structural or numerical singularities raise SingularSystemError;
-    non-finite solutions raise NonFiniteSolutionError; a residual above
-    ``tol`` raises SolverError.
+    also serves ``matrix``.  With the factor's own matrix, ``factor.matrix``,
+    the solve is direct, plus one refinement pass when the residual exceeds
+    ``tol / 10``; the first direct solve records the factor's floor.  A factor of another matrix of the same size
+    preconditions defect correction, which stops when the residual is within
+    ``FLOOR_FACTOR`` of that floor or no longer halves.  If the residual
+    still exceeds ``tol``, ``matrix`` is factored, in the held factor's
+    order, and its factor replaces the held one.  Structural or numerical
+    singularities raise SingularSystemError; non-finite solutions raise
+    NonFiniteSolutionError; a residual above ``tol`` raises SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     x, res = _solve_with(factor, matrix, rhs, scale, tol)
     if res > tol and factor.matrix is not matrix:
         factor.refresh(matrix)
-        x, res = _solve_with(factor, matrix, rhs, scale, tol)
+        x, res = _solve_with(factor, factor.matrix, rhs, scale, tol)
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
     if res > tol:
@@ -193,11 +193,12 @@ def _solve_with(factor, matrix, rhs, scale, tol):
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
     if factor.matrix is matrix:
-        csc = factor.csc
-        res = float(np.linalg.norm(rhs - csc @ x)) / scale
-        if res > tol:
-            x = x + factor.solve(rhs - csc @ x)
-            res = float(np.linalg.norm(rhs - csc @ x)) / scale
+        # refine short of tol: the floor of a finer mesh's factor can come
+        # within a factor of ten of it
+        res = float(np.linalg.norm(rhs - matrix @ x)) / scale
+        if res > 0.1 * tol:
+            x = x + factor.solve(rhs - matrix @ x)
+            res = float(np.linalg.norm(rhs - matrix @ x)) / scale
         if factor.floor is None:
             factor.floor = res
         return x, res
@@ -222,42 +223,54 @@ def _solve_with(factor, matrix, rhs, scale, tol):
 
 
 class _ConvectionUpdate:
-    """M/tau + N and its eliminated form on one pattern that also holds C.
+    """M/tau + N and its eliminated form: two data arrays on one structure.
 
-    Built with each factor from M/tau + N, the Dirichlet mask ``keep`` and
-    the convection block's global (rows, cols) from ``ctx.pattern``.
-    ``matrices(values)`` sums one step's convection values into both by a
-    single ``np.bincount``; a data mask zeroes them in the eliminated rows
-    and columns.  No sparse structure is built per step.
+    The structure is one CSR pattern, int32 where the size allows: the union
+    of the patterns of ``m_over_tau`` and ``n``, the diagonal and the
+    convection slots (rows, cols), ``ctx.component_pattern("u_f")``.  The
+    eliminated data are those of ``fem.eliminate_matrix`` for ``dofs``, with
+    the stored zeros kept.  ``matrices(parts)`` sums one step's convection
+    parts, whose values lie at the slots in order, into both by a single
+    ``np.bincount``, masked in the eliminated rows and columns.
     """
 
-    def __init__(self, operator, keep, rows, cols):
-        pattern, self._pos = fem.fixed_pattern(operator, rows, cols)
-        self._indices, self._indptr = pattern.indices, pattern.indptr
-        self._shape = pattern.shape
-        row = np.repeat(np.arange(pattern.shape[0]), np.diff(self._indptr))
+    def __init__(self, m_over_tau, n, dofs, rows, cols):
+        size = n.shape[0]
+        keep = np.ones(size)
+        keep[np.asarray(dofs, dtype=np.int64)] = 0.0
+        operator = m_over_tau + n
+        ones = lambda m: sparse.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), m.shape)
+        # sums of positive values, so no slot cancels: the operator's
+        # entries count 2 or 3 in the union, the other slots 1
+        union = 2.0 * ones(operator) + ones(sparse.identity(size, format="csr") + (
+            sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))))
+        data = np.zeros(union.nnz)
+        data[union.data > 1.5] = operator.data
+        self._indices, self._indptr, self._shape = union.indices, union.indptr, union.shape
+        union.data = np.arange(union.nnz, dtype=float)
+        self._pos = np.asarray(union[rows, cols], dtype=np.intp).ravel()
+        row = np.repeat(np.arange(size), np.diff(self._indptr))
         mask = keep[row] * keep[self._indices]
         unit = np.where(row == self._indices, 1.0 - keep[row], 0.0)
-        # the data of both matrices, eliminated as fem.eliminate_matrix does;
         # C's rows come first, so only the head before _span ever changes
-        self._op_now = pattern.data
-        self._el_now = mask * pattern.data + unit
         span = self._span = int(self._pos.max()) + 1 if self._pos.size else 0
-        self._op_head = self._op_now[:span].copy()
-        self._el_head = self._el_now[:span].copy()
-        self._mask = mask[:span]
+        self._op_now, self._el_now = data, mask * data + unit
+        self._op_head, self._el_head = data[:span].copy(), self._el_now[:span].copy()
+        self._mask = mask[:span].copy()
 
-    def matrices(self, values):
-        """(operator + C, eliminated + masked C) for C's local values.
+    def matrices(self, parts=None):
+        """(operator, eliminated) with C's parts added: M/tau + N without.
 
         Both share their index arrays, and data buffers that the next call
         overwrites: use them for this step's solve only, and never change
         their structure in place (``eliminate_zeros``, ``sort_indices``).
         """
-        span = self._span
-        conv = np.bincount(self._pos, weights=values.ravel(), minlength=span)
-        np.add(self._op_head, conv, out=self._op_now[:span])
-        np.add(self._el_head, self._mask * conv, out=self._el_now[:span])
+        conv = 0.0
+        if parts is not None:
+            conv = np.bincount(self._pos, minlength=self._span, weights=np.concatenate(
+                [part[4].ravel() for part in parts]))
+        np.add(self._op_head, conv, out=self._op_now[:self._span])
+        np.add(self._el_head, self._mask * conv, out=self._el_now[:self._span])
         return self._csr(self._op_now), self._csr(self._el_now)
 
     def _csr(self, data):
@@ -269,25 +282,26 @@ class TimeStepper:
     """Backward Euler stepper: factors once, refreshes convection per step.
 
     The first step builds M / tau + N, eliminates its Dirichlet dofs and
-    factors it.  With convection on, the same step lays M / tau + N and its
-    eliminated form on one sparse pattern that also holds the convection
-    block, so each later step adds the lagged C(u_prev) to both by one
-    scatter of its local values, masked in the eliminated rows and columns,
-    without building sparse structure.  The factor is a ``Factor``: SuperLU
-    on the rows and columns in ``mesh_order``, the nested dissection of the
-    mesh's node graph, pivoting on the diagonal down to ``PIVOT_THRESHOLD``
-    of its column.  The order is computed once, in the first step, and
-    every later factorization of the loop reuses it.  Each step
-    lifts the Dirichlet data of the new time level with that step's operator
-    (no product when every value is zero) and solves with the held factor:
-    directly while the operator is the factored one, by defect correction
-    otherwise, which stops at the factor's precision floor (two triangular
-    solves per convective step) or when the residual no longer halves.  A
-    step whose correction ends above ``solver_tol`` factors its own
-    operator, which later steps then reuse.  If a factorization is
-    singular, one free-flow pressure dof is pinned to zero, with a warning
-    that names it, and the pinned operator is factored in the same order,
-    with the pattern rebuilt; the pin holds for every later step.
+    factors it.  With convection on, the two are data arrays on one sparse
+    structure that also holds the convection slots, built before the
+    factor, so each later step adds the lagged C(u_prev) to both by one
+    scatter of its local values, without building sparse structure; with
+    convection off no such structure is built.  The factor is a ``Factor``:
+    SuperLU on the rows and columns in ``mesh_order``, the nested dissection
+    of the mesh's node graph, pivoting on the diagonal down to
+    ``PIVOT_THRESHOLD`` of its column.  The order is computed once, in the
+    first step, and every later factorization of the loop reuses it.  Each
+    step lifts the Dirichlet data of the new time level with that step's
+    operator (no product when every value is zero) and solves with the held
+    factor: directly while the operator is the factored one (with a zero
+    previous velocity, M / tau + N alone), by defect correction otherwise,
+    which stops at the factor's precision floor (two triangular solves per
+    convective step) or when the residual no longer halves.  A step whose
+    correction ends above ``solver_tol`` factors its own operator, which
+    later steps then reuse.  If a factorization is singular, one free-flow
+    pressure dof is pinned to zero, with a warning that names it, and the
+    pinned operator is factored in the same order, with the structure
+    rebuilt; the pin holds for every later step.
 
     The load is assembled once, here: the manufactured sources and interface
     corrections are quadratic in t, so ``forms.assemble_F`` at t = 0, T/2
@@ -314,7 +328,7 @@ class TimeStepper:
         self._load = self._load_polynomial()
         self._operator = None    # M / tau + N, built by the first step
         self._eliminated = None  # its eliminated form; None until then
-        self._update = None      # their fixed pattern with C, if convective
+        self._update = None      # both on one structure with C's slots
         self._pin = None         # the pinned pressure dof, if any
         self._order = None       # the factor's dof order, from the mesh
         self._factor = None
@@ -415,18 +429,23 @@ class TimeStepper:
         if self._pin is not None:
             dofs, vals = np.append(dofs, self._pin), np.append(vals, 0.0)
         if self._eliminated is None:
-            operator = self._m_over_tau + self.N.matrix
-            eliminated, keep = fem.eliminate_matrix(operator, dofs)
+            if self.convection:
+                self._update = _ConvectionUpdate(
+                    self._m_over_tau, self.N.matrix, dofs,
+                    *self.ctx.component_pattern("u_f"))
+                eliminated = self._update.matrices()[1]
+            else:
+                self._operator = self._m_over_tau + self.N.matrix
+                eliminated, _ = fem.eliminate_matrix(self._operator, dofs)
             if self._order is None:
                 self._order = mesh_order(self.spaces, self.ctx.pairs, dofs)
             self._factor = Factor(eliminated, self._order)
-            self._operator, self._eliminated = operator, eliminated
-            if self.convection:
-                self._update = _ConvectionUpdate(operator, keep,
-                                                 *self.ctx.pattern("u_f", "u_f"))
+            self._eliminated = self._factor.matrix
         operator, matrix = self._operator, self._eliminated
-        if conv is not None:
-            operator, matrix = self._update.matrices(conv[4])
+        if self._update is not None:
+            operator, step_matrix = self._update.matrices(conv)
+            if conv is not None:
+                matrix = step_matrix
         return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
                             self.solver_tol, self._factor)
 

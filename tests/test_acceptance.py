@@ -145,8 +145,8 @@ def test_criterion_5_single_element_oracles(params):
     locals_stiff = vals.reshape(len(sp_uf.cells), 12, 12)
     w = interpolate(sp_uf, lambda t, x, y:
                     np.stack([1.0 + x - 2.0 * y, x * y], axis=-1))
-    _, _, _, _, cvals = kern.convection("u_f", w.values)
-    locals_conv = cvals.reshape(len(sp_uf.cells), 12, 12)
+    (_, _, _, _, cvals), _ = kern.convection("u_f", w.values)
+    locals_conv = forms._expand_components(cvals)
 
     stiff_err = conv_err = 0.0
     w_sym = (1 + X - 2 * Y, X * Y)

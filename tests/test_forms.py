@@ -151,7 +151,7 @@ def test_convection_matches_symbolic(tiny):
 
     w = interpolate(sp_uf, w_field)  # quadratic field, exact in P2
     part = assemble_convection(ctx, w)
-    got = _dense_from_parts(spaces, [part], "u_f", "u_f")
+    got = _dense_from_parts(spaces, part, "u_f", "u_f")
     expected = np.zeros_like(got)
     w_sym = (1 + X - 2 * Y, X * Y)
     for c, tri in enumerate(_triangles_of(mesh, sp_uf)):
@@ -177,7 +177,7 @@ def test_convection_quadratic_form_matches_quadrature(tiny, rng):
     w = fem.FieldCoefficients(sp_uf, rng.normal(size=sp_uf.ndofs))
     u = fem.FieldCoefficients(sp_uf, rng.normal(size=sp_uf.ndofs))
     part = assemble_convection(ctx, w)
-    mat = _dense_from_parts(spaces, [part], "u_f", "u_f")
+    mat = _dense_from_parts(spaces, part, "u_f", "u_f")
     form_val = u.values @ mat @ u.values
 
     rule = fem.quadrature_rule("triangle", 6)
@@ -447,7 +447,7 @@ def assembled_22():
                                  np.full(spaces.u_f.ndofs, 0.37))
     n_sys = assemble_N(ctx)
     conv = BlockSystem.from_contributions(
-        spaces, [assemble_convection(ctx, prev)])
+        spaces, assemble_convection(ctx, prev))
     n_sys = BlockSystem(spaces, n_sys.matrix + conv.matrix)
     return spaces, params, nitsche, m_sys, n_sys
 
@@ -678,7 +678,7 @@ def test_exact_solution_residual_decreases():
         x_now, x_prev = interp(T), interp(T - tau)
         n_sys = assemble_N(ctx)
         conv = BlockSystem.from_contributions(
-            spaces, [assemble_convection(ctx, x_prev.block("u_f"))])
+            spaces, assemble_convection(ctx, x_prev.block("u_f")))
         op = m_sys.matrix * (1.0 / tau) + (n_sys.matrix + conv.matrix)
         rhs = assemble_F(ctx, sources, T, corr) \
             + (m_sys.matrix @ x_prev.vector()) / tau

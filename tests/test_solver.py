@@ -31,7 +31,7 @@ def test_time_grid_consistency():
 def _one_shot(matrix, rhs):
     """``solve_linear`` with a fresh factor in the matrix graph's own order."""
     factor = solver.Factor(matrix, nested_dissection(matrix))
-    return solve_linear(matrix, rhs, 1e-9, factor)
+    return solve_linear(factor.matrix, rhs, 1e-9, factor)
 
 
 def test_solve_identity():
@@ -146,7 +146,7 @@ def _direct_step(stepper, state_prev, n):
             if stepper.convection else None)
     if conv is not None:
         operator = operator + forms.BlockSystem.from_contributions(
-            spaces, [conv]).matrix
+            spaces, conv).matrix
     rhs = (stepper.load(t_n)
            + stepper.M.matrix / stepper.grid.tau @ state_prev.vector())
     system = forms.BlockSystem(spaces, operator)
@@ -154,7 +154,7 @@ def _direct_step(stepper, state_prev, n):
     dofs, _ = fem.dirichlet_data(system, stepper.boundary_values, t_n)
     factor = solver.Factor(matrix,
                            solver.mesh_order(spaces, stepper.ctx.pairs, dofs))
-    return solve_linear(matrix, rhs, 1e-9, factor)[0]
+    return solve_linear(factor.matrix, rhs, 1e-9, factor)[0]
 
 
 def test_reused_factor_matches_direct_solve(small_setup):
@@ -355,7 +355,7 @@ def test_dissected_factor_cuts_fill_at_the_floor():
     stepper = _manufactured_stepper(16, 1e-3 / 16, True)
     stepper.step(StateVector.zero(stepper.spaces), 1)
     factor = stepper._factor
-    default = spla.splu(factor.csc)
+    default = spla.splu(factor.matrix.tocsc())
     fill = factor.lu.L.nnz + factor.lu.U.nnz
     assert fill <= 0.75 * (default.L.nnz + default.U.nnz)
     assert factor.floor <= 1e-10
@@ -428,7 +428,7 @@ def test_mesh_order_fill_below_matrix_order(workload):
     stepper = _nx8_stepper(workload)
     stepper.step(StateVector.zero(stepper.spaces), 1)
     factor = stepper._factor
-    by_matrix = solver.Factor(factor.csc, nested_dissection(factor.csc))
+    by_matrix = solver.Factor(factor.matrix, nested_dissection(factor.matrix))
     fill = lambda f: f.lu.L.nnz + f.lu.U.nnz
     assert fill(factor) < 0.9 * fill(by_matrix)
 
@@ -472,8 +472,8 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
     monkeypatch.setattr(forms.BlockSystem, "from_contributions",
                         classmethod(perturbed_parts))
     perturbed, perturbed_fill = first_factor(True)
-    assert not np.array_equal(perturbed.csc.data, factor.csc.data)
-    assert np.array_equal(perturbed.csc.indices, factor.csc.indices)
+    assert not np.array_equal(perturbed.matrix.data, factor.matrix.data)
+    assert np.array_equal(perturbed.matrix.indices, factor.matrix.indices)
     assert np.array_equal(perturbed.perm, factor.perm)
     assert abs(perturbed_fill - fill) <= 1e-3 * fill
 
@@ -491,7 +491,7 @@ def test_saddle_point_with_zero_block_solves(rng):
     matrix = sparse.bmat([[a, b.T], [b, None]], format="csr")
     rhs = rng.normal(size=k * k + m)
     factor = solver.Factor(matrix, nested_dissection(matrix))
-    x, res = solve_linear(matrix, rhs, 1e-9, factor)
+    x, res = solve_linear(factor.matrix, rhs, 1e-9, factor)
     assert res <= 1e-12
     assert factor.floor == res
     want = np.linalg.solve(matrix.toarray(), rhs)
@@ -510,7 +510,7 @@ def _assert_same_entries(got, want):
 
 def _convection_reference(stepper, operator, conv, dofs):
     full = operator + forms.BlockSystem.from_contributions(
-        stepper.spaces, [conv]).matrix
+        stepper.spaces, conv).matrix
     return full, fem.eliminate_matrix(full, dofs)[0]
 
 
@@ -522,7 +522,7 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     conv = forms.assemble_convection(stepper.ctx, u_f)
     dofs, _ = fem.dirichlet_data(stepper.M, {}, 0.0)
     operator = stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix
-    for got, want in zip(stepper._update.matrices(conv[4]),
+    for got, want in zip(stepper._update.matrices(conv),
                          _convection_reference(stepper, operator, conv, dofs)):
         _assert_same_entries(got, want)
 
@@ -534,9 +534,9 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     drop = in_uf[coo.row] & in_uf[coo.col]
     thinned = sparse.csr_matrix((coo.data[~drop], (coo.row[~drop], coo.col[~drop])),
                                 shape=operator.shape)
-    _, keep = fem.eliminate_matrix(thinned, dofs)
-    update = solver._ConvectionUpdate(thinned, keep, *stepper.ctx.pattern("u_f", "u_f"))
-    for got, want in zip(update.matrices(conv[4]),
+    update = solver._ConvectionUpdate(thinned, sparse.csr_matrix(thinned.shape), dofs,
+                                      *stepper.ctx.component_pattern("u_f"))
+    for got, want in zip(update.matrices(conv),
                          _convection_reference(stepper, thinned, conv, dofs)):
         _assert_same_entries(got, want)
 
@@ -555,9 +555,113 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
         _, report = pinned.step(StateVector.zero(pinned.spaces), 1)
     assert report.pinned_pressure
     pin_dofs = np.append(dofs, pinned.M.offsets[forms.BLOCK_NAMES.index("p_S")])
-    for got, want in zip(pinned._update.matrices(conv[4]),
+    for got, want in zip(pinned._update.matrices(conv),
                          _convection_reference(pinned, operator, conv, pin_dofs)):
         _assert_same_entries(got, want)
+
+
+def test_convection_update_holds_operator_diagonal_and_slots(rng):
+    # slots inside and outside the operator's pattern, with repeats; the
+    # summed slot values must land where a sparse sum would put them
+    dense = np.array([[1.0, 0.0, 2.0, 0.0],
+                      [0.0, 0.0, 0.0, 3.0],
+                      [4.0, 5.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 6.0]])
+    rows = np.array([0, 1, 2, 2, 3, 1])
+    cols = np.array([2, 2, 1, 1, 0, 2])
+    vals = rng.normal(size=rows.size)
+    update = solver._ConvectionUpdate(
+        sparse.csr_matrix(np.triu(dense)), sparse.csr_matrix(np.tril(dense, -1)),
+        [], rows, cols)
+    operator, eliminated = update.matrices()
+    assert np.array_equal(operator.toarray(), dense)
+    assert np.array_equal(eliminated.toarray(), dense)
+    assert operator.indices.dtype == np.int32
+    stored = dense != 0
+    stored[np.arange(4), np.arange(4)] = True
+    stored[rows, cols] = True
+    positions_held = sparse.csr_matrix(
+        (np.ones(operator.nnz), operator.indices, operator.indptr), shape=(4, 4))
+    assert operator.nnz == stored.sum()
+    assert np.array_equal(positions_held.toarray() != 0, stored)
+    summed, _ = update.matrices([(None, None, None, None, vals)])
+    want = sparse.csr_matrix((vals, (rows, cols)), shape=(4, 4)).toarray()
+    assert np.abs(summed.toarray() - dense - want).max() <= 1e-15
+
+
+def test_convective_stepper_holds_one_structure():
+    # after step 1 the operator and its eliminated form are two data arrays
+    # on one index structure, and the factor holds one matrix: the
+    # eliminated operator without stored zeros, which the stepper reuses
+    stepper = _manufactured_stepper(4, 2e-3, True)
+    stepper.step(StateVector.zero(stepper.spaces), 1)
+    operator, eliminated = stepper._update.matrices()
+    assert np.shares_memory(operator.indices, eliminated.indices)
+    assert np.shares_memory(operator.indptr, eliminated.indptr)
+    assert operator.indices.dtype == np.int32
+    factor = stepper._factor
+    assert not hasattr(factor, "csc")
+    assert [name for name, value in vars(factor).items()
+            if sparse.issparse(value)] == ["matrix"]
+    assert factor.matrix is stepper._eliminated
+    assert np.count_nonzero(factor.matrix.data) == factor.matrix.nnz
+    compact = sparse.csr_matrix(eliminated, copy=True)
+    compact.eliminate_zeros()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(factor.matrix, name), getattr(compact, name))
+
+
+def test_convection_off_matrix_stores_no_zeros(monkeypatch):
+    # without convection no merged structure is built: every step solves
+    # with the factor's own eliminated operator, which stores no zeros
+    stepper = _manufactured_stepper(4, 2e-3, False)
+    matrices = []
+    original = solver.solve_linear
+
+    def recording(matrix, *args):
+        matrices.append(matrix)
+        return original(matrix, *args)
+
+    monkeypatch.setattr(solver, "solve_linear", recording)
+    solver.march(stepper, StateVector.zero(stepper.spaces))
+    assert stepper._update is None
+    assert len(matrices) == stepper.grid.nsteps
+    assert all(matrix is stepper._factor.matrix for matrix in matrices)
+    assert np.count_nonzero(matrices[0].data) == matrices[0].nnz
+
+
+def test_zero_velocity_step_after_convective_steps_is_direct(small_setup, monkeypatch):
+    # a step from rest after convective ones solves with M / tau + N alone,
+    # directly with the held factor: bit-identical to a fresh direct solve
+    mesh, spaces, params, nitsche = small_setup
+    _, loads = verification.manufactured_problem(params)
+    stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=5e-4, final=1.5e-3),
+                          convection=True, **loads)
+    counts = _counting_solves(monkeypatch)
+    state = solver.march(stepper, StateVector.zero(spaces))
+    state.block("u_f").values[:] = 0.0
+    want = _direct_step(stepper, state, 4)
+    before = counts["solves"]
+    new, report = stepper.step(state, 4)
+    assert not report.factorized
+    assert counts["solves"] - before == 1
+    assert np.array_equal(new.vector(), want)
+
+
+def test_direct_solve_refines_short_of_tolerance(monkeypatch, rng):
+    # a direct solve whose residual lies within ten times the tolerance
+    # makes one refinement pass: two triangular solves
+    matrix = sparse.random(200, 200, density=0.05, random_state=rng) \
+        + 10.0 * sparse.identity(200)
+    matrix = sparse.csr_matrix(matrix)
+    rhs = rng.normal(size=200)
+    floor = _one_shot(matrix, rhs)[1]
+    assert floor > 0.0
+    counts = _counting_solves(monkeypatch)
+    factor = solver.Factor(matrix, nested_dissection(matrix))
+    x, res = solve_linear(factor.matrix, rhs, 5.0 * floor, factor)
+    assert counts["solves"] == 2
+    assert res <= 5.0 * floor
 
 
 def test_singularity_kind_from_superlu_message(monkeypatch):
@@ -1012,10 +1116,12 @@ def test_lift_matches_full_product(convection):
                                     stepper.grid.time_at(2))
     assert np.abs(vals).max() > 0.0
     rhs = rng.normal(size=stepper.M.size)
-    operators = [stepper._operator]
     if convection:
+        # one at a time: the update's matrices share their data buffers
         conv = forms.assemble_convection(stepper.ctx, state.block("u_f"))
-        operators.append(stepper._update.matrices(conv[4])[0])
+        operators = (stepper._update.matrices(parts)[0] for parts in (None, conv))
+    else:
+        operators = [stepper._operator]
     for operator in operators:
         for values in (vals, rng.normal(size=vals.size), np.zeros(vals.size)):
             full = rhs - operator @ np.bincount(dofs, values, operator.shape[0])
