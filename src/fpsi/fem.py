@@ -346,36 +346,11 @@ def lift_dofs(matrix, rhs, dofs, values):
     return new_rhs
 
 
-def dirichlet_data(system, boundary_values, time):
-    """Constrained global dofs of a block system and their values at ``time``.
+def apply_dirichlet(matrix, rhs, dofs, values):
+    """Prescribed ``values`` at ``dofs`` applied to ``matrix`` and its load ``rhs``.
 
-    ``boundary_values`` maps block names to ``f(t, x, y)`` evaluators; blocks
-    without an entry keep only homogeneous constraints (value zero).
+    Returns the eliminated matrix of ``eliminate_matrix`` and the lifted
+    load of ``lift_dofs``, ``(matrix, rhs)``.
     """
-    all_dofs, all_vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for name, space, offset in zip(system.block_names, system.spaces,
-                                   system.offsets):
-        if space.dirichlet_dofs.size == 0:
-            continue
-        fn = boundary_values.get(name) if boundary_values else None
-        if fn is None:
-            vals = np.zeros(space.dirichlet_dofs.size)
-        else:
-            vals = space.dirichlet_values(fn, time)
-        all_dofs.append(space.dirichlet_dofs + offset)
-        all_vals.append(vals)
-    return np.concatenate(all_dofs), np.concatenate(all_vals)
-
-
-def apply_dirichlet(system, rhs, boundary_values, time):
-    """Dirichlet data applied to a block system and its load ``rhs``.
-
-    ``boundary_values`` maps block names to ``f(t, x, y)`` evaluators; blocks
-    without an entry keep only homogeneous constraints (value zero).  Returns
-    the eliminated matrix and the lifted load, ``(matrix, rhs)``.
-    """
-    dofs, vals = dirichlet_data(system, boundary_values, time)
-    if dofs.size == 0:
-        return system.matrix, rhs
-    mat, _ = eliminate_matrix(system.matrix, dofs)
-    return mat, lift_dofs(system.matrix, rhs, dofs, vals)
+    eliminated, _ = eliminate_matrix(matrix, dofs)
+    return eliminated, lift_dofs(matrix, rhs, dofs, values)

@@ -23,8 +23,6 @@ from scipy import sparse
 from . import fem
 from .mesh import (TAG_GAMMA_P_D, TAG_GAMMA_P_N, TAG_GAMMA_S, interface_pairs)
 
-BLOCK_NAMES = ("u_f", "p_S", "u_r", "p_P", "y_s", "u_s")
-
 VOLUME_QUAD_DEGREE = 6
 INTERFACE_QUAD_DEGREE = 6
 
@@ -32,9 +30,9 @@ INTERFACE_QUAD_DEGREE = 6
 # residue, 1e-20 to 1e-14 of the terms it came from, instead of an exact
 # zero.  ``_contrib`` zeroes a kernel's local entries below this fraction of
 # the largest magnitude in that kernel's array on the same cell or facet, and
-# ``BlockSystem.from_contributions`` drops sums below this fraction of the
-# summed magnitudes of their own terms (couplings that cancel between
-# cells).  Neither test compares couplings of different coefficients, so no
+# ``from_contributions`` drops sums below this fraction of the summed
+# magnitudes of their own terms (couplings that cancel between cells).
+# Neither test compares couplings of different coefficients, so no
 # choice of units or parameters moves a genuine entry below it; and the
 # stored pattern, with it the LU fill, does not depend on the rounding.
 RESIDUE_RTOL = 1e-12
@@ -45,12 +43,31 @@ class FormsError(ValueError):
 
 
 class Spaces(NamedTuple):
+    """The six discrete spaces in the monolithic order, and their layout.
+
+    Block ``name`` occupies ``slice(name)`` of every monolithic vector and
+    of the rows and columns of M and N; ``size`` is their length.
+    """
+
     u_f: fem.FunctionSpace
     p_S: fem.FunctionSpace
     u_r: fem.FunctionSpace
     p_P: fem.FunctionSpace
     y_s: fem.FunctionSpace
     u_s: fem.FunctionSpace
+
+    def slice(self, name):
+        """The dofs of block ``name`` in the monolithic layout."""
+        i = self._fields.index(name)
+        start = sum(sp.ndofs for sp in self[:i])
+        return slice(start, start + self[i].ndofs)
+
+    @property
+    def size(self):
+        return sum(sp.ndofs for sp in self)
+
+
+BLOCK_NAMES = Spaces._fields
 
 
 def build_spaces(mesh):
@@ -63,11 +80,6 @@ def build_spaces(mesh):
         y_s=fem.FunctionSpace(mesh, 2, 2, "P", (TAG_GAMMA_P_D, TAG_GAMMA_P_N)),
         u_s=fem.FunctionSpace(mesh, 1, 2, "P"),
     )
-
-
-def _starts(spaces):
-    """Offset of each block in the monolithic layout, by block name."""
-    return dict(zip(BLOCK_NAMES, np.cumsum([0] + [sp.ndofs for sp in spaces[:-1]])))
 
 
 def _entries(row_dofs, col_dofs, terms):
@@ -163,67 +175,46 @@ class NitscheParams:
             raise FormsError(f"varsigma must be -1, 0, or 1, got {self.varsigma}")
 
 
-class BlockSystem:
-    """Sparse square operator over the monolithic six-field dof layout."""
+def from_contributions(spaces, contributions):
+    """Sum (test, trial, row_dofs, col_dofs, local) parts into CSR, int32 if it fits.
 
-    def __init__(self, spaces, matrix):
-        self.spaces = spaces
-        self.block_names = BLOCK_NAMES
-        self.sizes = tuple(sp.ndofs for sp in spaces)
-        self.offsets = tuple(_starts(spaces).values())
-        self.size = sum(self.sizes)
-        self.matrix = matrix
-
-    @classmethod
-    def from_contributions(cls, spaces, contributions):
-        """Sum (test, trial, row_dofs, col_dofs, local) parts into CSR, int32 if it fits.
-
-        ``local`` (cells or facets, ni, nj) holds one block per cell or
-        facet; ``row_dofs`` (.., ni) and ``col_dofs`` (.., nj) are the test
-        and trial block dofs of its rows and columns.  Exact zeros and sums
-        below ``RESIDUE_RTOL`` of the summed magnitudes of their terms are
-        left out of the pattern.  A non-finite term, which would make its
-        sum fail that test and vanish, raises FormsError.
-        """
-        total = int(sum(sp.ndofs for sp in spaces))
-        index = np.int32 if total < np.iinfo(np.int32).max else np.int64
-        start = _starts(spaces)
-        entries, vals = [], []
-        for test, trial, row_dofs, col_dofs, local in contributions:
-            local = np.asarray(local, dtype=float)
-            if not np.all(np.isfinite(local)):
-                raise FormsError(f"non-finite term in block ({test}, {trial}): check "
-                                 "the parameters and coefficients for NaN or inf")
-            terms = np.flatnonzero(local)
-            rows = np.asarray(row_dofs, dtype=index) + index(start[test])
-            cols = np.asarray(col_dofs, dtype=index) + index(start[trial])
-            entries.append(_entries(rows, cols, terms))
-            vals.append(local.ravel()[terms])
-        if entries:
-            rows, cols = (np.concatenate(axis) for axis in zip(*entries))
-            vals = np.concatenate(vals)
-            # one conversion sums the values (real part) and their
-            # magnitudes (imaginary part) entry by entry
-            both = np.empty(vals.size, dtype=complex)
-            both.real = vals
-            np.abs(vals, out=both.imag)
-            summed = sparse.coo_matrix(
-                (both, (rows, cols)), shape=(total, total)).tocsr()
-            keep = np.abs(summed.data.real) >= RESIDUE_RTOL * summed.data.imag
-            indptr = np.concatenate([[0], np.cumsum(keep)]).astype(index)
-            matrix = sparse.csr_matrix(
-                (summed.data.real[keep], summed.indices[keep], indptr[summed.indptr]),
-                shape=(total, total))
-            matrix.has_canonical_format = True
-        else:
-            matrix = sparse.csr_matrix((total, total))
-        return cls(spaces, matrix)
-
-    def block(self, test, trial):
-        i = BLOCK_NAMES.index(test)
-        j = BLOCK_NAMES.index(trial)
-        r0, c0 = self.offsets[i], self.offsets[j]
-        return self.matrix[r0:r0 + self.sizes[i], c0:c0 + self.sizes[j]]
+    ``local`` (cells or facets, ni, nj) holds one block per cell or
+    facet; ``row_dofs`` (.., ni) and ``col_dofs`` (.., nj) are the test
+    and trial block dofs of its rows and columns.  Exact zeros and sums
+    below ``RESIDUE_RTOL`` of the summed magnitudes of their terms are
+    left out of the pattern.  A non-finite term, which would make its
+    sum fail that test and vanish, raises FormsError.
+    """
+    total = spaces.size
+    index = np.int32 if total < np.iinfo(np.int32).max else np.int64
+    entries, vals = [], []
+    for test, trial, row_dofs, col_dofs, local in contributions:
+        local = np.asarray(local, dtype=float)
+        if not np.all(np.isfinite(local)):
+            raise FormsError(f"non-finite term in block ({test}, {trial}): check "
+                             "the parameters and coefficients for NaN or inf")
+        terms = np.flatnonzero(local)
+        rows = np.asarray(row_dofs, dtype=index) + index(spaces.slice(test).start)
+        cols = np.asarray(col_dofs, dtype=index) + index(spaces.slice(trial).start)
+        entries.append(_entries(rows, cols, terms))
+        vals.append(local.ravel()[terms])
+    if not entries:
+        return sparse.csr_matrix((total, total))
+    rows, cols = (np.concatenate(axis) for axis in zip(*entries))
+    vals = np.concatenate(vals)
+    # one conversion sums the values (real part) and their
+    # magnitudes (imaginary part) entry by entry
+    both = np.empty(vals.size, dtype=complex)
+    both.real = vals
+    np.abs(vals, out=both.imag)
+    summed = sparse.coo_matrix((both, (rows, cols)), shape=(total, total)).tocsr()
+    keep = np.abs(summed.data.real) >= RESIDUE_RTOL * summed.data.imag
+    indptr = np.concatenate([[0], np.cumsum(keep)]).astype(index)
+    matrix = sparse.csr_matrix(
+        (summed.data.real[keep], summed.indices[keep], indptr[summed.indptr]),
+        shape=(total, total))
+    matrix.has_canonical_format = True
+    return matrix
 
 
 class StateVector:
@@ -244,19 +235,32 @@ class StateVector:
     @classmethod
     def from_vector(cls, spaces, vec, time=0.0):
         vec = np.asarray(vec, dtype=float)
-        blocks, pos = [], 0
-        for sp in spaces:
-            blocks.append(fem.FieldCoefficients(sp, vec[pos:pos + sp.ndofs]))
-            pos += sp.ndofs
-        if pos != vec.size:
-            raise FormsError(f"vector length {vec.size} does not match spaces ({pos})")
-        return cls(blocks, time)
+        if vec.size != spaces.size:
+            raise FormsError(
+                f"vector length {vec.size} does not match spaces ({spaces.size})")
+        return cls([fem.FieldCoefficients(sp, vec[spaces.slice(name)])
+                    for name, sp in zip(BLOCK_NAMES, spaces)], time)
 
     def vector(self):
         return np.concatenate([b.values for b in self.blocks])
 
     def block(self, name):
         return self.blocks[BLOCK_NAMES.index(name)]
+
+
+def dirichlet_data(spaces, boundary_values, time):
+    """Constrained monolithic dofs and their values at ``time``.
+
+    ``boundary_values`` maps block names to ``f(t, x, y)`` evaluators; blocks
+    without an entry keep only homogeneous constraints (value zero).
+    """
+    dofs, vals = [], []
+    for name, space in zip(BLOCK_NAMES, spaces):
+        fn = boundary_values.get(name) if boundary_values else None
+        dofs.append(space.dirichlet_dofs + spaces.slice(name).start)
+        vals.append(np.zeros(space.dirichlet_dofs.size) if fn is None
+                    else space.dirichlet_values(fn, time))
+    return np.concatenate(dofs), np.concatenate(vals)
 
 
 # --- assembly context ------------------------------------------------------
@@ -315,7 +319,7 @@ class AssemblyContext:
         Built per call and not kept: expanded patterns held on the context
         raise the ladder's peak memory by about 7 %.
         """
-        start = _starts(self.spaces)[name]
+        start = self.spaces.slice(name).start
         pairs = [_entries(dofs + start, dofs + start, np.arange(dofs.size * dofs.shape[1]))
                  for dofs in self.component_maps(name)]
         return tuple(np.concatenate(axis) for axis in zip(*pairs))
@@ -722,7 +726,7 @@ def assemble_convection(ctx, previous_velocity):
 
 
 def _assemble(ctx, dest):
-    """BlockSystem of one destination: volume, BJS and Nitsche parts in order.
+    """CSR matrix of one destination: volume, BJS and Nitsche parts in order.
 
     An interface part goes to M exactly when its trial is y_s, the
     displacement whose rate is the interface velocity, and otherwise to N.
@@ -731,7 +735,7 @@ def _assemble(ctx, dest):
     for interface in (assemble_bjs(ctx), assemble_nitsche_consistency(ctx),
                       assemble_nitsche_penalty(ctx)):
         parts += [p for p in interface if (p[1] == "y_s") == (dest == "M")]
-    return BlockSystem.from_contributions(ctx.spaces, parts)
+    return from_contributions(ctx.spaces, parts)
 
 
 def assemble_M(ctx):
@@ -744,7 +748,7 @@ def assemble_N(ctx):
     return _assemble(ctx, "N")
 
 
-def energy_matrix(M, N):
+def energy_matrix(spaces, M, N):
     """Sparse E with 1/2 x^T E x the discrete energy of the state x.
 
     1/2 [ rho_f |u_f|^2 + rho_s (1 - phi) |u_s|^2 + (1 - phi)^2 / K |p_P|^2
@@ -763,10 +767,10 @@ def energy_matrix(M, N):
     for source, test, trial in ((M, "u_f", "u_f"), (M, "u_r", "u_r"),
                                 (M, "u_r", "u_s"), (M, "p_P", "p_P"),
                                 (N, "u_s", "u_s"), (N, "y_s", "y_s")):
-        grid[at(test)][at(trial)] = source.block(test, trial)
+        grid[at(test)][at(trial)] = source[spaces.slice(test), spaces.slice(trial)]
     grid[at("u_s")][at("u_r")] = grid[at("u_r")][at("u_s")].T
     # p_S holds no energy, but bmat needs the block's size
-    grid[at("p_S")][at("p_S")] = sparse.csr_matrix((M.sizes[at("p_S")],) * 2)
+    grid[at("p_S")][at("p_S")] = sparse.csr_matrix((spaces.p_S.ndofs,) * 2)
     return sparse.bmat(grid, format="csr")
 
 
@@ -774,7 +778,7 @@ def assemble_F(ctx, sources, time, corrections=None):
     """Load vector: body forces, mass residuals, and interface corrections."""
     spaces = ctx.spaces
     k = _Kernels(ctx)
-    rhs = np.zeros(sum(sp.ndofs for sp in spaces))
+    rhs = np.zeros(spaces.size)
     if sources is not None:
         for name, values_fn in (("u_f", sources.f_S), ("u_r", sources.load_u_r),
                                 ("y_s", sources.load_y_s), ("p_S", sources.r_S),
@@ -796,9 +800,8 @@ def assemble_F(ctx, sources, time, corrections=None):
 
 def _scatter(ctx, rhs, name, dofs, local):
     """Add local load values (cells or facets, n) at ``dofs`` of block ``name``."""
-    start, size = _starts(ctx.spaces)[name], getattr(ctx.spaces, name).ndofs
-    rhs[start:start + size] += np.bincount(dofs.ravel(), weights=local.ravel(),
-                                           minlength=size)
+    rhs[ctx.spaces.slice(name)] += np.bincount(
+        dofs.ravel(), weights=local.ravel(), minlength=getattr(ctx.spaces, name).ndofs)
 
 
 def _add_interface_corrections(ctx, corr, time, rhs):

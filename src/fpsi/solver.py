@@ -324,7 +324,10 @@ class TimeStepper:
         self.ctx = forms.AssemblyContext(spaces, params, nitsche)
         self.M = forms.assemble_M(self.ctx)
         self.N = forms.assemble_N(self.ctx)
-        self._m_over_tau = self.M.matrix * (1.0 / grid.tau)
+        # M's own index arrays: a scalar product would copy them
+        self._m_over_tau = sparse.csr_matrix(
+            (self.M.data * (1.0 / grid.tau), self.M.indices, self.M.indptr),
+            shape=self.M.shape)
         self._load = self._load_polynomial()
         self._operator = None    # M / tau + N, built by the first step
         self._eliminated = None  # its eliminated form; None until then
@@ -340,7 +343,7 @@ class TimeStepper:
         if self.convection:
             conv = forms.assemble_convection(self.ctx, state_prev.block("u_f"))
         rhs = self.load(t_n) + self._m_over_tau @ state_prev.vector()
-        dofs, vals = fem.dirichlet_data(self.M, self.boundary_values, t_n)
+        dofs, vals = forms.dirichlet_data(self.spaces, self.boundary_values, t_n)
         held = self._factor and self._factor.lu
         where = f"step {step_index} (t={t_n:.6g})"
         try:
@@ -350,7 +353,7 @@ class TimeStepper:
                 raise SingularSystemError(
                     f"{where}: {exc}, with global dof {self._pin} (p_S dof 0) "
                     "already pinned; consider raising the penalty gamma") from exc
-            self._pin = self.M.offsets[forms.BLOCK_NAMES.index("p_S")]
+            self._pin = self.spaces.slice("p_S").start
             warnings.warn(
                 f"{where}: singular operator ({exc}); pinned global dof "
                 f"{self._pin} (p_S dof 0) to zero for this and every later "
@@ -381,7 +384,7 @@ class TimeStepper:
     def load(self, t):
         """Load vector at time t: F0 + t F1 + t^2 F2, zeros without loads."""
         if self._load is None:
-            return np.zeros(self.M.size)
+            return np.zeros(self.spaces.size)
         f0, f1, f2 = self._load
         return f0 + t * f1 + (t * t) * f2
 
@@ -431,11 +434,11 @@ class TimeStepper:
         if self._eliminated is None:
             if self.convection:
                 self._update = _ConvectionUpdate(
-                    self._m_over_tau, self.N.matrix, dofs,
+                    self._m_over_tau, self.N, dofs,
                     *self.ctx.component_pattern("u_f"))
                 eliminated = self._update.matrices()[1]
             else:
-                self._operator = self._m_over_tau + self.N.matrix
+                self._operator = self._m_over_tau + self.N
                 eliminated, _ = fem.eliminate_matrix(self._operator, dofs)
             if self._order is None:
                 self._order = mesh_order(self.spaces, self.ctx.pairs, dofs)
@@ -453,8 +456,8 @@ class TimeStepper:
 def discrete_energy(state, energy):
     """1/2 x^T E x of the state x with ``energy`` the matrix E.
 
-    E is ``forms.energy_matrix(M, N)`` of the state's operators, such as a
-    stepper's ``M`` and ``N``.
+    E is ``forms.energy_matrix(spaces, M, N)`` of the state's operators,
+    such as a stepper's ``M`` and ``N``.
     """
     x = state.vector()
     return 0.5 * float(x @ (energy @ x))

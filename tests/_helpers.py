@@ -29,14 +29,14 @@ def subdomain_area(mesh, subdomain):
     return float(cell_areas(mesh)[mesh.cells_in(subdomain)].sum())
 
 
-def block_pattern(system):
-    """Set of (test, trial) block pairs of a BlockSystem holding nonzeros."""
-    pruned = system.matrix.copy()
+def block(spaces, matrix, test, trial):
+    """The (test, trial) block of a monolithic matrix."""
+    return matrix[spaces.slice(test), spaces.slice(trial)]
+
+
+def block_pattern(spaces, matrix):
+    """Set of (test, trial) block pairs of a monolithic matrix holding nonzeros."""
+    pruned = matrix.copy()
     pruned.eliminate_zeros()
-    pattern = set()
-    for i, test in enumerate(BLOCK_NAMES):
-        for j, trial in enumerate(BLOCK_NAMES):
-            r0, c0 = system.offsets[i], system.offsets[j]
-            if pruned[r0:r0 + system.sizes[i], c0:c0 + system.sizes[j]].nnz:
-                pattern.add((test, trial))
-    return pattern
+    return {(test, trial) for test in BLOCK_NAMES for trial in BLOCK_NAMES
+            if block(spaces, pruned, test, trial).nnz}

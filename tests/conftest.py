@@ -5,10 +5,6 @@ from fpsi import forms, mesh as meshmod
 
 from _helpers import REFERENCE_PARAMS
 
-# test_pin.py, the pin of the discrete solution, is kept byte for byte and
-# still reads the reference set from ``forms``, where it used to live.
-forms.REFERENCE_PARAMS = REFERENCE_PARAMS
-
 
 @pytest.fixture(scope="session")
 def table1_params():

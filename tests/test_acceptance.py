@@ -80,7 +80,7 @@ def test_criterion_3_energy_decay(params):
     for block in state.blocks:
         block.values[:] = rng.uniform(-1.0, 1.0, block.space.ndofs)
         block.values[block.space.dirichlet_dofs] = 0.0
-    energy = forms.energy_matrix(stepper.M, stepper.N)
+    energy = forms.energy_matrix(spaces, stepper.M, stepper.N)
     energies = [solver.discrete_energy(state, energy)]
     solver.march(stepper, state, lambda n, new, report: energies.append(
         solver.discrete_energy(new, energy)))
@@ -97,8 +97,7 @@ def test_criterion_4_penalty_structure(params):
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
     ctx = forms.AssemblyContext(spaces, params, nitsche)
-    mat = forms.BlockSystem.from_contributions(
-        spaces, forms.assemble_nitsche_penalty(ctx)).matrix
+    mat = forms.from_contributions(spaces, forms.assemble_nitsche_penalty(ctx))
 
     asym = (mat - mat.T).tocoo()
     sym_err = np.abs(asym.data).max() if asym.nnz else 0.0

@@ -498,7 +498,7 @@ time.final = 0
 
 
 def test_run_general_mode_on_imported_mesh(tmp_path, capsys):
-    # a non-finite final state would exit with EXIT_SOLVER
+    # a step whose solution is not finite would exit with EXIT_SOLVER
     code, lines = _run_lines(tmp_path, capsys, """
 mode = general
 mesh.kind = msh

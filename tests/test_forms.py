@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 
 from fpsi import fem, forms, mesh as meshmod
-from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
+from fpsi.forms import (AssemblyContext, FormsError, NitscheParams,
                         PhysicalParams, Spaces, StateVector, assemble_bjs,
                         assemble_convection, assemble_F, assemble_M, assemble_N,
                         assemble_nitsche_consistency, assemble_nitsche_penalty,
@@ -16,7 +16,7 @@ from fpsi.forms import (AssemblyContext, BlockSystem, FormsError, NitscheParams,
 from fpsi.mesh import generate_structured, interface_pairs
 
 from _fd_gates import ExactStresses
-from _helpers import REFERENCE_PARAMS, block_pattern, interpolate
+from _helpers import REFERENCE_PARAMS, block, block_pattern, interpolate
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
 from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
                         trace_stress_nn, trace_tangent, trace_values)
@@ -70,7 +70,7 @@ def test_non_finite_term_raises_naming_its_block(spaces22):
     part = ("u_r", "p_P", np.array([[0, 1]]), np.array([[0]]),
             np.array([[[1.0], [np.nan]]]))
     with pytest.raises(FormsError, match=r"\(u_r, p_P\)"):
-        BlockSystem.from_contributions(spaces22, [part])
+        forms.from_contributions(spaces22, [part])
 
 
 def test_derived_rho_p(table1_params):
@@ -102,14 +102,13 @@ def _route(parts, dest):
 
 
 def _penalty_matrix(ctx):
-    return BlockSystem.from_contributions(
-        ctx.spaces, assemble_nitsche_penalty(ctx)).matrix
+    return forms.from_contributions(ctx.spaces, assemble_nitsche_penalty(ctx))
 
 
 def _dense_from_parts(spaces, parts, test, trial):
     keep = [p for p in parts if p[0] == test and p[1] == trial]
-    sys = BlockSystem.from_contributions(spaces, keep)
-    return sys.block(test, trial).toarray()
+    matrix = forms.from_contributions(spaces, keep)
+    return block(spaces, matrix, test, trial).toarray()
 
 
 def test_p2_stiffness_matches_symbolic(tiny):
@@ -446,34 +445,32 @@ def assembled_22():
     prev = fem.FieldCoefficients(spaces.u_f,
                                  np.full(spaces.u_f.ndofs, 0.37))
     n_sys = assemble_N(ctx)
-    conv = BlockSystem.from_contributions(
-        spaces, assemble_convection(ctx, prev))
-    n_sys = BlockSystem(spaces, n_sys.matrix + conv.matrix)
+    n_sys = n_sys + forms.from_contributions(spaces, assemble_convection(ctx, prev))
     return spaces, params, nitsche, m_sys, n_sys
 
 
 def test_m_block_pattern(assembled_22):
     spaces, _, _, m_sys, _ = assembled_22
-    assert block_pattern(m_sys) == EXPECTED_M_PATTERN
+    assert block_pattern(spaces, m_sys) == EXPECTED_M_PATTERN
 
 
 def test_n_block_pattern(assembled_22):
     spaces, _, _, _, n_sys = assembled_22
-    assert block_pattern(n_sys) == EXPECTED_N_PATTERN
+    assert block_pattern(spaces, n_sys) == EXPECTED_N_PATTERN
 
 
 def test_total_dimension(assembled_22):
     spaces, _, _, m_sys, n_sys = assembled_22
     total = sum(sp.ndofs for sp in spaces)
-    assert m_sys.matrix.shape == (total, total)
-    assert n_sys.matrix.shape == (total, total)
+    assert m_sys.shape == (total, total)
+    assert n_sys.shape == (total, total)
 
 
 def test_mass_subblocks_symmetric(assembled_22):
     spaces, _, _, m_sys, _ = assembled_22
     for name in ("u_f", "p_P"):
-        block = m_sys.block(name, name if name != "u_f" else "u_f").toarray()
-        assert np.abs(block - block.T).max() < 1e-14
+        mass = block(spaces, m_sys, name, name).toarray()
+        assert np.abs(mass - mass.T).max() < 1e-14
 
 
 def test_velocity_pressure_skew_pairing():
@@ -484,14 +481,14 @@ def test_velocity_pressure_skew_pairing():
     nitsche = NitscheParams(gamma=40.0, varsigma=-1)
     n_sys = assemble_N(AssemblyContext(spaces, params, nitsche))
     for vel in ("u_f", "u_r"):
-        bt = n_sys.block(vel, "p_S").toarray()
-        minus_b = n_sys.block("p_S", vel).toarray()
+        bt = block(spaces, n_sys, vel, "p_S").toarray()
+        minus_b = block(spaces, n_sys, "p_S", vel).toarray()
         assert np.abs(bt + minus_b.T).max() < 1e-12
     for vel, pcol in (("u_r", "p_P"), ("y_s", "p_P")):
-        bt = n_sys.block(vel, pcol).toarray()
+        bt = block(spaces, n_sys, vel, pcol).toarray()
         if pcol == "p_P":
             # q_P rows pair with u_r only; y_s dilation sits in M
-            other = n_sys.block(pcol, vel).toarray()
+            other = block(spaces, n_sys, pcol, vel).toarray()
             if vel == "u_r":
                 assert np.abs(bt + other.T).max() < 1e-12
 
@@ -504,10 +501,10 @@ def test_volume_operator_positive_semidefinite(rng):
     params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": 0.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
     parts = assemble_volume_forms(ctx, "N")
-    sys = BlockSystem.from_contributions(spaces, parts)
+    matrix = forms.from_contributions(spaces, parts)
     for _ in range(50):
-        x = rng.normal(size=sys.size)
-        assert x @ (sys.matrix @ x) >= -1e-10 * (x @ x)
+        x = rng.normal(size=spaces.size)
+        assert x @ (matrix @ x) >= -1e-10 * (x @ x)
 
 
 def test_assemble_f_zero_sources(assembled_22):
@@ -524,8 +521,7 @@ def test_assemble_f_theta_partition_of_unity():
     sources = verification.SourceSet(
         load_p_P=lambda t, x, y: np.full_like(x, 2.0) / params.rho_f)
     rhs = assemble_F(AssemblyContext(spaces, params, NitscheParams()), sources, 0.0)
-    sys = BlockSystem.from_contributions(spaces, [])
-    off = sys.offsets[forms.BLOCK_NAMES.index("p_P")]
+    off = spaces.slice("p_P").start
     block = rhs[off:off + spaces.p_P.ndofs]
     # sum over the P1 partition of unity = rho_f^-1 theta |Omega_P|
     assert abs(block.sum() - 2.0 * 0.5) < 1e-14
@@ -564,11 +560,10 @@ def _interface_corrections_per_facet(ctx, spaces, corr, time):
     """Facet-by-facet reference for the interface corrections of assemble_F."""
     params, nitsche = ctx.params, ctx.nitsche
     sig, two_mu = float(nitsche.varsigma), 2.0 * params.mu_f
-    offsets = BlockSystem.from_contributions(spaces, []).offsets
     rhs = np.zeros(sum(sp.ndofs for sp in spaces))
 
     def scatter(block, dofs, vals):
-        np.add.at(rhs, dofs + offsets[forms.BLOCK_NAMES.index(block)], vals)
+        np.add.at(rhs, dofs + spaces.slice(block).start, vals)
 
     for facet in facet_tables(ctx):
         pair, w = facet["pair"], facet["w"]
@@ -677,15 +672,14 @@ def test_exact_solution_residual_decreases():
 
         x_now, x_prev = interp(T), interp(T - tau)
         n_sys = assemble_N(ctx)
-        conv = BlockSystem.from_contributions(
+        conv = forms.from_contributions(
             spaces, assemble_convection(ctx, x_prev.block("u_f")))
-        op = m_sys.matrix * (1.0 / tau) + (n_sys.matrix + conv.matrix)
+        op = m_sys * (1.0 / tau) + (n_sys + conv)
         rhs = assemble_F(ctx, sources, T, corr) \
-            + (m_sys.matrix @ x_prev.vector()) / tau
+            + (m_sys @ x_prev.vector()) / tau
         res = op @ x_now.vector() - rhs
-        sys = BlockSystem(spaces, op)
-        for space, off in zip(spaces, sys.offsets):
-            res[space.dirichlet_dofs + off] = 0.0
+        for name, space in zip(forms.BLOCK_NAMES, spaces):
+            res[space.dirichlet_dofs + spaces.slice(name).start] = 0.0
         norms.append(np.linalg.norm(res))
     assert norms[1] < norms[0] / 1.9
     assert norms[2] < norms[1] / 1.9
@@ -697,6 +691,31 @@ def test_state_vector_round_trip(spaces22, rng):
     assert np.array_equal(state.vector(), vec)
     assert state.block("y_s").values.size == spaces22.y_s.ndofs
 
+
+def test_spaces_own_the_block_layout(spaces22):
+    # the slices tile the monolithic layout in block order; a state views
+    # its vector through them; each constrained dof lies in its own block
+    assert forms.BLOCK_NAMES is Spaces._fields
+    slices = [spaces22.slice(name) for name in forms.BLOCK_NAMES]
+    assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+    assert [s.stop - s.start for s in slices] == [sp.ndofs for sp in spaces22]
+    assert slices[-1].stop == spaces22.size
+    vec = np.arange(spaces22.size, dtype=float)
+    state = StateVector.from_vector(spaces22, vec)
+    for name, where in zip(forms.BLOCK_NAMES, slices):
+        values = state.block(name).values
+        assert np.shares_memory(values, vec)
+        assert np.array_equal(values, vec[where])
+    with pytest.raises(FormsError, match="vector length"):
+        StateVector.from_vector(spaces22, vec[:-1])
+    # block k prescribes the value k, so each value names its dof's block
+    values = {name: lambda t, x, y, k=k: np.full((x.size, 2), float(k))
+              for k, name in enumerate(forms.BLOCK_NAMES)
+              if getattr(spaces22, name).components == 2}
+    dofs, vals = forms.dirichlet_data(spaces22, values, 0.0)
+    assert set(vals) == {0.0, 2.0, 4.0}  # u_f, u_r and y_s are constrained
+    for dof, k in zip(dofs, vals.astype(int)):
+        assert slices[k].start <= dof < slices[k].stop
 
 EXPECTED_M_VOLUME_PATTERN = {
     ("u_f", "u_f"), ("u_r", "u_r"), ("u_r", "u_s"), ("u_r", "y_s"),
@@ -710,8 +729,8 @@ def test_m_volume_pattern_reduction(tiny):
     # Brinkman stiffness on the displacement rate, and dilation coupling
     mesh, spaces, params, nitsche, ctx = tiny
     parts = assemble_volume_forms(ctx, "M")
-    sys = BlockSystem.from_contributions(spaces, parts)
-    assert block_pattern(sys) == EXPECTED_M_VOLUME_PATTERN
+    matrix = forms.from_contributions(spaces, parts)
+    assert block_pattern(spaces, matrix) == EXPECTED_M_VOLUME_PATTERN
 
 
 @pytest.mark.parametrize("nx", [2, 8])
@@ -728,8 +747,8 @@ def test_m_and_n_match_merge_of_both_destinations(nx):
     for dest, assemble in (("M", assemble_M), ("N", assemble_N)):
         merged = assemble_volume_forms(ctx, dest) + [
             part for parts in interface for part in _route(parts, dest)]
-        want = BlockSystem.from_contributions(spaces, merged).matrix
-        got = assemble(ctx).matrix
+        want = forms.from_contributions(spaces, merged)
+        got = assemble(ctx)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
@@ -874,8 +893,8 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
             for dest in ("M", "N"):
                 routed = _route(got, dest)
                 assert {p[:2] for p in routed} == {p[:2] for p in want[dest]}
-                got_mat = BlockSystem.from_contributions(spaces, routed).matrix
-                want_mat = BlockSystem.from_contributions(spaces, want[dest]).matrix
+                got_mat = forms.from_contributions(spaces, routed)
+                want_mat = forms.from_contributions(spaces, want[dest])
                 scale = abs(want_mat).max() if want_mat.nnz else 0.0
                 diff = abs(got_mat - want_mat).max() if got_mat.nnz else 0.0
                 assert diff <= 1e-14 * scale, (alpha, dest, diff, scale)
@@ -889,7 +908,7 @@ def test_from_contributions_drops_rounding_residues(spaces22):
     parts = [("u_f", "u_f", [[0, 1]], [[0, 1, 2, 3]],
               [[[1.0, 0.1, 1e-9, 0.0], [0.0, 2.0, 0.0, 0.0]]]),
              ("u_f", "u_f", [[0], [0]], [[1], [1]], [[[0.2]], [[-0.3]]])]
-    matrix = BlockSystem.from_contributions(spaces22, parts).matrix
+    matrix = forms.from_contributions(spaces22, parts)
     assert 0.1 + 0.2 - 0.3 != 0.0
     assert matrix.nnz == 3
     assert matrix[0, 0] == 1.0 and matrix[0, 2] == 1e-9 and matrix[1, 1] == 2.0
@@ -909,16 +928,17 @@ def test_residue_cut_keeps_couplings_of_every_scale(spaces22, table1_params,
     got = [assemble(AssemblyContext(spaces22, extreme, nitsche_default))
            for assemble in (assemble_M, assemble_N)]
     for g, w in zip(got, want):
-        assert np.array_equal(g.matrix.indptr, w.matrix.indptr)
-        assert np.array_equal(g.matrix.indices, w.matrix.indices)
+        assert np.array_equal(g.indptr, w.indptr)
+        assert np.array_equal(g.indices, w.indices)
     m, n = got
-    drag = abs(n.block("u_r", "u_r")).max()
-    grad_p = n.block("u_r", "p_P").toarray()
+    drag = abs(block(spaces22, n, "u_r", "u_r")).max()
+    grad_p = block(spaces22, n, "u_r", "p_P").toarray()
     assert np.abs(grad_p).max() < 1e-12 * drag
-    np.testing.assert_allclose(grad_p, want[1].block("u_r", "p_P").toarray(),
+    np.testing.assert_allclose(grad_p, block(spaces22, want[1], "u_r", "p_P").toarray(),
                                rtol=1e-14, atol=0.0)
-    dilation = abs(m.block("p_P", "y_s")).max()
-    storage = m.block("p_P", "p_P").toarray()
+    dilation = abs(block(spaces22, m, "p_P", "y_s")).max()
+    storage = block(spaces22, m, "p_P", "p_P").toarray()
     assert 0.0 < np.abs(storage).max() < 1e-12 * dilation
-    np.testing.assert_allclose(storage, 1e-16 * want[0].block("p_P", "p_P").toarray(),
+    np.testing.assert_allclose(storage,
+                               1e-16 * block(spaces22, want[0], "p_P", "p_P").toarray(),
                                rtol=1e-14, atol=0.0)

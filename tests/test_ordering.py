@@ -24,8 +24,8 @@ def _eliminated_operator(nx):
     ctx = forms.AssemblyContext(spaces, params, nitsche)
     M = forms.assemble_M(ctx)
     N = forms.assemble_N(ctx)
-    dofs, _ = fem.dirichlet_data(M, {}, 0.0)
-    return fem.eliminate_matrix(M.matrix * (nx / 1e-3) + N.matrix, dofs)[0]
+    dofs, _ = forms.dirichlet_data(spaces, {}, 0.0)
+    return fem.eliminate_matrix(M * (nx / 1e-3) + N, dofs)[0]
 
 
 def _is_permutation(perm, n):

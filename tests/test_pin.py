@@ -20,6 +20,8 @@ import numpy as np
 
 from fpsi import cli, forms, verification
 
+from _helpers import REFERENCE_PARAMS
+
 REFERENCE = os.path.join(os.path.dirname(__file__), "data", "pin_reference.json")
 
 LADDER = [(2, 2), (4, 4), (8, 8)]
@@ -54,7 +56,7 @@ output.dump_every = {CHANNEL_STEPS}
 
 
 def ladder_errors():
-    params = forms.PhysicalParams(**forms.REFERENCE_PARAMS)
+    params = forms.PhysicalParams(**REFERENCE_PARAMS)
     table = verification.convergence_study(LADDER, params, forms.NitscheParams())
     return [row["errors"] for row in table.rows]
 

@@ -141,17 +141,15 @@ def _direct_step(stepper, state_prev, n):
     """
     spaces = stepper.spaces
     t_n = stepper.grid.time_at(n)
-    operator = stepper.M.matrix / stepper.grid.tau + stepper.N.matrix
+    operator = stepper.M / stepper.grid.tau + stepper.N
     conv = (forms.assemble_convection(stepper.ctx, state_prev.block("u_f"))
             if stepper.convection else None)
     if conv is not None:
-        operator = operator + forms.BlockSystem.from_contributions(
-            spaces, conv).matrix
+        operator = operator + forms.from_contributions(spaces, conv)
     rhs = (stepper.load(t_n)
-           + stepper.M.matrix / stepper.grid.tau @ state_prev.vector())
-    system = forms.BlockSystem(spaces, operator)
-    matrix, rhs = fem.apply_dirichlet(system, rhs, stepper.boundary_values, t_n)
-    dofs, _ = fem.dirichlet_data(system, stepper.boundary_values, t_n)
+           + stepper.M / stepper.grid.tau @ state_prev.vector())
+    dofs, vals = forms.dirichlet_data(spaces, stepper.boundary_values, t_n)
+    matrix, rhs = fem.apply_dirichlet(operator, rhs, dofs, vals)
     factor = solver.Factor(matrix,
                            solver.mesh_order(spaces, stepper.ctx.pairs, dofs))
     return solve_linear(factor.matrix, rhs, 1e-9, factor)[0]
@@ -206,7 +204,7 @@ def test_load_without_sources_is_zero(small_setup):
     mesh, spaces, params, nitsche = small_setup
     stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=2e-3))
     load = stepper.load(1e-3)
-    assert load.shape == (stepper.M.size,) and not load.any()
+    assert load.shape == (spaces.size,) and not load.any()
 
 
 def test_cubic_source_rejected(small_setup):
@@ -334,9 +332,9 @@ def test_factored_matrix_holds_no_stored_zeros(monkeypatch):
     counts = _counting_solves(monkeypatch)
     stepper = _manufactured_stepper(4, 1e-3, True)
     state = solver.march(stepper, StateVector.zero(stepper.spaces))
-    dofs, _ = fem.dirichlet_data(stepper.M, stepper.boundary_values, 0.0)
+    dofs, _ = forms.dirichlet_data(stepper.spaces, stepper.boundary_values, 0.0)
     want, _ = fem.eliminate_matrix(
-        stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix, dofs)
+        stepper.M * (1.0 / stepper.grid.tau) + stepper.N, dofs)
     assert len(counts["factored"]) == 1
     assert counts["factored"][0].nnz == want.nnz
     # a refactor of a step's own operator drops its stored zeros too
@@ -367,10 +365,9 @@ def test_mesh_order_numbers_each_node_together(small_setup):
     # eliminated dofs first; then every node's free dofs side by side, in
     # index order, and every node once
     mesh, spaces, params, nitsche = small_setup
-    system = forms.BlockSystem(spaces, None)
-    dofs, _ = fem.dirichlet_data(system, {}, 0.0)
+    dofs, _ = forms.dirichlet_data(spaces, {}, 0.0)
     perm = solver.mesh_order(spaces, interface_pairs(mesh), dofs)
-    assert np.array_equal(np.sort(perm), np.arange(system.size))
+    assert np.array_equal(np.sort(perm), np.arange(spaces.size))
     assert np.array_equal(perm[:dofs.size], np.sort(dofs))
     node = np.concatenate([np.repeat(sp.mesh_nodes, sp.components)
                            for sp in spaces])[perm[dofs.size:]]
@@ -453,24 +450,22 @@ def test_order_ignores_rounding_of_the_operator(workload, rng, monkeypatch):
     def first_factor(perturb):
         stepper = _nx8_stepper(workload)
         if perturb:
-            stepper.N = forms.BlockSystem(
-                stepper.spaces, _rounding_perturbed(stepper.N.matrix, rng))
+            stepper.N = _rounding_perturbed(stepper.N, rng)
             stepper._m_over_tau = _rounding_perturbed(stepper._m_over_tau, rng)
         stepper.step(StateVector.zero(stepper.spaces), 1)
         factor = stepper._factor
         return factor, factor.lu.L.nnz + factor.lu.U.nnz
 
     factor, fill = first_factor(False)
-    assemble = forms.BlockSystem.from_contributions.__func__
+    assemble = forms.from_contributions
 
-    def perturbed_parts(cls, spaces, parts):
+    def perturbed_parts(spaces, parts):
         parts = [part[:4] + (part[4] * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0,
                                                                   part[4].shape)),)
                  for part in parts]
-        return assemble(cls, spaces, parts)
+        return assemble(spaces, parts)
 
-    monkeypatch.setattr(forms.BlockSystem, "from_contributions",
-                        classmethod(perturbed_parts))
+    monkeypatch.setattr(forms, "from_contributions", perturbed_parts)
     perturbed, perturbed_fill = first_factor(True)
     assert not np.array_equal(perturbed.matrix.data, factor.matrix.data)
     assert np.array_equal(perturbed.matrix.indices, factor.matrix.indices)
@@ -509,8 +504,7 @@ def _assert_same_entries(got, want):
 
 
 def _convection_reference(stepper, operator, conv, dofs):
-    full = operator + forms.BlockSystem.from_contributions(
-        stepper.spaces, conv).matrix
+    full = operator + forms.from_contributions(stepper.spaces, conv)
     return full, fem.eliminate_matrix(full, dofs)[0]
 
 
@@ -520,8 +514,8 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     u_f = fem.FieldCoefficients(stepper.spaces.u_f,
                                 rng.normal(size=stepper.spaces.u_f.ndofs))
     conv = forms.assemble_convection(stepper.ctx, u_f)
-    dofs, _ = fem.dirichlet_data(stepper.M, {}, 0.0)
-    operator = stepper.M.matrix * (1.0 / stepper.grid.tau) + stepper.N.matrix
+    dofs, _ = forms.dirichlet_data(stepper.spaces, {}, 0.0)
+    operator = stepper.M * (1.0 / stepper.grid.tau) + stepper.N
     for got, want in zip(stepper._update.matrices(conv),
                          _convection_reference(stepper, operator, conv, dofs)):
         _assert_same_entries(got, want)
@@ -554,7 +548,7 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     with pytest.warns(UserWarning, match="pinned global dof"):
         _, report = pinned.step(StateVector.zero(pinned.spaces), 1)
     assert report.pinned_pressure
-    pin_dofs = np.append(dofs, pinned.M.offsets[forms.BLOCK_NAMES.index("p_S")])
+    pin_dofs = np.append(dofs, pinned.spaces.slice("p_S").start)
     for got, want in zip(pinned._update.matrices(conv),
                          _convection_reference(pinned, operator, conv, pin_dofs)):
         _assert_same_entries(got, want)
@@ -587,6 +581,16 @@ def test_convection_update_holds_operator_diagonal_and_slots(rng):
     summed, _ = update.matrices([(None, None, None, None, vals)])
     want = sparse.csr_matrix((vals, (rows, cols)), shape=(4, 4)).toarray()
     assert np.abs(summed.toarray() - dense - want).max() <= 1e-15
+
+
+def test_m_over_tau_shares_the_index_arrays_of_m():
+    # the loop holds M's indices and indptr once; the values are those of
+    # the scalar product, bit for bit
+    stepper = _manufactured_stepper(2, 1e-3, False)
+    m, m_over_tau = stepper.M, stepper._m_over_tau
+    assert np.shares_memory(m.indices, m_over_tau.indices)
+    assert np.shares_memory(m.indptr, m_over_tau.indptr)
+    assert np.array_equal(m_over_tau.data, (m * (1.0 / stepper.grid.tau)).data)
 
 
 def test_convective_stepper_holds_one_structure():
@@ -721,7 +725,7 @@ def test_pressure_pin_fallback(small_setup, monkeypatch):
         return original(matrix, rhs, tol, factor)
 
     monkeypatch.setattr(solver, "solve_linear", flaky)
-    pin = stepper.M.offsets[forms.BLOCK_NAMES.index("p_S")]
+    pin = spaces.slice("p_S").start
     with pytest.warns(UserWarning) as record:
         state, report = stepper.step(StateVector.zero(spaces), 1)
     assert len(record) == 1
@@ -765,7 +769,7 @@ def test_singular_after_pin_names_the_pinned_dof(small_setup, monkeypatch):
         state, report = stepper.step(StateVector.zero(spaces), 1)
     assert report.pinned_pressure
     state.block("u_f").values[:] = 100.0
-    pin = stepper.M.offsets[forms.BLOCK_NAMES.index("p_S")]
+    pin = spaces.slice("p_S").start
     with pytest.raises(SingularSystemError) as info:
         stepper.step(state, 2)
     message = str(info.value)
@@ -921,7 +925,7 @@ def test_solver_reads_no_quadrature_data():
 def _energy_matrix(spaces, params, nitsche=NitscheParams()):
     """``forms.energy_matrix`` of the operators of a fresh context."""
     ctx = forms.AssemblyContext(spaces, params, nitsche)
-    return forms.energy_matrix(forms.assemble_M(ctx), forms.assemble_N(ctx))
+    return forms.energy_matrix(spaces, forms.assemble_M(ctx), forms.assemble_N(ctx))
 
 
 def _random_state(spaces, rng):
@@ -1020,7 +1024,7 @@ def _energy_einsum(state, params):
 def test_energy_of_stepper_operators_matches_own_geometry(small_setup, rng):
     mesh, spaces, params, nitsche = small_setup
     stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=1e-3))
-    energy = forms.energy_matrix(stepper.M, stepper.N)
+    energy = forms.energy_matrix(spaces, stepper.M, stepper.N)
     state = _random_state(spaces, rng)
     want = _energy_own_geometry(state, params)
     assert abs(discrete_energy(state, energy) - want) <= 1e-13 * want
@@ -1112,10 +1116,10 @@ def test_lift_matches_full_product(convection):
                           convection=convection, **loads)
     state, _ = stepper.step(StateVector.zero(spaces), 1)
     rng = np.random.default_rng(7)
-    dofs, vals = fem.dirichlet_data(stepper.M, stepper.boundary_values,
-                                    stepper.grid.time_at(2))
+    dofs, vals = forms.dirichlet_data(spaces, stepper.boundary_values,
+                                      stepper.grid.time_at(2))
     assert np.abs(vals).max() > 0.0
-    rhs = rng.normal(size=stepper.M.size)
+    rhs = rng.normal(size=spaces.size)
     if convection:
         # one at a time: the update's matrices share their data buffers
         conv = forms.assemble_convection(stepper.ctx, state.block("u_f"))
