@@ -420,14 +420,20 @@ def _expand_components(base):
     return out.reshape(c, 2 * ni, 2 * nj)
 
 
-def _contrib(test, trial, row_dofs, col_dofs, local):
-    """One kernel's part; its rounding residues on each cell or facet zeroed.
+def _cut_residues(local):
+    """Zero, in place, the rounding residues of ``local`` on each cell or facet.
 
-    ``local`` (cells or facets, ni, nj) is the kernel's own fresh array.
+    ``local`` (cells or facets, ni, nj) is a kernel's own fresh array;
+    returns it.
     """
     size = np.abs(local)
     local[size < RESIDUE_RTOL * size.max(axis=(1, 2), keepdims=True)] = 0.0
-    return (test, trial, row_dofs, col_dofs, local)
+    return local
+
+
+def _contrib(test, trial, row_dofs, col_dofs, local):
+    """One kernel's part; its rounding residues on each cell or facet zeroed."""
+    return (test, trial, row_dofs, col_dofs, _cut_residues(local))
 
 
 def _gram(w, a, b):
@@ -484,8 +490,13 @@ class _Kernels:
         sp_t, sp_u = self._space(test), self._space(trial)
         base = _gram(self._wdet(sp_t) * coeff, self.ctx.phi_table(sp_t)[:, None],
                      self.ctx.phi_table(sp_u)[:, None])
-        return self._part(test, trial,
-                          _expand_components(base) if sp_t.components == 2 else base)
+        if sp_t.components == 1:
+            return self._part(test, trial, base)
+        # the cut of the scalar base is that of its expansion, whose other
+        # half is zeros: same per-cell maximum, same entries cut
+        dof_map = self.ctx.dof_map
+        return (test, trial, dof_map(sp_t), dof_map(sp_u),
+                _expand_components(_cut_residues(base)))
 
     def tensor_mass(self, test, trial, tensor):
         """(T w, z) with a constant 2x2 tensor coefficient T."""

@@ -50,9 +50,12 @@ class TimeGrid:
 
 @dataclass
 class StepReport:
+    """One step's outcome; ``solves`` counts its ``Factor.solve`` calls."""
+
     residual: float
     factorized: bool = False
     pinned_pressure: bool = False
+    solves: int = 0
 
 
 # Defect correction stops once the residual is within this factor of the
@@ -134,6 +137,7 @@ class Factor:
     def __init__(self, matrix, perm):
         self.perm = perm
         self._inverse = np.argsort(perm)
+        self.solves = 0
         self.refresh(matrix)
 
     def refresh(self, matrix):
@@ -155,28 +159,35 @@ class Factor:
         self.floor = None
 
     def solve(self, rhs):
-        """Solve with the factored matrix: two triangular solves, permuted."""
+        """Solve with the factored matrix: two triangular solves, permuted.
+
+        ``solves`` counts the calls over the factor's life, refreshes included.
+        """
+        self.solves += 1
         return self.lu.solve(rhs[self.perm])[self._inverse]
 
 
-def solve_linear(matrix, rhs, tol, factor):
+def solve_linear(matrix, rhs, tol, factor, guess=None):
     """Sparse LU solve with a residual check, reusing a held factor.
 
     Returns (solution, relative_residual), the residual taken against
     ``matrix``.  ``factor`` is a ``Factor`` kept by the caller, whose order
     also serves ``matrix``.  With the factor's own matrix, ``factor.matrix``,
     the solve is direct, plus one refinement pass when the residual exceeds
-    ``tol / 10``; the first direct solve records the factor's floor.  A factor of another matrix of the same size
-    preconditions defect correction, which stops when the residual is within
-    ``FLOOR_FACTOR`` of that floor or no longer halves.  If the residual
-    still exceeds ``tol``, ``matrix`` is factored, in the held factor's
-    order, and its factor replaces the held one.  Structural or numerical
-    singularities raise SingularSystemError; non-finite solutions raise
+    ``tol / 10``; the first direct solve records the factor's floor, and
+    ``guess`` is ignored.  A factor of another matrix of the same size
+    preconditions defect correction, which starts from ``guess`` (from the
+    factor's solution of ``rhs`` without one) and stops when the residual is
+    within ``FLOOR_FACTOR`` of that floor or no longer halves: a guess
+    already within it costs no solve.  If the residual still exceeds
+    ``tol``, ``matrix`` is factored, in the held factor's order, and its
+    factor replaces the held one.  Structural or numerical singularities
+    raise SingularSystemError; non-finite solutions raise
     NonFiniteSolutionError; a residual above ``tol`` raises SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    x, res = _solve_with(factor, matrix, rhs, scale, tol)
+    x, res = _solve_with(factor, matrix, rhs, scale, tol, guess)
     if res > tol and factor.matrix is not matrix:
         factor.refresh(matrix)
         x, res = _solve_with(factor, factor.matrix, rhs, scale, tol)
@@ -188,11 +199,12 @@ def solve_linear(matrix, rhs, tol, factor):
     return x, res
 
 
-def _solve_with(factor, matrix, rhs, scale, tol):
-    x = factor.solve(rhs)
+def _solve_with(factor, matrix, rhs, scale, tol, guess=None):
+    direct = factor.matrix is matrix
+    x = factor.solve(rhs) if direct or guess is None else guess
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
-    if factor.matrix is matrix:
+    if direct:
         # refine short of tol: the floor of a finer mesh's factor can come
         # within a factor of ten of it
         res = float(np.linalg.norm(rhs - matrix @ x)) / scale
@@ -295,8 +307,14 @@ class TimeStepper:
     operator (no product when every value is zero) and solves with the held
     factor: directly while the operator is the factored one (with a zero
     previous velocity, M / tau + N alone), by defect correction otherwise,
-    which stops at the factor's precision floor (two triangular solves per
-    convective step) or when the residual no longer halves.  A step whose
+    which stops at the factor's precision floor or when the residual no
+    longer halves.  The stepper holds the solutions of its last three steps
+    and the state it last returned: a convective step from that state, at
+    the next index, starts its correction from their extrapolation,
+    3 x1 - 3 x2 + x3 (2 x1 - x2 with two held; newest first), with the
+    constrained dofs set to their values, so after a short start-up one
+    correction pass, one factor solve, reaches the floor; any other step
+    starts from the factor's solution, one pass more.  A step whose
     correction ends above ``solver_tol`` factors its own operator, which
     later steps then reuse.  If a factorization is singular, one free-flow
     pressure dof is pinned to zero, with a warning that names it, and the
@@ -335,6 +353,9 @@ class TimeStepper:
         self._pin = None         # the pinned pressure dof, if any
         self._order = None       # the factor's dof order, from the mesh
         self._factor = None
+        self._last = None        # (state, step index) the last step returned
+        self._history = []       # its solution and up to two before, newest first
+        self._solves = 0         # factor solves of the current step
 
     def step(self, state_prev, step_index):
         """Advance from t_{n-1} to t_n = n tau; returns (state, report)."""
@@ -342,12 +363,17 @@ class TimeStepper:
         conv = None
         if self.convection:
             conv = forms.assemble_convection(self.ctx, state_prev.block("u_f"))
+        chained = (self._last is not None and state_prev is self._last[0]
+                   and step_index == self._last[1] + 1)
+        history = self._history if chained else []
+        guess = _extrapolate(history) if conv is not None else None
         rhs = self.load(t_n) + self._m_over_tau @ state_prev.vector()
         dofs, vals = forms.dirichlet_data(self.spaces, self.boundary_values, t_n)
         held = self._factor and self._factor.lu
         where = f"step {step_index} (t={t_n:.6g})"
+        self._solves = 0
         try:
-            x, res = self._solve(conv, rhs, dofs, vals)
+            x, res = self._solve(conv, rhs, dofs, vals, guess)
         except SingularSystemError as exc:
             if self._pin is not None:
                 raise SingularSystemError(
@@ -362,7 +388,7 @@ class TimeStepper:
                 "constant")
             self._eliminated = None
             try:
-                x, res = self._solve(conv, rhs, dofs, vals)
+                x, res = self._solve(conv, rhs, dofs, vals, guess)
             except SolverError as exc2:
                 raise SingularSystemError(
                     f"{where} remains singular after pinning global dof "
@@ -377,8 +403,10 @@ class TimeStepper:
                 f"{where}: {exc}; consider a smaller time step or a larger "
                 "solver.tolerance") from exc
         state = forms.StateVector.from_vector(self.spaces, x, time=t_n)
+        self._last, self._history = (state, step_index), [x] + history[:2]
         report = StepReport(residual=res, factorized=self._factor.lu is not held,
-                            pinned_pressure=self._pin is not None)
+                            pinned_pressure=self._pin is not None,
+                            solves=self._solves)
         return state, report
 
     def load(self, t):
@@ -427,8 +455,13 @@ class TimeStepper:
                 "sources and corrections of degree at most 2 in t")
         return coeffs
 
-    def _solve(self, conv, rhs, dofs, vals):
-        """Eliminate, lift and solve one step's system with the held factor."""
+    def _solve(self, conv, rhs, dofs, vals, guess):
+        """Eliminate, lift and solve one step's system with the held factor.
+
+        ``guess``, if given, is overwritten at the constrained dofs by their
+        values; the factor solves made, also by a failing solve, add to
+        ``_solves``.
+        """
         if self._pin is not None:
             dofs, vals = np.append(dofs, self._pin), np.append(vals, 0.0)
         if self._eliminated is None:
@@ -449,8 +482,29 @@ class TimeStepper:
             operator, step_matrix = self._update.matrices(conv)
             if conv is not None:
                 matrix = step_matrix
-        return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
-                            self.solver_tol, self._factor)
+        if guess is not None:
+            guess[dofs] = vals
+        factor = self._factor
+        start = factor.solves
+        try:
+            return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
+                                self.solver_tol, factor, guess)
+        finally:
+            self._solves += factor.solves - start
+
+
+def _extrapolate(history):
+    """Next solution extrapolated from the last ones, newest first.
+
+    Quadratic from three, linear from two, None from fewer.
+    """
+    if len(history) == 3:
+        x1, x2, x3 = history
+        return 3.0 * (x1 - x2) + x3
+    if len(history) == 2:
+        x1, x2 = history
+        return 2.0 * x1 - x2
+    return None
 
 
 def discrete_energy(state, energy):

@@ -304,9 +304,10 @@ def _manufactured_stepper(nx, final, convection):
 
 
 def test_convective_step_is_two_triangular_solves(monkeypatch):
-    # the first step solves directly and sets the factor's floor; every
-    # convective step then stops its defect correction at that floor after
-    # one pass, and a convection-off step is one solve
+    # the first step solves directly and sets the factor's floor; in this
+    # short run every convective step then takes two solves to that floor,
+    # one pass from the factor's solution or, while the extrapolated start
+    # is still above it, two from that start; a convection-off step is one
     counts = _counting_solves(monkeypatch)
     for convection, per_step in ((True, 2), (False, 1)):
         stepper = _manufactured_stepper(4, 2e-3, convection)
@@ -324,6 +325,70 @@ def test_convective_step_is_two_triangular_solves(monkeypatch):
         assert solves == [1] + [per_step] * (stepper.grid.nsteps - 1)
         assert stepper._factor.floor is not None
         assert report.residual <= solver.FLOOR_FACTOR * stepper._factor.floor
+
+
+def _extrapolating_march():
+    # nx = 8, tau = 1.25e-4, T = 4e-3: 32 convective steps, the last ones
+    # started within the floor
+    stepper = _manufactured_stepper(8, 4e-3, True)
+    steps = []
+    final = solver.march(stepper, StateVector.zero(stepper.spaces),
+                         lambda n, state, report: steps.append((state, report)))
+    return stepper, final, steps
+
+
+def test_convective_steps_start_from_the_extrapolated_solution():
+    # the first step solves directly; every later one starts its correction
+    # from the extrapolated solutions, so once that start lies within the
+    # floor one pass, one factor solve, ends the step
+    stepper, _, steps = _extrapolating_march()
+    solves = [report.solves for _, report in steps]
+    assert solves[0] == 1
+    assert max(solves[1:]) <= 2
+    assert solves[-10:] == [1] * 10
+    stop = solver.FLOOR_FACTOR * stepper._factor.floor
+    for n, (state, report) in enumerate(steps, 1):
+        assert report.residual <= stop
+        assert report.factorized == (n == 1)
+        dofs, vals = forms.dirichlet_data(stepper.spaces, stepper.boundary_values,
+                                          state.time)
+        assert np.array_equal(state.vector()[dofs], vals)
+
+
+def test_step_from_a_copy_starts_from_the_factor_solution(monkeypatch):
+    # only the state the stepper last returned, stepped at the next index,
+    # is extrapolated from; a copy of it starts from the factor's solution,
+    # a pass more or two, and agrees with the extrapolated step to the
+    # solver's precision (max norm, as criterion 8 compares states)
+    stepper, _, steps = _extrapolating_march()
+    (previous, _), (guessed, report) = steps[-2:]
+    guesses = []
+    original = solver.solve_linear
+
+    def recording(matrix, rhs, tol, factor, guess=None):
+        guesses.append(guess)
+        return original(matrix, rhs, tol, factor, guess)
+
+    monkeypatch.setattr(solver, "solve_linear", recording)
+    copy = StateVector.from_vector(stepper.spaces, previous.vector().copy(),
+                                   time=previous.time)
+    solved, report_copy = stepper.step(copy, stepper.grid.nsteps)
+    assert guesses == [None]
+    assert report.solves == 1 and report_copy.solves >= 2
+    assert report_copy.residual <= solver.FLOOR_FACTOR * stepper._factor.floor
+    want = solved.vector()
+    assert np.abs(guessed.vector() - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_poor_guess_costs_passes_not_accuracy(rng):
+    # random vectors in place of the held solutions: the correction makes
+    # more passes but ends at the floor, without refactoring
+    stepper, final, _ = _extrapolating_march()
+    stepper._history = [rng.standard_normal(stepper.spaces.size) for _ in range(3)]
+    _, report = stepper.step(final, stepper.grid.nsteps + 1)
+    assert report.solves > 1
+    assert not report.factorized
+    assert report.residual <= solver.FLOOR_FACTOR * stepper._factor.floor
 
 
 def test_factored_matrix_holds_no_stored_zeros(monkeypatch):
@@ -718,11 +783,11 @@ def test_pressure_pin_fallback(small_setup, monkeypatch):
     calls = {"n": 0}
     original = solver.solve_linear
 
-    def flaky(matrix, rhs, tol, factor):
+    def flaky(matrix, rhs, tol, factor, *rest):
         if calls["n"] == 0:
             calls["n"] += 1
             raise SingularSystemError("injected failure")
-        return original(matrix, rhs, tol, factor)
+        return original(matrix, rhs, tol, factor, *rest)
 
     monkeypatch.setattr(solver, "solve_linear", flaky)
     pin = spaces.slice("p_S").start
