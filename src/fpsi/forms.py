@@ -316,8 +316,8 @@ class AssemblyContext:
     def component_pattern(self, name):
         """Global (rows, cols) of ``assemble_convection``'s parts' values, in order.
 
-        Built per call and not kept: expanded patterns held on the context
-        raise the ladder's peak memory by about 7 %.
+        Built per call; a time loop holds its distinct slots once, 47 874 of
+        73 728 entries at nx = 32 (kept on the context: +7 % peak memory).
         """
         start = self.spaces.slice(name).start
         pairs = [_entries(dofs + start, dofs + start, np.arange(dofs.size * dofs.shape[1]))

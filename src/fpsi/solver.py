@@ -167,29 +167,33 @@ class Factor:
         return self.lu.solve(rhs[self.perm])[self._inverse]
 
 
-def solve_linear(matrix, rhs, tol, factor, guess=None):
-    """Sparse LU solve with a residual check, reusing a held factor.
+def solve_linear(matrix, rhs, tol, factor, guess=None, addend=None):
+    """Sparse LU solve of (matrix + addend) x = rhs with a residual check,
+    reusing a held factor.
 
     Returns (solution, relative_residual), the residual taken against
-    ``matrix``.  ``factor`` is a ``Factor`` kept by the caller, whose order
-    also serves ``matrix``.  With the factor's own matrix, ``factor.matrix``,
-    the solve is direct, plus one refinement pass when the residual exceeds
-    ``tol / 10``; the first direct solve records the factor's floor, and
-    ``guess`` is ignored.  A factor of another matrix of the same size
-    preconditions defect correction, which starts from ``guess`` (from the
-    factor's solution of ``rhs`` without one) and stops when the residual is
-    within ``FLOOR_FACTOR`` of that floor or no longer halves: a guess
-    already within it costs no solve.  If the residual still exceeds
-    ``tol``, ``matrix`` is factored, in the held factor's order, and its
-    factor replaces the held one.  Structural or numerical singularities
-    raise SingularSystemError; non-finite solutions raise
-    NonFiniteSolutionError; a residual above ``tol`` raises SolverError.
+    ``matrix + addend`` as two products, ``matrix @ x + addend @ x``: the
+    sum is not built.  ``addend`` is a sparse matrix of the same shape, or
+    None for none.  ``factor`` is a ``Factor`` kept by the caller, whose
+    order also serves ``matrix``.  With the factor's own matrix,
+    ``factor.matrix``, and no ``addend``, the solve is direct, plus one
+    refinement pass when the residual exceeds ``tol / 10``; the first direct
+    solve records the factor's floor, and ``guess`` is ignored.  Otherwise
+    the factor preconditions defect correction, which starts from ``guess``
+    (from the factor's solution of ``rhs`` without one) and stops when the
+    residual is within ``FLOOR_FACTOR`` of that floor or no longer halves: a
+    guess already within it costs no solve.  If the residual still exceeds
+    ``tol``, ``matrix + addend`` is summed once and factored, in the held
+    factor's order, and its factor replaces the held one.  Structural or
+    numerical singularities raise SingularSystemError; non-finite solutions
+    raise NonFiniteSolutionError; a residual above ``tol`` raises
+    SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    x, res = _solve_with(factor, matrix, rhs, scale, tol, guess)
-    if res > tol and factor.matrix is not matrix:
-        factor.refresh(matrix)
+    x, res = _solve_with(factor, matrix, rhs, scale, tol, guess, addend)
+    if res > tol and (factor.matrix is not matrix or addend is not None):
+        factor.refresh(matrix if addend is None else matrix + addend)
         x, res = _solve_with(factor, factor.matrix, rhs, scale, tol)
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
@@ -199,8 +203,8 @@ def solve_linear(matrix, rhs, tol, factor, guess=None):
     return x, res
 
 
-def _solve_with(factor, matrix, rhs, scale, tol, guess=None):
-    direct = factor.matrix is matrix
+def _solve_with(factor, matrix, rhs, scale, tol, guess=None, addend=None):
+    direct = factor.matrix is matrix and addend is None
     x = factor.solve(rhs) if direct or guess is None else guess
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
@@ -214,16 +218,23 @@ def _solve_with(factor, matrix, rhs, scale, tol, guess=None):
         if factor.floor is None:
             factor.floor = res
         return x, res
+
+    def residual(x):
+        r = rhs - matrix @ x
+        if addend is not None:
+            r -= addend @ x
+        return r
+
     # A pass below the factor's floor can only trade rounding for rounding;
     # a pass that does not halve the residual means the factor has stopped
     # converging.  Until a direct solve has set the floor only the second
     # exit applies.
     stop = FLOOR_FACTOR * factor.floor if factor.floor is not None else 0.0
-    r = rhs - matrix @ x
+    r = residual(x)
     res = float(np.linalg.norm(r)) / scale
     while res > stop:
         x_new = x + factor.solve(r)
-        r_new = rhs - matrix @ x_new
+        r_new = residual(x_new)
         res_new = float(np.linalg.norm(r_new)) / scale
         if not res_new < res:
             break
@@ -234,79 +245,52 @@ def _solve_with(factor, matrix, rhs, scale, tol, guess=None):
     return x, res
 
 
-class _ConvectionUpdate:
-    """M/tau + N and its eliminated form: two data arrays on one structure.
+class _Convection:
+    """C(u) on its own int32 CSR structure: the distinct slots of its parts.
 
-    The structure is one CSR pattern, int32 where the size allows: the union
-    of the patterns of ``m_over_tau`` and ``n``, the diagonal and the
-    convection slots (rows, cols), ``ctx.component_pattern("u_f")``.  The
-    eliminated data are those of ``fem.eliminate_matrix`` for ``dofs``, with
-    the stored zeros kept.  ``matrices(parts)`` sums one step's convection
-    parts, whose values lie at the slots in order, into both by a single
-    ``np.bincount``, masked in the eliminated rows and columns.
+    ``rows`` and ``cols`` place the parts' values in order, as
+    ``ctx.component_pattern("u_f")`` does; ``keep`` is the mask of
+    ``fem.eliminate_matrix``.  ``matrices(parts)`` sums one step's parts
+    into the slots by a single ``np.bincount``, as a sparse sum would, and
+    returns C and its eliminated form, zero in the rows and columns where
+    ``keep`` is: two data arrays on the one structure.
     """
 
-    def __init__(self, m_over_tau, n, dofs, rows, cols):
-        size = n.shape[0]
-        keep = np.ones(size)
-        keep[np.asarray(dofs, dtype=np.int64)] = 0.0
-        operator = m_over_tau + n
-        ones = lambda m: sparse.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), m.shape)
-        # sums of positive values, so no slot cancels: the operator's
-        # entries count 2 or 3 in the union, the other slots 1
-        union = 2.0 * ones(operator) + ones(sparse.identity(size, format="csr") + (
-            sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))))
-        data = np.zeros(union.nnz)
-        data[union.data > 1.5] = operator.data
-        self._indices, self._indptr, self._shape = union.indices, union.indptr, union.shape
-        union.data = np.arange(union.nnz, dtype=float)
-        self._pos = np.asarray(union[rows, cols], dtype=np.intp).ravel()
-        row = np.repeat(np.arange(size), np.diff(self._indptr))
-        mask = keep[row] * keep[self._indices]
-        unit = np.where(row == self._indices, 1.0 - keep[row], 0.0)
-        # C's rows come first, so only the head before _span ever changes
-        span = self._span = int(self._pos.max()) + 1 if self._pos.size else 0
-        self._op_now, self._el_now = data, mask * data + unit
-        self._op_head, self._el_head = data[:span].copy(), self._el_now[:span].copy()
-        self._mask = mask[:span].copy()
+    def __init__(self, rows, cols, keep):
+        size = keep.size
+        slots, self._pos = np.unique(rows.astype(np.int64) * size + cols,
+                                     return_inverse=True)
+        row, col = np.divmod(slots, size)
+        self._indices = col.astype(np.int32)
+        self._indptr = np.searchsorted(row, np.arange(size + 1)).astype(np.int32)
+        self._mask = keep[row] * keep[col]
 
-    def matrices(self, parts=None):
-        """(operator, eliminated) with C's parts added: M/tau + N without.
-
-        Both share their index arrays, and data buffers that the next call
-        overwrites: use them for this step's solve only, and never change
-        their structure in place (``eliminate_zeros``, ``sort_indices``).
-        """
-        conv = 0.0
-        if parts is not None:
-            conv = np.bincount(self._pos, minlength=self._span, weights=np.concatenate(
-                [part[4].ravel() for part in parts]))
-        np.add(self._op_head, conv, out=self._op_now[:self._span])
-        np.add(self._el_head, self._mask * conv, out=self._el_now[:self._span])
-        return self._csr(self._op_now), self._csr(self._el_now)
-
-    def _csr(self, data):
-        return sparse.csr_matrix((data, self._indices, self._indptr),
-                                 shape=self._shape)
+    def matrices(self, parts):
+        data = np.bincount(self._pos, minlength=self._mask.size, weights=np.concatenate(
+            [part[4].ravel() for part in parts]))
+        size = self._indptr.size - 1
+        csr = lambda values: sparse.csr_matrix(
+            (values, self._indices, self._indptr), shape=(size, size))
+        return csr(data), csr(self._mask * data)
 
 
 class TimeStepper:
-    """Backward Euler stepper: factors once, refreshes convection per step.
+    """Backward Euler stepper: factors once, applies convection per step.
 
-    The first step builds M / tau + N, eliminates its Dirichlet dofs and
-    factors it.  With convection on, the two are data arrays on one sparse
-    structure that also holds the convection slots, built before the
-    factor, so each later step adds the lagged C(u_prev) to both by one
-    scatter of its local values, without building sparse structure; with
-    convection off no such structure is built.  The factor is a ``Factor``:
-    SuperLU on the rows and columns in ``mesh_order``, the nested dissection
-    of the mesh's node graph, pivoting on the diagonal down to
-    ``PIVOT_THRESHOLD`` of its column.  The order is computed once, in the
-    first step, and every later factorization of the loop reuses it.  Each
-    step lifts the Dirichlet data of the new time level with that step's
-    operator (no product when every value is zero) and solves with the held
-    factor: directly while the operator is the factored one (with a zero
-    previous velocity, M / tau + N alone), by defect correction otherwise,
+    The first step builds M / tau + N, keeps its Dirichlet columns for the
+    lift, eliminates it and drops it before the factor: the factor's own
+    matrix, A0 = ``factor.matrix``, is the one operator the loop holds.
+    With convection on, the lagged C(u_prev) lives on its own structure, a
+    ``_Convection`` built after the factor, and each step solves with
+    A0 + C_el, its eliminated form, as two products.  The factor is a
+    ``Factor``: SuperLU on the rows and columns in ``mesh_order``, the
+    nested dissection of the mesh's node graph, pivoting on the diagonal
+    down to ``PIVOT_THRESHOLD`` of its column.  The order is computed once,
+    in the first step, and every later factorization of the loop reuses it.
+    Each step lifts the Dirichlet data of the new time level with the held
+    columns and C's (no product when every value is zero) and solves with
+    the held factor: directly while the operator is the factored one (with
+    a zero previous velocity, A0 alone), by defect correction otherwise,
     which stops at the factor's precision floor or when the residual no
     longer halves.  The stepper holds the solutions of its last three steps
     and the state it last returned: a convective step from that state, at
@@ -315,11 +299,11 @@ class TimeStepper:
     constrained dofs set to their values, so after a short start-up one
     correction pass, one factor solve, reaches the floor; any other step
     starts from the factor's solution, one pass more.  A step whose
-    correction ends above ``solver_tol`` factors its own operator, which
+    correction ends above ``solver_tol`` factors its own A0 + C_el, which
     later steps then reuse.  If a factorization is singular, one free-flow
     pressure dof is pinned to zero, with a warning that names it, and the
-    pinned operator is factored in the same order, with the structure
-    rebuilt; the pin holds for every later step.
+    pinned operator is built and factored in the same order; the pin holds
+    for every later step.
 
     The load is assembled once, here: the manufactured sources and interface
     corrections are quadratic in t, so ``forms.assemble_F`` at t = 0, T/2
@@ -347,9 +331,9 @@ class TimeStepper:
             (self.M.data * (1.0 / grid.tau), self.M.indices, self.M.indptr),
             shape=self.M.shape)
         self._load = self._load_polynomial()
-        self._operator = None    # M / tau + N, built by the first step
-        self._eliminated = None  # its eliminated form; None until then
-        self._update = None      # both on one structure with C's slots
+        self._eliminated = None  # A0, the eliminated M / tau + N; None until step 1
+        self._columns = None     # the Dirichlet columns of M / tau + N
+        self._convection = None  # C's structure, with convection on
         self._pin = None         # the pinned pressure dof, if any
         self._order = None       # the factor's dof order, from the mesh
         self._factor = None
@@ -465,32 +449,44 @@ class TimeStepper:
         if self._pin is not None:
             dofs, vals = np.append(dofs, self._pin), np.append(vals, 0.0)
         if self._eliminated is None:
-            if self.convection:
-                self._update = _ConvectionUpdate(
-                    self._m_over_tau, self.N, dofs,
-                    *self.ctx.component_pattern("u_f"))
-                eliminated = self._update.matrices()[1]
-            else:
-                self._operator = self._m_over_tau + self.N
-                eliminated, _ = fem.eliminate_matrix(self._operator, dofs)
-            if self._order is None:
-                self._order = mesh_order(self.spaces, self.ctx.pairs, dofs)
-            self._factor = Factor(eliminated, self._order)
-            self._eliminated = self._factor.matrix
-        operator, matrix = self._operator, self._eliminated
-        if self._update is not None:
-            operator, step_matrix = self._update.matrices(conv)
-            if conv is not None:
-                matrix = step_matrix
+            self._hold_operator(dofs)
+        full = addend = None
+        if conv is not None:
+            full, addend = self._convection.matrices(conv)
+        load = self._lift(rhs, dofs, vals, full)
         if guess is not None:
             guess[dofs] = vals
         factor = self._factor
         start = factor.solves
         try:
-            return solve_linear(matrix, fem.lift_dofs(operator, rhs, dofs, vals),
-                                self.solver_tol, factor, guess)
+            return solve_linear(self._eliminated, load, self.solver_tol, factor,
+                                guess, addend)
         finally:
             self._solves += factor.solves - start
+
+    def _lift(self, rhs, dofs, vals, convection=None):
+        """``fem.lift_dofs`` of M / tau + N + ``convection``, by the held columns."""
+        load = np.array(rhs, dtype=float)
+        if np.any(vals):
+            load -= self._columns @ vals
+            if convection is not None:
+                load -= convection @ np.bincount(dofs, vals, load.size)
+        load[dofs] = vals
+        return load
+
+    def _hold_operator(self, dofs):
+        """Factor the eliminated M / tau + N, dropped before ``splu``; keep its
+        ``dofs`` columns, and build C's structure after the factor."""
+        if self._order is None:
+            self._order = mesh_order(self.spaces, self.ctx.pairs, dofs)
+        operator = self._m_over_tau + self.N
+        self._columns = operator[:, dofs]
+        eliminated, keep = fem.eliminate_matrix(operator, dofs)
+        del operator
+        self._factor = Factor(eliminated, self._order)
+        self._eliminated = self._factor.matrix
+        if self.convection:
+            self._convection = _Convection(*self.ctx.component_pattern("u_f"), keep)
 
 
 def _extrapolate(history):

@@ -35,8 +35,8 @@ def _workloads():
     return module
 
 
-def test_energy_decay_traced_run_reports_every_layer():
-    proc = _run("run.py", "--workload", "energy-decay", "--seconds", "1",
+def _assert_traced_run_reports_every_layer(workload):
+    proc = _run("run.py", "--workload", workload, "--seconds", "1",
                 "--trace", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
@@ -46,6 +46,16 @@ def test_energy_decay_traced_run_reports_every_layer():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     missing = {m["name"] for m in declared} - set(result["metrics"])
     assert not missing
+
+
+def test_energy_decay_traced_run_reports_every_layer():
+    _assert_traced_run_reports_every_layer("energy-decay")
+
+
+def test_mms_ladder_traced_run_reports_every_layer():
+    # the convective path: its hooks see the stepper's convection solves,
+    # which energy-decay (convection off) never makes
+    _assert_traced_run_reports_every_layer("mms-ladder")
 
 
 def test_mms_ladder_run_prints_its_result_last():

@@ -267,6 +267,38 @@ def test_strong_convection_refactors(monkeypatch):
     assert err <= 1e-10
 
 
+def test_refactor_holds_the_step_operator(rng):
+    # the refactor of a strongly convective step factors that step's
+    # eliminated M / tau + N + C(u), summed once, without stored zeros and
+    # in the held order; later steps correct from it to the floor
+    stepper = TimeStepper(build_spaces(generate_structured(4, 4)),
+                          PhysicalParams(**REFERENCE_PARAMS),
+                          NitscheParams(gamma=40.0, varsigma=1),
+                          TimeGrid(tau=0.1, final=0.2), convection=True)
+    state, _ = stepper.step(StateVector.zero(stepper.spaces), 1)
+    order = stepper._factor.perm
+    state.block("u_f").values[:] = 100.0
+    new, report = stepper.step(state, 2)
+    assert report.factorized
+    factor = stepper._factor
+    assert factor.perm is order
+    assert factor.matrix is not stepper._eliminated
+    assert np.count_nonzero(factor.matrix.data) == factor.matrix.nnz
+    conv = forms.assemble_convection(stepper.ctx, state.block("u_f"))
+    dofs, _ = forms.dirichlet_data(stepper.spaces, stepper.boundary_values, 0.2)
+    want, _ = fem.eliminate_matrix(stepper.M * (1.0 / stepper.grid.tau) + stepper.N
+                                   + forms.from_contributions(stepper.spaces, conv),
+                                   dofs)
+    _assert_same_entries(factor.matrix, want)
+    for n in (3, 4):
+        new.block("u_f").values[:] = 100.0 * (1.0 + 1e-3 * rng.uniform(
+            -1.0, 1.0, new.block("u_f").values.size))
+        new, report = stepper.step(new, n)
+        assert not report.factorized and report.solves >= 1
+        assert stepper._factor is factor
+        assert report.residual <= solver.FLOOR_FACTOR * factor.floor
+
+
 class _CountingFactor:
     """A SuperLU factor whose triangular solves are counted."""
 
@@ -365,9 +397,9 @@ def test_step_from_a_copy_starts_from_the_factor_solution(monkeypatch):
     guesses = []
     original = solver.solve_linear
 
-    def recording(matrix, rhs, tol, factor, guess=None):
+    def recording(matrix, rhs, tol, factor, guess=None, *rest):
         guesses.append(guess)
-        return original(matrix, rhs, tol, factor, guess)
+        return original(matrix, rhs, tol, factor, guess, *rest)
 
     monkeypatch.setattr(solver, "solve_linear", recording)
     copy = StateVector.from_vector(stepper.spaces, previous.vector().copy(),
@@ -568,12 +600,19 @@ def _assert_same_entries(got, want):
     assert np.all(diff <= 1e-15 * np.abs(want.toarray()))
 
 
-def _convection_reference(stepper, operator, conv, dofs):
-    full = operator + forms.from_contributions(stepper.spaces, conv)
-    return full, fem.eliminate_matrix(full, dofs)[0]
+def _assert_step_system(stepper, operator, conv, dofs):
+    # A0 + C_el, the system a convective step solves, and the lift's columns
+    # of the operator plus C's, against the sparse sum with C eliminated
+    full, eliminated = stepper._convection.matrices(conv)
+    want = operator + forms.from_contributions(stepper.spaces, conv)
+    _assert_same_entries(stepper._eliminated + eliminated,
+                         fem.eliminate_matrix(want, dofs)[0])
+    assert stepper._columns.shape == (want.shape[0], len(dofs))
+    _assert_same_entries(stepper._columns + full[:, dofs], want[:, dofs])
 
 
 def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
+    original = spla.splu
     stepper = _manufactured_stepper(2, 1e-3, True)
     stepper.step(StateVector.zero(stepper.spaces), 1)
     u_f = fem.FieldCoefficients(stepper.spaces.u_f,
@@ -581,27 +620,25 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     conv = forms.assemble_convection(stepper.ctx, u_f)
     dofs, _ = forms.dirichlet_data(stepper.spaces, {}, 0.0)
     operator = stepper.M * (1.0 / stepper.grid.tau) + stepper.N
-    for got, want in zip(stepper._update.matrices(conv),
-                         _convection_reference(stepper, operator, conv, dofs)):
-        _assert_same_entries(got, want)
+    _assert_step_system(stepper, operator, conv, dofs)
 
     # an operator storing nothing in the u_f block, so every nonzero of C
-    # lies where the operator holds no entry
+    # lies where A0 holds no entry; it is singular, so its factor is not
+    # computed
     in_uf = np.zeros(operator.shape[0], dtype=bool)
     in_uf[:stepper.spaces.u_f.ndofs] = True
     coo = operator.tocoo()
     drop = in_uf[coo.row] & in_uf[coo.col]
     thinned = sparse.csr_matrix((coo.data[~drop], (coo.row[~drop], coo.col[~drop])),
                                 shape=operator.shape)
-    update = solver._ConvectionUpdate(thinned, sparse.csr_matrix(thinned.shape), dofs,
-                                      *stepper.ctx.component_pattern("u_f"))
-    for got, want in zip(update.matrices(conv),
-                         _convection_reference(stepper, thinned, conv, dofs)):
-        _assert_same_entries(got, want)
+    empty = _manufactured_stepper(2, 1e-3, True)
+    empty._m_over_tau, empty.N = thinned, sparse.csr_matrix(thinned.shape)
+    monkeypatch.setattr(spla, "splu", lambda matrix, **kwargs: None)
+    empty._hold_operator(dofs)
+    _assert_step_system(empty, thinned, conv, dofs)
 
-    # after a pressure pin the pattern is rebuilt with the pinned dof
+    # after a pressure pin the columns, A0 and C's mask hold the pinned dof
     pinned = _manufactured_stepper(2, 1e-3, True)
-    original = spla.splu
     failures = iter([True])
 
     def singular_once(matrix, **kwargs):
@@ -614,38 +651,26 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
         _, report = pinned.step(StateVector.zero(pinned.spaces), 1)
     assert report.pinned_pressure
     pin_dofs = np.append(dofs, pinned.spaces.slice("p_S").start)
-    for got, want in zip(pinned._update.matrices(conv),
-                         _convection_reference(pinned, operator, conv, pin_dofs)):
-        _assert_same_entries(got, want)
+    _assert_step_system(pinned, operator, conv, pin_dofs)
 
 
-def test_convection_update_holds_operator_diagonal_and_slots(rng):
-    # slots inside and outside the operator's pattern, with repeats; the
-    # summed slot values must land where a sparse sum would put them
-    dense = np.array([[1.0, 0.0, 2.0, 0.0],
-                      [0.0, 0.0, 0.0, 3.0],
-                      [4.0, 5.0, 0.0, 0.0],
-                      [0.0, 0.0, 0.0, 6.0]])
+def test_convection_matrix_sums_repeated_slots(rng):
+    # slots with repeats, in and out of order; the summed slot values must
+    # land where a sparse sum would put them, on int32 indices, and the
+    # eliminated form zeroes the rows and columns of the eliminated dofs
     rows = np.array([0, 1, 2, 2, 3, 1])
     cols = np.array([2, 2, 1, 1, 0, 2])
     vals = rng.normal(size=rows.size)
-    update = solver._ConvectionUpdate(
-        sparse.csr_matrix(np.triu(dense)), sparse.csr_matrix(np.tril(dense, -1)),
-        [], rows, cols)
-    operator, eliminated = update.matrices()
-    assert np.array_equal(operator.toarray(), dense)
-    assert np.array_equal(eliminated.toarray(), dense)
-    assert operator.indices.dtype == np.int32
-    stored = dense != 0
-    stored[np.arange(4), np.arange(4)] = True
-    stored[rows, cols] = True
-    positions_held = sparse.csr_matrix(
-        (np.ones(operator.nnz), operator.indices, operator.indptr), shape=(4, 4))
-    assert operator.nnz == stored.sum()
-    assert np.array_equal(positions_held.toarray() != 0, stored)
-    summed, _ = update.matrices([(None, None, None, None, vals)])
+    keep = np.array([1.0, 1.0, 0.0, 1.0])
+    convection = solver._Convection(rows, cols, keep)
+    full, eliminated = convection.matrices([(None, None, None, None, vals)])
     want = sparse.csr_matrix((vals, (rows, cols)), shape=(4, 4)).toarray()
-    assert np.abs(summed.toarray() - dense - want).max() <= 1e-15
+    assert full.nnz == eliminated.nnz == 4
+    assert full.indices.dtype == full.indptr.dtype == np.int32
+    assert np.shares_memory(full.indices, eliminated.indices)
+    assert np.shares_memory(full.indptr, eliminated.indptr)
+    assert np.abs(full.toarray() - want).max() <= 1e-15
+    assert np.array_equal(eliminated.toarray(), want * np.outer(keep, keep))
 
 
 def test_m_over_tau_shares_the_index_arrays_of_m():
@@ -658,30 +683,34 @@ def test_m_over_tau_shares_the_index_arrays_of_m():
     assert np.array_equal(m_over_tau.data, (m * (1.0 / stepper.grid.tau)).data)
 
 
-def test_convective_stepper_holds_one_structure():
-    # after step 1 the operator and its eliminated form are two data arrays
-    # on one index structure, and the factor holds one matrix: the
+def test_convective_stepper_holds_one_structure(rng):
+    # after step 1, C and its eliminated form are two data arrays on one
+    # int32 index structure, and the factor holds one matrix: the
     # eliminated operator without stored zeros, which the stepper reuses
     stepper = _manufactured_stepper(4, 2e-3, True)
     stepper.step(StateVector.zero(stepper.spaces), 1)
-    operator, eliminated = stepper._update.matrices()
-    assert np.shares_memory(operator.indices, eliminated.indices)
-    assert np.shares_memory(operator.indptr, eliminated.indptr)
-    assert operator.indices.dtype == np.int32
+    u_f = fem.FieldCoefficients(stepper.spaces.u_f,
+                                rng.normal(size=stepper.spaces.u_f.ndofs))
+    full, eliminated = stepper._convection.matrices(
+        forms.assemble_convection(stepper.ctx, u_f))
+    assert np.shares_memory(full.indices, eliminated.indices)
+    assert np.shares_memory(full.indptr, eliminated.indptr)
+    assert full.indices.dtype == np.int32
     factor = stepper._factor
     assert not hasattr(factor, "csc")
     assert [name for name, value in vars(factor).items()
             if sparse.issparse(value)] == ["matrix"]
     assert factor.matrix is stepper._eliminated
     assert np.count_nonzero(factor.matrix.data) == factor.matrix.nnz
-    compact = sparse.csr_matrix(eliminated, copy=True)
-    compact.eliminate_zeros()
+    dofs, _ = forms.dirichlet_data(stepper.spaces, stepper.boundary_values, 0.0)
+    compact, _ = fem.eliminate_matrix(
+        stepper.M * (1.0 / stepper.grid.tau) + stepper.N, dofs)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(factor.matrix, name), getattr(compact, name))
 
 
 def test_convection_off_matrix_stores_no_zeros(monkeypatch):
-    # without convection no merged structure is built: every step solves
+    # without convection no convection structure is built: every step solves
     # with the factor's own eliminated operator, which stores no zeros
     stepper = _manufactured_stepper(4, 2e-3, False)
     matrices = []
@@ -693,10 +722,65 @@ def test_convection_off_matrix_stores_no_zeros(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_linear", recording)
     solver.march(stepper, StateVector.zero(stepper.spaces))
-    assert stepper._update is None
+    assert stepper._convection is None
     assert len(matrices) == stepper.grid.nsteps
     assert all(matrix is stepper._factor.matrix for matrix in matrices)
     assert np.count_nonzero(matrices[0].data) == matrices[0].nnz
+
+
+def _reachable(root, skip=("ctx", "spaces")):
+    """Sparse matrices and numpy arrays reachable from ``root``'s attributes,
+    through fpsi objects and containers; set-up data under ``skip`` aside."""
+    seen, matrices, arrays = set(), [], []
+    stack = [value for name, value in vars(root).items() if name not in skip]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if sparse.issparse(value):
+            matrices.append(value)
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif type(value).__module__.startswith("fpsi"):
+            stack.extend(vars(value).values())
+    return matrices, arrays
+
+
+@pytest.mark.parametrize("convection", [True, False])
+def test_loop_holds_the_operator_once(convection, rng):
+    # after step 1 the only full-size matrices the loop holds are M, N,
+    # M / tau and the factor's A0; the lift keeps only the Dirichlet
+    # columns, and C lives on its distinct slots, held with convection only
+    stepper = _manufactured_stepper(8, 1e-3, convection)
+    stepper.step(StateVector.zero(stepper.spaces), 1)
+    size = stepper.spaces.size
+    rows, cols = stepper.ctx.component_pattern("u_f")
+    slots = np.unique(rows.astype(np.int64) * size + cols).size
+    operators = (stepper.M, stepper.N, stepper._m_over_tau, stepper._factor.matrix)
+    matrices, arrays = _reachable(stepper)
+    big = [m for m in matrices if m.shape == (size, size) and m.nnz > slots]
+    assert sorted(map(id, big)) == sorted(map(id, operators))
+    dofs, _ = forms.dirichlet_data(stepper.spaces, stepper.boundary_values, 0.0)
+    assert [m.shape for m in matrices if m.shape != (size, size)] == [(size, dofs.size)]
+    # no array as long as the convection pattern, apart from C's slot
+    # positions, lies outside the held operators
+    held = [a for m in operators for a in (m.data, m.indices, m.indptr)]
+    stray = [a for a in arrays
+             if a.size > rows.size and not any(np.shares_memory(a, h) for h in held)]
+    assert stray == []
+    if not convection:
+        assert stepper._convection is None
+        return
+    u_f = fem.FieldCoefficients(stepper.spaces.u_f,
+                                rng.normal(size=stepper.spaces.u_f.ndofs))
+    for matrix in stepper._convection.matrices(
+            forms.assemble_convection(stepper.ctx, u_f)):
+        assert matrix.shape == (size, size) and matrix.nnz <= slots
 
 
 def test_zero_velocity_step_after_convective_steps_is_direct(small_setup, monkeypatch):
@@ -1170,8 +1254,9 @@ def test_time_refinement_keeps_spatial_error_dominant():
 
 @pytest.mark.parametrize("convection", [False, True])
 def test_lift_matches_full_product(convection):
-    # the stepper's lift, which skips the product when every prescribed value
-    # is zero, against the product with the whole operator
+    # the stepper's lift by the held Dirichlet columns, which skips the
+    # product when every prescribed value is zero, against the product with
+    # the whole operator: bit for bit without convection or without values
     params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     spaces = build_spaces(generate_structured(4, 4))
@@ -1185,21 +1270,21 @@ def test_lift_matches_full_product(convection):
                                       stepper.grid.time_at(2))
     assert np.abs(vals).max() > 0.0
     rhs = rng.normal(size=spaces.size)
+    operator = stepper._m_over_tau + stepper.N
+    cases = [(operator, None)]
     if convection:
-        # one at a time: the update's matrices share their data buffers
         conv = forms.assemble_convection(stepper.ctx, state.block("u_f"))
-        operators = (stepper._update.matrices(parts)[0] for parts in (None, conv))
-    else:
-        operators = [stepper._operator]
-    for operator in operators:
+        full = stepper._convection.matrices(conv)[0]
+        cases.append((operator + forms.from_contributions(spaces, conv), full))
+    for matrix, added in cases:
         for values in (vals, rng.normal(size=vals.size), np.zeros(vals.size)):
-            full = rhs - operator @ np.bincount(dofs, values, operator.shape[0])
-            full[dofs] = values
-            got = fem.lift_dofs(operator, rhs, dofs, values)
+            want = fem.lift_dofs(matrix, rhs, dofs, values)
+            got = stepper._lift(rhs, dofs, values, added)
             assert np.array_equal(got[dofs], values)
-            assert np.abs(got - full).max() <= 1e-14 * np.abs(full).max()
-            if not np.any(values):
-                assert np.array_equal(got, full)
+            if added is None or not np.any(values):
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_jump_seminorm_matches_per_facet_reference(small_setup):
