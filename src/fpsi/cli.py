@@ -363,7 +363,8 @@ def write_vtk(mesh, state, path):
         space = block.space
         full = np.zeros((mesh.num_vertices, space.components))
         coeffs = block.values.reshape(space.num_nodes, space.components)
-        full[space._verts] = coeffs[:space.num_vertex_nodes]
+        vertices = space.num_vertex_nodes
+        full[space.mesh_nodes[:vertices]] = coeffs[:vertices]
         if space.components == 1:
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
@@ -417,7 +418,7 @@ def cmd_convergence(config, out_dir):
 
     failures = []
     for name, threshold in RATE_THRESHOLDS.items():
-        rate = table.mean_rate(name, last=3)
+        rate = table.mean_rate(name)
         status = "ok" if rate >= threshold else "FAIL"
         print(f"rate {name}: {rate:.3f} (threshold {threshold}) {status}")
         if rate < threshold:

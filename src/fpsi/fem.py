@@ -160,7 +160,6 @@ class FunctionSpace:
             self.node_coords = mesh.vertices[verts].copy()
         self.mesh_nodes = np.concatenate([verts, mesh.num_vertices + self._edges])
 
-        self._verts = verts
         self._vert_local = vert_local
         self.cell_dofs = cell_dofs
         self.num_nodes = self.node_coords.shape[0]

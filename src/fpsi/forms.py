@@ -7,13 +7,16 @@ The monolithic unknown ordering is fixed as
 free-flow velocity and pressure, relative pore velocity, pore pressure,
 solid displacement, and solid velocity.  Couplings that multiply a time
 derivative of the trial variable are assembled into the matrix M, all
-remaining couplings into N; backward Euler then solves (M / tau + N) x = F
-with the convection block of N refreshed from the previous velocity.
+remaining couplings into N: ``VOLUME_TERMS`` declares the subdomain terms
+with their matrix, and an interface part goes to M exactly when its trial
+is y_s.  Backward Euler then solves (M / tau + N) x = F with the convection
+block of N refreshed from the previous velocity.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -595,61 +598,58 @@ def _sum_blocks(parts):
     return list(blocks.values())
 
 
+# The subdomain terms in assembly order: ``kernel(test, trial, coeff(params))``
+# is added to ``dest``, M for a coupling of a time derivative of the trial
+# (``_rate`` marks the rate of the displacement y_s), N for the others.
+# np.square rounds phi * phi once; a Python float's ** 2 calls pow().
+Term = namedtuple("Term", "label dest kernel test trial coeff")
+VOLUME_TERMS = (
+    Term("inertia_f", "M", "mass", "u_f", "u_f", lambda p: p.rho_f),
+    Term("inertia_r", "M", "mass", "u_r", "u_r", lambda p: p.rho_f * p.phi),
+    Term("inertia_rs", "M", "mass", "u_r", "u_s", lambda p: p.rho_f * p.phi),
+    Term("inertia_yr", "M", "mass", "y_s", "u_r", lambda p: p.rho_f * p.phi),
+    Term("inertia_ys", "M", "mass", "y_s", "u_s", lambda p: p.rho_p),
+    Term("compatibility_rate", "M", "mass", "u_s", "y_s", lambda p: -p.rho_p),
+    Term("brinkman_rate_r", "M", "eps_eps", "u_r", "y_s", lambda p: 2.0 * p.mu_f * p.phi),
+    Term("brinkman_rate_y", "M", "eps_eps", "y_s", "y_s", lambda p: 2.0 * p.mu_f * p.phi),
+    Term("sink_rate_r", "M", "mass", "u_r", "y_s", lambda p: -p.theta),
+    Term("sink_rate_y", "M", "mass", "y_s", "y_s", lambda p: -p.theta),
+    Term("storage", "M", "mass", "p_P", "p_P", lambda p: np.square(1.0 - p.phi) / p.K),
+    Term("dilation_rate", "M", "pressure_div", "p_P", "y_s", lambda p: 1.0),
+    Term("compatibility", "N", "mass", "u_s", "u_s", lambda p: p.rho_p),
+    Term("viscous_f", "N", "eps_eps", "u_f", "u_f", lambda p: 2.0 * p.mu_f),
+    Term("brinkman_y", "N", "eps_eps", "y_s", "u_r", lambda p: 2.0 * p.mu_f * p.phi),
+    Term("brinkman_r", "N", "eps_eps", "u_r", "u_r", lambda p: 2.0 * p.mu_f * p.phi),
+    Term("elastic_mu", "N", "eps_eps", "y_s", "y_s", lambda p: 2.0 * p.mu_p),
+    Term("elastic_lam", "N", "div_div", "y_s", "y_s", lambda p: p.lam_p),
+    # the pressure gradients -(div v, p); div_u_* are the mass rows' +(div u, q)
+    Term("grad_p_S", "N", "pressure_div", "u_f", "p_S", lambda p: 1.0),
+    Term("grad_p_P_y", "N", "pressure_div", "y_s", "p_P", lambda p: 1.0),
+    Term("grad_p_P_r", "N", "pressure_div", "u_r", "p_P", lambda p: p.phi),
+    Term("sink_y", "N", "mass", "y_s", "u_r", lambda p: -p.theta),
+    Term("sink_r", "N", "mass", "u_r", "u_r", lambda p: -p.theta),
+    Term("drag", "N", "tensor_mass", "u_r", "u_r",
+         lambda p: np.square(p.phi) * np.linalg.inv(p.kappa)),
+    Term("div_u_f", "N", "pressure_div", "p_S", "u_f", lambda p: 1.0),
+    Term("div_u_r", "N", "pressure_div", "p_P", "u_r", lambda p: p.phi),
+)
+
+# The terms whose blocks ``energy_matrix`` reads off M and N.
+ENERGY_TERMS = ("inertia_f", "inertia_r", "inertia_rs", "storage",
+                "compatibility", "elastic_mu", "elastic_lam")
+
+
 def assemble_volume_forms(ctx, dest):
-    """The subdomain (volume) couplings of one destination, ``"M"`` or ``"N"``.
+    """The ``VOLUME_TERMS`` of one destination, ``"M"`` or ``"N"``.
 
     Only the kernels of that destination run; the parts of kernels that
     share a (test, trial) block are summed into one.
     """
     if dest not in ("M", "N"):
         raise FormsError(f"destination must be 'M' or 'N', got {dest!r}")
-    p = ctx.params
     k = _Kernels(ctx)
-    phi, theta, rho_p = p.phi, p.theta, p.rho_p
-    # np.square rounds phi * phi once; a Python float's ** 2 calls pow()
-    storage = np.square(1.0 - phi) / p.K
-    drag = np.square(phi) * np.linalg.inv(p.kappa)
-
-    if dest == "M":
-        return _sum_blocks([
-            # momentum storage terms
-            k.mass("u_f", "u_f", p.rho_f),
-            k.mass("u_r", "u_r", p.rho_f * phi),
-            k.mass("u_r", "u_s", p.rho_f * phi),
-            k.mass("y_s", "u_r", p.rho_f * phi),
-            k.mass("y_s", "u_s", rho_p),
-            # velocity/displacement compatibility row
-            k.mass("u_s", "y_s", -rho_p),
-            # Brinkman stiffness acting on the displacement rate
-            k.eps_eps("u_r", "y_s", 2.0 * p.mu_f * phi),
-            k.eps_eps("y_s", "y_s", 2.0 * p.mu_f * phi),
-            # sink terms on the displacement rate
-            k.mass("u_r", "y_s", -theta),
-            k.mass("y_s", "y_s", -theta),
-            # pore-pressure storage and solid dilation rate
-            k.mass("p_P", "p_P", storage),
-            k.pressure_div("p_P", "y_s", 1.0),
-        ])
-    return _sum_blocks([
-        k.mass("u_s", "u_s", rho_p),
-        k.eps_eps("u_f", "u_f", 2.0 * p.mu_f),
-        k.eps_eps("y_s", "u_r", 2.0 * p.mu_f * phi),
-        k.eps_eps("u_r", "u_r", 2.0 * p.mu_f * phi),
-        k.eps_eps("y_s", "y_s", 2.0 * p.mu_p),
-        k.div_div("y_s", "y_s", p.lam_p),
-        # pressure gradients: -(div v, p)
-        k.pressure_div("u_f", "p_S", 1.0),
-        k.pressure_div("y_s", "p_P", 1.0),
-        k.pressure_div("u_r", "p_P", phi),
-        # sink terms on the pore velocity
-        k.mass("y_s", "u_r", -theta),
-        k.mass("u_r", "u_r", -theta),
-        # Darcy drag
-        k.tensor_mass("u_r", "u_r", drag),
-        # mass conservation rows: +(div u, q)
-        k.pressure_div("p_S", "u_f", 1.0),
-        k.pressure_div("p_P", "u_r", phi),
-    ])
+    return _sum_blocks([getattr(k, t.kernel)(t.test, t.trial, t.coeff(ctx.params))
+                        for t in VOLUME_TERMS if t.dest == dest])
 
 
 def _facet_outer(w, rows_t, cols_t):
@@ -765,21 +765,18 @@ def energy_matrix(spaces, M, N):
     1/2 [ rho_f |u_f|^2 + rho_s (1 - phi) |u_s|^2 + (1 - phi)^2 / K |p_P|^2
           + rho_f phi |u_r + u_s|^2 + 2 mu_p |eps(y_s)|^2 + lam_p |div y_s|^2 ]
 
-    is read off blocks of ``assemble_M`` and ``assemble_N`` that hold no
-    other coupling: M's (u_f, u_f), (u_r, u_r) and (p_P, p_P) storage
-    masses, M's (u_r, u_s) cross mass with its transpose at (u_s, u_r), N's
-    (u_s, u_s) mass, whose weight rho_p is rho_s (1 - phi) + rho_f phi, and
-    N's (y_s, y_s) elasticity.  Interface parts reach M only with the trial
-    y_s, and the sink, Brinkman and Darcy terms lie in M's (y_s, y_s) and
-    (u_r, y_s) and N's (u_r, u_r) and (y_s, u_r), so none enters E.
+    E holds the blocks of M and N that the ``ENERGY_TERMS`` write, an
+    off-diagonal one also transposed; no other coupling reaches them.
     """
     at = BLOCK_NAMES.index
     grid = [[None] * len(BLOCK_NAMES) for _ in BLOCK_NAMES]
-    for source, test, trial in ((M, "u_f", "u_f"), (M, "u_r", "u_r"),
-                                (M, "u_r", "u_s"), (M, "p_P", "p_P"),
-                                (N, "u_s", "u_s"), (N, "y_s", "y_s")):
-        grid[at(test)][at(trial)] = source[spaces.slice(test), spaces.slice(trial)]
-    grid[at("u_s")][at("u_r")] = grid[at("u_r")][at("u_s")].T
+    blocks = dict.fromkeys((t.dest, t.test, t.trial) for t in VOLUME_TERMS
+                           if t.label in ENERGY_TERMS)
+    for dest, test, trial in blocks:
+        part = (M if dest == "M" else N)[spaces.slice(test), spaces.slice(trial)]
+        grid[at(test)][at(trial)] = part
+        if test != trial:
+            grid[at(trial)][at(test)] = part.T
     # p_S holds no energy, but bmat needs the block's size
     grid[at("p_S")][at("p_S")] = sparse.csr_matrix((spaces.p_S.ndofs,) * 2)
     return sparse.bmat(grid, format="csr")

@@ -367,6 +367,8 @@ def derive_corrections(params):
 # --- error tables and the convergence study -----------------------------------
 
 ERROR_FIELDS = ("u_f", "u_r", "p_S", "p_P", "y_s", "u_s")
+# ``ErrorTable.mean_rate`` averages this many of the finest levels' rates.
+MEAN_RATE_LEVELS = 3
 
 
 @dataclass
@@ -375,19 +377,17 @@ class ErrorTable:
 
     rows: list = field(default_factory=list)
 
-    def add_row(self, dofs, h, errors, h1_errors=None):
-        self.rows.append({"dofs": int(dofs), "h": float(h),
-                          "errors": dict(errors),
-                          "h1_errors": dict(h1_errors or {})})
+    def add_row(self, dofs, h, errors):
+        self.rows.append({"dofs": int(dofs), "h": float(h), "errors": dict(errors)})
 
-    def rates(self, which="errors"):
+    def rates(self):
         """rate_l = log(e_{l-1}/e_l) / log(h_{l-1}/h_l); None on row 0."""
         out = [dict.fromkeys(ERROR_FIELDS)]
         for prev, cur in zip(self.rows, self.rows[1:]):
             row = {}
             ratio = math.log(prev["h"] / cur["h"])
             for name in ERROR_FIELDS:
-                e0, e1 = prev[which].get(name), cur[which].get(name)
+                e0, e1 = prev["errors"].get(name), cur["errors"].get(name)
                 if not e0 or not e1:
                     row[name] = None
                 else:
@@ -395,14 +395,14 @@ class ErrorTable:
             out.append(row)
         return out
 
-    def mean_rate(self, name, last=3):
+    def mean_rate(self, name):
         rates = [r[name] for r in self.rates()[1:] if r[name] is not None]
         if not rates:
             raise ValueError(
                 f"no convergence rate of {name} in a table of "
                 f"{len(self.rows)} level(s): a rate needs two strictly "
                 "refining levels with nonzero errors")
-        tail = rates[-last:]
+        tail = rates[-MEAN_RATE_LEVELS:]
         return sum(tail) / len(tail)
 
     def monotone_from_second_level(self):
@@ -487,10 +487,10 @@ def convergence_study(levels, params, nitsche, tau_factor=1e-3, final_time=1e-3,
                               convection=convection, solver_tol=solver_tol,
                               **loads)
         state = march(stepper, forms.StateVector.zero(spaces, time=0.0))
-        errors, h1_errors = final_time_errors(state, sol)
+        errors, _ = final_time_errors(state, sol)
         if any(not np.isfinite(v) for v in errors.values()):
             raise RuntimeError(f"non-finite error at level nx={nx}")
-        table.add_row(sum(sp.ndofs for sp in spaces), h, errors, h1_errors)
+        table.add_row(sum(sp.ndofs for sp in spaces), h, errors)
         if progress:
             progress(nx, errors)
     return table

@@ -45,7 +45,7 @@ def ladder80(params):
 
 
 def test_criterion_1_convergence_rates(ladder40):
-    rates = {name: ladder40.mean_rate(name, last=3) for name in RATE_FLOORS}
+    rates = {name: ladder40.mean_rate(name) for name in RATE_FLOORS}
     ok = all(rates[name] >= floor for name, floor in RATE_FLOORS.items())
     monotone = ladder40.monotone_from_second_level()
     lines = ladder40.to_csv_string().strip().splitlines()

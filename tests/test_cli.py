@@ -178,9 +178,10 @@ def test_vertex_sampling_matches_coefficients(tmp_path, mesh22):
     _, _, _, fields = _read_vtk(path)
     space = spaces.p_S
     vals = fields["p_S"]
-    for local, vertex in enumerate(space._verts):
+    verts = space.mesh_nodes[:space.num_vertex_nodes]
+    for local, vertex in enumerate(verts):
         assert vals[vertex] == state.block("p_S").values[local]
-    outside = np.setdiff1d(np.arange(mesh22.num_vertices), space._verts)
+    outside = np.setdiff1d(np.arange(mesh22.num_vertices), verts)
     assert np.all(vals[outside] == 0.0)
 
 

@@ -759,6 +759,35 @@ def test_volume_forms_reject_unknown_destination(tiny):
         assemble_volume_forms(ctx, "C")
 
 
+def test_volume_terms_declare_each_term_once():
+    # one record per term, and the blocks that energy_matrix reads off M and
+    # N hold the energy terms alone: no other volume term and no interface
+    # part reaches them, for every consistency variant, with and without
+    # friction
+    terms = forms.VOLUME_TERMS
+    labels = [t.label for t in terms]
+    assert len(set(labels)) == len(labels)
+    assert all(callable(getattr(forms._Kernels, t.kernel, None)) for t in terms)
+    assert {t.dest for t in terms} <= {"M", "N"}
+    assert set(forms.ENERGY_TERMS) <= set(labels)
+    energy = {(t.dest, t.test, t.trial) for t in terms
+              if t.label in forms.ENERGY_TERMS}
+    others = {(t.dest, t.test, t.trial) for t in terms
+              if t.label not in forms.ENERGY_TERMS}
+    assert not energy & others
+    spaces = build_spaces(generate_structured(4, 4))
+    for varsigma in (-1, 0, 1):
+        for alpha_bjs in (0.0, 1.0):
+            params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": alpha_bjs})
+            ctx = AssemblyContext(spaces, params, NitscheParams(varsigma=varsigma))
+            parts = (assemble_bjs(ctx) + assemble_nitsche_consistency(ctx)
+                     + assemble_nitsche_penalty(ctx))
+            assert parts
+            interface = {(dest, p[0], p[1]) for dest in ("M", "N")
+                         for p in _route(parts, dest)}
+            assert not energy & interface, (varsigma, alpha_bjs)
+
+
 # --- batched kernels and interface assemblers against their einsum forms -------
 
 def _einsum_kernels(ctx):
