@@ -213,9 +213,6 @@ class FieldCoefficients:
                 f"coefficient vector has length {self.values.size}, "
                 f"space has {self.space.ndofs} dofs")
 
-    def copy(self):
-        return FieldCoefficients(self.space, self.values.copy())
-
 
 def _eval_field(fn, time, x, y, components):
     vals = np.asarray(fn(time, x, y), dtype=float)

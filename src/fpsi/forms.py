@@ -7,10 +7,10 @@ The monolithic unknown ordering is fixed as
 free-flow velocity and pressure, relative pore velocity, pore pressure,
 solid displacement, and solid velocity.  Couplings that multiply a time
 derivative of the trial variable are assembled into the matrix M, all
-remaining couplings into N: ``VOLUME_TERMS`` declares the subdomain terms
-with their matrix, and an interface part goes to M exactly when its trial
-is y_s.  Backward Euler then solves (M / tau + N) x = F with the convection
-block of N refreshed from the previous velocity.
+remaining couplings into N: ``VOLUME_TERMS`` and ``INTERFACE_TERMS`` declare
+every term of the scheme with its matrix.  Backward Euler then solves
+(M / tau + N) x = F with the convection block of N refreshed from the
+previous velocity.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class PhysicalParams:
         if not np.all(np.isfinite(kap)):
             raise FormsError("permeability tensor must be finite, got "
                              f"{kap[~np.isfinite(kap)].flat[0]}")
-        if np.abs(kap - kap.T).max() > 1e-12:
+        if np.abs(kap - kap.T).max() > 1e-12 * np.abs(kap).max():
             raise FormsError("permeability tensor must be symmetric")
         eigs = np.linalg.eigvalsh(kap)
         if eigs.min() <= 0:
@@ -390,12 +390,10 @@ class AssemblyContext:
         f, q, n = gn.shape
         return (gn[..., None] * normal[:, None, None, :]).reshape(f, q, 2 * n)
 
-    def facet_jumps(self):
-        """(name, normal trace, dofs) of u_f . n_S + u_r . n_P + y_s . n_P."""
-        fs = self.facet_stack
-        return [(name, self.facet_trace(name, fs[normal]), self.facet_dofs(name))
-                for name, normal in (("u_f", "normal_s"), ("u_r", "normal_p"),
-                                     ("y_s", "normal_p"))]
+    def facet_jump(self, name):
+        """Trace of ``name`` in the jump u_f . n_S + u_r . n_P + y_s . n_P."""
+        normal = "normal_s" if name == "u_f" else "normal_p"
+        return self.facet_trace(name, self.facet_stack[normal])
 
 
 def interface_jump_seminorm(ctx, state, rate_y_values):
@@ -409,8 +407,8 @@ def interface_jump_seminorm(ctx, state, rate_y_values):
         return 0.0
     values = {"u_f": state.block("u_f").values, "u_r": state.block("u_r").values,
               "y_s": rate_y_values}
-    jn = sum(np.einsum("fqa,fa->fq", trace, values[name][dofs])
-             for name, trace, dofs in ctx.facet_jumps())
+    jn = sum(np.einsum("fqa,fa->fq", ctx.facet_jump(name), vals[ctx.facet_dofs(name)])
+             for name, vals in values.items())
     return float(np.sum(fs["w"] * jn**2 / fs["h_e"][:, None]))
 
 
@@ -598,40 +596,77 @@ def _sum_blocks(parts):
     return list(blocks.values())
 
 
-# The subdomain terms in assembly order: ``kernel(test, trial, coeff(params))``
-# is added to ``dest``, M for a coupling of a time derivative of the trial
-# (``_rate`` marks the rate of the displacement y_s), N for the others.
+# The scheme's terms in assembly order: ``kernel(test, trial, coeff(params,
+# nitsche))`` is added to ``dest``, M for a coupling of a time derivative of
+# the trial (``_rate``: of the displacement y_s), N for the others.
 # np.square rounds phi * phi once; a Python float's ** 2 calls pow().
 Term = namedtuple("Term", "label dest kernel test trial coeff")
 VOLUME_TERMS = (
-    Term("inertia_f", "M", "mass", "u_f", "u_f", lambda p: p.rho_f),
-    Term("inertia_r", "M", "mass", "u_r", "u_r", lambda p: p.rho_f * p.phi),
-    Term("inertia_rs", "M", "mass", "u_r", "u_s", lambda p: p.rho_f * p.phi),
-    Term("inertia_yr", "M", "mass", "y_s", "u_r", lambda p: p.rho_f * p.phi),
-    Term("inertia_ys", "M", "mass", "y_s", "u_s", lambda p: p.rho_p),
-    Term("compatibility_rate", "M", "mass", "u_s", "y_s", lambda p: -p.rho_p),
-    Term("brinkman_rate_r", "M", "eps_eps", "u_r", "y_s", lambda p: 2.0 * p.mu_f * p.phi),
-    Term("brinkman_rate_y", "M", "eps_eps", "y_s", "y_s", lambda p: 2.0 * p.mu_f * p.phi),
-    Term("sink_rate_r", "M", "mass", "u_r", "y_s", lambda p: -p.theta),
-    Term("sink_rate_y", "M", "mass", "y_s", "y_s", lambda p: -p.theta),
-    Term("storage", "M", "mass", "p_P", "p_P", lambda p: np.square(1.0 - p.phi) / p.K),
-    Term("dilation_rate", "M", "pressure_div", "p_P", "y_s", lambda p: 1.0),
-    Term("compatibility", "N", "mass", "u_s", "u_s", lambda p: p.rho_p),
-    Term("viscous_f", "N", "eps_eps", "u_f", "u_f", lambda p: 2.0 * p.mu_f),
-    Term("brinkman_y", "N", "eps_eps", "y_s", "u_r", lambda p: 2.0 * p.mu_f * p.phi),
-    Term("brinkman_r", "N", "eps_eps", "u_r", "u_r", lambda p: 2.0 * p.mu_f * p.phi),
-    Term("elastic_mu", "N", "eps_eps", "y_s", "y_s", lambda p: 2.0 * p.mu_p),
-    Term("elastic_lam", "N", "div_div", "y_s", "y_s", lambda p: p.lam_p),
+    Term("inertia_f", "M", "mass", "u_f", "u_f", lambda p, n: p.rho_f),
+    Term("inertia_r", "M", "mass", "u_r", "u_r", lambda p, n: p.rho_f * p.phi),
+    Term("inertia_rs", "M", "mass", "u_r", "u_s", lambda p, n: p.rho_f * p.phi),
+    Term("inertia_yr", "M", "mass", "y_s", "u_r", lambda p, n: p.rho_f * p.phi),
+    Term("inertia_ys", "M", "mass", "y_s", "u_s", lambda p, n: p.rho_p),
+    Term("compatibility_rate", "M", "mass", "u_s", "y_s", lambda p, n: -p.rho_p),
+    Term("brinkman_rate_r", "M", "eps_eps", "u_r", "y_s",
+         lambda p, n: 2.0 * p.mu_f * p.phi),
+    Term("brinkman_rate_y", "M", "eps_eps", "y_s", "y_s",
+         lambda p, n: 2.0 * p.mu_f * p.phi),
+    Term("sink_rate_r", "M", "mass", "u_r", "y_s", lambda p, n: -p.theta),
+    Term("sink_rate_y", "M", "mass", "y_s", "y_s", lambda p, n: -p.theta),
+    Term("storage", "M", "mass", "p_P", "p_P", lambda p, n: np.square(1.0 - p.phi) / p.K),
+    Term("dilation_rate", "M", "pressure_div", "p_P", "y_s", lambda p, n: 1.0),
+    Term("compatibility", "N", "mass", "u_s", "u_s", lambda p, n: p.rho_p),
+    Term("viscous_f", "N", "eps_eps", "u_f", "u_f", lambda p, n: 2.0 * p.mu_f),
+    Term("brinkman_y", "N", "eps_eps", "y_s", "u_r", lambda p, n: 2.0 * p.mu_f * p.phi),
+    Term("brinkman_r", "N", "eps_eps", "u_r", "u_r", lambda p, n: 2.0 * p.mu_f * p.phi),
+    Term("elastic_mu", "N", "eps_eps", "y_s", "y_s", lambda p, n: 2.0 * p.mu_p),
+    Term("elastic_lam", "N", "div_div", "y_s", "y_s", lambda p, n: p.lam_p),
     # the pressure gradients -(div v, p); div_u_* are the mass rows' +(div u, q)
-    Term("grad_p_S", "N", "pressure_div", "u_f", "p_S", lambda p: 1.0),
-    Term("grad_p_P_y", "N", "pressure_div", "y_s", "p_P", lambda p: 1.0),
-    Term("grad_p_P_r", "N", "pressure_div", "u_r", "p_P", lambda p: p.phi),
-    Term("sink_y", "N", "mass", "y_s", "u_r", lambda p: -p.theta),
-    Term("sink_r", "N", "mass", "u_r", "u_r", lambda p: -p.theta),
+    Term("grad_p_S", "N", "pressure_div", "u_f", "p_S", lambda p, n: 1.0),
+    Term("grad_p_P_y", "N", "pressure_div", "y_s", "p_P", lambda p, n: 1.0),
+    Term("grad_p_P_r", "N", "pressure_div", "u_r", "p_P", lambda p, n: p.phi),
+    Term("sink_y", "N", "mass", "y_s", "u_r", lambda p, n: -p.theta),
+    Term("sink_r", "N", "mass", "u_r", "u_r", lambda p, n: -p.theta),
     Term("drag", "N", "tensor_mass", "u_r", "u_r",
-         lambda p: np.square(p.phi) * np.linalg.inv(p.kappa)),
-    Term("div_u_f", "N", "pressure_div", "p_S", "u_f", lambda p: 1.0),
-    Term("div_u_r", "N", "pressure_div", "p_P", "u_r", lambda p: p.phi),
+         lambda p, n: np.square(p.phi) * np.linalg.inv(p.kappa)),
+    Term("div_u_f", "N", "pressure_div", "p_S", "u_f", lambda p, n: 1.0),
+    Term("div_u_r", "N", "pressure_div", "p_P", "u_r", lambda p, n: p.phi),
+)
+
+INTERFACE_TERMS = (
+    # BJS ((u_f - d_t y) . tau, (v_f - w_s) . tau), then the pore friction
+    Term("slip_f_y", "M", "slip", "u_f", "y_s", lambda p, n: -p.mu_f * p.alpha_bjs),
+    Term("slip_y_y", "M", "slip", "y_s", "y_s", lambda p, n: p.mu_f * p.alpha_bjs),
+    Term("slip_f_f", "N", "slip", "u_f", "u_f", lambda p, n: p.mu_f * p.alpha_bjs),
+    Term("slip_y_f", "N", "slip", "y_s", "u_f", lambda p, n: -p.mu_f * p.alpha_bjs),
+    Term("slip_r", "N", "slip", "u_r", "u_r", lambda p, n: p.mu_f * p.alpha_bjs),
+    # per jump slot: the stress -2 mu_f eps(u_f) n . n + p_S, and its adjoint
+    Term("stress_f", "N", "stress_jump", "u_f", "u_f", lambda p, n: -2.0 * p.mu_f),
+    Term("stress_p_f", "N", "stress_jump", "u_f", "p_S", lambda p, n: 1.0),
+    Term("adjoint_f", "N", "jump_stress", "u_f", "u_f",
+         lambda p, n: -n.varsigma * (2.0 * p.mu_f)),
+    Term("adjoint_p_f", "N", "jump_stress", "p_S", "u_f", lambda p, n: -1.0),
+    Term("stress_r", "N", "stress_jump", "u_r", "u_f", lambda p, n: -2.0 * p.mu_f),
+    Term("stress_p_r", "N", "stress_jump", "u_r", "p_S", lambda p, n: 1.0),
+    Term("adjoint_r", "N", "jump_stress", "u_f", "u_r",
+         lambda p, n: -n.varsigma * (2.0 * p.mu_f)),
+    Term("adjoint_p_r", "N", "jump_stress", "p_S", "u_r", lambda p, n: -1.0),
+    Term("stress_y", "N", "stress_jump", "y_s", "u_f", lambda p, n: -2.0 * p.mu_f),
+    Term("stress_p_y", "N", "stress_jump", "y_s", "p_S", lambda p, n: 1.0),
+    Term("adjoint_y", "M", "jump_stress", "u_f", "y_s",
+         lambda p, n: -n.varsigma * (2.0 * p.mu_f)),
+    Term("adjoint_p_y", "M", "jump_stress", "p_S", "y_s", lambda p, n: -1.0),
+    # the mass-conservation penalty
+    Term("penalty_f_f", "N", "jump_jump", "u_f", "u_f", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_f_r", "N", "jump_jump", "u_f", "u_r", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_f_y", "M", "jump_jump", "u_f", "y_s", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_r_f", "N", "jump_jump", "u_r", "u_f", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_r_r", "N", "jump_jump", "u_r", "u_r", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_r_y", "M", "jump_jump", "u_r", "y_s", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_y_f", "N", "jump_jump", "y_s", "u_f", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_y_r", "N", "jump_jump", "y_s", "u_r", lambda p, n: n.gamma * p.mu_f),
+    Term("penalty_y_y", "M", "jump_jump", "y_s", "y_s", lambda p, n: n.gamma * p.mu_f),
 )
 
 # The terms whose blocks ``energy_matrix`` reads off M and N.
@@ -639,88 +674,58 @@ ENERGY_TERMS = ("inertia_f", "inertia_r", "inertia_rs", "storage",
                 "compatibility", "elastic_mu", "elastic_lam")
 
 
-def assemble_volume_forms(ctx, dest):
-    """The ``VOLUME_TERMS`` of one destination, ``"M"`` or ``"N"``.
-
-    Only the kernels of that destination run; the parts of kernels that
-    share a (test, trial) block are summed into one.
-    """
-    if dest not in ("M", "N"):
-        raise FormsError(f"destination must be 'M' or 'N', got {dest!r}")
-    k = _Kernels(ctx)
-    return _sum_blocks([getattr(k, t.kernel)(t.test, t.trial, t.coeff(ctx.params))
-                        for t in VOLUME_TERMS if t.dest == dest])
-
-
 def _facet_outer(w, rows_t, cols_t):
     """sum_q w rows_t cols_t per facet, by one einsum over all facets."""
     return np.einsum("fq,fqa,fqb->fab", w, rows_t, cols_t)
 
 
-def assemble_bjs(ctx):
-    """Tangential slip-friction couplings on the interface, all facets at once."""
-    params = ctx.params
-    coeff = params.mu_f * params.alpha_bjs
-    fs = ctx.facet_stack
-    if coeff == 0.0 or fs is None:
-        return []
-    w = fs["w"] * (coeff / np.sqrt(fs["z_perm"]))[:, None]
-    tangential = {name: (ctx.facet_trace(name, fs["tangent"]), ctx.facet_dofs(name))
-                  for name in ("u_f", "y_s", "u_r")}
+class _FacetKernels:
+    """Interface kernels over every facet at once, named by their blocks.
 
-    def part(test, trial, sign):
-        (t_tr, t_dofs), (u_tr, u_dofs) = tangential[test], tangential[trial]
-        return _contrib(test, trial, t_dofs, u_dofs,
-                        sign * _facet_outer(w, t_tr, u_tr))
-
-    # ((u_f - d_t y) . tau, (v_f - w_s) . tau), then the pore-velocity friction
-    return [part("u_f", "y_s", -1.0), part("y_s", "y_s", 1.0),
-            part("u_f", "u_f", 1.0), part("y_s", "u_f", -1.0),
-            part("u_r", "u_r", 1.0)]
-
-
-def assemble_nitsche_consistency(ctx):
-    """Interface stress-consistency couplings and their adjoints.
-
-    Only the S-side trace of the normal stress (2 mu_f eps(u_f) - p_S I) n . n
-    enters; the test jump spans (v_f . n_S + v_r . n_P + w_s . n_P).  The
-    adjoint rows carry the varsigma weight on the velocity test and pair the
-    trial jump with -q_S.  All facets are handled at once.
+    The stress of u_f is eps(u_f) n_S . n_S, that of p_S its value.  A
+    per-facet weight is applied before the sum over the points, a scalar
+    coefficient after it.
     """
-    fs = ctx.facet_stack
-    if fs is None:
-        return []
-    sig = float(ctx.nitsche.varsigma)
-    two_mu = 2.0 * ctx.params.mu_f
-    w = fs["w"]
-    snn_f = ctx.facet_stress_nn("u_f", fs["normal_s"])
-    pv = fs[("S", ctx.spaces.p_S.degree, "phi")]
-    d_f = ctx.facet_dofs("u_f")
-    d_ps = ctx.facet_dofs("p_S")
-    parts = []
-    for name, jn, dofs in ctx.facet_jumps():
-        # trial-side stress against the test jump:
-        # -(2 mu_f eps(u_f) n . n)(jump v) and +(p_S)(jump v)
-        parts.append(_contrib(name, "u_f", dofs, d_f,
-                              -two_mu * _facet_outer(w, jn, snn_f)))
-        parts.append(_contrib(name, "p_S", dofs, d_ps, _facet_outer(w, jn, pv)))
-        # adjoint: test stress against the trial jump
-        if sig != 0.0:
-            parts.append(_contrib("u_f", name, d_f, dofs,
-                                  -sig * two_mu * _facet_outer(w, snn_f, jn)))
-        parts.append(_contrib("p_S", name, d_ps, dofs, -_facet_outer(w, pv, jn)))
-    return parts
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.fs = fs = ctx.facet_stack
+        self.stress = {"u_f": ctx.facet_stress_nn("u_f", fs["normal_s"]),
+                       "p_S": fs[("S", ctx.spaces.p_S.degree, "phi")]}
+
+    def _part(self, test, trial, local):
+        facet_dofs = self.ctx.facet_dofs
+        return _contrib(test, trial, facet_dofs(test), facet_dofs(trial), local)
+
+    def slip(self, test, trial, coeff):
+        """(coeff / sqrt(tau . kappa tau)) (u . tau, v . tau)."""
+        fs, trace = self.fs, self.ctx.facet_trace
+        w = fs["w"] * (coeff / np.sqrt(fs["z_perm"]))[:, None]
+        return self._part(test, trial, _facet_outer(
+            w, trace(test, fs["tangent"]), trace(trial, fs["tangent"])))
+
+    def stress_jump(self, test, trial, coeff):
+        """coeff (stress of the trial, jump of the test)."""
+        return self._part(test, trial, coeff * _facet_outer(
+            self.fs["w"], self.ctx.facet_jump(test), self.stress[trial]))
+
+    def jump_stress(self, test, trial, coeff):
+        """coeff (stress of the test, jump of the trial): the adjoint."""
+        return self._part(test, trial, coeff * _facet_outer(
+            self.fs["w"], self.stress[test], self.ctx.facet_jump(trial)))
+
+    def jump_jump(self, test, trial, coeff):
+        """(coeff / h_E) (jump of the trial, jump of the test)."""
+        w = self.fs["w"] * (coeff / self.fs["h_e"])[:, None]
+        return self._part(test, trial, _facet_outer(
+            w, self.ctx.facet_jump(test), self.ctx.facet_jump(trial)))
 
 
-def assemble_nitsche_penalty(ctx):
-    """Mass-conservation penalty (gamma mu_f / h_E) over the interface jump."""
-    fs = ctx.facet_stack
-    if fs is None:
-        return []
-    w = fs["w"] * (ctx.nitsche.gamma * ctx.params.mu_f / fs["h_e"])[:, None]
-    jumps = ctx.facet_jumps()
-    return [_contrib(t_name, u_name, t_dofs, u_dofs, _facet_outer(w, t_jn, u_jn))
-            for t_name, t_jn, t_dofs in jumps for u_name, u_jn, u_dofs in jumps]
+def _parts(kernels, terms):
+    """The parts of ``terms`` by ``kernels``; a zero coefficient adds no part."""
+    params, nitsche = kernels.ctx.params, kernels.ctx.nitsche
+    return [getattr(kernels, t.kernel)(t.test, t.trial, c) for t in terms
+            if np.any(c := t.coeff(params, nitsche))]
 
 
 def assemble_convection(ctx, previous_velocity):
@@ -737,15 +742,12 @@ def assemble_convection(ctx, previous_velocity):
 
 
 def _assemble(ctx, dest):
-    """CSR matrix of one destination: volume, BJS and Nitsche parts in order.
-
-    An interface part goes to M exactly when its trial is y_s, the
-    displacement whose rate is the interface velocity, and otherwise to N.
-    """
-    parts = assemble_volume_forms(ctx, dest)
-    for interface in (assemble_bjs(ctx), assemble_nitsche_consistency(ctx),
-                      assemble_nitsche_penalty(ctx)):
-        parts += [p for p in interface if (p[1] == "y_s") == (dest == "M")]
+    """CSR matrix of the records of ``dest``: volume parts summed per block."""
+    parts = _sum_blocks(_parts(_Kernels(ctx), [t for t in VOLUME_TERMS
+                                               if t.dest == dest]))
+    if ctx.facet_stack is not None:
+        parts += _parts(_FacetKernels(ctx), [t for t in INTERFACE_TERMS
+                                             if t.dest == dest])
     return from_contributions(ctx.spaces, parts)
 
 

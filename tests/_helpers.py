@@ -1,6 +1,7 @@
 """Small helpers that only the tests use: the reference parameter set,
-interpolation, areas, block patterns."""
+interpolation, areas, block patterns, the parts of chosen term records."""
 
+from fpsi import forms
 from fpsi.fem import FieldCoefficients, _eval_field
 from fpsi.forms import BLOCK_NAMES
 from fpsi.mesh import _signed_area
@@ -40,3 +41,16 @@ def block_pattern(spaces, matrix):
     pruned.eliminate_zeros()
     return {(test, trial) for test in BLOCK_NAMES for trial in BLOCK_NAMES
             if block(spaces, pruned, test, trial).nnz}
+
+
+def record_parts(ctx, terms, dest=None, kernel=None):
+    """The parts of the records of one term table with ``dest`` and ``kernel``.
+
+    ``None`` takes every destination or kernel.  The parts come in table
+    order, one per record and not summed per block, and a record whose
+    coefficient is exactly zero adds none, as ``assemble_M`` and
+    ``assemble_N`` evaluate them.
+    """
+    kernels = forms._Kernels if terms is forms.VOLUME_TERMS else forms._FacetKernels
+    return forms._parts(kernels(ctx), [t for t in terms if dest in (None, t.dest)
+                                       and kernel in (None, t.kernel)])

@@ -13,7 +13,7 @@ from fpsi.forms import NitscheParams, PhysicalParams, StateVector, build_spaces
 from fpsi.mesh import generate_channel, generate_structured, interface_pairs
 
 import _fd_gates as fd_gates
-from _helpers import REFERENCE_PARAMS, interpolate
+from _helpers import REFERENCE_PARAMS, interpolate, record_parts
 from _oracles import X, Y, convection_dense, eps_eps_dense
 
 LEVELS = [(n, n) for n in (2, 4, 8, 16, 32)]
@@ -97,7 +97,8 @@ def test_criterion_4_penalty_structure(params):
     mesh = generate_structured(2, 2)
     spaces = build_spaces(mesh)
     ctx = forms.AssemblyContext(spaces, params, nitsche)
-    mat = forms.from_contributions(spaces, forms.assemble_nitsche_penalty(ctx))
+    mat = forms.from_contributions(
+        spaces, record_parts(ctx, forms.INTERFACE_TERMS, kernel="jump_jump"))
 
     asym = (mat - mat.T).tocoo()
     sym_err = np.abs(asym.data).max() if asym.nnz else 0.0

@@ -349,6 +349,17 @@ def test_non_finite_parameter_rejected(tmp_path, capsys, line):
     assert line.split(" =")[0] in capsys.readouterr().err
 
 
+def test_small_asymmetric_kappa_rejected(tmp_path, capsys):
+    # 2e-13 off a 1e-8 diagonal is an asymmetry of 2e-5 relative
+    path = write_config(tmp_path, "mode = general\nrun.inflow = none\n"
+                                  "mesh.nx = 4\nmesh.ny = 4\n"
+                                  "physics.kappa = 1e-8 2e-13 0 1e-8\n")
+    code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "physics" in err and "symmetric" in err
+
+
 @pytest.mark.parametrize("tau_factor", ["-1", "0.0003"])
 def test_convergence_tau_factor_off_the_time_grid_rejected(tmp_path, capsys,
                                                            tau_factor):

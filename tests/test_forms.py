@@ -8,15 +8,15 @@ import pytest
 import sympy as sp
 
 from fpsi import fem, forms, mesh as meshmod
-from fpsi.forms import (AssemblyContext, FormsError, NitscheParams,
-                        PhysicalParams, Spaces, StateVector, assemble_bjs,
-                        assemble_convection, assemble_F, assemble_M, assemble_N,
-                        assemble_nitsche_consistency, assemble_nitsche_penalty,
-                        assemble_volume_forms, build_spaces)
+from fpsi.forms import (INTERFACE_TERMS, VOLUME_TERMS, AssemblyContext,
+                        FormsError, NitscheParams, PhysicalParams, Spaces,
+                        StateVector, assemble_convection, assemble_F, assemble_M,
+                        assemble_N, build_spaces)
 from fpsi.mesh import generate_structured, interface_pairs
 
 from _fd_gates import ExactStresses
-from _helpers import REFERENCE_PARAMS, block, block_pattern, interpolate
+from _helpers import (REFERENCE_PARAMS, block, block_pattern, interpolate,
+                      record_parts)
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
 from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
                         trace_stress_nn, trace_tangent, trace_values)
@@ -39,6 +39,13 @@ def test_kappa_must_be_spd():
         PhysicalParams(kappa=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(FormsError, match="positive definite"):
         PhysicalParams(kappa=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # an asymmetry of 2e-5 relative is rejected at any scale: eigvalsh reads
+    # the lower triangle alone, and inv(kappa) would carry it into the drag
+    for scale in (1.0, 1e-8):
+        with pytest.raises(FormsError, match="symmetric"):
+            PhysicalParams(kappa=scale * np.array([[1.0, 2e-5], [0.0, 1.0]]))
+    small = 1e-8 * np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(PhysicalParams(kappa=small).kappa, small)
 
 
 def test_positive_theta_warns():
@@ -96,13 +103,15 @@ def _triangles_of(mesh, space):
     return out
 
 
-def _route(parts, dest):
-    """The interface parts of one destination: M exactly for the trial y_s."""
-    return [p for p in parts if (p[1] == "y_s") == (dest == "M")]
+def _consistency(ctx, dest=None):
+    """The stress-consistency records' parts and their adjoints' of ``dest``."""
+    return (record_parts(ctx, INTERFACE_TERMS, dest, "stress_jump")
+            + record_parts(ctx, INTERFACE_TERMS, dest, "jump_stress"))
 
 
 def _penalty_matrix(ctx):
-    return forms.from_contributions(ctx.spaces, assemble_nitsche_penalty(ctx))
+    return forms.from_contributions(
+        ctx.spaces, record_parts(ctx, INTERFACE_TERMS, kernel="jump_jump"))
 
 
 def _dense_from_parts(spaces, parts, test, trial):
@@ -113,7 +122,7 @@ def _dense_from_parts(spaces, parts, test, trial):
 
 def test_p2_stiffness_matches_symbolic(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(ctx, "N")
+    parts = record_parts(ctx, VOLUME_TERMS, "N")
     got = _dense_from_parts(spaces, parts, "u_f", "u_f")
     expected = np.zeros_like(got)
     sp_uf = spaces.u_f
@@ -128,7 +137,7 @@ def test_p2_stiffness_matches_symbolic(tiny):
 
 def test_p1_vector_mass_matches_symbolic(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(ctx, "N")
+    parts = record_parts(ctx, VOLUME_TERMS, "N")
     got = _dense_from_parts(spaces, parts, "u_s", "u_s")  # rho_p mass
     expected = np.zeros_like(got)
     sp_us = spaces.u_s
@@ -194,7 +203,7 @@ def test_convection_quadratic_form_matches_quadrature(tiny, rng):
 
 def test_a_s_p_vanishes_on_constants(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(ctx, "N")
+    parts = record_parts(ctx, VOLUME_TERMS, "N")
     block = _dense_from_parts(spaces, parts, "y_s", "y_s")
     const = np.tile([1.0, -2.0], spaces.y_s.num_nodes)
     assert np.abs(block @ const).max() < 1e-12
@@ -203,7 +212,7 @@ def test_a_s_p_vanishes_on_constants(tiny):
 def test_divergence_theorem_for_pressure_coupling(tiny):
     # b^S(v, 1) = -int div v = -int_Sigma v . n_S for v vanishing on gamma_s
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(ctx, "N")
+    parts = record_parts(ctx, VOLUME_TERMS, "N")
     bt = _dense_from_parts(spaces, parts, "u_f", "p_S")  # -(div v, q)
     ones_p = np.ones(spaces.p_S.ndofs)
     volume_side = bt @ ones_p  # b^S(v_i, 1) per velocity dof
@@ -271,7 +280,8 @@ def test_coefficients_are_constants_decided_in_forms():
 def test_bjs_zero_friction(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
     free = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": 0.0})
-    parts = assemble_bjs(AssemblyContext(spaces, free, nitsche))
+    parts = record_parts(AssemblyContext(spaces, free, nitsche), INTERFACE_TERMS,
+                         kernel="slip")
     assert parts == []
 
 
@@ -282,8 +292,8 @@ def test_bjs_tangential_unit_field():
     params = PhysicalParams(**{**REFERENCE_PARAMS, "mu_f": 1.0,
                                "alpha_bjs": 1.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
-    parts = assemble_bjs(ctx)
-    block = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "u_r")
+    parts = record_parts(ctx, INTERFACE_TERMS, "N", "slip")
+    block = _dense_from_parts(spaces, parts, "u_r", "u_r")
     tang = np.tile([1.0, 0.0], spaces.u_r.num_nodes)
     assert abs(tang @ block @ tang - 1.0) < 1e-12
     normal = np.tile([0.0, 1.0], spaces.u_r.num_nodes)
@@ -292,8 +302,8 @@ def test_bjs_tangential_unit_field():
 
 def test_bjs_quadratic_form_is_seminorm(tiny, rng):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_bjs(ctx)
-    block = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "u_r")
+    parts = record_parts(ctx, INTERFACE_TERMS, "N", "slip")
+    block = _dense_from_parts(spaces, parts, "u_r", "u_r")
     u = rng.normal(size=spaces.u_r.ndofs)
     form_val = u @ block @ u
     direct = 0.0
@@ -311,18 +321,18 @@ def test_consistency_zero_for_stress_free_field(tiny):
     # the trial-stress side of the coupling vanishes when eps(u_f) n . n = 0
     # and p_S = 0; the pure trial-side rows are u_r and y_s
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_nitsche_consistency(ctx)
+    parts = _consistency(ctx, "N")
     const = np.tile([2.0, -1.0], spaces.u_f.num_nodes)
     for row in ("u_r", "y_s"):
-        block = _dense_from_parts(spaces, _route(parts, "N"), row, "u_f")
+        block = _dense_from_parts(spaces, parts, row, "u_f")
         assert np.abs(block @ const).max() < 1e-13
 
 
 def test_consistency_pressure_jump_pairing(tiny):
     # p_S = 1 against a unit normal test jump integrates to +1 on |Sigma| = 1
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_nitsche_consistency(ctx)
-    block = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "p_S")
+    parts = _consistency(ctx, "N")
+    block = _dense_from_parts(spaces, parts, "u_r", "p_S")
     v_r = np.tile([0.0, -1.0], spaces.u_r.num_nodes)  # n_P . v_r = 1
     ones = np.ones(spaces.p_S.ndofs)
     assert abs(v_r @ block @ ones - 1.0) < 1e-12
@@ -331,7 +341,7 @@ def test_consistency_pressure_jump_pairing(tiny):
 def test_consistency_varsigma_zero_drops_adjoint_velocity_rows(tiny):
     mesh, spaces, params, _, ctx = tiny
     incomplete = NitscheParams(gamma=40.0, varsigma=0)
-    parts = assemble_nitsche_consistency(AssemblyContext(spaces, params, incomplete))
+    parts = _consistency(AssemblyContext(spaces, params, incomplete))
     names = {(p[0], p[1]) for p in parts}
     assert ("u_f", "u_r") not in names  # adjoint velocity-test block gone
     assert ("p_S", "u_r") in names      # -q_S rows remain
@@ -340,12 +350,12 @@ def test_consistency_varsigma_zero_drops_adjoint_velocity_rows(tiny):
 
 def test_consistency_adjoint_is_transpose_for_symmetric_variant(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_nitsche_consistency(ctx)
-    trial_side = _dense_from_parts(spaces, _route(parts, "N"), "u_r", "u_f")
-    adjoint = _dense_from_parts(spaces, _route(parts, "N"), "u_f", "u_r")
+    parts = _consistency(ctx)
+    trial_side = _dense_from_parts(spaces, parts, "u_r", "u_f")
+    adjoint = _dense_from_parts(spaces, parts, "u_f", "u_r")
     assert np.abs(adjoint - trial_side.T).max() < 1e-12
-    trial_y = _dense_from_parts(spaces, _route(parts, "N"), "y_s", "u_f")
-    adjoint_y = _dense_from_parts(spaces, _route(parts, "M"), "u_f", "y_s")
+    trial_y = _dense_from_parts(spaces, parts, "y_s", "u_f")
+    adjoint_y = _dense_from_parts(spaces, parts, "u_f", "y_s")
     assert np.abs(adjoint_y - trial_y.T).max() < 1e-12
 
 
@@ -500,7 +510,7 @@ def test_volume_operator_positive_semidefinite(rng):
     spaces = build_spaces(mesh)
     params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": 0.0})
     ctx = AssemblyContext(spaces, params, NitscheParams())
-    parts = assemble_volume_forms(ctx, "N")
+    parts = record_parts(ctx, VOLUME_TERMS, "N")
     matrix = forms.from_contributions(spaces, parts)
     for _ in range(50):
         x = rng.normal(size=spaces.size)
@@ -728,64 +738,76 @@ def test_m_volume_pattern_reduction(tiny):
     # the gamma -> 0, alpha = 0, theta = 0 reduction of M: mass blocks,
     # Brinkman stiffness on the displacement rate, and dilation coupling
     mesh, spaces, params, nitsche, ctx = tiny
-    parts = assemble_volume_forms(ctx, "M")
+    parts = record_parts(ctx, VOLUME_TERMS, "M")
     matrix = forms.from_contributions(spaces, parts)
     assert block_pattern(spaces, matrix) == EXPECTED_M_VOLUME_PATTERN
 
 
 @pytest.mark.parametrize("nx", [2, 8])
-def test_m_and_n_match_merge_of_both_destinations(nx):
-    # assemble_M and assemble_N each run only their own volume kernels; the
-    # result is bit-identical to building every part and keeping one half
+def test_m_and_n_match_merge_of_both_destinations(nx, monkeypatch):
+    # assemble_M and assemble_N evaluate each record of the two tables once,
+    # in its own destination, and M + N sums the parts of every record
     mesh = generate_structured(nx, nx)
     spaces = build_spaces(mesh)
     params = PhysicalParams(**REFERENCE_PARAMS)
-    nitsche = NitscheParams(gamma=40.0, varsigma=1)
-    ctx = AssemblyContext(spaces, params, nitsche)
-    interface = [assemble_bjs(ctx), assemble_nitsche_consistency(ctx),
-                 assemble_nitsche_penalty(ctx)]
-    for dest, assemble in (("M", assemble_M), ("N", assemble_N)):
-        merged = assemble_volume_forms(ctx, dest) + [
-            part for parts in interface for part in _route(parts, dest)]
-        want = forms.from_contributions(spaces, merged)
-        got = assemble(ctx)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    ctx = AssemblyContext(spaces, params, NitscheParams(gamma=40.0, varsigma=1))
+    evaluated, parts = [], forms._parts
+
+    def counted(kernels, terms):
+        evaluated.extend(terms)
+        return parts(kernels, terms)
+
+    monkeypatch.setattr(forms, "_parts", counted)
+    total = assemble_M(ctx) + assemble_N(ctx)
+    assert sorted(evaluated) == sorted(VOLUME_TERMS + INTERFACE_TERMS)
+    monkeypatch.undo()
+    want = forms.from_contributions(spaces, record_parts(ctx, VOLUME_TERMS)
+                                    + record_parts(ctx, INTERFACE_TERMS))
+    assert abs(total - want).max() <= 1e-14 * abs(want).max()
 
 
-def test_volume_forms_reject_unknown_destination(tiny):
-    mesh, spaces, params, nitsche, ctx = tiny
-    with pytest.raises(FormsError, match="destination must be 'M' or 'N'"):
-        assemble_volume_forms(ctx, "C")
-
-
-def test_volume_terms_declare_each_term_once():
-    # one record per term, and the blocks that energy_matrix reads off M and
-    # N hold the energy terms alone: no other volume term and no interface
-    # part reaches them, for every consistency variant, with and without
-    # friction
-    terms = forms.VOLUME_TERMS
+def test_term_tables_declare_each_term_once():
+    # one record per term of the scheme, each kernel a method of its table's
+    # kernel class; an interface coupling goes to M exactly when its trial is
+    # y_s, whose rate is the interface velocity; and the blocks that
+    # energy_matrix reads off M and N hold the energy terms alone
+    terms = VOLUME_TERMS + INTERFACE_TERMS
     labels = [t.label for t in terms]
-    assert len(set(labels)) == len(labels)
-    assert all(callable(getattr(forms._Kernels, t.kernel, None)) for t in terms)
+    assert len(labels) == 52 and len(set(labels)) == 52
+    for table, kernels in ((VOLUME_TERMS, forms._Kernels),
+                           (INTERFACE_TERMS, forms._FacetKernels)):
+        assert all(not t.kernel.startswith("_")
+                   and callable(getattr(kernels, t.kernel, None)) for t in table)
     assert {t.dest for t in terms} <= {"M", "N"}
+    assert all((t.dest == "M") == (t.trial == "y_s") for t in INTERFACE_TERMS)
     assert set(forms.ENERGY_TERMS) <= set(labels)
     energy = {(t.dest, t.test, t.trial) for t in terms
               if t.label in forms.ENERGY_TERMS}
     others = {(t.dest, t.test, t.trial) for t in terms
               if t.label not in forms.ENERGY_TERMS}
     assert not energy & others
+
+
+def test_every_record_is_live(monkeypatch):
+    # deleting any one of the 52 records changes M or N, on a set-up where no
+    # coefficient vanishes: an anisotropic permeability, a sink, the
+    # symmetric variant and friction
     spaces = build_spaces(generate_structured(4, 4))
-    for varsigma in (-1, 0, 1):
-        for alpha_bjs in (0.0, 1.0):
-            params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": alpha_bjs})
-            ctx = AssemblyContext(spaces, params, NitscheParams(varsigma=varsigma))
-            parts = (assemble_bjs(ctx) + assemble_nitsche_consistency(ctx)
-                     + assemble_nitsche_penalty(ctx))
-            assert parts
-            interface = {(dest, p[0], p[1]) for dest in ("M", "N")
-                         for p in _route(parts, dest)}
-            assert not energy & interface, (varsigma, alpha_bjs)
+    params = PhysicalParams(**{**REFERENCE_PARAMS, "theta": -0.5, "alpha_bjs": 1.0,
+                               "kappa": np.array([[2.0, 0.5], [0.5, 1.0]])})
+    ctx = AssemblyContext(spaces, params, NitscheParams(varsigma=1))
+
+    def arrays():
+        return [getattr(mat, attr) for mat in (assemble_M(ctx), assemble_N(ctx))
+                for attr in ("data", "indices", "indptr")]
+
+    full = arrays()
+    for table in ("VOLUME_TERMS", "INTERFACE_TERMS"):
+        terms = getattr(forms, table)
+        for i, term in enumerate(terms):
+            monkeypatch.setattr(forms, table, terms[:i] + terms[i + 1:])
+            assert not all(map(np.array_equal, full, arrays())), term.label
+        monkeypatch.setattr(forms, table, terms)
 
 
 # --- batched kernels and interface assemblers against their einsum forms -------
@@ -913,14 +935,16 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
         params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": alpha})
         ctx = AssemblyContext(spaces, params, nitsche)
         pairs = [
-            (assemble_bjs(ctx), _per_facet.assemble_bjs(ctx)),
-            (assemble_nitsche_consistency(ctx),
+            (lambda dest: record_parts(ctx, INTERFACE_TERMS, dest, "slip"),
+             _per_facet.assemble_bjs(ctx)),
+            (lambda dest: _consistency(ctx, dest),
              _per_facet.assemble_nitsche_consistency(ctx)),
-            (assemble_nitsche_penalty(ctx), _per_facet.assemble_nitsche_penalty(ctx)),
+            (lambda dest: record_parts(ctx, INTERFACE_TERMS, dest, "jump_jump"),
+             _per_facet.assemble_nitsche_penalty(ctx)),
         ]
         for got, want in pairs:
             for dest in ("M", "N"):
-                routed = _route(got, dest)
+                routed = got(dest)
                 assert {p[:2] for p in routed} == {p[:2] for p in want[dest]}
                 got_mat = forms.from_contributions(spaces, routed)
                 want_mat = forms.from_contributions(spaces, want[dest])
@@ -928,7 +952,7 @@ def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
                 diff = abs(got_mat - want_mat).max() if got_mat.nnz else 0.0
                 assert diff <= 1e-14 * scale, (alpha, dest, diff, scale)
         if alpha == 0.0:
-            assert pairs[0][0] == []
+            assert record_parts(ctx, INTERFACE_TERMS, kernel="slip") == []
 
 
 def test_from_contributions_drops_rounding_residues(spaces22):
