@@ -692,6 +692,8 @@ class _FacetKernels:
         self.fs = fs = ctx.facet_stack
         self.stress = {"u_f": ctx.facet_stress_nn("u_f", fs["normal_s"]),
                        "p_S": fs[("S", ctx.spaces.p_S.degree, "phi")]}
+        self.jump = {n: ctx.facet_jump(n) for n in ("u_f", "u_r", "y_s")}
+        self.tau = {n: ctx.facet_trace(n, fs["tangent"]) for n in self.jump}
 
     def _part(self, test, trial, local):
         facet_dofs = self.ctx.facet_dofs
@@ -699,26 +701,23 @@ class _FacetKernels:
 
     def slip(self, test, trial, coeff):
         """(coeff / sqrt(tau . kappa tau)) (u . tau, v . tau)."""
-        fs, trace = self.fs, self.ctx.facet_trace
-        w = fs["w"] * (coeff / np.sqrt(fs["z_perm"]))[:, None]
-        return self._part(test, trial, _facet_outer(
-            w, trace(test, fs["tangent"]), trace(trial, fs["tangent"])))
+        w = self.fs["w"] * (coeff / np.sqrt(self.fs["z_perm"]))[:, None]
+        return self._part(test, trial, _facet_outer(w, self.tau[test], self.tau[trial]))
 
     def stress_jump(self, test, trial, coeff):
         """coeff (stress of the trial, jump of the test)."""
         return self._part(test, trial, coeff * _facet_outer(
-            self.fs["w"], self.ctx.facet_jump(test), self.stress[trial]))
+            self.fs["w"], self.jump[test], self.stress[trial]))
 
     def jump_stress(self, test, trial, coeff):
         """coeff (stress of the test, jump of the trial): the adjoint."""
         return self._part(test, trial, coeff * _facet_outer(
-            self.fs["w"], self.stress[test], self.ctx.facet_jump(trial)))
+            self.fs["w"], self.stress[test], self.jump[trial]))
 
     def jump_jump(self, test, trial, coeff):
         """(coeff / h_E) (jump of the trial, jump of the test)."""
         w = self.fs["w"] * (coeff / self.fs["h_e"])[:, None]
-        return self._part(test, trial, _facet_outer(
-            w, self.ctx.facet_jump(test), self.ctx.facet_jump(trial)))
+        return self._part(test, trial, _facet_outer(w, self.jump[test], self.jump[trial]))
 
 
 def _parts(kernels, terms):

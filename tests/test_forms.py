@@ -745,25 +745,28 @@ def test_m_volume_pattern_reduction(tiny):
 
 @pytest.mark.parametrize("nx", [2, 8])
 def test_m_and_n_match_merge_of_both_destinations(nx, monkeypatch):
-    # assemble_M and assemble_N evaluate each record of the two tables once,
-    # in its own destination, and M + N sums the parts of every record
+    # assemble_M and assemble_N each evaluate the records of their own
+    # destination once, so the two together evaluate all 52; each result is
+    # bit-identical to that destination's volume parts summed per block
+    # followed by its interface parts
     mesh = generate_structured(nx, nx)
     spaces = build_spaces(mesh)
     params = PhysicalParams(**REFERENCE_PARAMS)
     ctx = AssemblyContext(spaces, params, NitscheParams(gamma=40.0, varsigma=1))
-    evaluated, parts = [], forms._parts
-
-    def counted(kernels, terms):
-        evaluated.extend(terms)
-        return parts(kernels, terms)
-
-    monkeypatch.setattr(forms, "_parts", counted)
-    total = assemble_M(ctx) + assemble_N(ctx)
-    assert sorted(evaluated) == sorted(VOLUME_TERMS + INTERFACE_TERMS)
-    monkeypatch.undo()
-    want = forms.from_contributions(spaces, record_parts(ctx, VOLUME_TERMS)
-                                    + record_parts(ctx, INTERFACE_TERMS))
-    assert abs(total - want).max() <= 1e-14 * abs(want).max()
+    parts = forms._parts
+    for dest, assemble in (("M", assemble_M), ("N", assemble_N)):
+        evaluated = []
+        monkeypatch.setattr(forms, "_parts", lambda kernels, terms:
+                            evaluated.extend(terms) or parts(kernels, terms))
+        got = assemble(ctx)
+        monkeypatch.undo()
+        assert sorted(evaluated) == sorted(t for t in VOLUME_TERMS + INTERFACE_TERMS
+                                           if t.dest == dest)
+        want = forms.from_contributions(
+            spaces, forms._sum_blocks(record_parts(ctx, VOLUME_TERMS, dest))
+            + record_parts(ctx, INTERFACE_TERMS, dest))
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (dest, attr)
 
 
 def test_term_tables_declare_each_term_once():
