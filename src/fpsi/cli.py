@@ -118,7 +118,7 @@ class RunConfig:
             elif self.mesh_kind == "channel":
                 ch = self.channel
                 m = meshmod.generate_channel(
-                    self.nx, self.ny, x0=0.0, y0=ch["y0"], width=ch["length"],
+                    self.nx, self.ny, y0=ch["y0"], width=ch["length"],
                     height=ch["height"], s_lower=ch["lower"],
                     s_upper=ch["upper"])
             elif self.mesh_kind == "msh":
@@ -147,18 +147,21 @@ class RunConfig:
 
 
 def _parse_lines(path):
-    entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            entries[key] = value
+    """The ``key = value`` entries of a config file; a key may appear once."""
+    entries, first = {}, {}
+    for lineno, raw in enumerate(meshmod.read_lines(path, ConfigError), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is given twice, "
+                              f"first on line {first[key]}")
+        entries[key], first[key] = value, lineno
     return entries
 
 
@@ -491,8 +494,7 @@ def cmd_energy_check(config, out_dir):
             "energy-check requires solver.convection = off")
     _ensure_outdir(out_dir)
     spaces = forms.build_spaces(config.build_mesh())
-    grid = solver.TimeGrid(tau=config.tau, nsteps=config.energy_steps,
-                           final=config.tau * config.energy_steps)
+    grid = solver.TimeGrid(tau=config.tau, final=config.tau * config.energy_steps)
     stepper = solver.TimeStepper(spaces, config.physical_params(),
                                  config.nitsche_params(), grid,
                                  convection=False,

@@ -332,28 +332,27 @@ class AssemblyContext:
     def _stack_facets(self):
         """Tables of all interface facets along a leading facet axis, or None.
 
-        Points ``"x"``, weights ``"w"``, the pairs' normals, ``tangent`` and
-        ``h_e``, the tangential permeability ``z_perm`` = (kappa tangent) .
-        tangent, and per side and degree the adjacent cell's
-        basis values and gradients, ``(side, deg, "phi" | "grad")``, and its
-        index among the side's cells, ``(side, "pos")``.
+        Points ``"x"``, weights ``"w"``, the facets' ``h_e``, the
+        tangential permeability ``z_perm`` = (kappa tangent) . tangent, per
+        side and degree the adjacent cell's basis values and gradients,
+        ``(side, deg, "phi" | "grad")``, and its index among the side's
+        cells, ``(side, "pos")``.  The traces that every interface form
+        reads, each (facets, nq, dofs): ``"jump"`` of u_f, u_r and y_s, the
+        slots of u_f . n_S + u_r . n_P + y_s . n_P; ``"tau"``, their
+        tangential components; ``"stress"``, eps(u_f) n_S . n_S and p_S.
         """
         pairs = self.pairs
         if not pairs:
             return None
         mesh = self.mesh
-        verts = np.array([pair.vertex_ids for pair in pairs])
-        pa, pb = mesh.vertices[verts[:, 0]], mesh.vertices[verts[:, 1]]
+        pa, pb = (mesh.vertices[ends] for ends in pairs.vertex_ids.T)
         s = self.seg_rule.points[:, 0]
         x = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
-        stack = {"x": x}
-        for attr in ("normal_s", "normal_p", "tangent", "h_e"):
-            stack[attr] = np.array([getattr(pair, attr) for pair in pairs])
-        tangent = stack["tangent"]
-        stack["z_perm"] = np.sum((tangent @ self.params.kappa) * tangent, axis=1)
-        stack["w"] = self.seg_rule.weights[None, :] * stack["h_e"][:, None]
-        for side, attr in (("S", "cell_s"), ("P", "cell_p")):
-            cells = np.array([getattr(pair, attr) for pair in pairs])
+        tangent = pairs.tangent
+        stack = {"x": x, "h_e": pairs.h_e,
+                 "z_perm": np.sum((tangent @ self.params.kappa) * tangent, axis=1),
+                 "w": self.seg_rule.weights[None, :] * pairs.h_e[:, None]}
+        for side, cells in (("S", pairs.cell_s), ("P", pairs.cell_p)):
             tri = mesh.vertices[mesh.cells[cells]]                 # (facets, 3, 2)
             # solve and inv per facet, as a facet alone would be tabulated
             p0 = tri[:, 0]
@@ -368,6 +367,20 @@ class AssemblyContext:
                 stack[(side, deg, "grad")] = np.einsum(
                     "fqld,fde->fqle", dphi.reshape(len(pairs), -1, nloc, 2), inv_jac)
             stack[(side, "pos")] = np.searchsorted(mesh.cells_in(side), cells)
+
+        def table(name, kind):
+            space = getattr(self.spaces, name)
+            return stack[(space.subdomain, space.degree, kind)]
+
+        n_s = pairs.normal_s
+        normals = {"u_f": n_s, "u_r": -n_s, "y_s": -n_s}
+        stack["jump"] = {name: _vector_trace(table(name, "phi"), normal)
+                         for name, normal in normals.items()}
+        stack["tau"] = {name: _vector_trace(table(name, "phi"), tangent)
+                        for name in normals}
+        grad_n = (table("u_f", "grad") @ n_s[:, None, :, None])[..., 0]
+        stack["stress"] = {"u_f": _vector_trace(grad_n, n_s),
+                           "p_S": table("p_S", "phi")}
         return stack
 
     def facet_dofs(self, name):
@@ -375,25 +388,15 @@ class AssemblyContext:
         space = getattr(self.spaces, name)
         return self.dof_map(space)[self.facet_stack[(space.subdomain, "pos")]]
 
-    def facet_trace(self, name, direction):
-        """direction (facets, 2) . vector basis of ``name``: (facets, nq, 2 nloc)."""
-        space = getattr(self.spaces, name)
-        phi = self.facet_stack[(space.subdomain, space.degree, "phi")]
-        f, q, n = phi.shape
-        return (phi[..., None] * direction[:, None, None, :]).reshape(f, q, 2 * n)
 
-    def facet_stress_nn(self, name, normal):
-        """(eps(vector basis of ``name``) n) . n at the points: (facets, nq, 2 nloc)."""
-        space = getattr(self.spaces, name)
-        grad = self.facet_stack[(space.subdomain, space.degree, "grad")]
-        gn = (grad @ normal[:, None, :, None])[..., 0]
-        f, q, n = gn.shape
-        return (gn[..., None] * normal[:, None, None, :]).reshape(f, q, 2 * n)
+def _vector_trace(values, direction):
+    """Each vector basis function's component along ``direction``: (facets, nq, 2 nloc).
 
-    def facet_jump(self, name):
-        """Trace of ``name`` in the jump u_f . n_S + u_r . n_P + y_s . n_P."""
-        normal = "normal_s" if name == "u_f" else "normal_p"
-        return self.facet_trace(name, self.facet_stack[normal])
+    ``values`` (facets, nq, nloc) are scalar basis values or derivatives,
+    ``direction`` (facets, 2) one vector per facet; components interleave.
+    """
+    f, q, n = values.shape
+    return (values[..., None] * direction[:, None, None, :]).reshape(f, q, 2 * n)
 
 
 def interface_jump_seminorm(ctx, state, rate_y_values):
@@ -407,7 +410,7 @@ def interface_jump_seminorm(ctx, state, rate_y_values):
         return 0.0
     values = {"u_f": state.block("u_f").values, "u_r": state.block("u_r").values,
               "y_s": rate_y_values}
-    jn = sum(np.einsum("fqa,fa->fq", ctx.facet_jump(name), vals[ctx.facet_dofs(name)])
+    jn = sum(np.einsum("fqa,fa->fq", fs["jump"][name], vals[ctx.facet_dofs(name)])
              for name, vals in values.items())
     return float(np.sum(fs["w"] * jn**2 / fs["h_e"][:, None]))
 
@@ -690,10 +693,7 @@ class _FacetKernels:
     def __init__(self, ctx):
         self.ctx = ctx
         self.fs = fs = ctx.facet_stack
-        self.stress = {"u_f": ctx.facet_stress_nn("u_f", fs["normal_s"]),
-                       "p_S": fs[("S", ctx.spaces.p_S.degree, "phi")]}
-        self.jump = {n: ctx.facet_jump(n) for n in ("u_f", "u_r", "y_s")}
-        self.tau = {n: ctx.facet_trace(n, fs["tangent"]) for n in self.jump}
+        self.stress, self.jump, self.tau = fs["stress"], fs["jump"], fs["tau"]
 
     def _part(self, test, trial, local):
         facet_dofs = self.ctx.facet_dofs
@@ -820,7 +820,7 @@ def _add_interface_corrections(ctx, corr, time, rhs):
     (gamma mu_f / h_E) m1; the stress-consistency adjoint pairs m1 with
     -varsigma 2 mu_f (eps(v_f) n . n) and with -q_S; m2..m5 restore the
     normal-stress, contact-force, and slip defects.  All facets are handled
-    at once from ``ctx.facet_stack``.
+    at once from the traces of ``ctx.facet_stack``.
     """
     fs = ctx.facet_stack
     if fs is None:
@@ -831,7 +831,6 @@ def _add_interface_corrections(ctx, corr, time, rhs):
     w = fs["w"]                                   # (facets, nq)
     x, y = fs["x"][..., 0], fs["x"][..., 1]
     shape = x.shape
-    n_s, n_p, tau = fs["normal_s"], fs["normal_p"], fs["tangent"]
     c_pen = (nitsche.gamma * params.mu_f / fs["h_e"])[:, None]
 
     def at_points(fn):
@@ -841,23 +840,21 @@ def _add_interface_corrections(ctx, corr, time, rhs):
                       for fn in (corr.m1, corr.m2, corr.m4, corr.m5))
     m3 = at_points(corr.m3).reshape(shape + (2,))
 
-    def along(name, direction, values):
-        """sum_q w values (direction . basis vector of ``name``) per facet and dof."""
-        return np.einsum("fq,fqa->fa", w * values, ctx.facet_trace(name, direction))
+    def along(trace, values):
+        """sum_q w values trace per facet and dof."""
+        return np.einsum("fq,fqa->fa", w * values, trace)
 
-    def load(name, normal, normal_values, slip_values, own=None):
+    def load(name, normal_values, slip_values, own=None):
         """Scatter into ``name`` its load along the normal, ``own``, and along tau."""
-        vals = along(name, normal, normal_values)
+        vals = along(fs["jump"][name], normal_values)
         vals = vals if own is None else vals + own
-        _scatter(ctx, rhs, name, ctx.facet_dofs(name), vals + along(name, tau, slip_values))
+        _scatter(ctx, rhs, name, ctx.facet_dofs(name),
+                 vals + along(fs["tau"][name], slip_values))
 
     pen = c_pen * m1
-    load("u_f", n_s, pen, -m4,
-         own=-sig * two_mu * np.einsum("fq,fqa->fa", w * m1,
-                                       ctx.facet_stress_nn("u_f", n_s)))
-    _scatter(ctx, rhs, "p_S", ctx.facet_dofs("p_S"),
-             -np.einsum("fq,fqi->fi", w * m1, fs[("S", 1, "phi")]))
-    load("u_r", n_p, pen + m2, -m5)
+    load("u_f", pen, -m4, own=-sig * two_mu * along(fs["stress"]["u_f"], m1))
+    _scatter(ctx, rhs, "p_S", ctx.facet_dofs("p_S"), -along(fs["stress"]["p_S"], m1))
+    load("u_r", pen + m2, -m5)
     phi_w = fs[(spaces.y_s.subdomain, spaces.y_s.degree, "phi")]
-    load("y_s", n_p, pen, m4,
+    load("y_s", pen, m4,
          own=np.einsum("fq,fqk,fqi->fik", w, m3, phi_w).reshape(len(w), -1))

@@ -8,6 +8,7 @@ is shared by exactly one S-cell and one P-cell.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -87,23 +88,26 @@ class Mesh:
 
 
 @dataclass(frozen=True, eq=False)
-class InterfaceFacetPair:
-    """One conforming interface facet with its two adjacent cells.
+class InterfaceFacets:
+    """The conforming interface facets in edge order, one array row each.
 
-    ``normal_s`` points out of the S-side cell, ``normal_p = -normal_s``.
-    The tangent is ``normal_s`` rotated by -90 degrees so that
-    (tangent, normal_s) is a right-handed frame; interface data that is
-    linear in the tangent must use the same convention.
+    Per facet: edge id, vertex ids, length ``h_e``, S-side and P-side cells
+    and ``normal_s``, out of the S-side cell (the P side's is ``-normal_s``).
+    The tangent is ``normal_s`` rotated by -90 degrees so that (tangent,
+    normal_s) is a right-handed frame; interface data that is linear in the
+    tangent must use the same convention.  ``len()`` is the facet count.
     """
 
-    edge_id: int
-    vertex_ids: tuple
-    h_e: float
+    edge_ids: np.ndarray
+    vertex_ids: np.ndarray
+    h_e: np.ndarray
     normal_s: np.ndarray
-    normal_p: np.ndarray
     tangent: np.ndarray
-    cell_s: int
-    cell_p: int
+    cell_s: np.ndarray
+    cell_p: np.ndarray
+
+    def __len__(self):
+        return self.edge_ids.size
 
 
 def _signed_area(p0, p1, p2):
@@ -205,28 +209,23 @@ def _validate(mesh):
 
 def interface_pairs(mesh):
     """All conforming interface facets with normals, tangents, and h_E."""
-    pairs = []
+    edge_ids = mesh.edges_with_tag(TAG_SIGMA)
+    vertex_ids = mesh.edges[edge_ids]
+    c0, c1 = mesh.edge_cells[edge_ids].T
+    s_first = mesh.cell_tags[c0] == SUBDOMAIN_S
+    cell_s, cell_p = np.where(s_first, c0, c1), np.where(s_first, c1, c0)
     p = mesh.vertices
-    for e in mesh.edges_with_tag(TAG_SIGMA):
-        a, b = (int(v) for v in mesh.edges[e])
-        c0, c1 = (int(c) for c in mesh.edge_cells[e])
-        if mesh.cell_tags[c0] == SUBDOMAIN_S:
-            cs, cp = c0, c1
-        else:
-            cs, cp = c1, c0
-        vec = p[b] - p[a]
-        h_e = float(np.linalg.norm(vec))
-        n = np.array([vec[1], -vec[0]]) / h_e
-        centroid = p[mesh.cells[cs]].mean(axis=0)
-        midpoint = 0.5 * (p[a] + p[b])
-        if np.dot(n, midpoint - centroid) < 0:
-            n = -n
-        tangent = np.array([n[1], -n[0]])
-        pairs.append(InterfaceFacetPair(
-            edge_id=int(e), vertex_ids=(a, b), h_e=h_e,
-            normal_s=n, normal_p=-n, tangent=tangent,
-            cell_s=cs, cell_p=cp))
-    return pairs
+    pa, pb = (p[ends] for ends in vertex_ids.T)
+    vec = pb - pa
+    # one dot product per edge, rounded as np.linalg.norm(edge) rounds
+    h_e = np.sqrt((vec[:, None, :] @ vec[:, :, None])[:, 0, 0])
+    n = np.column_stack([vec[:, 1], -vec[:, 0]]) / h_e[:, None]
+    inward = np.sum(n * (0.5 * (pa + pb) - p[mesh.cells[cell_s]].mean(axis=1)),
+                    axis=1) < 0
+    n[inward] = -n[inward]
+    return InterfaceFacets(edge_ids=edge_ids, vertex_ids=vertex_ids, h_e=h_e,
+                           normal_s=n, tangent=np.column_stack([n[:, 1], -n[:, 0]]),
+                           cell_s=cell_s, cell_p=cell_p)
 
 
 def generate_structured(nx, ny, gamma_p_rule=None):
@@ -246,16 +245,16 @@ def generate_structured(nx, ny, gamma_p_rule=None):
                         f"ny={ny} must be even for a centred split")
     half = ny // 2
     return _structured_layers(
-        nx, ny, 0.0, 0.0, 1.0, 1.0,
+        nx, ny, 0.0, 1.0, 1.0,
         lambda j: SUBDOMAIN_S if j < half else SUBDOMAIN_P,
         gamma_p_rule=gamma_p_rule)
 
 
-def generate_channel(nx, ny, *, x0=0.0, y0=-0.2, width=2.0, height=1.4,
+def generate_channel(nx, ny, *, y0=-0.2, width=2.0, height=1.4,
                      s_lower=0.3, s_upper=0.7):
     """Three-layer channel: porous slabs above and below a free-flow core.
 
-    The free-flow inlet (x = x0) is tagged ``gamma_s`` and the outlet
+    The free-flow inlet (x = 0) is tagged ``gamma_s`` and the outlet
     ``gamma_s_n`` (do-nothing); all porous exterior facets are Dirichlet.
     Both layer interfaces must coincide with horizontal grid lines.
     """
@@ -277,7 +276,7 @@ def generate_channel(nx, ny, *, x0=0.0, y0=-0.2, width=2.0, height=1.4,
             return SUBDOMAIN_S
         return SUBDOMAIN_P
 
-    return _structured_layers(nx, ny, x0, y0, width, height, subdomain_of_row,
+    return _structured_layers(nx, ny, y0, width, height, subdomain_of_row,
                               s_outlet_do_nothing=True)
 
 
@@ -307,10 +306,10 @@ def smallest_channel_rows(y0, height, s_lower, s_upper):
                  and channel_row(s_upper, ny, y0, height) is not None), None)
 
 
-def _structured_layers(nx, ny, x0, y0, width, height, subdomain_of_row,
+def _structured_layers(nx, ny, y0, width, height, subdomain_of_row,
                        gamma_p_rule=None, s_outlet_do_nothing=False):
     dx, dy = width / nx, height / ny
-    xs = x0 + dx * np.arange(nx + 1)
+    xs = dx * np.arange(nx + 1)
     ys = y0 + dy * np.arange(ny + 1)
     # vertex j * (nx + 1) + i sits at (xs[i], ys[j])
     vertices = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
@@ -365,32 +364,51 @@ _MSH_LINE = 1
 _MSH_TRIANGLE = 2
 
 
+def read_lines(path, error):
+    """The lines of the UTF-8 text file ``path``.
+
+    A file that cannot be read, such as a directory, or a line that is not
+    UTF-8 raises ``error`` naming the file and, for a line, its number.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise error(f"{path}: cannot read the file: {exc.strerror or exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        try:
+            lines[lineno - 1] = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    return lines
+
+
 def import_msh(path, tag_map):
     """Read a Gmsh MSH 2.2 ASCII file with tagged triangles and lines.
 
     ``tag_map`` maps physical names (or stringified physical ids when the
     file has no $PhysicalNames section) to mesh tags: "S"/"P" for surfaces
-    and facet tags for lines.  Interface conformity is validated.
+    and facet tags for lines.  Interface conformity is validated.  A record
+    that does not parse raises MeshError naming the file and its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in read_lines(path, MeshError)]
     if not any(ln for ln in lines):
         raise MeshError(f"{path}: empty MSH file")
 
     sections = _split_sections(lines, path)
     if "MeshFormat" not in sections:
         raise MeshError(f"{path}: missing $MeshFormat section")
-    fmt = sections["MeshFormat"][0].split()
-    if fmt[0] != "2.2":
-        raise MeshError(f"{path}: unsupported MSH version {fmt[0]} (need 2.2)")
+    fmt = (sections["MeshFormat"] or [(None, "")])[0][1]
+    if fmt.split()[:2] != ["2.2", "0"]:
+        raise MeshError(f"{path}: $MeshFormat {fmt!r} is not MSH version 2.2 "
+                        "of file type 0 (ASCII)")
 
     phys_names = {}
     if "PhysicalNames" in sections:
-        body = sections["PhysicalNames"]
-        for ln in body[1:1 + int(body[0])]:
-            parts = ln.split(maxsplit=2)
-            phys_names[int(parts[1])] = parts[2].strip().strip('"')
+        for lineno, ln in _records(path, sections, "PhysicalNames"):
+            with _reading(path, "PhysicalNames", lineno, ln):
+                parts = ln.split(maxsplit=2)
+                phys_names[int(parts[1])] = parts[2].strip().strip('"')
 
     if "Nodes" not in sections or "Elements" not in sections:
         raise MeshError(f"{path}: missing $Nodes or $Elements section")
@@ -400,13 +418,16 @@ def import_msh(path, tag_map):
         if name not in known:
             warnings.warn(f"{path}: ignoring MSH section ${name}")
 
-    node_body = sections["Nodes"]
-    count = int(node_body[0])
     node_id_to_idx, coords = {}, []
-    for ln in node_body[1:1 + count]:
-        parts = ln.split()
-        node_id_to_idx[int(parts[0])] = len(coords)
-        coords.append((float(parts[1]), float(parts[2])))
+    for lineno, ln in _records(path, sections, "Nodes"):
+        with _reading(path, "Nodes", lineno, ln):
+            parts = ln.split()
+            xy = (float(parts[1]), float(parts[2]))
+            if not np.all(np.isfinite(xy)):
+                raise MeshError(f"{path}:{lineno}: node coordinates must be "
+                                f"finite, got {ln!r}")
+            node_id_to_idx[int(parts[0])] = len(coords)
+            coords.append(xy)
     vertices = np.array(coords)
 
     def resolve(phys_id):
@@ -415,29 +436,30 @@ def import_msh(path, tag_map):
             raise MeshError(f"{path}: physical tag {name!r} missing from tag_map")
         return tag_map[name]
 
-    elem_body = sections["Elements"]
-    count = int(elem_body[0])
     cells, cell_tags, tagged_lines = [], [], {}
-    for ln in elem_body[1:1 + count]:
-        parts = [int(tok) for tok in ln.split()]
-        etype, ntags = parts[1], parts[2]
-        tags, nodes = parts[3:3 + ntags], parts[3 + ntags:]
-        if etype == _MSH_TRIANGLE:
-            tag = resolve(tags[0]) if tags else None
-            if tag not in (SUBDOMAIN_S, SUBDOMAIN_P):
-                raise MeshError(
-                    f"{path}: triangle physical tag must map to S or P, got {tag!r}")
-            cells.append([node_id_to_idx[n] for n in nodes])
-            cell_tags.append(tag)
-        elif etype == _MSH_LINE:
-            tag = resolve(tags[0]) if tags else None
-            if tag not in (TAG_SIGMA,) + BOUNDARY_TAGS:
-                raise MeshError(
-                    f"{path}: line physical tag must map to a facet tag, got {tag!r}")
-            key = tuple(sorted(node_id_to_idx[n] for n in nodes))
-            tagged_lines[key] = tag
-        else:
-            warnings.warn(f"{path}: ignoring element of type {etype}")
+    for lineno, ln in _records(path, sections, "Elements"):
+        with _reading(path, "Elements", lineno, ln):
+            parts = [int(tok) for tok in ln.split()]
+            etype, ntags = parts[1], parts[2]
+            tags, nodes = parts[3:3 + ntags], parts[3 + ntags:]
+            if etype == _MSH_TRIANGLE:
+                tag = resolve(tags[0]) if tags else None
+                if tag not in (SUBDOMAIN_S, SUBDOMAIN_P):
+                    raise MeshError(
+                        f"{path}: triangle physical tag must map to S or P, got {tag!r}")
+                if len(nodes) != 3:
+                    raise MeshError(f"{path}:{lineno}: a triangle has 3 nodes, got {ln!r}")
+                cells.append([node_id_to_idx[n] for n in nodes])
+                cell_tags.append(tag)
+            elif etype == _MSH_LINE:
+                tag = resolve(tags[0]) if tags else None
+                if tag not in (TAG_SIGMA,) + BOUNDARY_TAGS:
+                    raise MeshError(
+                        f"{path}: line physical tag must map to a facet tag, got {tag!r}")
+                key = tuple(sorted(node_id_to_idx[n] for n in nodes))
+                tagged_lines[key] = tag
+            else:
+                warnings.warn(f"{path}: ignoring element of type {etype}")
     if not cells:
         raise MeshError(f"{path}: no triangles found")
 
@@ -455,23 +477,38 @@ def import_msh(path, tag_map):
                                       for a, b in edges])
 
 
+@contextlib.contextmanager
+def _reading(path, section, lineno, text):
+    """Report a record of ``section`` that does not parse as a MeshError."""
+    try:
+        yield
+    except MeshError:
+        raise
+    except (ValueError, IndexError, KeyError):
+        raise MeshError(f"{path}:{lineno}: cannot read the ${section} record "
+                        f"{text!r}") from None
+
+
+def _records(path, sections, name):
+    """(line number, text) of each record of a section that starts with its count."""
+    body = sections[name]
+    if not body:
+        raise MeshError(f"{path}: ${name} is empty; it must start with its record count")
+    with _reading(path, name, *body[0]):
+        return body[1:1 + int(body[0][1])]
+
+
 def _split_sections(lines, path):
-    sections = {}
-    i = 0
-    while i < len(lines):
-        ln = lines[i]
-        if ln.startswith("$") and not ln.startswith("$End"):
+    """Section name -> body lines, each as (line number, text)."""
+    sections, name = {}, None
+    for lineno, ln in enumerate(lines, 1):
+        if name is not None and ln == f"$End{name}":
+            name = None
+        elif name is not None:
+            sections[name].append((lineno, ln))
+        elif ln.startswith("$") and not ln.startswith("$End"):
             name = ln[1:]
-            end = f"$End{name}"
-            j = i + 1
-            body = []
-            while j < len(lines) and lines[j] != end:
-                body.append(lines[j])
-                j += 1
-            if j == len(lines):
-                raise MeshError(f"{path}: unterminated section ${name}")
-            sections[name] = body
-            i = j + 1
-        else:
-            i += 1
+            sections[name] = []
+    if name is not None:
+        raise MeshError(f"{path}: unterminated section ${name}")
     return sections

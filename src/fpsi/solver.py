@@ -27,22 +27,23 @@ class NonFiniteSolutionError(SolverError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Constant-step grid: nsteps * tau must reproduce the final time."""
+    """Constant-step grid: final / tau must be an integer, the step count."""
 
     tau: float
     final: float
-    nsteps: int = None
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError(f"time step must be positive, got {self.tau}")
-        n = self.nsteps if self.nsteps is not None else round(self.final / self.tau)
-        n = int(n)
+        n = self.nsteps
         if n < 0 or abs(n * self.tau - self.final) > 1e-12 * max(1.0, self.final):
             raise ValueError(
                 f"final time {self.final} is not an integer multiple of "
                 f"tau={self.tau}")
-        object.__setattr__(self, "nsteps", n)
+
+    @property
+    def nsteps(self):
+        return int(round(self.final / self.tau))
 
     def time_at(self, n):
         return n * self.tau
@@ -101,8 +102,7 @@ def mesh_order(spaces, pairs, eliminated):
         np.hstack([mesh.cells, mesh.num_vertices + mesh.cell_edges]))
     cliques = [cell_nodes]
     if pairs:
-        cliques.append(np.hstack([cell_nodes[[p.cell_s for p in pairs]],
-                                  cell_nodes[[p.cell_p for p in pairs]]]))
+        cliques.append(np.hstack([cell_nodes[pairs.cell_s], cell_nodes[pairs.cell_p]]))
     rows, cols = [], []
     for clique in cliques:
         k = clique.shape[1]

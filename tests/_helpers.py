@@ -1,10 +1,15 @@
 """Small helpers that only the tests use: the reference parameter set,
-interpolation, areas, block patterns, the parts of chosen term records."""
+interpolation, areas, block patterns, the parts of chosen term records, the
+meshes of the interface reference tests."""
+
+import dataclasses
+
+import numpy as np
 
 from fpsi import forms
 from fpsi.fem import FieldCoefficients, _eval_field
 from fpsi.forms import BLOCK_NAMES
-from fpsi.mesh import _signed_area
+from fpsi.mesh import _signed_area, generate_channel, generate_structured
 
 # The non-dimensional set of the manufactured verification problem, which is
 # also every physics default of an empty config file (``cli._DEFAULTS``).
@@ -54,3 +59,20 @@ def record_parts(ctx, terms, dest=None, kernel=None):
     kernels = forms._Kernels if terms is forms.VOLUME_TERMS else forms._FacetKernels
     return forms._parts(kernels(ctx), [t for t in terms if dest in (None, t.dest)
                                        and kernel in (None, t.kernel)])
+
+
+# Interfaces of the per-facet reference tests: flat with S below, two flat
+# lines with S between them, and slanted (y += 0.3 x), where a sign or
+# component error in a normal or tangent no longer cancels.
+INTERFACE_MESHES = ("structured", "channel", "sheared")
+
+
+def interface_mesh(kind):
+    """The mesh of one of ``INTERFACE_MESHES``."""
+    if kind == "channel":
+        return generate_channel(10, 14)
+    square = generate_structured(8, 8)
+    if kind == "structured":
+        return square
+    return dataclasses.replace(square, vertices=square.vertices @ np.array(
+        [[1.0, 0.3], [0.0, 1.0]]))

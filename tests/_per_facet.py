@@ -1,10 +1,11 @@
 """Facet-by-facet interface tables and assemblers, kept as test references.
 
 ``forms`` treats all interface facets at once from ``ctx.facet_stack``.
-This module builds the same tables one facet at a time from the context's
-interface pairs, with its own reference-point solve and inverse Jacobian,
-and holds the per-facet loops of the BJS, Nitsche consistency and Nitsche
-penalty assemblers that the batched ones replaced.
+This module builds the same tables one facet at a time from the rows of the
+context's interface facet table, with its own reference-point solve,
+inverse Jacobian and traces, and holds the per-facet loops of the BJS,
+Nitsche consistency and Nitsche penalty assemblers that the batched ones
+replaced.
 """
 
 import numpy as np
@@ -13,16 +14,19 @@ from fpsi import fem
 
 
 def facet_tables(ctx):
-    """One dict per interface facet: pair, points, weights, basis tables."""
-    mesh = ctx.mesh
+    """One dict per interface facet: its frame, h_E, points, weights, basis tables."""
+    mesh, pairs = ctx.mesh, ctx.pairs
     s = ctx.seg_rule.points[:, 0]
     facets = []
-    for pair in ctx.pairs:
-        pa = mesh.vertices[pair.vertex_ids[0]]
-        pb = mesh.vertices[pair.vertex_ids[1]]
+    for f in range(len(pairs)):
+        pa = mesh.vertices[pairs.vertex_ids[f, 0]]
+        pb = mesh.vertices[pairs.vertex_ids[f, 1]]
         xq = pa[None, :] + s[:, None] * (pb - pa)[None, :]
-        data = {"pair": pair, "x": xq, "w": ctx.seg_rule.weights * pair.h_e}
-        for side, cell in (("S", pair.cell_s), ("P", pair.cell_p)):
+        h_e = float(pairs.h_e[f])
+        data = {"normal_s": pairs.normal_s[f], "normal_p": -pairs.normal_s[f],
+                "tangent": pairs.tangent[f], "h_e": h_e,
+                "x": xq, "w": ctx.seg_rule.weights * h_e}
+        for side, cell in (("S", pairs.cell_s[f]), ("P", pairs.cell_p[f])):
             tri = mesh.cells[cell]
             p0 = mesh.vertices[tri[0]]
             jac = np.stack([mesh.vertices[tri[1]] - p0,
@@ -92,12 +96,12 @@ def assemble_bjs(ctx):
     if coeff == 0.0:
         return {"M": m_parts, "N": n_parts}
     for facet in facet_tables(ctx):
-        pair = facet["pair"]
-        z_perm = pair.tangent @ params.kappa @ pair.tangent
+        tangent = facet["tangent"]
+        z_perm = tangent @ params.kappa @ tangent
         w = facet["w"] * (coeff / np.sqrt(z_perm))
-        tt_f = trace_tangent(spaces.u_f, facet, pair.tangent)
-        tt_y = trace_tangent(spaces.y_s, facet, pair.tangent)
-        tt_r = trace_tangent(spaces.u_r, facet, pair.tangent)
+        tt_f = trace_tangent(spaces.u_f, facet, tangent)
+        tt_y = trace_tangent(spaces.y_s, facet, tangent)
+        tt_r = trace_tangent(spaces.u_r, facet, tangent)
         d_f = facet_cell_dofs(spaces.u_f, facet)
         d_y = facet_cell_dofs(spaces.y_s, facet)
         d_r = facet_cell_dofs(spaces.u_r, facet)
@@ -110,11 +114,11 @@ def assemble_bjs(ctx):
 
 
 def _jumps(spaces, facet):
-    pair = facet["pair"]
-    return [(name, trace_normal(space, facet, normal), facet_cell_dofs(space, facet))
-            for name, space, normal in (("u_f", spaces.u_f, pair.normal_s),
-                                        ("u_r", spaces.u_r, pair.normal_p),
-                                        ("y_s", spaces.y_s, pair.normal_p))]
+    return [(name, trace_normal(space, facet, facet[normal]),
+             facet_cell_dofs(space, facet))
+            for name, space, normal in (("u_f", spaces.u_f, "normal_s"),
+                                        ("u_r", spaces.u_r, "normal_p"),
+                                        ("y_s", spaces.y_s, "normal_p"))]
 
 
 def assemble_nitsche_consistency(ctx):
@@ -124,7 +128,7 @@ def assemble_nitsche_consistency(ctx):
     m_parts, n_parts = [], []
     for facet in facet_tables(ctx):
         w = facet["w"]
-        snn_f = trace_stress_nn(spaces.u_f, facet, facet["pair"].normal_s)
+        snn_f = trace_stress_nn(spaces.u_f, facet, facet["normal_s"])
         pv = trace_values(spaces.p_S, facet)
         d_f = facet_cell_dofs(spaces.u_f, facet)
         d_ps = facet_cell_dofs(spaces.p_S, facet)
@@ -143,7 +147,7 @@ def assemble_nitsche_consistency(ctx):
 def assemble_nitsche_penalty(ctx):
     m_parts, n_parts = [], []
     for facet in facet_tables(ctx):
-        w = facet["w"] * (ctx.nitsche.gamma * ctx.params.mu_f / facet["pair"].h_e)
+        w = facet["w"] * (ctx.nitsche.gamma * ctx.params.mu_f / facet["h_e"])
         jumps = _jumps(ctx.spaces, facet)
         for t_name, t_jn, t_dofs in jumps:
             for u_name, u_jn, u_dofs in jumps:
@@ -157,12 +161,11 @@ def interface_jump_seminorm(ctx, state, rate_y_values):
     spaces = ctx.spaces
     total = 0.0
     for facet in facet_tables(ctx):
-        pair = facet["pair"]
-        jn = (trace_normal(spaces.u_f, facet, pair.normal_s)
+        jn = (trace_normal(spaces.u_f, facet, facet["normal_s"])
               @ state.block("u_f").values[facet_cell_dofs(spaces.u_f, facet)]
-              + trace_normal(spaces.u_r, facet, pair.normal_p)
+              + trace_normal(spaces.u_r, facet, facet["normal_p"])
               @ state.block("u_r").values[facet_cell_dofs(spaces.u_r, facet)]
-              + trace_normal(spaces.y_s, facet, pair.normal_p)
+              + trace_normal(spaces.y_s, facet, facet["normal_p"])
               @ rate_y_values[facet_cell_dofs(spaces.y_s, facet)])
-        total += float(facet["w"] @ jn**2) / pair.h_e
+        total += float(facet["w"] @ jn**2) / facet["h_e"]
     return total

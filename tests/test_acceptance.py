@@ -112,8 +112,8 @@ def test_criterion_4_penalty_structure(params):
     x = state.vector()
     kernel_ok = x @ (mat @ x) <= 1e-12 * (x @ x)
     gamma_mu = nitsche.gamma * params.mu_f
-    coarse = [gamma_mu / p.h_e for p in interface_pairs(generate_structured(4, 4))]
-    fine = [gamma_mu / p.h_e for p in interface_pairs(generate_structured(8, 8))]
+    coarse = gamma_mu / interface_pairs(generate_structured(4, 4)).h_e
+    fine = gamma_mu / interface_pairs(generate_structured(8, 8)).h_e
     scaling_ok = all(abs(f / c - 2.0) <= 1e-12 for c in coarse[:1] for f in fine)
     ok = sym_err <= 1e-12 and psd and kernel_ok and scaling_ok
     _report(4, "penalty symmetry/PSD/kernel/h-scaling", ok,
@@ -172,7 +172,7 @@ def test_criterion_6_invertibility(params):
             nitsche = NitscheParams(gamma=gamma, varsigma=1)
             mesh = generate_structured(nx, nx)
             spaces = build_spaces(mesh)
-            grid = solver.TimeGrid(tau=1e-3 / nx, final=2e-3 / nx, nsteps=2)
+            grid = solver.TimeGrid(tau=1e-3 / nx, final=2e-3 / nx)
             stepper = solver.TimeStepper(spaces, params, nitsche, grid,
                                          **loads)
 

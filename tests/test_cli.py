@@ -82,6 +82,13 @@ nitsche.varsigma = -1
     assert cfg.varsigma == -1
 
 
+def test_repeated_key_rejected(tmp_path):
+    path = write_config(tmp_path, "physics.mu_f = 1\n# again\nphysics.mu_f = 10\n")
+    with pytest.raises(ConfigError, match=r"run.cfg:3: key 'physics.mu_f' is "
+                                          r"given twice, first on line 1"):
+        parse_config(path)
+
+
 def test_kappa_matrix_form(tmp_path):
     path = write_config(tmp_path, "physics.kappa = 2 0 0 3\n")
     cfg = parse_config(path)
@@ -441,21 +448,69 @@ def test_manufactured_run_off_the_unit_square_rejected(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
-def test_msh_config_roundtrip(tmp_path):
-    cfg_text = """
+GOLDEN_MSH = "tests/data/two_layer_8tri.msh"
+
+
+def _msh_config(mesh_path):
+    return f"""
 mode = general
 mesh.kind = msh
-mesh.path = tests/data/two_layer_8tri.msh
+mesh.path = {mesh_path}
 mesh.tag.fluid = S
 mesh.tag.porous = P
 mesh.tag.interface = sigma
 mesh.tag.wall_s = gamma_s
 mesh.tag.wall_p = gamma_p_d
 """
-    cfg = parse_config(write_config(tmp_path, cfg_text))
+
+
+def test_msh_config_roundtrip(tmp_path):
+    cfg = parse_config(write_config(tmp_path, _msh_config(GOLDEN_MSH)))
     mesh = cfg.build_mesh()
     assert mesh.num_cells == 8
     assert len(mesh.edges_with_tag("sigma")) == 2
+
+
+def _golden_with(tmp_path, old, new):
+    """The golden MSH file with the bytes ``old`` replaced by ``new``."""
+    with open(GOLDEN_MSH, "rb") as fh:
+        data = fh.read()
+    assert data.count(old) == 1
+    path = tmp_path / "m.msh"
+    path.write_bytes(data.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("case", ["config not UTF-8", "config is a directory",
+                                  "mesh is a directory", "mesh not UTF-8",
+                                  "binary mesh", "node not a number"])
+def test_unreadable_input_is_a_configuration_error(tmp_path, capsys, case):
+    # each names the file, and the line where one is to blame, and exits 2
+    if case == "config not UTF-8":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"mode = general\nmesh.nx = 4\xff\n")
+        named = f"{cfg}:2: not UTF-8"
+    elif case == "config is a directory":
+        cfg, named = tmp_path, f"{tmp_path}: cannot read"
+    else:
+        if case == "mesh is a directory":
+            mesh = tmp_path / "meshes"
+            mesh.mkdir()
+            named = f"{mesh}: cannot read"
+        elif case == "mesh not UTF-8":
+            mesh = _golden_with(tmp_path, b"\n1 0 0 0\n", b"\n1 0 \xff 0\n")
+            named = f"{mesh}:14: not UTF-8"
+        elif case == "binary mesh":
+            mesh = _golden_with(tmp_path, b"2.2 0 8", b"2.2 1 8")
+            named = f"{mesh}: $MeshFormat '2.2 1 8' is not MSH version 2.2 of file type 0"
+        else:
+            mesh = _golden_with(tmp_path, b"\n1 0 0 0\n", b"\n1 zero 0 0\n")
+            named = f"{mesh}:14: cannot read the $Nodes record '1 zero 0 0'"
+        cfg = write_config(tmp_path, _msh_config(mesh))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert named in err
 
 
 # --- fpsi run driven by a parsed config ----------------------------------------

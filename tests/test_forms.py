@@ -15,8 +15,8 @@ from fpsi.forms import (INTERFACE_TERMS, VOLUME_TERMS, AssemblyContext,
 from fpsi.mesh import generate_structured, interface_pairs
 
 from _fd_gates import ExactStresses
-from _helpers import (REFERENCE_PARAMS, block, block_pattern, interpolate,
-                      record_parts)
+from _helpers import (INTERFACE_MESHES, REFERENCE_PARAMS, block, block_pattern,
+                      interface_mesh, interpolate, record_parts)
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
 from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
                         trace_stress_nn, trace_tangent, trace_values)
@@ -219,8 +219,7 @@ def test_divergence_theorem_for_pressure_coupling(tiny):
 
     edge_side = np.zeros(spaces.u_f.ndofs)
     for facet in facet_tables(ctx):
-        pair = facet["pair"]
-        nc = trace_normal(spaces.u_f, facet, pair.normal_s)
+        nc = trace_normal(spaces.u_f, facet, facet["normal_s"])
         dofs = facet_cell_dofs(spaces.u_f, facet)
         edge_side[dofs] += -facet["w"] @ nc
     interior = np.setdiff1d(np.arange(spaces.u_f.ndofs),
@@ -308,10 +307,10 @@ def test_bjs_quadratic_form_is_seminorm(tiny, rng):
     form_val = u @ block @ u
     direct = 0.0
     for facet in facet_tables(ctx):
-        pair = facet["pair"]
-        tt = trace_tangent(spaces.u_r, facet, pair.tangent)
+        tangent = facet["tangent"]
+        tt = trace_tangent(spaces.u_r, facet, tangent)
         vals = tt @ u[facet_cell_dofs(spaces.u_r, facet)]
-        z_perm = pair.tangent @ params.kappa @ pair.tangent
+        z_perm = tangent @ params.kappa @ tangent
         coef = params.mu_f * params.alpha_bjs / np.sqrt(z_perm)
         direct += coef * facet["w"] @ vals**2
     assert abs(form_val - direct) < 1e-12 * max(1.0, direct)
@@ -418,8 +417,8 @@ def test_penalty_linear_in_gamma(penalty_22):
 def test_penalty_coefficient_h_scaling():
     params = PhysicalParams(**REFERENCE_PARAMS)
     gamma_mu = 40.0 * params.mu_f
-    coarse = [gamma_mu / p.h_e for p in interface_pairs(generate_structured(4, 4))]
-    fine = [gamma_mu / p.h_e for p in interface_pairs(generate_structured(8, 8))]
+    coarse = gamma_mu / interface_pairs(generate_structured(4, 4)).h_e
+    fine = gamma_mu / interface_pairs(generate_structured(8, 8)).h_e
     assert all(abs(f / coarse[0] - 2.0) < 1e-12 for f in fine)
 
 
@@ -576,10 +575,10 @@ def _interface_corrections_per_facet(ctx, spaces, corr, time):
         np.add.at(rhs, dofs + spaces.slice(block).start, vals)
 
     for facet in facet_tables(ctx):
-        pair, w = facet["pair"], facet["w"]
+        w = facet["w"]
         x, y = facet["x"][:, 0], facet["x"][:, 1]
-        n_s, n_p, tau = pair.normal_s, pair.normal_p, pair.tangent
-        c_pen = nitsche.gamma * params.mu_f / pair.h_e
+        n_s, n_p, tau = facet["normal_s"], facet["normal_p"], facet["tangent"]
+        c_pen = nitsche.gamma * params.mu_f / facet["h_e"]
         m1, m2, m4, m5 = (np.asarray(fn(time, x, y), dtype=float)
                           for fn in (corr.m1, corr.m2, corr.m4, corr.m5))
         m3 = np.asarray(corr.m3(time, x, y), dtype=float).reshape(-1, 2)
@@ -612,22 +611,24 @@ def _interface_corrections_per_facet(ctx, spaces, corr, time):
 @pytest.mark.parametrize("varsigma", [-1, 1])
 def test_interface_corrections_match_per_facet_reference(varsigma):
     # every defect nonzero, so each term of the all-facets assembly is
-    # compared with the facet-by-facet loop it replaced
+    # compared with the facet-by-facet loop it replaced, on a flat, a
+    # two-sided and a slanted interface
     from fpsi import verification
-    mesh = generate_structured(4, 4)
-    spaces = build_spaces(mesh)
     params = PhysicalParams(**REFERENCE_PARAMS)
-    ctx = AssemblyContext(spaces, params, NitscheParams(gamma=40.0, varsigma=varsigma))
     corr = verification.InterfaceCorrections(
         m1=lambda t, x, y: t * (1.0 + x**2),
         m2=lambda t, x, y: t * np.sin(3.0 * x),
         m3=lambda t, x, y: np.stack([t * x, t - x**3], axis=-1),
         m4=lambda t, x, y: 2.0 * t * x * y,
         m5=lambda t, x, y: t * np.cos(x))
-    got = assemble_F(ctx, None, 0.7, corr)
-    want = _interface_corrections_per_facet(ctx, spaces, corr, 0.7)
-    assert np.abs(got).max() > 0.0
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for kind in INTERFACE_MESHES:
+        spaces = build_spaces(interface_mesh(kind))
+        ctx = AssemblyContext(spaces, params,
+                              NitscheParams(gamma=40.0, varsigma=varsigma))
+        got = assemble_F(ctx, None, 0.7, corr)
+        want = _interface_corrections_per_facet(ctx, spaces, corr, 0.7)
+        assert np.abs(got).max() > 0.0, kind
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), kind
 
 
 def _cell_dofs(space):
@@ -918,21 +919,14 @@ def test_kernels_match_einsum_reference(nx):
         assert np.all(np.abs(got_local - want_local).max(axis=1) <= 1e-14 * scale), name
 
 
-def _interface_mesh(kind):
-    if kind == "channel":
-        from fpsi.mesh import generate_channel
-        return generate_channel(10, 14)
-    return generate_structured(8, 8)
-
-
-@pytest.mark.parametrize("kind", ["structured", "channel"])
+@pytest.mark.parametrize("kind", INTERFACE_MESHES)
 @pytest.mark.parametrize("varsigma", [-1, 0, 1])
 def test_interface_assemblers_match_per_facet_reference(kind, varsigma):
     # the all-facets assemblers against the facet-by-facet loops they
     # replaced, summed into CSR matrices per destination: the batched parts
     # split by the routing rule, the per-facet ones routed by hand
     import _per_facet
-    spaces = build_spaces(_interface_mesh(kind))
+    spaces = build_spaces(interface_mesh(kind))
     nitsche = NitscheParams(gamma=40.0, varsigma=varsigma)
     for alpha in (1.0, 0.0):
         params = PhysicalParams(**{**REFERENCE_PARAMS, "alpha_bjs": alpha})

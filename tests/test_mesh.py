@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fpsi import mesh as meshmod
 from fpsi.mesh import MeshError, generate_channel, generate_structured, import_msh, interface_pairs
 
-from _helpers import cell_areas, subdomain_area
+from _helpers import cell_areas, interface_mesh, subdomain_area
 
 
 def test_structured_2x2_counts(mesh22):
@@ -39,12 +39,28 @@ def test_interface_pairs_structured_4x4():
     m = generate_structured(4, 4)
     pairs = interface_pairs(m)
     assert len(pairs) == 4
-    for p in pairs:
-        assert abs(p.h_e - 0.25) < 1e-14
-        assert np.allclose(p.normal_s, [0.0, 1.0])
-        assert np.allclose(p.normal_s + p.normal_p, 0.0)
-        assert abs(np.dot(p.normal_s, p.tangent)) < 1e-14
-        assert abs(np.linalg.norm(p.tangent) - 1.0) < 1e-14
+    assert np.all(np.abs(pairs.h_e - 0.25) < 1e-14)
+    assert np.allclose(pairs.normal_s, [0.0, 1.0])
+    assert np.all(np.abs(np.sum(pairs.normal_s * pairs.tangent, axis=1)) < 1e-14)
+    assert np.all(np.abs(np.linalg.norm(pairs.tangent, axis=1) - 1.0) < 1e-14)
+
+
+def test_interface_facets_on_a_slanted_interface():
+    # the table against the vertices and cells alone: y += 0.3 x turns the
+    # interface of the 8 x 8 square to the direction (1, 0.3)
+    m = interface_mesh("sheared")
+    pairs = interface_pairs(m)
+    assert len(pairs) == 8
+    a, b = m.vertices[pairs.vertex_ids[:, 0]], m.vertices[pairs.vertex_ids[:, 1]]
+    edge, n = b - a, pairs.normal_s
+    assert np.all(np.abs(np.linalg.norm(n, axis=1) - 1.0) < 1e-15)
+    assert np.all(np.abs(np.sum(n * edge, axis=1)) < 1e-15 * pairs.h_e)
+    centroid_s = m.vertices[m.cells[pairs.cell_s]].mean(axis=1)
+    assert np.all(np.sum(n * (0.5 * (a + b) - centroid_s), axis=1) > 0.0)
+    assert np.allclose(n, np.array([-0.3, 1.0]) / np.hypot(0.3, 1.0), rtol=0.0,
+                       atol=1e-15)
+    assert np.array_equal(pairs.tangent, np.column_stack([n[:, 1], -n[:, 0]]))
+    assert np.all(np.abs(pairs.h_e - np.hypot(*edge.T)) <= 1e-15 * pairs.h_e)
 
 
 @settings(max_examples=20, deadline=None)
@@ -53,12 +69,10 @@ def test_sigma_pairing_property(nx, half_ny):
     m = generate_structured(nx, 2 * half_ny)
     pairs = interface_pairs(m)
     assert len(pairs) == nx
-    seen = {p.edge_id for p in pairs}
-    assert seen == set(m.edges_with_tag("sigma").tolist())
-    for p in pairs:
-        assert m.cell_tags[p.cell_s] == "S"
-        assert m.cell_tags[p.cell_p] == "P"
-        assert np.allclose(p.normal_s + p.normal_p, 0.0)
+    assert np.array_equal(pairs.edge_ids, m.edges_with_tag("sigma"))
+    assert np.array_equal(pairs.vertex_ids, m.edges[pairs.edge_ids])
+    assert np.all(m.cell_tags[pairs.cell_s] == "S")
+    assert np.all(m.cell_tags[pairs.cell_p] == "P")
     assert abs(subdomain_area(m, "S") + subdomain_area(m, "P") - 1.0) < 1e-12
 
 
@@ -66,8 +80,8 @@ def test_refinement_halves_h():
     coarse = generate_structured(2, 2)
     fine = generate_structured(4, 4)
     assert abs(fine.h_max() - 0.5 * coarse.h_max()) < 1e-14
-    hc = [p.h_e for p in interface_pairs(coarse)]
-    hf = [p.h_e for p in interface_pairs(fine)]
+    hc = interface_pairs(coarse).h_e
+    hf = interface_pairs(fine).h_e
     assert all(abs(h - 0.5 * hc[0]) < 1e-14 for h in hf)
 
 
@@ -77,15 +91,10 @@ def test_channel_three_layers():
     assert abs(subdomain_area(m, "P") - 2.0 * 1.0) < 1e-12
     pairs = interface_pairs(m)
     assert len(pairs) == 20  # two interface lines of 10 facets each
-    lower = [p for p in pairs if abs(0.5 * sum(
-        m.vertices[v][1] for v in p.vertex_ids) - 0.3) < 1e-9]
-    lower_ids = {p.edge_id for p in lower}
-    upper = [p for p in pairs if p.edge_id not in lower_ids]
-    assert len(lower) == len(upper) == 10
-    for p in lower:
-        assert np.allclose(p.normal_s, [0.0, -1.0])
-    for p in upper:
-        assert np.allclose(p.normal_s, [0.0, 1.0])
+    lower = np.abs(m.vertices[pairs.vertex_ids, 1].mean(axis=1) - 0.3) < 1e-9
+    assert lower.sum() == (~lower).sum() == 10
+    assert np.allclose(pairs.normal_s[lower], [0.0, -1.0])
+    assert np.allclose(pairs.normal_s[~lower], [0.0, 1.0])
     assert len(m.edges_with_tag("gamma_s")) == 4  # inlet facets of the core
     assert len(m.edges_with_tag("gamma_s_n")) == 4  # outlet, do-nothing
 
