@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 acceptance failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,103 +36,172 @@ def _parabolic_profile(scale):
 
 INFLOW_PROFILES = ("none", "parabolic")
 
-_DEFAULTS = {
-    "mode": "manufactured",
-    "mesh.kind": "structured",
-    "mesh.nx": "8",
-    "mesh.ny": "8",
-    "mesh.path": "",
-    "physics.rho_f": "1.0",
-    "physics.rho_s": "1.0",
-    "physics.mu_f": "10.0",
-    "physics.mu_p": "10.0",
-    "physics.lambda_p": "10.0",
-    "physics.phi": "0.1",
-    "physics.kappa": "1.0",
-    "physics.K": "1.0",
-    "physics.theta": "0.0",
-    "physics.alpha_bjs": "1.0",
-    "nitsche.gamma": "40.0",
-    "nitsche.varsigma": "1",
-    "time.tau": "0.000125",
-    "time.final": "0.001",
-    "levels": "2,4,8,16,32",
-    "convergence.tau_factor": "0.001",
-    "channel.length": "2.0",
-    "channel.y0": "-0.2",
-    "channel.height": "1.4",
-    "channel.lower": "0.3",
-    "channel.upper": "0.7",
-    "output.dir": "out",
-    "output.dump_every": "0",
-    "solver.tolerance": "1e-9",
-    "solver.convection": "on",
-    "run.inflow": "parabolic",
-    "run.inflow_scale": "1.0",
-    "run.seed": "0",
-    "energy.steps": "50",
+
+# --- configuration keys ----------------------------------------------------------
+# Each parser turns the text of one key into its value, or raises
+# ConfigError naming the key.
+
+
+def _text(key, text):
+    return text
+
+
+def _number(key, text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(key, text):
+    value = _number(key, text)
+    if value <= 0:
+        raise ConfigError(f"{key}: must be positive, got {value:g}")
+    return value
+
+
+def _integer(key, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+
+
+def _count(key, text):
+    value = _integer(key, text)
+    if value < 0:
+        raise ConfigError(f"{key}: must be a nonnegative count, got {value}")
+    return value
+
+
+def _choice(*choices):
+    def parse(key, text):
+        if text not in choices:
+            raise ConfigError(f"{key}: expected one of {choices}, got {text!r}")
+        return text
+    return parse
+
+
+def _switch(key, text):
+    return _choice("on", "off")(key, text) == "on"
+
+
+def _kappa(key, text):
+    try:
+        kappa = np.array(text.split(), dtype=float)
+    except ValueError:
+        kappa = np.array([])
+    if kappa.size not in (1, 4) or not np.all(np.isfinite(kappa)):
+        raise ConfigError(f"{key}: expected 1 or 4 finite numbers, got {text!r}")
+    return float(kappa[0]) if kappa.size == 1 else kappa.reshape(2, 2)
+
+
+def _levels(key, text):
+    try:
+        levels = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"{key}: expected comma-separated integers, "
+                          f"got {text!r}") from None
+    if not levels:
+        raise ConfigError(f"{key}: empty; give increasing even cell counts, "
+                          "such as levels = 2,4,8,16,32")
+    if any(n <= 0 for n in levels):
+        raise ConfigError(f"{key}: cell counts must be positive, got {text!r}")
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(
+            f"{key}: a convergence rate needs at least two strictly refining "
+            f"levels (increasing cell counts), got {text!r}")
+    if any(n % 2 for n in levels):
+        raise ConfigError(f"{key}: each level is an nx x nx square split at "
+                          f"y = 1/2, so nx must be even, got {text!r}")
+    return levels
+
+
+def _param_keys(section, params):
+    """``{key: field}`` of the dataclass ``params``: ``section.<field name>``,
+    except that the field ``lam_p`` is read from ``physics.lambda_p``."""
+    return {f"{section}.{'lambda_p' if f.name == 'lam_p' else f.name}": f
+            for f in dataclasses.fields(params)}
+
+
+_PHYSICS = _param_keys("physics", forms.PhysicalParams)
+_NITSCHE = _param_keys("nitsche", forms.NitscheParams)
+
+
+def _param_rows(keys):
+    """The rows of parameter keys: each field's default, parsed by its type."""
+    return {key: (repr(f.default), _kappa if f.name == "kappa" else
+                  _integer if isinstance(f.default, int) else _number)
+            for key, f in keys.items()}
+
+
+# One row per configuration key: its default, as the text a file would give,
+# and its parser.  Keys ``mesh.tag.<name> = <tag>`` add to the MSH tag map.
+KEYS = {
+    "mode": ("manufactured", _choice("manufactured", "general")),
+    "mesh.kind": ("structured", _choice("structured", "channel", "msh")),
+    "mesh.nx": ("8", _integer),
+    "mesh.ny": ("8", _integer),
+    "mesh.path": ("", _text),
+    **_param_rows(_PHYSICS),
+    **_param_rows(_NITSCHE),
+    "time.tau": ("0.000125", _number),
+    "time.final": ("0.001", _number),
+    "levels": ("2,4,8,16,32", _levels),
+    "convergence.tau_factor": ("0.001", _number),
+    "channel.length": ("2.0", _number),
+    "channel.y0": ("-0.2", _number),
+    "channel.height": ("1.4", _number),
+    "channel.lower": ("0.3", _number),
+    "channel.upper": ("0.7", _number),
+    "output.dir": ("out", _text),
+    "output.dump_every": ("0", _count),
+    "solver.tolerance": ("1e-9", _positive),
+    "solver.convection": ("on", _switch),
+    "run.inflow": ("parabolic", _choice(*INFLOW_PROFILES)),
+    "run.inflow_scale": ("1.0", _number),
+    "run.seed": ("0", _integer),
+    "energy.steps": ("50", _count),
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    """Validated run configuration with mesh/params/grid builders."""
+    """A parsed configuration: the value of each key, read as ``config[key]``,
+    the MSH tag map, and the parameter objects and time grid built from them."""
 
-    mode: str
-    mesh_kind: str
-    nx: int
-    ny: int
-    mesh_path: str
+    values: dict
     tag_map: dict
-    physics: dict
-    gamma: float
-    varsigma: int
-    tau: float
-    final: float
-    levels: list
-    tau_factor: float
-    channel: dict
-    output_dir: str
-    dump_every: int
-    solver_tolerance: float
-    convection: bool
-    inflow: str
-    inflow_scale: float
-    seed: int
-    energy_steps: int
-    _mesh_cache: object = field(default=None, repr=False)
+    physics: forms.PhysicalParams
+    nitsche: forms.NitscheParams
+    grid: solver.TimeGrid
+    _mesh: object = dataclasses.field(default=None, repr=False)
 
-    def physical_params(self):
-        return forms.PhysicalParams(**self.physics)
-
-    def nitsche_params(self):
-        return forms.NitscheParams(gamma=self.gamma, varsigma=self.varsigma)
-
-    def time_grid(self):
-        return solver.TimeGrid(tau=self.tau, final=self.final)
+    def __getitem__(self, key):
+        return self.values[key]
 
     def build_mesh(self):
-        if self._mesh_cache is None:
-            if self.mesh_kind == "structured":
-                m = meshmod.generate_structured(self.nx, self.ny)
-            elif self.mesh_kind == "channel":
-                ch = self.channel
-                m = meshmod.generate_channel(
-                    self.nx, self.ny, y0=ch["y0"], width=ch["length"],
-                    height=ch["height"], s_lower=ch["lower"],
-                    s_upper=ch["upper"])
-            elif self.mesh_kind == "msh":
-                m = meshmod.import_msh(self.mesh_path, self.tag_map)
+        if self._mesh is None:
+            kind, nx, ny = self["mesh.kind"], self["mesh.nx"], self["mesh.ny"]
+            if kind == "structured":
+                self._mesh = meshmod.generate_structured(nx, ny)
+            elif kind == "channel":
+                self._mesh = meshmod.generate_channel(
+                    nx, ny, y0=self["channel.y0"], width=self["channel.length"],
+                    height=self["channel.height"], s_lower=self["channel.lower"],
+                    s_upper=self["channel.upper"])
             else:
-                raise ConfigError(f"mesh.kind: unknown kind {self.mesh_kind!r}")
-            self._mesh_cache = m
-        return self._mesh_cache
+                self._mesh = meshmod.import_msh(self["mesh.path"], self.tag_map)
+        return self._mesh
 
     def boundary_values(self):
         """Dirichlet evaluators for general mode: inflow at x = x_min."""
-        if self.inflow == "none":
+        if self["run.inflow"] == "none":
             return {}
-        profile = _parabolic_profile(self.inflow_scale)
+        profile = _parabolic_profile(self["run.inflow_scale"])
         mesh = self.build_mesh()
         x_min = float(mesh.vertices[:, 0].min())
         tol = 1e-9 * max(1.0, abs(x_min))
@@ -165,179 +234,79 @@ def _parse_lines(path):
     return entries
 
 
-def _to_float(entries, key):
+def _built(section, make, kwargs, hint=""):
+    """``make(**kwargs)``; its ValueError becomes a ConfigError of ``section``."""
     try:
-        value = float(entries[key])
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {entries[key]!r}")
-    return value
-
-
-def _to_int(entries, key):
-    try:
-        return int(entries[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {entries[key]!r}") from None
-
-
-def _to_choice(entries, key, choices):
-    value = entries[key]
-    if value not in choices:
-        raise ConfigError(f"{key}: expected one of {choices}, got {value!r}")
-    return value
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}{hint}") from exc
 
 
 def parse_config(path):
     """Read a line-oriented ``section.key = value`` file into a RunConfig.
 
-    Missing keys take the reference parameter set as defaults; unknown keys
-    are rejected; every constraint violation names the offending key.
+    Missing keys take their ``KEYS`` default; unknown keys are rejected;
+    every constraint violation names the offending key.
     """
     if not os.path.exists(path):
         raise ConfigError(f"configuration file not found: {path}")
-    entries = dict(_DEFAULTS)
-    user = _parse_lines(path)
+    texts = {key: default for key, (default, _) in KEYS.items()}
     tag_map = {}
-    for key, value in user.items():
+    for key, text in _parse_lines(path).items():
         if key.startswith("mesh.tag."):
-            tag_map[key[len("mesh.tag."):]] = value
-        elif key in entries:
-            entries[key] = value
+            tag_map[key[len("mesh.tag."):]] = text
+        elif key in texts:
+            texts[key] = text
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
+    values = {key: parse(key, texts[key]) for key, (_, parse) in KEYS.items()}
 
-    mode = _to_choice(entries, "mode", ("manufactured", "general"))
-    mesh_kind = _to_choice(entries, "mesh.kind", ("structured", "channel", "msh"))
-    mesh_path = entries["mesh.path"]
-    if mesh_kind == "msh":
+    kind, nx, ny = values["mesh.kind"], values["mesh.nx"], values["mesh.ny"]
+    mesh_path = values["mesh.path"]
+    if kind == "msh":
         if not mesh_path:
             raise ConfigError("mesh.path: required when mesh.kind = msh")
         if not os.path.exists(mesh_path):
             raise ConfigError(f"mesh.path: file not found: {mesh_path}")
-
-    physics = dict(
-        rho_f=_to_float(entries, "physics.rho_f"),
-        rho_s=_to_float(entries, "physics.rho_s"),
-        mu_f=_to_float(entries, "physics.mu_f"),
-        mu_p=_to_float(entries, "physics.mu_p"),
-        lam_p=_to_float(entries, "physics.lambda_p"),
-        phi=_to_float(entries, "physics.phi"),
-        kappa=_parse_kappa(entries["physics.kappa"]),
-        K=_to_float(entries, "physics.K"),
-        theta=_to_float(entries, "physics.theta"),
-        alpha_bjs=_to_float(entries, "physics.alpha_bjs"),
-    )
-    try:
-        forms.PhysicalParams(**physics)
-    except forms.FormsError as exc:
-        raise ConfigError(f"physics: {exc}") from exc
-
-    gamma = _to_float(entries, "nitsche.gamma")
-    varsigma = _to_int(entries, "nitsche.varsigma")
-    try:
-        forms.NitscheParams(gamma=gamma, varsigma=varsigma)
-    except forms.FormsError as exc:
-        raise ConfigError(f"nitsche: {exc} (need gamma > 0 and "
-                          f"varsigma in {{-1, 0, 1}})") from exc
-
-    tau = _to_float(entries, "time.tau")
-    final = _to_float(entries, "time.final")
-    try:
-        solver.TimeGrid(tau=tau, final=final)
-    except ValueError as exc:
-        raise ConfigError(f"time: {exc}") from exc
-
-    try:
-        levels = [int(tok) for tok in entries["levels"].split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"levels: expected comma-separated integers, "
-                          f"got {entries['levels']!r}") from None
-    if not levels:
-        raise ConfigError("levels: empty; give increasing even cell counts, "
-                          "such as levels = 2,4,8,16,32")
-    if any(n <= 0 for n in levels):
-        raise ConfigError(f"levels: cell counts must be positive, got "
-                          f"{entries['levels']!r}")
-    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(
-            f"levels: a convergence rate needs at least two strictly refining "
-            f"levels (increasing cell counts), got {entries['levels']!r}")
-    if any(n % 2 for n in levels):
-        raise ConfigError(f"levels: each level is an nx x nx square split at "
-                          f"y = 1/2, so nx must be even, got {entries['levels']!r}")
-
-    nx, ny = _to_int(entries, "mesh.nx"), _to_int(entries, "mesh.ny")
-    if mesh_kind != "msh" and nx < 1:
-        raise ConfigError(f"mesh.nx: the {mesh_kind} grid needs at least one "
+    if kind != "msh" and nx < 1:
+        raise ConfigError(f"mesh.nx: the {kind} grid needs at least one "
                           f"column of cells, got {nx}; give a positive mesh.nx")
-    if mesh_kind == "structured" and (ny < 2 or ny % 2):
+    if kind == "structured" and (ny < 2 or ny % 2):
         raise ConfigError(
             f"mesh.ny: the structured grid splits the unit square at y = 1/2 on "
             f"a grid line, so it needs an even, positive row count, got {ny}; "
             f"use mesh.ny = {max(2, ny + ny % 2)}")
-    channel = {key: _to_float(entries, f"channel.{key}")
-               for key in ("length", "y0", "height", "lower", "upper")}
-    if mesh_kind == "channel":
-        _require_channel_rows(ny, channel)
-
-    dump_every = _to_int(entries, "output.dump_every")
-    if dump_every < 0:
-        raise ConfigError("output.dump_every: must be nonnegative")
-    energy_steps = _to_int(entries, "energy.steps")
-    if energy_steps < 0:
-        raise ConfigError(
-            f"energy.steps: must be a nonnegative step count, got {energy_steps}")
-    solver_tolerance = _to_float(entries, "solver.tolerance")
-    if solver_tolerance <= 0:
-        raise ConfigError(
-            f"solver.tolerance: must be positive, got {solver_tolerance:g}")
+    if kind == "channel":
+        _require_channel_rows(values)
 
     return RunConfig(
-        mode=mode, mesh_kind=mesh_kind,
-        nx=nx, ny=ny,
-        mesh_path=mesh_path, tag_map=tag_map, physics=physics,
-        gamma=gamma, varsigma=varsigma, tau=tau, final=final,
-        levels=levels, tau_factor=_to_float(entries, "convergence.tau_factor"),
-        channel=channel,
-        output_dir=entries["output.dir"], dump_every=dump_every,
-        solver_tolerance=solver_tolerance,
-        convection=_to_choice(entries, "solver.convection", ("on", "off")) == "on",
-        inflow=_to_choice(entries, "run.inflow", INFLOW_PROFILES),
-        inflow_scale=_to_float(entries, "run.inflow_scale"),
-        seed=_to_int(entries, "run.seed"),
-        energy_steps=energy_steps,
-    )
+        values, tag_map,
+        physics=_built("physics", forms.PhysicalParams,
+                       {f.name: values[key] for key, f in _PHYSICS.items()}),
+        nitsche=_built("nitsche", forms.NitscheParams,
+                       {f.name: values[key] for key, f in _NITSCHE.items()},
+                       " (need gamma > 0 and varsigma in {-1, 0, 1})"),
+        grid=_built("time", solver.TimeGrid,
+                    {"tau": values["time.tau"], "final": values["time.final"]}))
 
 
-def _require_channel_rows(ny, ch):
+def _require_channel_rows(values):
     """Reject a ``mesh.ny`` whose grid lines miss a channel interface."""
-    y0, height = ch["y0"], ch["height"]
-    missed = [key for key in ("lower", "upper")
-              if meshmod.channel_row(ch[key], ny, y0, height) is None]
+    ny, y0, height = values["mesh.ny"], values["channel.y0"], values["channel.height"]
+    lower, upper = values["channel.lower"], values["channel.upper"]
+    missed = [key for key in ("channel.lower", "channel.upper")
+              if meshmod.channel_row(values[key], ny, y0, height) is None]
     if not missed:
         return
-    fit = meshmod.smallest_channel_rows(y0, height, ch["lower"], ch["upper"])
+    fit = meshmod.smallest_channel_rows(y0, height, lower, upper)
     remedy = (f"the smallest mesh.ny that fits is {fit}" if fit is not None else
               f"no row count up to {meshmod.MAX_CHANNEL_ROWS} fits: move "
               "channel.lower and channel.upper onto a common grid")
     raise ConfigError(
         f"mesh.ny: the {ny}-row channel grid from y0 = {y0:g} over height "
         f"{height:g} has no interior grid line at "
-        + " or ".join(f"channel.{key} = {ch[key]:g}" for key in missed)
+        + " or ".join(f"{key} = {values[key]:g}" for key in missed)
         + f"; {remedy}")
-
-
-def _parse_kappa(text):
-    parts = text.split()
-    try:
-        kappa = np.array(parts, dtype=float)
-    except ValueError:
-        kappa = np.array([])
-    if kappa.size not in (1, 4) or not np.all(np.isfinite(kappa)):
-        raise ConfigError(f"physics.kappa: expected 1 or 4 finite numbers, got {text!r}")
-    return float(kappa[0]) if kappa.size == 1 else kappa.reshape(2, 2)
 
 
 # --- VTK output ---------------------------------------------------------------
@@ -397,22 +366,21 @@ def _ensure_outdir(path):
 def cmd_convergence(config, out_dir):
     """Run the refinement study, write the error table, check thresholds."""
     # checked here, not in parse_config: only this command steps by tau_factor
-    for nx in config.levels:
+    tau_factor, final = config["convergence.tau_factor"], config["time.final"]
+    for nx in config["levels"]:
         try:
-            solver.TimeGrid(tau=(1.0 / nx) * config.tau_factor, final=config.final)
+            solver.TimeGrid(tau=(1.0 / nx) * tau_factor, final=final)
         except ValueError as exc:
             raise ConfigError(
                 f"convergence.tau_factor: level nx={nx} steps by tau = "
                 f"tau_factor / nx: {exc}; choose a positive tau_factor with "
                 "time.final a multiple of tau_factor / nx at every level") from exc
     _ensure_outdir(out_dir)
-    params = config.physical_params()
-    nitsche = config.nitsche_params()
-    levels = [(nx, nx) for nx in config.levels]
+    levels = [(nx, nx) for nx in config["levels"]]
     table = verification.convergence_study(
-        levels, params, nitsche, tau_factor=config.tau_factor,
-        final_time=config.final, convection=config.convection,
-        solver_tol=config.solver_tolerance,
+        levels, config.physics, config.nitsche, tau_factor=tau_factor,
+        final_time=final, convection=config["solver.convection"],
+        solver_tol=config["solver.tolerance"],
         progress=lambda nx, errs: print(f"  level nx={nx} done"))
     csv_path = os.path.join(out_dir, "convergence.csv")
     table.write_csv(csv_path)
@@ -438,30 +406,31 @@ def cmd_run(config, out_dir):
     """One simulation: energy and jump lines, errors in manufactured mode."""
     # checked here, not in parse_config: convergence meshes its own unit
     # squares, and energy-check solves no manufactured problem
-    if config.mode == "manufactured" and config.mesh_kind != "structured":
+    manufactured = config["mode"] == "manufactured"
+    if manufactured and config["mesh.kind"] != "structured":
         raise ConfigError(
             f"mode = manufactured needs mesh.kind = structured (its corrections "
             f"assume the unit square with S below y = 1/2), got mesh.kind = "
-            f"{config.mesh_kind}; use mode = general")
+            f"{config['mesh.kind']}; use mode = general")
     _ensure_outdir(out_dir)
     mesh = config.build_mesh()
     spaces = forms.build_spaces(mesh)
-    params = config.physical_params()
-    grid = config.time_grid()
-    if config.mode == "manufactured":
-        sol, loads = verification.manufactured_problem(params)
+    grid = config.grid
+    if manufactured:
+        sol, loads = verification.manufactured_problem(config.physics)
     else:
         sol, loads = None, {"boundary_values": config.boundary_values()}
-    stepper = solver.TimeStepper(spaces, params, config.nitsche_params(), grid,
-                                 convection=config.convection,
-                                 solver_tol=config.solver_tolerance, **loads)
+    stepper = solver.TimeStepper(spaces, config.physics, config.nitsche, grid,
+                                 convection=config["solver.convection"],
+                                 solver_tol=config["solver.tolerance"], **loads)
+    dump_every = config["output.dump_every"]
     # the states before and after the latest step
     last = [forms.StateVector.zero(spaces, time=0.0)] * 2
     dumps = []
 
     def observe(index, state, report):
         last[:] = last[1], state
-        if config.dump_every and index % config.dump_every == 0:
+        if dump_every and index % dump_every == 0:
             path = os.path.join(out_dir, f"fields_{index:05d}.vtk")
             dumps.append(write_vtk(mesh, state, path))
 
@@ -486,20 +455,20 @@ def cmd_run(config, out_dir):
 
 def cmd_energy_check(config, out_dir):
     """Zero-forcing decay check from a random initial state."""
-    if config.inflow != "none":
+    if config["run.inflow"] != "none":
         raise ConfigError(
             "energy-check requires run.inflow = none (zero forcing)")
-    if config.convection:
+    if config["solver.convection"]:
         raise ConfigError(
             "energy-check requires solver.convection = off")
     _ensure_outdir(out_dir)
     spaces = forms.build_spaces(config.build_mesh())
-    grid = solver.TimeGrid(tau=config.tau, final=config.tau * config.energy_steps)
-    stepper = solver.TimeStepper(spaces, config.physical_params(),
-                                 config.nitsche_params(), grid,
+    tau = config["time.tau"]
+    grid = solver.TimeGrid(tau=tau, final=tau * config["energy.steps"])
+    stepper = solver.TimeStepper(spaces, config.physics, config.nitsche, grid,
                                  convection=False,
-                                 solver_tol=config.solver_tolerance)
-    rng = np.random.default_rng(config.seed)
+                                 solver_tol=config["solver.tolerance"])
+    rng = np.random.default_rng(config["run.seed"])
     state = forms.StateVector.zero(spaces)
     for block in state.blocks:
         block.values[:] = rng.uniform(-1.0, 1.0, block.space.ndofs)
@@ -541,7 +510,7 @@ def main(argv=None):
 
     try:
         config = parse_config(args.config)
-        out_dir = args.out or config.output_dir
+        out_dir = args.out or config["output.dir"]
         if args.command == "convergence":
             return cmd_convergence(config, out_dir)
         if args.command == "run":

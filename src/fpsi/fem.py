@@ -309,7 +309,7 @@ def eliminate_matrix(matrix, dofs):
     """Symmetric elimination of prescribed dofs from a square sparse matrix.
 
     Rows and columns are zeroed and the diagonal is set to one, so with the
-    load of ``lift_dofs`` the constrained dofs solve to their prescribed
+    load of ``apply_dirichlet`` the constrained dofs solve to their prescribed
     values exactly.  Returns the eliminated matrix, a new object, and the
     mask ``keep`` (zero at ``dofs``, one elsewhere).  A matrix ``A`` later
     added to the system is eliminated by zeroing its entries in rows or
@@ -324,29 +324,21 @@ def eliminate_matrix(matrix, dofs):
     return csr + sparse.diags(1.0 - keep, format="csr"), keep
 
 
-def lift_dofs(matrix, rhs, dofs, values):
-    """Load half of ``eliminate_matrix``: lift the prescribed values.
+def apply_dirichlet(columns, rhs, dofs, values, addend=None):
+    """Load half of ``eliminate_matrix``: ``rhs`` with prescribed ``values``
+    at ``dofs`` lifted, a new vector.
 
-    ``matrix`` is the operator before elimination; its product with the
-    prescribed values moves to the load, and the constrained entries take
-    the values themselves; nothing is multiplied if all are zero.
+    ``columns`` are the ``dofs`` columns of the operator before elimination,
+    ``matrix[:, dofs]``; ``addend``, if given, is a whole matrix added to
+    that operator.  Their products with the values move to the load, and
+    the constrained entries take the values themselves; nothing is
+    multiplied if all values are zero.
     """
-    dofs = np.asarray(dofs, dtype=np.int64)
     values = np.asarray(values, dtype=float)
-    new_rhs = np.array(rhs, dtype=float)
+    load = np.array(rhs, dtype=float)
     if np.any(values):
-        lifted = np.zeros(matrix.shape[0])
-        lifted[dofs] = values
-        new_rhs -= matrix @ lifted
-    new_rhs[dofs] = values
-    return new_rhs
-
-
-def apply_dirichlet(matrix, rhs, dofs, values):
-    """Prescribed ``values`` at ``dofs`` applied to ``matrix`` and its load ``rhs``.
-
-    Returns the eliminated matrix of ``eliminate_matrix`` and the lifted
-    load of ``lift_dofs``, ``(matrix, rhs)``.
-    """
-    eliminated, _ = eliminate_matrix(matrix, dofs)
-    return eliminated, lift_dofs(matrix, rhs, dofs, values)
+        load -= columns @ values
+        if addend is not None:
+            load -= addend @ np.bincount(dofs, values, load.size)
+    load[dofs] = values
+    return load

@@ -228,14 +228,12 @@ def interface_pairs(mesh):
                            cell_s=cell_s, cell_p=cell_p)
 
 
-def generate_structured(nx, ny, gamma_p_rule=None):
+def generate_structured(nx, ny):
     """Structured triangulation of the unit square, S below y = 1/2, P above.
 
     Each grid quad is cut along its lower-left to upper-right diagonal so
     refinements are reproducible.  The split at y = 1/2 must be a grid line,
-    so ``ny`` must be even.  ``gamma_p_rule(x, y) -> tag`` may reassign
-    porous boundary facets between Dirichlet and Neumann (default: all
-    Dirichlet).
+    so ``ny`` must be even.  Every porous boundary facet is Dirichlet.
     """
     nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
@@ -246,8 +244,7 @@ def generate_structured(nx, ny, gamma_p_rule=None):
     half = ny // 2
     return _structured_layers(
         nx, ny, 0.0, 1.0, 1.0,
-        lambda j: SUBDOMAIN_S if j < half else SUBDOMAIN_P,
-        gamma_p_rule=gamma_p_rule)
+        lambda j: SUBDOMAIN_S if j < half else SUBDOMAIN_P)
 
 
 def generate_channel(nx, ny, *, y0=-0.2, width=2.0, height=1.4,
@@ -307,7 +304,7 @@ def smallest_channel_rows(y0, height, s_lower, s_upper):
 
 
 def _structured_layers(nx, ny, y0, width, height, subdomain_of_row,
-                       gamma_p_rule=None, s_outlet_do_nothing=False):
+                       s_outlet_do_nothing=False):
     dx, dy = width / nx, height / ny
     xs = dx * np.arange(nx + 1)
     ys = y0 + dy * np.arange(ny + 1)
@@ -343,16 +340,7 @@ def _structured_layers(nx, ny, y0, width, height, subdomain_of_row,
         tags[outer[free_flow]] = TAG_GAMMA_S
         if s_outlet_do_nothing:
             tags[outer[free_flow & on_right[outer]]] = TAG_GAMMA_S_N
-        porous = outer[~free_flow]
-        if gamma_p_rule is None:
-            tags[porous] = TAG_GAMMA_P_D
-            return tags
-        mids = 0.5 * (vertices[edges[porous, 0]] + vertices[edges[porous, 1]])
-        for e, (mx, my) in zip(porous, mids):
-            tag = gamma_p_rule(mx, my)
-            if tag not in (TAG_GAMMA_P_D, TAG_GAMMA_P_N):
-                raise MeshError(f"gamma_p_rule returned unknown tag {tag!r}")
-            tags[e] = tag
+        tags[outer[~free_flow]] = TAG_GAMMA_P_D
         return tags
 
     return _build_mesh(vertices, cells, cell_tags, tag_edges)
@@ -365,7 +353,7 @@ _MSH_TRIANGLE = 2
 
 
 def read_lines(path, error):
-    """The lines of the UTF-8 text file ``path``.
+    """The lines of the UTF-8 text file ``path``, without a leading byte-order mark.
 
     A file that cannot be read, such as a directory, or a line that is not
     UTF-8 raises ``error`` naming the file and, for a line, its number.
@@ -377,7 +365,7 @@ def read_lines(path, error):
         raise error(f"{path}: cannot read the file: {exc.strerror or exc}") from None
     for lineno, line in enumerate(lines, 1):
         try:
-            lines[lineno - 1] = line.decode("utf-8")
+            lines[lineno - 1] = line.decode("utf-8-sig" if lineno == 1 else "utf-8")
         except UnicodeDecodeError:
             raise error(f"{path}:{lineno}: not UTF-8 text") from None
     return lines

@@ -182,21 +182,26 @@ def solve_linear(matrix, rhs, tol, factor, guess=None, addend=None):
     the factor preconditions defect correction, which starts from ``guess``
     (from the factor's solution of ``rhs`` without one) and stops when the
     residual is within ``FLOOR_FACTOR`` of that floor or no longer halves: a
-    guess already within it costs no solve.  If the residual still exceeds
+    guess already within it costs no solve.  If a finite residual still exceeds
     ``tol``, ``matrix + addend`` is summed once and factored, in the held
     factor's order, and its factor replaces the held one.  Structural or
-    numerical singularities raise SingularSystemError; non-finite solutions
-    raise NonFiniteSolutionError; a residual above ``tol`` raises
-    SolverError.
+    numerical singularities raise SingularSystemError; a non-finite
+    solution, load norm or residual raises NonFiniteSolutionError; a
+    residual above ``tol`` raises SolverError.
     """
     rhs = np.asarray(rhs, dtype=float)
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    norm = float(np.linalg.norm(rhs))
+    if not np.isfinite(norm):
+        raise NonFiniteSolutionError(f"the load's norm is {norm}")
+    scale = max(norm, 1e-300)
     x, res = _solve_with(factor, matrix, rhs, scale, tol, guess, addend)
-    if res > tol and (factor.matrix is not matrix or addend is not None):
+    if tol < res < np.inf and (factor.matrix is not matrix or addend is not None):
         factor.refresh(matrix if addend is None else matrix + addend)
         x, res = _solve_with(factor, factor.matrix, rhs, scale, tol)
     if not np.all(np.isfinite(x)):
         raise NonFiniteSolutionError("solution contains non-finite entries")
+    if not np.isfinite(res):
+        raise NonFiniteSolutionError(f"the relative residual is {res}")
     if res > tol:
         raise SolverError(
             f"linear solve residual {res:.3e} exceeds tolerance {tol:.1e}")
@@ -288,16 +293,17 @@ class TimeStepper:
     down to ``PIVOT_THRESHOLD`` of its column.  The order is computed once,
     in the first step, and every later factorization of the loop reuses it.
     Each step lifts the Dirichlet data of the new time level with the held
-    columns and C's (no product when every value is zero) and solves with
-    the held factor: directly while the operator is the factored one (with
-    a zero previous velocity, A0 alone), by defect correction otherwise,
-    which stops at the factor's precision floor or when the residual no
-    longer halves.  The stepper holds the solutions of its last three steps
-    and the state it last returned: a convective step from that state, at
-    the next index, starts its correction from their extrapolation,
-    3 x1 - 3 x2 + x3 (2 x1 - x2 with two held; newest first), with the
-    constrained dofs set to their values, so after a short start-up one
-    correction pass, one factor solve, reaches the floor; any other step
+    columns and C's, by ``fem.apply_dirichlet`` (no product when every value
+    is zero), and solves with the held factor: directly while the operator
+    is the factored one (with a zero previous velocity, A0 alone), by
+    defect correction otherwise, which stops at the factor's precision
+    floor or when the residual no longer halves.  The stepper holds the
+    solutions of its last three steps and the state it last returned: a
+    convective step from that state, at the next index, starts its
+    correction from their extrapolation, 3 x1 - 3 x2 + x3 (2 x1 - x2 with
+    two held; newest first), with the constrained dofs set to their
+    values, so after a short start-up one correction pass, one factor
+    solve, reaches the floor; any other step
     starts from the factor's solution, one pass more.  A step whose
     correction ends above ``solver_tol`` factors its own A0 + C_el, which
     later steps then reuse.  If a factorization is singular, one free-flow
@@ -381,7 +387,8 @@ class TimeStepper:
         except NonFiniteSolutionError as exc:
             raise NonFiniteSolutionError(
                 f"{where}: {exc}; check the loads, the boundary data and the "
-                "previous state for NaN or infinite values") from exc
+                "previous state for NaN or infinite values, and the parameter "
+                "scales, such as physics.kappa, for products that overflow") from exc
         except SolverError as exc:
             raise SolverError(
                 f"{where}: {exc}; consider a smaller time step or a larger "
@@ -453,7 +460,7 @@ class TimeStepper:
         full = addend = None
         if conv is not None:
             full, addend = self._convection.matrices(conv)
-        load = self._lift(rhs, dofs, vals, full)
+        load = fem.apply_dirichlet(self._columns, rhs, dofs, vals, full)
         if guess is not None:
             guess[dofs] = vals
         factor = self._factor
@@ -463,16 +470,6 @@ class TimeStepper:
                                 guess, addend)
         finally:
             self._solves += factor.solves - start
-
-    def _lift(self, rhs, dofs, vals, convection=None):
-        """``fem.lift_dofs`` of M / tau + N + ``convection``, by the held columns."""
-        load = np.array(rhs, dtype=float)
-        if np.any(vals):
-            load -= self._columns @ vals
-            if convection is not None:
-                load -= convection @ np.bincount(dofs, vals, load.size)
-        load[dofs] = vals
-        return load
 
     def _hold_operator(self, dofs):
         """Factor the eliminated M / tau + N, dropped before ``splu``; keep its

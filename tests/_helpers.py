@@ -12,7 +12,8 @@ from fpsi.forms import BLOCK_NAMES
 from fpsi.mesh import _signed_area, generate_channel, generate_structured
 
 # The non-dimensional set of the manufactured verification problem, which is
-# also every physics default of an empty config file (``cli._DEFAULTS``).
+# also every physics default of an empty config file: the field defaults of
+# ``forms.PhysicalParams``, which the physics rows of ``cli.KEYS`` read.
 REFERENCE_PARAMS = dict(rho_f=1.0, rho_s=1.0, mu_f=10.0, mu_p=10.0,
                         lam_p=10.0, phi=0.1, kappa=1.0, K=1.0, theta=0.0,
                         alpha_bjs=1.0)

@@ -10,8 +10,8 @@ generator that was called once per edge.
 import numpy as np
 
 from fpsi.mesh import (ALL_TAGS, SUBDOMAIN_P, SUBDOMAIN_S, TAG_GAMMA_P_D,
-                       TAG_GAMMA_P_N, TAG_GAMMA_S, TAG_GAMMA_S_N, TAG_INTERIOR,
-                       TAG_SIGMA, Mesh, MeshError, _signed_area)
+                       TAG_GAMMA_S, TAG_GAMMA_S_N, TAG_INTERIOR, TAG_SIGMA, Mesh,
+                       MeshError, _signed_area)
 
 
 def build_mesh(vertices, cells, cell_tags, edge_tag_of):
@@ -86,7 +86,7 @@ def validate(mesh):
 
 
 def structured_layers(nx, ny, x0, y0, width, height, subdomain_of_row,
-                      gamma_p_rule=None, s_outlet_do_nothing=False):
+                      s_outlet_do_nothing=False):
     """``mesh._structured_layers`` with its per-quad and per-edge loops."""
     dx, dy = width / nx, height / ny
     xs = x0 + dx * np.arange(nx + 1)
@@ -115,7 +115,6 @@ def structured_layers(nx, ny, x0, y0, width, height, subdomain_of_row,
 
     def edge_tag_of(a, b):
         pa, pb = vertices[a], vertices[b]
-        mx, my = 0.5 * (pa + pb)
         horizontal = abs(pa[1] - pb[1]) < tol
         if horizontal:
             j = row_of(pa[1])
@@ -139,11 +138,6 @@ def structured_layers(nx, ny, x0, y0, width, height, subdomain_of_row,
             if s_outlet_do_nothing and on_right:
                 return TAG_GAMMA_S_N
             return TAG_GAMMA_S
-        if gamma_p_rule is not None:
-            tag = gamma_p_rule(mx, my)
-            if tag not in (TAG_GAMMA_P_D, TAG_GAMMA_P_N):
-                raise MeshError(f"gamma_p_rule returned unknown tag {tag!r}")
-            return tag
         return TAG_GAMMA_P_D
 
     return build_mesh(vertices, cells, cell_tags, edge_tag_of)

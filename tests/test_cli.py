@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,21 +19,21 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 def test_empty_config_gives_reference_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, ""))
-    assert cfg.mode == "manufactured"
+    assert cfg["mode"] == "manufactured"
     p = cfg.physics
-    assert p["lam_p"] == p["mu_p"] == p["mu_f"] == 10.0
-    assert p["alpha_bjs"] == 1.0 and p["phi"] == 0.1
-    assert p["kappa"] == 1.0 and p["rho_f"] == 1.0 and p["K"] == 1.0
-    assert p["theta"] == 0.0
-    assert cfg.gamma == 40.0 and cfg.varsigma == 1
-    params = cfg.physical_params()
-    assert abs(params.rho_p - 1.0) < 1e-15
+    assert p.lam_p == p.mu_p == p.mu_f == 10.0
+    assert p.alpha_bjs == 1.0 and p.phi == 0.1
+    assert cfg["physics.kappa"] == 1.0 and p.rho_f == 1.0 and p.K == 1.0
+    assert p.theta == 0.0
+    assert cfg.nitsche.gamma == 40.0 and cfg.nitsche.varsigma == 1
+    assert abs(p.rho_p - 1.0) < 1e-15
 
 
 def test_empty_config_is_the_reference_set(tmp_path):
-    # cli._DEFAULTS and the tests' REFERENCE_PARAMS hold one parameter set
-    # twice; this keeps the two copies from drifting apart
-    got = parse_config(write_config(tmp_path, "")).physical_params()
+    # the defaults of forms.PhysicalParams, which are the physics rows of
+    # cli.KEYS, and the tests' REFERENCE_PARAMS hold one parameter set twice;
+    # this keeps the two copies from drifting apart
+    got = parse_config(write_config(tmp_path, "")).physics
     want = forms.PhysicalParams(**REFERENCE_PARAMS)
     for f in dataclasses.fields(forms.PhysicalParams):
         assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
@@ -78,8 +79,8 @@ time.tau = 0.00025
 nitsche.varsigma = -1
 """)
     cfg = parse_config(path)
-    assert cfg.nx == cfg.ny == 4
-    assert cfg.varsigma == -1
+    assert cfg["mesh.nx"] == cfg["mesh.ny"] == 4
+    assert cfg.nitsche.varsigma == -1
 
 
 def test_repeated_key_rejected(tmp_path):
@@ -92,7 +93,7 @@ def test_repeated_key_rejected(tmp_path):
 def test_kappa_matrix_form(tmp_path):
     path = write_config(tmp_path, "physics.kappa = 2 0 0 3\n")
     cfg = parse_config(path)
-    assert np.allclose(cfg.physics["kappa"], [[2.0, 0.0], [0.0, 3.0]])
+    assert np.allclose(cfg.physics.kappa, [[2.0, 0.0], [0.0, 3.0]])
     bad = write_config(tmp_path, "physics.kappa = 1 2\n", name="bad.cfg")
     with pytest.raises(ConfigError, match="kappa"):
         parse_config(bad)
@@ -102,6 +103,64 @@ def test_incompatible_time_grid_rejected(tmp_path):
     path = write_config(tmp_path, "time.tau = 0.0003\n")
     with pytest.raises(ConfigError, match="time"):
         parse_config(path)
+
+
+FREE_TEXT_KEYS = {"mesh.path", "output.dir"}
+
+
+@pytest.mark.parametrize("key", [k for k in cli.KEYS if k not in FREE_TEXT_KEYS])
+def test_unparseable_value_names_its_key(tmp_path, capsys, key):
+    path = write_config(tmp_path, f"{key} = ?\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+        parse_config(path)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+
+
+def test_only_paths_are_free_text():
+    # every other key has a value that does not parse
+    assert {k for k, (_, parse) in cli.KEYS.items() if parse is cli._text} == FREE_TEXT_KEYS
+
+
+def test_every_default_written_out_is_the_empty_config(tmp_path):
+    text = "".join(f"{key} = {default}\n" for key, (default, _) in cli.KEYS.items())
+    full = parse_config(write_config(tmp_path, text))
+    empty = parse_config(write_config(tmp_path, "", name="empty.cfg"))
+    assert full.values == empty.values and full.tag_map == empty.tag_map == {}
+    for f in dataclasses.fields(forms.PhysicalParams):
+        assert np.array_equal(getattr(full.physics, f.name),
+                              getattr(empty.physics, f.name)), f.name
+    assert full.nitsche == empty.nitsche and full.grid == empty.grid
+
+
+def test_readme_lists_the_keys_with_their_defaults():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    listed = [tuple(part.strip() for part in line.split("#", 1)[0].split("=", 1))
+              for line in block.splitlines() if not line.startswith("#")]
+    assert listed == [(key, default) for key, (default, _) in cli.KEYS.items()]
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfmode = general\n")
+    assert parse_config(str(cfg))["mode"] == "general"
+    with open(GOLDEN_MSH, "rb") as fh:
+        mesh = tmp_path / "bom.msh"
+        mesh.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert parse_config(write_config(tmp_path, _msh_config(mesh))).build_mesh().num_cells == 8
+
+
+def test_overflowing_load_is_a_solver_failure(tmp_path, capsys):
+    # kappa^-1 = 1e300 overflows the load's norm; the run once passed the
+    # residual check and printed a final energy of 7e24
+    path = write_config(tmp_path, "mode = general\nmesh.nx = 4\nmesh.ny = 4\n"
+                                  "physics.kappa = 1e-300\ntime.final = 0.00025\n")
+    code = main(["run", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "step 1 (t=" in err and "physics.kappa" in err
 
 
 # --- VTK ------------------------------------------------------------------------
@@ -600,7 +659,7 @@ def test_default_channel_rows_rejected_with_remedy(tmp_path, capsys):
     assert "smallest mesh.ny that fits is 14" in capsys.readouterr().err
     fitted = write_config(tmp_path, "mode = general\nmesh.kind = channel\n"
                                     "mesh.ny = 14\n", name="fitted.cfg")
-    assert parse_config(fitted).ny == 14
+    assert parse_config(fitted)["mesh.ny"] == 14
 
 
 def test_channel_rows_none_fit(tmp_path):

@@ -175,17 +175,6 @@ def test_import_msh_ignored_section_warns(tmp_path):
         import_msh(path, TAGS)
 
 
-def test_gamma_p_rule_splits_boundary():
-    def rule(x, y):
-        return "gamma_p_n" if abs(y - 1.0) < 1e-12 else "gamma_p_d"
-
-    m = generate_structured(2, 2, gamma_p_rule=rule)
-    assert len(m.edges_with_tag("gamma_p_n")) == 2  # the top edge row
-    assert len(m.edges_with_tag("gamma_p_d")) == 2  # one edge per upper side
-    with pytest.raises(MeshError, match="unknown tag"):
-        generate_structured(2, 2, gamma_p_rule=lambda x, y: "outflow")
-
-
 # --- array-built meshes against the loops they replaced -------------------------
 
 MESH_ARRAYS = ("vertices", "cells", "edges", "edge_tags", "edge_cells",
@@ -205,11 +194,6 @@ def test_structured_mesh_matches_loop_reference(nx):
     half = lambda j: "S" if j < nx // 2 else "P"
     _assert_same_mesh(generate_structured(nx, nx),
                       _mesh_loops.structured_layers(nx, nx, 0.0, 0.0, 1.0, 1.0, half))
-    rule = lambda x, y: "gamma_p_n" if x > 0.5 else "gamma_p_d"
-    _assert_same_mesh(
-        generate_structured(nx, nx, gamma_p_rule=rule),
-        _mesh_loops.structured_layers(nx, nx, 0.0, 0.0, 1.0, 1.0, half,
-                                      gamma_p_rule=rule))
 
 
 def test_channel_mesh_matches_loop_reference():

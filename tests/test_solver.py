@@ -149,7 +149,8 @@ def _direct_step(stepper, state_prev, n):
     rhs = (stepper.load(t_n)
            + stepper.M / stepper.grid.tau @ state_prev.vector())
     dofs, vals = forms.dirichlet_data(spaces, stepper.boundary_values, t_n)
-    matrix, rhs = fem.apply_dirichlet(operator, rhs, dofs, vals)
+    matrix, _ = fem.eliminate_matrix(operator, dofs)
+    rhs = fem.apply_dirichlet(operator[:, dofs], rhs, dofs, vals)
     factor = solver.Factor(matrix,
                            solver.mesh_order(spaces, stepper.ctx.pairs, dofs))
     return solve_linear(factor.matrix, rhs, 1e-9, factor)[0]
@@ -848,6 +849,20 @@ def test_nan_load_names_step_and_remedy(small_setup, monkeypatch):
         stepper.step(state, 2)
 
 
+@pytest.mark.parametrize("case", ["load", "residual"])
+def test_overflowing_norm_is_not_finite(case):
+    # a norm that overflows to inf would make every relative residual read
+    # 0 or NaN, and neither exceeds a tolerance
+    matrix = sparse.diags([1e300, 1.0], format="csr")
+    factor = solver.Factor(matrix, nested_dissection(matrix))
+    with pytest.raises(NonFiniteSolutionError, match=f"{case}.* is inf"):
+        if case == "load":
+            solve_linear(factor.matrix, np.array([1e300, 1e300]), 1e-9, factor)
+        else:
+            solve_linear(matrix.copy(), np.array([1.0, 1.0]), 1e-9, factor,
+                         guess=np.array([1e10, 0.0]))
+
+
 def test_residual_failure_names_step_and_remedy(small_setup):
     mesh, spaces, params, nitsche = small_setup
     grid = TimeGrid(tau=1e-3, final=1e-3)
@@ -1254,9 +1269,10 @@ def test_time_refinement_keeps_spatial_error_dominant():
 
 @pytest.mark.parametrize("convection", [False, True])
 def test_lift_matches_full_product(convection):
-    # the stepper's lift by the held Dirichlet columns, which skips the
-    # product when every prescribed value is zero, against the product with
-    # the whole operator: bit for bit without convection or without values
+    # the stepper's lift, fem.apply_dirichlet by the held Dirichlet columns,
+    # which skips the product when every prescribed value is zero, against
+    # the product with the whole operator: bit for bit without convection or
+    # without values
     params = PhysicalParams(**REFERENCE_PARAMS)
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     spaces = build_spaces(generate_structured(4, 4))
@@ -1278,8 +1294,11 @@ def test_lift_matches_full_product(convection):
         cases.append((operator + forms.from_contributions(spaces, conv), full))
     for matrix, added in cases:
         for values in (vals, rng.normal(size=vals.size), np.zeros(vals.size)):
-            want = fem.lift_dofs(matrix, rhs, dofs, values)
-            got = stepper._lift(rhs, dofs, values, added)
+            want = np.array(rhs)
+            if np.any(values):
+                want -= matrix @ np.bincount(dofs, values, rhs.size)
+            want[dofs] = values
+            got = fem.apply_dirichlet(stepper._columns, rhs, dofs, values, added)
             assert np.array_equal(got[dofs], values)
             if added is None or not np.any(values):
                 assert np.array_equal(got, want)
