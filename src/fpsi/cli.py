@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -138,6 +139,17 @@ def _param_rows(keys):
             for key, f in keys.items()}
 
 
+# The ``channel.*`` keys and the ``generate_channel`` keywords they set.
+_CHANNEL = {"channel.length": "width", "channel.y0": "y0", "channel.height": "height",
+            "channel.lower": "s_lower", "channel.upper": "s_upper"}
+
+
+def _channel_rows():
+    """The rows of the channel keys: ``generate_channel``'s keyword defaults."""
+    keywords = inspect.signature(meshmod.generate_channel).parameters
+    return {key: (repr(keywords[arg].default), _number) for key, arg in _CHANNEL.items()}
+
+
 # One row per configuration key: its default, as the text a file would give,
 # and its parser.  Keys ``mesh.tag.<name> = <tag>`` add to the MSH tag map.
 KEYS = {
@@ -152,14 +164,10 @@ KEYS = {
     "time.final": ("0.001", _number),
     "levels": ("2,4,8,16,32", _levels),
     "convergence.tau_factor": ("0.001", _number),
-    "channel.length": ("2.0", _number),
-    "channel.y0": ("-0.2", _number),
-    "channel.height": ("1.4", _number),
-    "channel.lower": ("0.3", _number),
-    "channel.upper": ("0.7", _number),
+    **_channel_rows(),
     "output.dir": ("out", _text),
     "output.dump_every": ("0", _count),
-    "solver.tolerance": ("1e-9", _positive),
+    "solver.tolerance": (repr(solver.TOLERANCE), _positive),
     "solver.convection": ("on", _switch),
     "run.inflow": ("parabolic", _choice(*INFLOW_PROFILES)),
     "run.inflow_scale": ("1.0", _number),
@@ -190,9 +198,7 @@ class RunConfig:
                 self._mesh = meshmod.generate_structured(nx, ny)
             elif kind == "channel":
                 self._mesh = meshmod.generate_channel(
-                    nx, ny, y0=self["channel.y0"], width=self["channel.length"],
-                    height=self["channel.height"], s_lower=self["channel.lower"],
-                    s_upper=self["channel.upper"])
+                    nx, ny, **{arg: self[key] for key, arg in _CHANNEL.items()})
             else:
                 self._mesh = meshmod.import_msh(self["mesh.path"], self.tag_map)
         return self._mesh

@@ -286,7 +286,7 @@ class AssemblyContext:
                     2: fem.tabulate(2, self.rule.points)}
         self.geo = {sub: fem.CellGeometry(mesh, mesh.cells_in(sub), self.rule)
                     for sub in ("S", "P")}
-        self._grads = {}
+        self._grads, self._dof_maps = {}, {}
         self.pairs = interface_pairs(mesh)
         self.seg_rule = fem.quadrature_rule("segment", INTERFACE_QUAD_DEGREE)
         self.facet_stack = self._stack_facets()
@@ -305,11 +305,13 @@ class AssemblyContext:
         """Block dofs of each cell's local basis: (cells, ndofs per cell).
 
         A vector space interleaves its components: node k holds 2k and 2k + 1.
+        Built once per space.
         """
-        dofs = space.cell_dofs
-        if space.components == 1:
-            return dofs
-        return (2 * dofs[:, :, None] + np.arange(2)).reshape(dofs.shape[0], -1)
+        if space not in self._dof_maps:
+            dofs = space.cell_dofs
+            self._dof_maps[space] = dofs if space.components == 1 else (
+                2 * dofs[:, :, None] + np.arange(2)).reshape(dofs.shape[0], -1)
+        return self._dof_maps[space]
 
     def component_maps(self, name):
         """Cell dofs (cells, nloc) of each component of vector block ``name``."""
@@ -440,43 +442,26 @@ def _contrib(test, trial, row_dofs, col_dofs, local):
     return (test, trial, row_dofs, col_dofs, _cut_residues(local))
 
 
-def _gram(w, a, b):
-    """Local blocks sum_q w_q a_q^T b_q (cells, dofs of a, dofs of b), one matmul.
-
-    ``a`` and ``b`` are feature tables (cells, points, features, dofs) of a
-    basis at the quadrature points, without the cell axis where the same on
-    every cell; ``w`` is (cells, points).
-    """
-    wb = w[..., None, None] * b
-    c, q, f, nb = wb.shape
-    a = a.reshape(a.shape[:-3] + (q * f, a.shape[-1]))
-    return np.matmul(np.swapaxes(a, -1, -2), wb.reshape(c, q * f, nb))
-
-
-def _sym_grads(grads):
-    """eps(vector basis), features xx, xy, yx, yy, from gradients (c, q, nloc, 2)."""
-    c, q, n, _ = grads.shape
-    out = np.zeros((c, q, 4, n, 2))          # [feature, i, k]: eps(phi_i e_k)
-    half = 0.5 * grads
-    out[:, :, 0, :, 0] = grads[..., 0]
-    out[:, :, 1:3, :, 0] = half[:, :, None, :, 1]
-    out[:, :, 1:3, :, 1] = half[:, :, None, :, 0]
-    out[:, :, 3, :, 1] = grads[..., 1]
-    return out.reshape(c, q, 4, 2 * n)
-
-
 class _Kernels:
     """Volume integration kernels over one subdomain, named by their blocks.
 
     Each kernel takes the test and trial block names, looks their spaces
     up in ``ctx.spaces`` and returns a part on the cells of their
-    subdomain.  Bilinear kernels build feature tables of their bases at
-    the quadrature points (values, gradients, symmetric gradients,
-    divergences) per call, not kept, and contract them with ``_gram``.
+    subdomain.  The cells are affine, one Jacobian J per cell, so each
+    bilinear kernel contracts a per-cell geometry factor (det J, and J^-T
+    for each derivative) with reference matrices summed over the points of
+    ``ctx.rule``: the tensor representation of Kirby and Logg (ACM TOMS 32,
+    2006).  A coefficient is therefore a constant.  ``eps_eps`` and
+    ``div_div`` are built from one stiffness tensor per subdomain and
+    degrees, H[c, e, f, i, j] = int_T d_e phi_i d_f phi_j (``_stiffness``);
+    H and the arrays built from it live on this instance, for one assembly
+    call, never on the context.  ``convection`` and the loads integrate
+    fields that vary over the cell at the points.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self._stiffnesses, self._units = {}, {}
 
     def _space(self, name):
         return getattr(self.ctx.spaces, name)
@@ -489,11 +474,16 @@ class _Kernels:
         return _contrib(test, trial, dof_map(self._space(test)),
                         dof_map(self._space(trial)), local)
 
+    def _mass_reference(self, sp_t, sp_u):
+        """sum_q w_q phi_i phi_j on the reference cell: (ni, nj)."""
+        return np.einsum("q,qi,qj->ij", self.ctx.rule.weights,
+                         self.ctx.phi_table(sp_t), self.ctx.phi_table(sp_u))
+
     def mass(self, test, trial, coeff):
         """(coeff w, z): constant scalar coefficient, same component structure."""
         sp_t, sp_u = self._space(test), self._space(trial)
-        base = _gram(self._wdet(sp_t) * coeff, self.ctx.phi_table(sp_t)[:, None],
-                     self.ctx.phi_table(sp_u)[:, None])
+        geo = self.ctx.geo[sp_t.subdomain]
+        base = (coeff * geo.det)[:, None, None] * self._mass_reference(sp_t, sp_u)
         if sp_t.components == 1:
             return self._part(test, trial, base)
         # the cut of the scalar base is that of its expansion, whose other
@@ -505,30 +495,63 @@ class _Kernels:
     def tensor_mass(self, test, trial, tensor):
         """(T w, z) with a constant 2x2 tensor coefficient T."""
         sp_t, sp_u = self._space(test), self._space(trial)
-        phi_t, phi_u = self.ctx.phi_table(sp_t), self.ctx.phi_table(sp_u)
-        # one feature per (k, j, l): T_kl phi_j; the blocks (i, k) x (j, l)
-        # then flatten to the interleaved (2i + k, 2j + l)
-        t_u = np.swapaxes(tensor[..., None] * phi_u[:, None, None, :], -1, -2)
-        local = _gram(self._wdet(sp_t), phi_t[:, None],
-                      t_u.reshape(phi_u.shape[0], 1, -1))
-        return self._part(test, trial,
-                          local.reshape(-1, 2 * phi_t.shape[1], 2 * phi_u.shape[1]))
+        ref = self._mass_reference(sp_t, sp_u)
+        ni, nj = ref.shape
+        # the blocks (i, k) x (j, l) flatten to the interleaved (2i + k, 2j + l)
+        kron = (ref[:, None, :, None] * tensor[None, :, None, :]).reshape(2 * ni, 2 * nj)
+        geo = self.ctx.geo[sp_t.subdomain]
+        return self._part(test, trial, geo.det[:, None, None] * kron)
+
+    def _stiffness(self, sp_t, sp_u):
+        """H (cells, 2, 2, ni, nj): int_T d_e phi_i d_f phi_j of the scalar bases."""
+        key = (sp_t.subdomain, sp_t.degree, sp_u.degree)
+        if key not in self._stiffnesses:
+            ctx = self.ctx
+            d_t, d_u = ctx.tab[sp_t.degree][1], ctx.tab[sp_u.degree][1]
+            ref = np.einsum("q,qia,qjb->abij", ctx.rule.weights, d_t, d_u)
+            geo = ctx.geo[sp_t.subdomain]
+            g = geo.inv_jac_t                                   # (c, e, a)
+            # det (J^-T)_ea (J^-T)_fb, rows (c, e, f) and columns (a, b)
+            geom = (geo.det[:, None, None, None, None] * g[:, :, None, :, None]
+                    * g[:, None, :, None, :]).reshape(-1, 4)
+            ni, nj = ref.shape[2:]
+            self._stiffnesses[key] = (geom @ ref.reshape(4, -1)).reshape(-1, 2, 2, ni, nj)
+        return self._stiffnesses[key]
+
+    def _unit(self, kernel, test, trial):
+        """The local array of ``kernel`` with coefficient 1, residues cut:
+        (cells, 2 ni, 2 nj), built from H once per subdomain and degrees."""
+        sp_t, sp_u = self._space(test), self._space(trial)
+        key = (kernel, sp_t.subdomain, sp_t.degree, sp_u.degree)
+        if key not in self._units:
+            h = self._stiffness(sp_t, sp_u)
+            c, _, _, ni, nj = h.shape
+            local = np.empty((c, ni, 2, nj, 2))                # [c, i, k, j, l]
+            if kernel == "eps_eps":
+                # eps(phi_i e_k) : eps(phi_j e_l) = (delta_kl (H_00 + H_11) + H_lk) / 2
+                np.multiply(np.transpose(h, (0, 3, 2, 4, 1)), 0.5, out=local)
+                trace = 0.5 * (h[:, 0, 0] + h[:, 1, 1])
+                local[:, :, 0, :, 0] += trace
+                local[:, :, 1, :, 1] += trace
+            else:
+                # div(phi_i e_k) div(phi_j e_l) = d_k phi_i d_l phi_j: H_kl
+                local[...] = np.transpose(h, (0, 3, 1, 4, 2))
+            self._units[key] = _cut_residues(local.reshape(c, 2 * ni, 2 * nj))
+        return self._units[key]
+
+    def _scaled(self, kernel, test, trial, coeff):
+        # a multiple of a cut array has the cut's zeros: same entries cut
+        dof_map = self.ctx.dof_map
+        return (test, trial, dof_map(self._space(test)), dof_map(self._space(trial)),
+                coeff * self._unit(kernel, test, trial))
 
     def eps_eps(self, test, trial, coeff):
         """(coeff eps(u), eps(v)) for vector spaces on one subdomain."""
-        sp_t = self._space(test)
-        g_t, g_u = self.ctx.grads(sp_t), self.ctx.grads(self._space(trial))
-        e_t = _sym_grads(g_t)
-        e_u = e_t if g_u is g_t else _sym_grads(g_u)
-        return self._part(test, trial, _gram(self._wdet(sp_t) * coeff, e_t, e_u))
+        return self._scaled("eps_eps", test, trial, coeff)
 
     def div_div(self, test, trial, coeff):
-        # div(phi_i e_k) = d_k phi_i: the gradients, flattened per dof
-        sp_t = self._space(test)
-        c, q = self._wdet(sp_t).shape
-        d_t = self.ctx.grads(sp_t).reshape(c, q, 1, -1)
-        d_u = self.ctx.grads(self._space(trial)).reshape(c, q, 1, -1)
-        return self._part(test, trial, _gram(self._wdet(sp_t) * coeff, d_t, d_u))
+        """(coeff div u, div v) for vector spaces on one subdomain."""
+        return self._scaled("div_div", test, trial, coeff)
 
     def pressure_div(self, test, trial, coeff):
         """(q, coeff div v) for a scalar test q.
@@ -539,12 +562,18 @@ class _Kernels:
         gradient = self._space(trial).components == 1
         scalar, vector = (trial, test) if gradient else (test, trial)
         sp_q, sp_v = self._space(scalar), self._space(vector)
-        phi_q = self.ctx.phi_table(sp_q)
-        # div(coeff phi_j e_l) = coeff d_l phi_j, one feature per (j, l)
-        div = coeff * self.ctx.grads(sp_v)
-        w = self._wdet(sp_v)
-        c, q = w.shape
-        local = _gram(-w if gradient else w, phi_q[:, None], div.reshape(c, q, 1, -1))
+        ctx = self.ctx
+        # int_T psi_i d_l phi_j = det sum_a (J^-T)_la B_a, with the reference
+        # B_a = sum_q w_q psi_i d^_a phi_j
+        ref = np.einsum("q,qi,qja->aij", ctx.rule.weights, ctx.phi_table(sp_q),
+                        ctx.tab[sp_v.degree][1])
+        geo = ctx.geo[sp_v.subdomain]
+        scale = (-coeff if gradient else coeff) * geo.det
+        _, ni, nj = ref.shape
+        div = (scale[:, None, None] * geo.inv_jac_t).reshape(-1, 2) @ ref.reshape(2, -1)
+        # (c, l, i, j) -> (c, i, j, l): the interleaved columns 2j + l
+        local = np.transpose(div.reshape(-1, 2, ni, nj), (0, 2, 3, 1)).reshape(
+            -1, ni, 2 * nj)
         return self._part(test, trial,
                           np.transpose(local, (0, 2, 1)) if gradient else local)
 

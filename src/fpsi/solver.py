@@ -59,6 +59,10 @@ class StepReport:
     solves: int = 0
 
 
+# Relative residual every time step must reach, unless the caller gives its
+# own (the ``solver.tolerance`` configuration key).
+TOLERANCE = 1e-9
+
 # Defect correction stops once the residual is within this factor of the
 # held factor's floor: the residual its own direct solve reached.
 FLOOR_FACTOR = 4.0
@@ -321,7 +325,7 @@ class TimeStepper:
 
     def __init__(self, spaces, params, nitsche, grid, sources=None,
                  corrections=None, boundary_values=None, convection=True,
-                 solver_tol=1e-9):
+                 solver_tol=TOLERANCE):
         self.spaces = spaces
         self.grid = grid
         self.sources = sources

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fem, forms, mesh as meshmod
-from .solver import TimeGrid, TimeStepper, march
+from .solver import TOLERANCE, TimeGrid, TimeStepper, march
 
 FOUR_PI = 4.0 * math.pi
 
@@ -467,7 +467,7 @@ def final_time_errors(state, sol):
 
 
 def convergence_study(levels, params, nitsche, tau_factor=1e-3, final_time=1e-3,
-                      convection=True, solver_tol=1e-9, progress=None):
+                      convection=True, solver_tol=TOLERANCE, progress=None):
     """Run the manufactured problem on refining grids and tabulate errors.
 
     ``levels`` is a sequence of (nx, ny) cell counts that must refine

@@ -140,8 +140,7 @@ def test_criterion_5_single_element_oracles(params):
     # P2 stiffness and convection locals against the symbolic assembler
     kern = forms._Kernels(ctx)
     sp_uf = spaces.u_f
-    ones = np.ones_like(ctx.geo["S"].wdet)
-    _, _, rows, cols, vals = kern.eps_eps("u_f", "u_f", 2 * params.mu_f * ones)
+    _, _, rows, cols, vals = kern.eps_eps("u_f", "u_f", 2 * params.mu_f)
     locals_stiff = vals.reshape(len(sp_uf.cells), 12, 12)
     w = interpolate(sp_uf, lambda t, x, y:
                     np.stack([1.0 + x - 2.0 * y, x * y], axis=-1))

@@ -872,10 +872,15 @@ ANISOTROPIC_PARAMS = {**REFERENCE_PARAMS,
                       "theta": -0.5, "phi": 0.3, "K": 3.0, "rho_s": 2.0}
 
 
-@pytest.mark.parametrize("nx", [2, 8])
-def test_kernels_match_einsum_reference(nx):
-    # each matrix-product kernel against its einsum form, per local block
-    spaces = build_spaces(generate_structured(nx, nx))
+# nx = 2, and the three interface meshes: 8 is ``interface_mesh("structured")``,
+# and the sheared mesh's cells are slanted, so J^-T is not diagonal
+@pytest.mark.parametrize("kind", [2, 8, "channel", "sheared"])
+def test_kernels_match_einsum_reference(kind):
+    # each reference-tensor kernel against its einsum form by quadrature at
+    # the points, per local block; with its rounding residues cut, it has
+    # the cut form's nonzero entries
+    spaces = build_spaces(generate_structured(kind, kind) if kind in (2, 8)
+                          else interface_mesh(kind))
     params = PhysicalParams(**ANISOTROPIC_PARAMS)
     ctx = AssemblyContext(spaces, params, NitscheParams())
     kern, ref = forms._Kernels(ctx), _einsum_kernels(ctx)
@@ -892,6 +897,10 @@ def test_kernels_match_einsum_reference(nx):
          ref["eps_eps"](spaces.u_f, spaces.u_f, 20.0)),
         (kern.eps_eps("y_s", "u_r", 20.0 * phi),
          ref["eps_eps"](spaces.y_s, spaces.u_r, 20.0 * phi)),
+        (kern.eps_eps("y_s", "y_s", 20.0),
+         ref["eps_eps"](spaces.y_s, spaces.y_s, 20.0)),
+        (kern.eps_eps("u_r", "y_s", 20.0 * phi),
+         ref["eps_eps"](spaces.u_r, spaces.y_s, 20.0 * phi)),
         (kern.div_div("y_s", "y_s", 10.0 * phi),
          ref["div_div"](spaces.y_s, spaces.y_s, 10.0 * phi)),
         (kern.pressure_div("p_S", "u_f", 1.0),
@@ -917,6 +926,8 @@ def test_kernels_match_einsum_reference(nx):
         scale = np.abs(want_local).max(axis=1)
         assert np.all(scale > 0.0), name
         assert np.all(np.abs(got_local - want_local).max(axis=1) <= 1e-14 * scale), name
+        cut = forms._cut_residues(want.copy())
+        assert np.array_equal(got[4] != 0.0, cut != 0.0), name
 
 
 @pytest.mark.parametrize("kind", INTERFACE_MESHES)
