@@ -199,21 +199,6 @@ class FunctionSpace:
                 f"{self.subdomain}, {self.ndofs} dofs)")
 
 
-@dataclass
-class FieldCoefficients:
-    """Coefficient vector for one field in its function space."""
-
-    space: FunctionSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.space.ndofs,):
-            raise FEMError(
-                f"coefficient vector has length {self.values.size}, "
-                f"space has {self.space.ndofs} dofs")
-
-
 def _eval_field(fn, time, x, y, components):
     vals = np.asarray(fn(time, x, y), dtype=float)
     if components == 1:
@@ -268,17 +253,17 @@ def norm_tables(space):
             np.swapaxes(dphi, 1, 2).reshape(-1, phi.shape[1]))
 
 
-def error_norms(field_h, exact, time, exact_grad, tables):
+def error_norms(space, values, exact, time, exact_grad, tables):
     """L2 and H1-seminorm distance between a discrete and an analytic field.
 
-    ``exact(t, x, y)`` returns values, ``exact_grad(t, x, y)`` returns
-    gradients with shape (n, 2) for scalar fields and (n, 2, 2) with
-    entry [i, k, d] = d u_k / d x_d for vector fields.  ``tables`` are
-    ``norm_tables(field_h.space)``.  The field and its reference gradients
-    at the points are two matrix products over all cells; the affine maps
-    then take the reference gradients to physical ones.
+    ``values`` are the field's coefficients in ``space``.  ``exact(t, x, y)``
+    returns values, ``exact_grad(t, x, y)`` returns gradients with shape
+    (n, 2) for scalar fields and (n, 2, 2) with entry [i, k, d] = d u_k /
+    d x_d for vector fields.  ``tables`` are ``norm_tables(space)``.  The
+    field and its reference gradients at the points are two matrix products
+    over all cells; the affine maps then take the reference gradients to
+    physical ones.
     """
-    space = field_h.space
     geo, phi, dphi = tables
     x = geo.x[..., 0].ravel()
     y = geo.x[..., 1].ravel()
@@ -286,7 +271,7 @@ def error_norms(field_h, exact, time, exact_grad, tables):
     k = space.components
 
     # coefficients as (local dof, cell and component)
-    cvals = field_h.values.reshape(space.num_nodes, k)[space.cell_dofs]
+    cvals = values.reshape(space.num_nodes, k)[space.cell_dofs]
     flat = np.moveaxis(cvals, 1, 0).reshape(-1, nc * k)
     uh = (phi @ flat).reshape(nq, nc, k)
     ref = (dphi @ flat).reshape(nq, 2, nc, k)

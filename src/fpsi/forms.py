@@ -221,34 +221,30 @@ def from_contributions(spaces, contributions):
 
 
 class StateVector:
-    """Six coefficient blocks in the monolithic ordering plus a timestamp."""
+    """The monolithic vector x, laid out by ``spaces``, and its time.
 
-    def __init__(self, blocks, time=0.0):
-        blocks = tuple(blocks)
-        if len(blocks) != 6:
-            raise FormsError("state needs exactly six field blocks")
-        self.blocks = blocks
+    ``block(name)`` is the view of block ``name`` in x: a write through it
+    is a write to x.
+    """
+
+    def __init__(self, spaces, vector, time=0.0):
+        vector = np.asarray(vector, dtype=float)
+        if vector.shape != (spaces.size,):
+            raise FormsError(
+                f"vector length {vector.size} does not match spaces ({spaces.size})")
+        self.spaces = spaces
+        self._vector = vector
         self.time = float(time)
 
     @classmethod
     def zero(cls, spaces, time=0.0):
-        return cls([fem.FieldCoefficients(sp, np.zeros(sp.ndofs))
-                    for sp in spaces], time)
-
-    @classmethod
-    def from_vector(cls, spaces, vec, time=0.0):
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != spaces.size:
-            raise FormsError(
-                f"vector length {vec.size} does not match spaces ({spaces.size})")
-        return cls([fem.FieldCoefficients(sp, vec[spaces.slice(name)])
-                    for name, sp in zip(BLOCK_NAMES, spaces)], time)
+        return cls(spaces, np.zeros(spaces.size), time)
 
     def vector(self):
-        return np.concatenate([b.values for b in self.blocks])
+        return self._vector
 
     def block(self, name):
-        return self.blocks[BLOCK_NAMES.index(name)]
+        return self._vector[self.spaces.slice(name)]
 
 
 def dirichlet_data(spaces, boundary_values, time):
@@ -313,20 +309,18 @@ class AssemblyContext:
                 2 * dofs[:, :, None] + np.arange(2)).reshape(dofs.shape[0], -1)
         return self._dof_maps[space]
 
-    def component_maps(self, name):
-        """Cell dofs (cells, nloc) of each component of vector block ``name``."""
-        nodes = 2 * getattr(self.spaces, name).cell_dofs
-        return nodes, nodes + 1
-
     def component_pattern(self, name):
-        """Global (rows, cols) of ``assemble_convection``'s parts' values, in order.
+        """Global (rows, cols) of the convection block of vector block ``name``.
 
-        Built per call; a time loop holds its distinct slots once, 47 874 of
-        73 728 entries at nx = 32 (kept on the context: +7 % peak memory).
+        ``assemble_convection``'s scalar (cells, nloc, nloc) block is laid
+        once on the first component's cell dofs, then once on the second's,
+        in order.  Built per call; a time loop holds its distinct slots
+        once, 47 874 of 73 728 entries at nx = 32 (kept on the context:
+        +7 % peak memory).
         """
-        start = self.spaces.slice(name).start
-        pairs = [_entries(dofs + start, dofs + start, np.arange(dofs.size * dofs.shape[1]))
-                 for dofs in self.component_maps(name)]
+        nodes = 2 * getattr(self.spaces, name).cell_dofs + self.spaces.slice(name).start
+        pairs = [_entries(dofs, dofs, np.arange(dofs.size * dofs.shape[1]))
+                 for dofs in (nodes, nodes + 1)]
         return tuple(np.concatenate(axis) for axis in zip(*pairs))
 
     # -- interface facet tabulations --------------------------------------
@@ -401,17 +395,17 @@ def _vector_trace(values, direction):
     return (values[..., None] * direction[:, None, None, :]).reshape(f, q, 2 * n)
 
 
-def interface_jump_seminorm(ctx, state, rate_y_values):
-    """Sum over interface facets of h_E^{-1} | n.u_f + n.u_r + n.d_t y |^2.
+def interface_jump_seminorm(ctx, previous, state, tau):
+    """Sum over interface facets of h_E^{-1} | n.u_f + n.u_r + n.d_tau y |^2.
 
-    ``rate_y_values`` holds the coefficients of the discrete displacement
-    rate (typically the backward difference of y_s over the last step).
+    u_f and u_r are those of ``state``; d_tau y is the backward difference
+    of y_s from ``previous`` to ``state`` over the step ``tau``.
     """
     fs = ctx.facet_stack
     if fs is None:
         return 0.0
-    values = {"u_f": state.block("u_f").values, "u_r": state.block("u_r").values,
-              "y_s": rate_y_values}
+    values = {"u_f": state.block("u_f"), "u_r": state.block("u_r"),
+              "y_s": (state.block("y_s") - previous.block("y_s")) / tau}
     jn = sum(np.einsum("fqa,fa->fq", fs["jump"][name], vals[ctx.facet_dofs(name)])
              for name, vals in values.items())
     return float(np.sum(fs["w"] * jn**2 / fs["h_e"][:, None]))
@@ -581,7 +575,8 @@ class _Kernels:
         """((w . grad) u, v) with the advecting field w given by coefficients.
 
         It couples each component with itself only, by the same scalar local
-        blocks: one part per component of ``ctx.component_maps(name)``.
+        blocks: returns that one (cells, nloc, nloc) array, which
+        ``ctx.component_pattern(name)`` lays on both components.
         """
         space = self._space(name)
         phi = self.ctx.phi_table(space)
@@ -591,9 +586,7 @@ class _Kernels:
         # matrix products in place of einsum: this runs on every time step
         wq = phi @ coeffs[space.cell_dofs]                      # (c, q, d)
         wdotg = wq[..., 0, None] * g[..., 0] + wq[..., 1, None] * g[..., 1]
-        base = phi.T @ (w[..., None] * wdotg)                   # (c, i, j)
-        return [(name, name, dofs, dofs, base)
-                for dofs in self.ctx.component_maps(name)]
+        return phi.T @ (w[..., None] * wdotg)                   # (c, i, j)
 
     def vector_load(self, name, values_cqk):
         """(f, v) per cell: (name, dofs, local), both (cells, 2 nloc)."""
@@ -756,17 +749,16 @@ def _parts(kernels, terms):
             if np.any(c := t.coeff(params, nitsche))]
 
 
-def assemble_convection(ctx, previous_velocity):
+def assemble_convection(ctx, u_f_values):
     """Oseen-lagged convection block for the free-flow momentum equation.
 
-    ``previous_velocity`` is the u_f ``fem.FieldCoefficients`` of the last
-    step.  Returns the two component parts of ``_Kernels.convection``, or
-    None when the velocity is zero, as in the first step from rest.
+    ``u_f_values`` are the u_f coefficients of the last step.  Returns the
+    scalar local blocks of ``_Kernels.convection``, or None when the
+    velocity is zero, as in the first step from rest.
     """
-    values = previous_velocity.values
-    if not np.any(values):
+    if not np.any(u_f_values):
         return None
-    return _Kernels(ctx).convection("u_f", values)
+    return _Kernels(ctx).convection("u_f", u_f_values)
 
 
 def _assemble(ctx, dest):

@@ -450,6 +450,12 @@ def import_msh(path, tag_map):
                 warnings.warn(f"{path}: ignoring element of type {etype}")
     if not cells:
         raise MeshError(f"{path}: no triangles found")
+    for sub in (SUBDOMAIN_S, SUBDOMAIN_P):
+        if sub not in cell_tags:
+            raise MeshError(
+                f"{path}: no triangle maps to subdomain {sub}, but the coupled "
+                f"problem needs both S and P cells; map the physical name of "
+                f"its triangles with mesh.tag.<name> = {sub}")
 
     cell_arr = np.array(cells)
     edge_set = set()

@@ -255,14 +255,15 @@ def _solve_with(factor, matrix, rhs, scale, tol, guess=None, addend=None):
 
 
 class _Convection:
-    """C(u) on its own int32 CSR structure: the distinct slots of its parts.
+    """C(u) on its own int32 CSR structure: the distinct slots of its entries.
 
-    ``rows`` and ``cols`` place the parts' values in order, as
-    ``ctx.component_pattern("u_f")`` does; ``keep`` is the mask of
-    ``fem.eliminate_matrix``.  ``matrices(parts)`` sums one step's parts
-    into the slots by a single ``np.bincount``, as a sparse sum would, and
-    returns C and its eliminated form, zero in the rows and columns where
-    ``keep`` is: two data arrays on the one structure.
+    ``rows`` and ``cols`` place the convection block's values twice, once
+    per velocity component, as ``ctx.component_pattern("u_f")`` does;
+    ``keep`` is the mask of ``fem.eliminate_matrix``.  ``matrices(block)``
+    sums one step's block into the slots of both components by a single
+    ``np.bincount``, as a sparse sum would, and returns C and its
+    eliminated form, zero in the rows and columns where ``keep`` is: two
+    data arrays on the one structure.
     """
 
     def __init__(self, rows, cols, keep):
@@ -274,9 +275,9 @@ class _Convection:
         self._indptr = np.searchsorted(row, np.arange(size + 1)).astype(np.int32)
         self._mask = keep[row] * keep[col]
 
-    def matrices(self, parts):
-        data = np.bincount(self._pos, minlength=self._mask.size, weights=np.concatenate(
-            [part[4].ravel() for part in parts]))
+    def matrices(self, block):
+        data = np.bincount(self._pos, minlength=self._mask.size,
+                           weights=np.tile(block.ravel(), 2))
         size = self._indptr.size - 1
         csr = lambda values: sparse.csr_matrix(
             (values, self._indices, self._indptr), shape=(size, size))
@@ -397,7 +398,7 @@ class TimeStepper:
             raise SolverError(
                 f"{where}: {exc}; consider a smaller time step or a larger "
                 "solver.tolerance") from exc
-        state = forms.StateVector.from_vector(self.spaces, x, time=t_n)
+        state = forms.StateVector(self.spaces, x, time=t_n)
         self._last, self._history = (state, step_index), [x] + history[:2]
         report = StepReport(residual=res, factorized=self._factor.lu is not held,
                             pinned_pressure=self._pin is not None,
@@ -519,12 +520,14 @@ def march(stepper, state, on_step=None):
 
     The one time loop: steps 1..``grid.nsteps`` in order, each from the
     state the previous one returned.  After every accepted step
-    ``on_step(n, state, report)`` sees the step index, the new state and
+    ``on_step(n, previous, state, report)`` sees the step index, the state
+    the step started from (the given ``state`` at n = 1), the new state and
     that step's ``StepReport``.  A grid without steps returns ``state`` and
     never calls the observer.
     """
     for n in range(1, stepper.grid.nsteps + 1):
-        state, report = stepper.step(state, n)
+        previous = state
+        state, report = stepper.step(previous, n)
         if on_step is not None:
-            on_step(n, state, report)
+            on_step(n, previous, state, report)
     return state

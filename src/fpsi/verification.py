@@ -457,12 +457,12 @@ def final_time_errors(state, sol):
     """
     l2, h1, tables = {}, {}, {}
     for name, value, grad in sol.fields():
-        block = state.block(name)
-        key = (block.space.subdomain, block.space.degree)
+        space = getattr(state.spaces, name)
+        key = (space.subdomain, space.degree)
         if key not in tables:
-            tables[key] = fem.norm_tables(block.space)
-        l2[name], h1[name] = fem.error_norms(block, value, state.time, grad,
-                                             tables[key])
+            tables[key] = fem.norm_tables(space)
+        l2[name], h1[name] = fem.error_norms(space, state.block(name), value,
+                                             state.time, grad, tables[key])
     return l2, h1
 
 

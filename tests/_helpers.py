@@ -1,13 +1,13 @@
 """Small helpers that only the tests use: the reference parameter set,
-interpolation, areas, block patterns, the parts of chosen term records, the
-meshes of the interface reference tests."""
+interpolation, areas, block patterns, the parts of chosen term records and
+of the convection block, the meshes of the interface reference tests."""
 
 import dataclasses
 
 import numpy as np
 
 from fpsi import forms
-from fpsi.fem import FieldCoefficients, _eval_field
+from fpsi.fem import _eval_field
 from fpsi.forms import BLOCK_NAMES
 from fpsi.mesh import _signed_area, generate_channel, generate_structured
 
@@ -20,10 +20,9 @@ REFERENCE_PARAMS = dict(rho_f=1.0, rho_s=1.0, mu_f=10.0, mu_p=10.0,
 
 
 def interpolate(space, field, time=0.0):
-    """Nodal interpolant: evaluate the field at every Lagrange node."""
+    """Nodal interpolant: the field's values at every Lagrange node, in dof order."""
     x, y = space.node_coords[:, 0], space.node_coords[:, 1]
-    vals = _eval_field(field, time, x, y, space.components)
-    return FieldCoefficients(space, vals.ravel())
+    return _eval_field(field, time, x, y, space.components).ravel()
 
 
 def cell_areas(mesh):
@@ -47,6 +46,12 @@ def block_pattern(spaces, matrix):
     pruned.eliminate_zeros()
     return {(test, trial) for test in BLOCK_NAMES for trial in BLOCK_NAMES
             if block(spaces, pruned, test, trial).nnz}
+
+
+def convection_parts(ctx, block):
+    """``assemble_convection``'s scalar block as two parts, one per u_f component."""
+    nodes = 2 * ctx.spaces.u_f.cell_dofs
+    return [("u_f", "u_f", dofs, dofs, block) for dofs in (nodes, nodes + 1)]
 
 
 def record_parts(ctx, terms, dest=None, kernel=None):

@@ -162,9 +162,9 @@ def interface_jump_seminorm(ctx, state, rate_y_values):
     total = 0.0
     for facet in facet_tables(ctx):
         jn = (trace_normal(spaces.u_f, facet, facet["normal_s"])
-              @ state.block("u_f").values[facet_cell_dofs(spaces.u_f, facet)]
+              @ state.block("u_f")[facet_cell_dofs(spaces.u_f, facet)]
               + trace_normal(spaces.u_r, facet, facet["normal_p"])
-              @ state.block("u_r").values[facet_cell_dofs(spaces.u_r, facet)]
+              @ state.block("u_r")[facet_cell_dofs(spaces.u_r, facet)]
               + trace_normal(spaces.y_s, facet, facet["normal_p"])
               @ rate_y_values[facet_cell_dofs(spaces.y_s, facet)])
         total += float(facet["w"] @ jn**2) / facet["h_e"]

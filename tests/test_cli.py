@@ -168,8 +168,8 @@ def test_overflowing_load_is_a_solver_failure(tmp_path, capsys):
 def _tiny_state(mesh):
     spaces = forms.build_spaces(mesh)
     state = forms.StateVector.zero(spaces, time=0.25)
-    for block in state.blocks:
-        block.values[:] = np.arange(block.space.ndofs, dtype=float)
+    for name, space in zip(forms.BLOCK_NAMES, spaces):
+        state.block(name)[:] = np.arange(space.ndofs, dtype=float)
     return spaces, state
 
 
@@ -246,7 +246,7 @@ def test_vertex_sampling_matches_coefficients(tmp_path, mesh22):
     vals = fields["p_S"]
     verts = space.mesh_nodes[:space.num_vertex_nodes]
     for local, vertex in enumerate(verts):
-        assert vals[vertex] == state.block("p_S").values[local]
+        assert vals[vertex] == state.block("p_S")[local]
     outside = np.setdiff1d(np.arange(mesh22.num_vertices), verts)
     assert np.all(vals[outside] == 0.0)
 
@@ -570,6 +570,51 @@ def test_unreadable_input_is_a_configuration_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
     assert named in err
+
+
+ONE_SUBDOMAIN_MSH = """$MeshFormat
+2.2 0 8
+$EndMeshFormat
+$PhysicalNames
+2
+2 1 "body"
+1 2 "wall"
+$EndPhysicalNames
+$Nodes
+4
+1 0 0 0
+2 1 0 0
+3 1 1 0
+4 0 1 0
+$EndNodes
+$Elements
+6
+1 2 2 1 1 1 2 3
+2 2 2 1 1 1 3 4
+3 1 2 2 2 1 2
+4 1 2 2 2 2 3
+5 1 2 2 2 3 4
+6 1 2 2 2 4 1
+$EndElements
+"""
+
+
+@pytest.mark.parametrize("present, wall, missing",
+                         [("S", "gamma_s", "P"), ("P", "gamma_p_d", "S")])
+def test_msh_without_a_subdomain_is_a_configuration_error(tmp_path, capsys, present,
+                                                          wall, missing):
+    # the unit square as two triangles of one subdomain: the import names
+    # the file, the subdomain without cells and the remedy, and run exits 2
+    mesh = tmp_path / "one_subdomain.msh"
+    mesh.write_text(ONE_SUBDOMAIN_MSH)
+    cfg = write_config(tmp_path, f"mode = general\nmesh.kind = msh\nmesh.path = {mesh}\n"
+                                 f"mesh.tag.body = {present}\nmesh.tag.wall = {wall}\n"
+                                 "run.inflow = none\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"{mesh}: no triangle maps to subdomain {missing}" in err
+    assert f"mesh.tag.<name> = {missing}" in err
 
 
 # --- fpsi run driven by a parsed config ----------------------------------------

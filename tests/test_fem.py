@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from fpsi import fem
-from fpsi.fem import (FEMError, FieldCoefficients, FunctionSpace, apply_dirichlet,
+from fpsi.fem import (FEMError, FunctionSpace, apply_dirichlet,
                       eliminate_matrix, error_norms, norm_tables, quadrature_rule,
                       tabulate)
 from fpsi.mesh import generate_structured
@@ -109,14 +109,14 @@ def test_dirichlet_partition(mesh22):
 def test_interpolate_constant(mesh22):
     sp = FunctionSpace(mesh22, 2, 1, "both")
     f = interpolate(sp, lambda t, x, y: np.full_like(x, 3.25))
-    assert np.allclose(f.values, 3.25)
+    assert np.allclose(f, 3.25)
 
 
 def test_interpolate_linear_exact_in_p2(mesh22):
     sp = FunctionSpace(mesh22, 2, 1, "both")
     f = interpolate(sp, lambda t, x, y: x + y)
     l2, h1 = error_norms(
-        f, lambda t, x, y: x + y, 0.0,
+        sp, f, lambda t, x, y: x + y, 0.0,
         lambda t, x, y: np.stack([np.ones_like(x), np.ones_like(y)], axis=-1),
         norm_tables(sp))
     assert l2 < 1e-13 and h1 < 1e-12
@@ -128,18 +128,17 @@ def test_interpolation_is_projection(mesh22):
     f = interpolate(sp, lambda t, x, y: np.sin(x) * np.cosh(y))
 
     def eval_fh(t, x, y):
-        return _point_eval(f, x, y)
+        return _point_eval(sp, f, x, y)
 
     f2 = interpolate(sp, eval_fh)
-    assert np.allclose(f.values, f2.values, atol=1e-14)
+    assert np.allclose(f, f2, atol=1e-14)
 
 
-def _point_eval(field, x, y):
+def _point_eval(space, values, x, y):
     """Brute-force point evaluation for tests: locate cells by barycentrics."""
-    space = field.space
     mesh = space.mesh
     out = np.empty(len(x))
-    coeffs = field.values.reshape(space.num_nodes, space.components)
+    coeffs = values.reshape(space.num_nodes, space.components)
     for i, (xi, yi) in enumerate(zip(x, y)):
         for c, cell in enumerate(space.cells):
             tri = mesh.cells[cell]
@@ -160,10 +159,9 @@ def _point_eval(field, x, y):
 def test_error_norms_constant_one():
     mesh = generate_structured(4, 4)
     sp = FunctionSpace(mesh, 1, 1, "both")
-    f = FieldCoefficients(sp, np.ones(sp.ndofs))
     zero = lambda t, x, y: np.zeros_like(x)
     zgrad = lambda t, x, y: np.zeros(x.shape + (2,))
-    l2, h1 = error_norms(f, zero, 0.0, zgrad, norm_tables(sp))
+    l2, h1 = error_norms(sp, np.ones(sp.ndofs), zero, 0.0, zgrad, norm_tables(sp))
     assert abs(l2 - 1.0) < 1e-14
     assert h1 < 1e-13
 
@@ -171,7 +169,6 @@ def test_error_norms_constant_one():
 def test_error_norms_sine_against_zero():
     mesh = generate_structured(16, 16)
     sp = FunctionSpace(mesh, 1, 1, "both")
-    f = FieldCoefficients(sp, np.zeros(sp.ndofs))
     c = 4 * np.pi
 
     def exact(t, x, y):
@@ -181,7 +178,7 @@ def test_error_norms_sine_against_zero():
         return np.stack([c * np.cos(c * x) * np.sin(c * y),
                          c * np.sin(c * x) * np.cos(c * y)], axis=-1)
 
-    l2, _ = error_norms(f, exact, 0.0, grad, norm_tables(sp))
+    l2, _ = error_norms(sp, np.zeros(sp.ndofs), exact, 0.0, grad, norm_tables(sp))
     assert abs(l2 - 0.5) < 2e-4  # degree-6 quadrature of the oscillatory field
 
 

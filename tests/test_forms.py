@@ -16,7 +16,7 @@ from fpsi.mesh import generate_structured, interface_pairs
 
 from _fd_gates import ExactStresses
 from _helpers import (INTERFACE_MESHES, REFERENCE_PARAMS, block, block_pattern,
-                      interface_mesh, interpolate, record_parts)
+                      convection_parts, interface_mesh, interpolate, record_parts)
 from _oracles import X, Y, convection_dense, eps_eps_dense, mass_dense
 from _per_facet import (facet_cell_dofs, facet_tables, trace_normal,
                         trace_stress_nn, trace_tangent, trace_values)
@@ -158,8 +158,8 @@ def test_convection_matches_symbolic(tiny):
         return np.stack([1.0 + x - 2.0 * y, x * y], axis=-1)
 
     w = interpolate(sp_uf, w_field)  # quadratic field, exact in P2
-    part = assemble_convection(ctx, w)
-    got = _dense_from_parts(spaces, part, "u_f", "u_f")
+    parts = convection_parts(ctx, assemble_convection(ctx, w))
+    got = _dense_from_parts(spaces, parts, "u_f", "u_f")
     expected = np.zeros_like(got)
     w_sym = (1 + X - 2 * Y, X * Y)
     for c, tri in enumerate(_triangles_of(mesh, sp_uf)):
@@ -173,8 +173,7 @@ def test_convection_matches_symbolic(tiny):
 
 def test_convection_zero_previous(tiny):
     mesh, spaces, params, nitsche, ctx = tiny
-    zero = fem.FieldCoefficients(spaces.u_f, np.zeros(spaces.u_f.ndofs))
-    assert assemble_convection(ctx, zero) is None
+    assert assemble_convection(ctx, np.zeros(spaces.u_f.ndofs)) is None
 
 
 def test_convection_quadratic_form_matches_quadrature(tiny, rng):
@@ -182,18 +181,18 @@ def test_convection_quadratic_form_matches_quadrature(tiny, rng):
     # (w . grad u) . u; for divergence-free no-outflow w it is a boundary term
     mesh, spaces, params, nitsche, ctx = tiny
     sp_uf = spaces.u_f
-    w = fem.FieldCoefficients(sp_uf, rng.normal(size=sp_uf.ndofs))
-    u = fem.FieldCoefficients(sp_uf, rng.normal(size=sp_uf.ndofs))
-    part = assemble_convection(ctx, w)
-    mat = _dense_from_parts(spaces, part, "u_f", "u_f")
-    form_val = u.values @ mat @ u.values
+    w = rng.normal(size=sp_uf.ndofs)
+    u = rng.normal(size=sp_uf.ndofs)
+    parts = convection_parts(ctx, assemble_convection(ctx, w))
+    mat = _dense_from_parts(spaces, parts, "u_f", "u_f")
+    form_val = u @ mat @ u
 
     rule = fem.quadrature_rule("triangle", 6)
     phi, dphi = fem.tabulate(2, rule.points)
     geo = fem.CellGeometry(mesh, sp_uf.cells, rule)
     grads = geo.physical_grads(dphi)
-    wc = w.values.reshape(-1, 2)[sp_uf.cell_dofs]
-    uc = u.values.reshape(-1, 2)[sp_uf.cell_dofs]
+    wc = w.reshape(-1, 2)[sp_uf.cell_dofs]
+    uc = u.reshape(-1, 2)[sp_uf.cell_dofs]
     wq = np.einsum("ql,cld->cqd", phi, wc)
     uq = np.einsum("ql,cld->cqd", phi, uc)
     guq = np.einsum("cqld,clk->cqkd", grads, uc)
@@ -387,8 +386,7 @@ def test_penalty_kernel_on_jump_free_states(penalty_22, rng):
     mesh, spaces, params, nitsche, mat = penalty_22
     state = StateVector.zero(spaces)
     for name in ("u_f", "u_r", "y_s"):
-        block = state.block(name)
-        block.values[0::2] = rng.normal(size=block.space.num_nodes)
+        state.block(name)[0::2] = rng.normal(size=getattr(spaces, name).num_nodes)
     # tangential-only fields have zero normal trace on the flat interface
     x = state.vector()
     assert x @ (mat @ x) <= 1e-12 * (x @ x)
@@ -402,7 +400,7 @@ def test_penalty_unit_jump_single_facet():
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     mat = _penalty_matrix(AssemblyContext(spaces, params, nitsche))
     state = StateVector.zero(spaces)
-    state.block("u_f").values[1::2] = 1.0  # u_f . n_S = 1, others zero
+    state.block("u_f")[1::2] = 1.0  # u_f . n_S = 1, others zero
     x = state.vector()
     assert abs(x @ (mat @ x) - nitsche.gamma * params.mu_f) < 1e-10
 
@@ -451,10 +449,10 @@ def assembled_22():
     nitsche = NitscheParams(gamma=40.0, varsigma=1)
     ctx = AssemblyContext(spaces, params, nitsche)
     m_sys = assemble_M(ctx)
-    prev = fem.FieldCoefficients(spaces.u_f,
-                                 np.full(spaces.u_f.ndofs, 0.37))
+    prev = np.full(spaces.u_f.ndofs, 0.37)
     n_sys = assemble_N(ctx)
-    n_sys = n_sys + forms.from_contributions(spaces, assemble_convection(ctx, prev))
+    n_sys = n_sys + forms.from_contributions(
+        spaces, convection_parts(ctx, assemble_convection(ctx, prev)))
     return spaces, params, nitsche, m_sys, n_sys
 
 
@@ -677,14 +675,14 @@ def test_exact_solution_residual_decreases():
         m_sys = assemble_M(ctx)
 
         def interp(t):
-            return StateVector(
+            return StateVector(spaces, np.concatenate(
                 [interpolate(space, val, t) for (nm, val, gr), space
-                 in zip(sol.fields(), spaces)], time=t)
+                 in zip(sol.fields(), spaces)]), time=t)
 
         x_now, x_prev = interp(T), interp(T - tau)
         n_sys = assemble_N(ctx)
-        conv = forms.from_contributions(
-            spaces, assemble_convection(ctx, x_prev.block("u_f")))
+        conv = forms.from_contributions(spaces, convection_parts(
+            ctx, assemble_convection(ctx, x_prev.block("u_f"))))
         op = m_sys * (1.0 / tau) + (n_sys + conv)
         rhs = assemble_F(ctx, sources, T, corr) \
             + (m_sys @ x_prev.vector()) / tau
@@ -698,9 +696,12 @@ def test_exact_solution_residual_decreases():
 
 def test_state_vector_round_trip(spaces22, rng):
     vec = rng.normal(size=sum(sp.ndofs for sp in spaces22))
-    state = StateVector.from_vector(spaces22, vec, time=0.25)
+    state = StateVector(spaces22, vec, time=0.25)
     assert np.array_equal(state.vector(), vec)
-    assert state.block("y_s").values.size == spaces22.y_s.ndofs
+    assert state.block("y_s").size == spaces22.y_s.ndofs
+    # a write through a block's view shows in the vector
+    state.block("y_s")[:] = 7.0
+    assert np.all(state.vector()[spaces22.slice("y_s")] == 7.0)
 
 
 def test_spaces_own_the_block_layout(spaces22):
@@ -712,13 +713,13 @@ def test_spaces_own_the_block_layout(spaces22):
     assert [s.stop - s.start for s in slices] == [sp.ndofs for sp in spaces22]
     assert slices[-1].stop == spaces22.size
     vec = np.arange(spaces22.size, dtype=float)
-    state = StateVector.from_vector(spaces22, vec)
+    state = StateVector(spaces22, vec)
     for name, where in zip(forms.BLOCK_NAMES, slices):
-        values = state.block(name).values
+        values = state.block(name)
         assert np.shares_memory(values, vec)
         assert np.array_equal(values, vec[where])
     with pytest.raises(FormsError, match="vector length"):
-        StateVector.from_vector(spaces22, vec[:-1])
+        StateVector(spaces22, vec[:-1])
     # block k prescribes the value k, so each value names its dof's block
     values = {name: lambda t, x, y, k=k: np.full((x.size, 2), float(k))
               for k, name in enumerate(forms.BLOCK_NAMES)

@@ -15,7 +15,8 @@ from fpsi.solver import (NonFiniteSolutionError, SingularSystemError,
                          SolverError, TimeGrid, TimeStepper, discrete_energy,
                          solve_linear)
 
-from _helpers import INTERFACE_MESHES, REFERENCE_PARAMS, interface_mesh, interpolate
+from _helpers import (INTERFACE_MESHES, REFERENCE_PARAMS, convection_parts,
+                      interface_mesh, interpolate)
 
 
 def test_time_grid_consistency():
@@ -68,7 +69,7 @@ def test_zero_data_gives_zero_states(small_setup):
     grid = TimeGrid(tau=1e-3, final=5e-3)
     stepper = TimeStepper(spaces, params, nitsche, grid)
 
-    def check(n, state, report):
+    def check(n, previous, state, report):
         assert np.abs(state.vector()).max() < 1e-12
         assert report.residual <= 1e-9
 
@@ -84,7 +85,7 @@ def test_determinism_bit_identical(small_setup):
         stepper = TimeStepper(spaces, params, nitsche, grid, **loads)
         out = []
         solver.march(stepper, StateVector.zero(spaces),
-                     lambda n, state, report: out.append(state.vector().copy()))
+                     lambda n, previous, state, report: out.append(state.vector().copy()))
         return out
 
     a, b = one_run(), one_run()
@@ -100,8 +101,8 @@ def test_dirichlet_values_exact_on_boundary(small_setup):
     stepper = TimeStepper(spaces, params, nitsche, grid, **loads)
     state = solver.march(stepper, StateVector.zero(spaces))
     for name in ("u_f", "u_r", "y_s"):
-        space = state.block(name).space
-        got = state.block(name).values[space.dirichlet_dofs]
+        space = getattr(spaces, name)
+        got = state.block(name)[space.dirichlet_dofs]
         want = space.dirichlet_values(bvals[name], state.time)
         assert np.array_equal(got, want)  # elimination is exact, not approximate
 
@@ -120,15 +121,16 @@ def test_one_step_sanity_against_interpolants():
     state, _ = stepper.step(StateVector.zero(spaces), 1)
     assert np.all(np.isfinite(state.vector()))
     for name, value, grad in sol.fields():
-        block = state.block(name)
+        space = getattr(spaces, name)
         if name in ("p_S", "p_P"):
             continue
-        tables = fem.norm_tables(block.space)
-        err, _ = fem.error_norms(block, value, state.time, grad, tables)
-        interp = interpolate(block.space, value, state.time)
-        ierr, _ = fem.error_norms(interp, value, state.time, grad, tables)
+        tables = fem.norm_tables(space)
+        err, _ = fem.error_norms(space, state.block(name), value, state.time, grad,
+                                 tables)
+        interp = interpolate(space, value, state.time)
+        ierr, _ = fem.error_norms(space, interp, value, state.time, grad, tables)
         norm, _ = fem.error_norms(
-            interp, lambda t, x, y: np.zeros((x.size, 2)), state.time,
+            space, interp, lambda t, x, y: np.zeros((x.size, 2)), state.time,
             lambda t, x, y: np.zeros((x.size, 2, 2)), tables)
         assert err <= 10.0 * max(ierr, 0.1 * norm), name
 
@@ -145,7 +147,8 @@ def _direct_step(stepper, state_prev, n):
     conv = (forms.assemble_convection(stepper.ctx, state_prev.block("u_f"))
             if stepper.convection else None)
     if conv is not None:
-        operator = operator + forms.from_contributions(spaces, conv)
+        operator = operator + forms.from_contributions(
+            spaces, convection_parts(stepper.ctx, conv))
     rhs = (stepper.load(t_n)
            + stepper.M / stepper.grid.tau @ state_prev.vector())
     dofs, vals = forms.dirichlet_data(spaces, stepper.boundary_values, t_n)
@@ -166,11 +169,9 @@ def test_reused_factor_matches_direct_solve(small_setup):
     for convection in (False, True):
         stepper = TimeStepper(spaces, params, nitsche, grid,
                               convection=convection, **loads)
-        prev = [StateVector.zero(spaces)]
 
-        def check(n, state, report):
-            want = _direct_step(stepper, prev[0], n)
-            prev[0] = state
+        def check(n, previous, state, report):
+            want = _direct_step(stepper, previous, n)
             assert report.factorized == (n == 1)
             if convection and n > 1:
                 err = (np.linalg.norm(state.vector() - want)
@@ -179,7 +180,7 @@ def test_reused_factor_matches_direct_solve(small_setup):
             else:
                 assert np.array_equal(state.vector(), want)
 
-        solver.march(stepper, prev[0], check)
+        solver.march(stepper, StateVector.zero(spaces), check)
 
 
 @pytest.mark.parametrize("nx", [4, 16])
@@ -238,9 +239,9 @@ def test_constant_operator_factors_once(small_setup, monkeypatch):
     stepper = TimeStepper(spaces, params, nitsche, grid, convection=False)
     calls = _counting_splu(monkeypatch)
     state = StateVector.zero(spaces)
-    state.block("u_f").values[:] = 1.0
+    state.block("u_f")[:] = 1.0
     factorized = []
-    solver.march(stepper, state, lambda n, state, report:
+    solver.march(stepper, state, lambda n, previous, state, report:
                  factorized.append(report.factorized))
     assert calls["n"] == 1
     assert factorized == [True, False, False, False, False]
@@ -257,7 +258,7 @@ def test_strong_convection_refactors(monkeypatch):
     stepper = TimeStepper(spaces, params, nitsche, grid, convection=True)
     state, report = stepper.step(StateVector.zero(spaces), 1)
     assert report.factorized
-    state.block("u_f").values[:] = 100.0
+    state.block("u_f")[:] = 100.0
     want = _direct_step(stepper, state, 2)
     calls = _counting_splu(monkeypatch)
     new, report = stepper.step(state, 2)
@@ -278,7 +279,7 @@ def test_refactor_holds_the_step_operator(rng):
                           TimeGrid(tau=0.1, final=0.2), convection=True)
     state, _ = stepper.step(StateVector.zero(stepper.spaces), 1)
     order = stepper._factor.perm
-    state.block("u_f").values[:] = 100.0
+    state.block("u_f")[:] = 100.0
     new, report = stepper.step(state, 2)
     assert report.factorized
     factor = stepper._factor
@@ -287,13 +288,14 @@ def test_refactor_holds_the_step_operator(rng):
     assert np.count_nonzero(factor.matrix.data) == factor.matrix.nnz
     conv = forms.assemble_convection(stepper.ctx, state.block("u_f"))
     dofs, _ = forms.dirichlet_data(stepper.spaces, stepper.boundary_values, 0.2)
-    want, _ = fem.eliminate_matrix(stepper.M * (1.0 / stepper.grid.tau) + stepper.N
-                                   + forms.from_contributions(stepper.spaces, conv),
-                                   dofs)
+    want, _ = fem.eliminate_matrix(
+        stepper.M * (1.0 / stepper.grid.tau) + stepper.N
+        + forms.from_contributions(stepper.spaces, convection_parts(stepper.ctx, conv)),
+        dofs)
     _assert_same_entries(factor.matrix, want)
     for n in (3, 4):
-        new.block("u_f").values[:] = 100.0 * (1.0 + 1e-3 * rng.uniform(
-            -1.0, 1.0, new.block("u_f").values.size))
+        new.block("u_f")[:] = 100.0 * (1.0 + 1e-3 * rng.uniform(
+            -1.0, 1.0, new.block("u_f").size))
         new, report = stepper.step(new, n)
         assert not report.factorized and report.solves >= 1
         assert stepper._factor is factor
@@ -346,7 +348,7 @@ def test_convective_step_is_two_triangular_solves(monkeypatch):
         stepper = _manufactured_stepper(4, 2e-3, convection)
         solves, reports, before = [], [], counts["solves"]
 
-        def count(n, state, report):
+        def count(n, previous, state, report):
             nonlocal before
             solves.append(counts["solves"] - before)
             before = counts["solves"]
@@ -366,7 +368,7 @@ def _extrapolating_march():
     stepper = _manufactured_stepper(8, 4e-3, True)
     steps = []
     final = solver.march(stepper, StateVector.zero(stepper.spaces),
-                         lambda n, state, report: steps.append((state, report)))
+                         lambda n, previous, state, report: steps.append((state, report)))
     return stepper, final, steps
 
 
@@ -403,8 +405,7 @@ def test_step_from_a_copy_starts_from_the_factor_solution(monkeypatch):
         return original(matrix, rhs, tol, factor, guess, *rest)
 
     monkeypatch.setattr(solver, "solve_linear", recording)
-    copy = StateVector.from_vector(stepper.spaces, previous.vector().copy(),
-                                   time=previous.time)
+    copy = StateVector(stepper.spaces, previous.vector().copy(), time=previous.time)
     solved, report_copy = stepper.step(copy, stepper.grid.nsteps)
     assert guesses == [None]
     assert report.solves == 1 and report_copy.solves >= 2
@@ -436,7 +437,7 @@ def test_factored_matrix_holds_no_stored_zeros(monkeypatch):
     assert len(counts["factored"]) == 1
     assert counts["factored"][0].nnz == want.nnz
     # a refactor of a step's own operator drops its stored zeros too
-    state.block("u_f").values[:] = 1e4
+    state.block("u_f")[:] = 1e4
     stepper.step(state, stepper.grid.nsteps + 1)
     refactored = counts["factored"][-1]
     assert len(counts["factored"]) == 2
@@ -500,7 +501,7 @@ def test_mesh_order_is_reused_by_refactor_and_pin(small_setup, monkeypatch):
         state, report = stepper.step(StateVector.zero(spaces), 1)
     assert report.pinned_pressure
     order = stepper._factor.perm
-    state.block("u_f").values[:] = 100.0
+    state.block("u_f")[:] = 100.0
     _, report = stepper.step(state, 2)
     assert report.factorized and stepper._factor.perm is order
     assert calls == {"order": 1, "splu": 3}
@@ -605,7 +606,8 @@ def _assert_step_system(stepper, operator, conv, dofs):
     # A0 + C_el, the system a convective step solves, and the lift's columns
     # of the operator plus C's, against the sparse sum with C eliminated
     full, eliminated = stepper._convection.matrices(conv)
-    want = operator + forms.from_contributions(stepper.spaces, conv)
+    want = operator + forms.from_contributions(stepper.spaces,
+                                               convection_parts(stepper.ctx, conv))
     _assert_same_entries(stepper._eliminated + eliminated,
                          fem.eliminate_matrix(want, dofs)[0])
     assert stepper._columns.shape == (want.shape[0], len(dofs))
@@ -616,8 +618,7 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
     original = spla.splu
     stepper = _manufactured_stepper(2, 1e-3, True)
     stepper.step(StateVector.zero(stepper.spaces), 1)
-    u_f = fem.FieldCoefficients(stepper.spaces.u_f,
-                                rng.normal(size=stepper.spaces.u_f.ndofs))
+    u_f = rng.normal(size=stepper.spaces.u_f.ndofs)
     conv = forms.assemble_convection(stepper.ctx, u_f)
     dofs, _ = forms.dirichlet_data(stepper.spaces, {}, 0.0)
     operator = stepper.M * (1.0 / stepper.grid.tau) + stepper.N
@@ -656,15 +657,17 @@ def test_fixed_pattern_matches_sparse_sum(monkeypatch, rng):
 
 
 def test_convection_matrix_sums_repeated_slots(rng):
-    # slots with repeats, in and out of order; the summed slot values must
-    # land where a sparse sum would put them, on int32 indices, and the
-    # eliminated form zeroes the rows and columns of the eliminated dofs
+    # slots with repeats, in and out of order, the block's three values laid
+    # twice; the summed slot values must land where a sparse sum would put
+    # them, on int32 indices, and the eliminated form zeroes the rows and
+    # columns of the eliminated dofs
     rows = np.array([0, 1, 2, 2, 3, 1])
     cols = np.array([2, 2, 1, 1, 0, 2])
-    vals = rng.normal(size=rows.size)
+    block = rng.normal(size=(1, 1, 3))
     keep = np.array([1.0, 1.0, 0.0, 1.0])
     convection = solver._Convection(rows, cols, keep)
-    full, eliminated = convection.matrices([(None, None, None, None, vals)])
+    full, eliminated = convection.matrices(block)
+    vals = np.concatenate([block.ravel(), block.ravel()])
     want = sparse.csr_matrix((vals, (rows, cols)), shape=(4, 4)).toarray()
     assert full.nnz == eliminated.nnz == 4
     assert full.indices.dtype == full.indptr.dtype == np.int32
@@ -690,8 +693,7 @@ def test_convective_stepper_holds_one_structure(rng):
     # eliminated operator without stored zeros, which the stepper reuses
     stepper = _manufactured_stepper(4, 2e-3, True)
     stepper.step(StateVector.zero(stepper.spaces), 1)
-    u_f = fem.FieldCoefficients(stepper.spaces.u_f,
-                                rng.normal(size=stepper.spaces.u_f.ndofs))
+    u_f = rng.normal(size=stepper.spaces.u_f.ndofs)
     full, eliminated = stepper._convection.matrices(
         forms.assemble_convection(stepper.ctx, u_f))
     assert np.shares_memory(full.indices, eliminated.indices)
@@ -777,8 +779,7 @@ def test_loop_holds_the_operator_once(convection, rng):
     if not convection:
         assert stepper._convection is None
         return
-    u_f = fem.FieldCoefficients(stepper.spaces.u_f,
-                                rng.normal(size=stepper.spaces.u_f.ndofs))
+    u_f = rng.normal(size=stepper.spaces.u_f.ndofs)
     for matrix in stepper._convection.matrices(
             forms.assemble_convection(stepper.ctx, u_f)):
         assert matrix.shape == (size, size) and matrix.nnz <= slots
@@ -793,7 +794,7 @@ def test_zero_velocity_step_after_convective_steps_is_direct(small_setup, monkey
                           convection=True, **loads)
     counts = _counting_solves(monkeypatch)
     state = solver.march(stepper, StateVector.zero(spaces))
-    state.block("u_f").values[:] = 0.0
+    state.block("u_f")[:] = 0.0
     want = _direct_step(stepper, state, 4)
     before = counts["solves"]
     new, report = stepper.step(state, 4)
@@ -868,7 +869,7 @@ def test_residual_failure_names_step_and_remedy(small_setup):
     grid = TimeGrid(tau=1e-3, final=1e-3)
     stepper = TimeStepper(spaces, params, nitsche, grid, solver_tol=0.0)
     state = StateVector.zero(spaces)
-    state.block("u_f").values[:] = 1.0
+    state.block("u_f")[:] = 1.0
     with pytest.raises(SolverError,
                        match=r"step 1 \(t=0\.001\).*exceeds tolerance.*"
                              r"smaller time step"):
@@ -932,7 +933,7 @@ def test_singular_after_pin_names_the_pinned_dof(small_setup, monkeypatch):
     with pytest.warns(UserWarning, match="pinned global dof"):
         state, report = stepper.step(StateVector.zero(spaces), 1)
     assert report.pinned_pressure
-    state.block("u_f").values[:] = 100.0
+    state.block("u_f")[:] = 100.0
     pin = spaces.slice("p_S").start
     with pytest.raises(SingularSystemError) as info:
         stepper.step(state, 2)
@@ -961,11 +962,11 @@ def test_pin_decided_once_per_factor(small_setup, monkeypatch):
     reports = []
     with pytest.warns(UserWarning, match="pinned global dof"):
         state = solver.march(stepper, StateVector.zero(spaces),
-                             lambda n, state, report: reports.append(report))
+                             lambda n, previous, state, report: reports.append(report))
     assert calls["n"] == 2  # the failed factorization and the pinned one
     assert [r.pinned_pressure for r in reports] == [True, True, True]
     assert [r.factorized for r in reports] == [True, False, False]
-    assert state.block("p_S").values[0] == 0.0
+    assert state.block("p_S")[0] == 0.0
 
 # --- the time loop ---------------------------------------------------------------
 
@@ -979,24 +980,27 @@ def test_march_without_steps_returns_the_initial_state(small_setup):
 
 
 def test_march_observes_each_step_in_order(small_setup):
-    # the observer sees n = 1..nsteps, each with the state and the report
-    # that step returned, and march returns the last state
+    # the observer sees n = 1..nsteps, each with the state that step started
+    # from (the initial state at n = 1), the state and the report it
+    # returned, and march returns the last state
     mesh, spaces, params, nitsche = small_setup
     stepper = TimeStepper(spaces, params, nitsche, TimeGrid(tau=1e-3, final=3e-3))
     step, returned, seen = stepper.step, [], []
 
     def recorded(state, n):
         new, report = step(state, n)
-        returned.append((n, new, report))
+        returned.append((n, state, new, report))
         return new, report
 
     stepper.step = recorded
-    final = solver.march(stepper, StateVector.zero(spaces),
-                         lambda *args: seen.append(args))
-    assert [n for n, _, _ in seen] == [1, 2, 3]
-    assert all(a[0] == b[0] and a[1] is b[1] and a[2] is b[2]
+    initial = StateVector.zero(spaces)
+    final = solver.march(stepper, initial, lambda *args: seen.append(args))
+    assert [n for n, _, _, _ in seen] == [1, 2, 3]
+    assert all(a[0] == b[0] and a[1] is b[1] and a[2] is b[2] and a[3] is b[3]
                for a, b in zip(returned, seen))
-    assert len(returned) == 3 and final is seen[-1][1]
+    assert seen[0][1] is initial
+    assert all(seen[k][1] is seen[k - 1][2] for k in (1, 2))
+    assert len(returned) == 3 and final is seen[-1][2]
 
 
 class _StepCalls(ast.NodeVisitor):
@@ -1094,8 +1098,8 @@ def _energy_matrix(spaces, params, nitsche=NitscheParams()):
 
 def _random_state(spaces, rng):
     state = StateVector.zero(spaces)
-    for block in state.blocks:
-        block.values[:] = rng.normal(size=block.space.ndofs)
+    for name, space in zip(forms.BLOCK_NAMES, spaces):
+        state.block(name)[:] = rng.normal(size=space.ndofs)
     return state
 
 
@@ -1108,7 +1112,7 @@ def test_energy_zero_state(small_setup, table1_params):
 def test_energy_unit_pore_pressure(small_setup, table1_params):
     mesh, spaces, params, nitsche = small_setup
     state = StateVector.zero(spaces)
-    state.block("p_P").values[:] = 1.0
+    state.block("p_P")[:] = 1.0
     energy = _energy_matrix(spaces, table1_params, nitsche)
     # 1/2 (1 - phi)^2 / K over |Omega_P| = 1/2 * 0.81 * 0.5
     assert abs(discrete_energy(state, energy) - 0.2025) < 1e-14
@@ -1116,16 +1120,15 @@ def test_energy_unit_pore_pressure(small_setup, table1_params):
 
 def _energy_own_geometry(state, params):
     """discrete_energy with its geometry built per call, as the reference."""
-    mesh = state.block("u_f").space.mesh
+    mesh = state.spaces.u_f.mesh
     rule = fem.quadrature_rule("triangle", forms.VOLUME_QUAD_DEGREE)
     tab = {1: fem.tabulate(1, rule.points), 2: fem.tabulate(2, rule.points)}
     geo_s = fem.CellGeometry(mesh, mesh.cells_in("S"), rule)
     geo_p = fem.CellGeometry(mesh, mesh.cells_in("P"), rule)
 
     def at_quad(name, degree):
-        block = state.block(name)
-        space = block.space
-        coeffs = block.values.reshape(space.num_nodes, space.components)
+        space = getattr(state.spaces, name)
+        coeffs = state.block(name).reshape(space.num_nodes, space.components)
         return tab[degree][0] @ coeffs[space.cell_dofs]
 
     def integral(wdet, density):
@@ -1139,10 +1142,10 @@ def _energy_own_geometry(state, params):
     total += params.rho_s * integral(w * (1.0 - phi), u_s**2)
     total += integral(w * (1.0 - phi)**2 / params.K, p_p**2)
     total += params.rho_f * integral(w * phi, (u_r + u_s)**2)
-    y_space = state.block("y_s").space
+    y_space = state.spaces.y_s
     grads = geo_p.physical_grads(tab[2][1])
     c, q, nloc, _ = grads.shape
-    coeffs = state.block("y_s").values.reshape(y_space.num_nodes, 2)
+    coeffs = state.block("y_s").reshape(y_space.num_nodes, 2)
     g = (np.swapaxes(grads, 2, 3).reshape(c, 2 * q, nloc)
          @ coeffs[y_space.cell_dofs]).reshape(c, q, 2, 2)
     eps = 0.5 * (g + np.swapaxes(g, -1, -2))
@@ -1153,16 +1156,15 @@ def _energy_own_geometry(state, params):
 
 def _energy_einsum(state, params):
     """discrete_energy as per-entry einsum contractions, as the reference."""
-    mesh = state.block("u_f").space.mesh
+    mesh = state.spaces.u_f.mesh
     rule = fem.quadrature_rule("triangle", forms.VOLUME_QUAD_DEGREE)
     tab = {1: fem.tabulate(1, rule.points), 2: fem.tabulate(2, rule.points)}
     geo_s = fem.CellGeometry(mesh, mesh.cells_in("S"), rule)
     geo_p = fem.CellGeometry(mesh, mesh.cells_in("P"), rule)
 
     def at_quad(name, degree):
-        block = state.block(name)
-        space = block.space
-        coeffs = block.values.reshape(space.num_nodes, space.components)
+        space = getattr(state.spaces, name)
+        coeffs = state.block(name).reshape(space.num_nodes, space.components)
         return np.einsum("ql,clk->cqk", tab[degree][0], coeffs[space.cell_dofs])
 
     u_f = at_quad("u_f", 2)
@@ -1174,9 +1176,9 @@ def _energy_einsum(state, params):
                        p_p**2)
     total += params.rho_f * np.einsum("cq,cq,cqk->", geo_p.wdet, phi,
                                       (u_r + u_s)**2)
-    y_space = state.block("y_s").space
+    y_space = state.spaces.y_s
     grads = geo_p.physical_grads(tab[2][1])
-    coeffs = state.block("y_s").values.reshape(y_space.num_nodes, 2)
+    coeffs = state.block("y_s").reshape(y_space.num_nodes, 2)
     g = np.einsum("cqld,clk->cqkd", grads, coeffs[y_space.cell_dofs])
     eps = 0.5 * (g + np.swapaxes(g, -1, -2))
     div = g[..., 0, 0] + g[..., 1, 1]
@@ -1239,8 +1241,7 @@ def test_energy_matches_einsum_reference_off_the_square(case):
 def test_energy_sign_flip_invariance(small_setup, table1_params, rng):
     mesh, spaces, params, nitsche = small_setup
     state = _random_state(spaces, rng)
-    flipped = StateVector([fem.FieldCoefficients(b.space, -b.values)
-                           for b in state.blocks])
+    flipped = StateVector(spaces, -state.vector())
     energy = _energy_matrix(spaces, table1_params, nitsche)
     e1 = discrete_energy(state, energy)
     e2 = discrete_energy(flipped, energy)
@@ -1291,7 +1292,8 @@ def test_lift_matches_full_product(convection):
     if convection:
         conv = forms.assemble_convection(stepper.ctx, state.block("u_f"))
         full = stepper._convection.matrices(conv)[0]
-        cases.append((operator + forms.from_contributions(spaces, conv), full))
+        cases.append((operator + forms.from_contributions(
+            spaces, convection_parts(stepper.ctx, conv)), full))
     for matrix, added in cases:
         for values in (vals, rng.normal(size=vals.size), np.zeros(vals.size)):
             want = np.array(rhs)
@@ -1313,11 +1315,10 @@ def test_jump_seminorm_matches_per_facet_reference(small_setup):
     for kind in INTERFACE_MESHES:
         spaces = build_spaces(interface_mesh(kind))
         ctx = forms.AssemblyContext(spaces, params, nitsche)
-        state = StateVector.zero(spaces)
-        for block in state.blocks:
-            block.values[:] = rng.normal(size=block.space.ndofs)
-        rate = rng.normal(size=spaces.y_s.ndofs)
+        previous, state = _random_state(spaces, rng), _random_state(spaces, rng)
+        tau = 0.25
+        rate = (state.block("y_s") - previous.block("y_s")) / tau
         want = _per_facet.interface_jump_seminorm(ctx, state, rate)
-        got = forms.interface_jump_seminorm(ctx, state, rate)
+        got = forms.interface_jump_seminorm(ctx, previous, state, tau)
         assert want > 0.0, kind
         assert abs(got - want) <= 1e-13 * want, kind
